@@ -14,6 +14,7 @@ hiding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,10 @@ class NoiseModel:
 
     def __post_init__(self) -> None:
         probs = (self.p_bitflip, self.p_phaseflip, self.p_both)
-        if any(p < 0.0 or p > 1.0 for p in probs):
-            raise ValueError(f"probabilities must lie in [0,1]: {probs}")
+        for name, p in zip(("p_bitflip", "p_phaseflip", "p_both"), probs):
+            # Written so that NaN fails too.
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"{name} must lie in [0,1], got {p}")
         if sum(probs) > 1.0 + 1e-15:
             raise ValueError(f"probabilities sum to {sum(probs)} > 1")
 
@@ -118,6 +121,8 @@ class EveStrategy:
             raise ValueError(f"unknown Eve strategy {self.kind!r}")
         if self.kind != ABSENT and not self.basis_pool:
             raise ValueError("active Eve strategy needs a non-empty basis pool")
+        if not all(math.isfinite(theta) for theta in self.basis_pool):
+            raise ValueError(f"basis_pool angles must be finite: {list(self.basis_pool)}")
         if not self.legs <= {FORWARD, BACKWARD}:
             raise ValueError(f"legs must be a subset of {{forward, backward}}: {self.legs}")
         object.__setattr__(self, "legs", frozenset(self.legs))

@@ -38,8 +38,12 @@ TO_LEAF = 1
 #   direction   uint8   (0 = to-hub, 1 = to-leaf)
 #   sequence    uint64
 #   amplitudes  4 x float64 (re0, im0, re1, im1)
+# FRAME_DTYPE is the same layout as a packed numpy record, used to build and
+# store a whole register's frames at once; WireFrame is the one-frame codec.
 _FRAME_STRUCT = struct.Struct("<HBQdddd")
 FRAME_SIZE = _FRAME_STRUCT.size
+FRAME_DTYPE = np.dtype([("link_id", "<u2"), ("direction", "u1"), ("sequence", "<u8"), ("amplitudes", "<f8", (4,))])
+NORM_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,7 @@ class WireFrame:
         if not 0 <= self.sequence < 1 << 64:
             raise ValueError("sequence must fit in 64 bits")
         norm = abs(self.amp0) ** 2 + abs(self.amp1) ** 2
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= NORM_TOLERANCE:
             raise ValueError("payload must be a normalized state")
 
     def pack(self) -> bytes:
@@ -115,10 +119,16 @@ class LeafOutcome:
     leaf: str
     link_id: int
     result: SessionResult
-    frames: tuple[WireFrame, ...]
+    frame_array: np.ndarray  # FRAME_DTYPE records: to-hub frames, then to-leaf
+
+    @property
+    def frames(self) -> tuple[WireFrame, ...]:
+        """The recorded frames, decoded on each access."""
+        data = self.frames_bytes()
+        return tuple(WireFrame.unpack(data[k : k + FRAME_SIZE]) for k in range(0, len(data), FRAME_SIZE))
 
     def frames_bytes(self) -> bytes:
-        return b"".join(f.pack() for f in self.frames)
+        return self.frame_array.tobytes()
 
 
 @dataclass(frozen=True)
@@ -131,11 +141,24 @@ class StarSessionResult:
         return [name for name, o in self.outcomes.items() if o.result.accepted]
 
 
-def _register_frames(link_id: int, direction: int, register: QubitRegister) -> tuple[WireFrame, ...]:
-    return tuple(
-        WireFrame(link_id, direction, k, complex(register.amp0[k]), complex(register.amp1[k]))
-        for k in range(len(register))
-    )
+def _register_frames(link_id: int, direction: int, register: QubitRegister) -> np.ndarray:
+    """One FRAME_DTYPE record per qubit, sequence numbers from 0.
+
+    Raises ValueError, as WireFrame does, if any payload is not normalized.
+    """
+    norm = np.abs(register.amp0) ** 2 + np.abs(register.amp1) ** 2
+    if not np.all(np.abs(norm - 1.0) <= NORM_TOLERANCE):
+        raise ValueError("payload must be a normalized state")
+    frames = np.empty(len(register), FRAME_DTYPE)
+    frames["link_id"] = link_id
+    frames["direction"] = direction
+    frames["sequence"] = np.arange(len(register))
+    amplitudes = frames["amplitudes"]
+    amplitudes[:, 0] = register.amp0.real
+    amplitudes[:, 1] = register.amp0.imag
+    amplitudes[:, 2] = register.amp1.real
+    amplitudes[:, 3] = register.amp1.imag
+    return frames
 
 
 def run_star_session(
@@ -184,10 +207,11 @@ def run_star_session(
             backward_rng=link_rng(seed, link_id, 3),
             measure_rng=link_rng(seed, link_id, 4),
         )
-        frames: tuple[WireFrame, ...] = ()
+        frames = np.empty(0, FRAME_DTYPE)
         if record_frames:
-            frames = _register_frames(link_id, TO_HUB, result.delivered_to_bob) + _register_frames(
-                link_id, TO_LEAF, result.delivered_to_alice
-            )
+            frames = np.concatenate([
+                _register_frames(link_id, TO_HUB, result.delivered_to_bob),
+                _register_frames(link_id, TO_LEAF, result.delivered_to_alice),
+            ])
         outcomes[leaf] = LeafOutcome(leaf, link_id, result, frames)
     return StarSessionResult(key_message=key_message, outcomes=outcomes)

@@ -20,6 +20,7 @@ Three variants:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,7 +63,43 @@ def as_bits(values) -> np.ndarray:
 
 
 def bits_to_text(bits) -> str:
-    return "".join(str(int(b)) for b in bits)
+    return (as_bits(bits) + ord("0")).tobytes().decode("ascii")
+
+
+# Transcript cells as fixed-width byte rows; 0 is the pad byte, dropped on output.
+_PAULI_TAG_BYTES = np.array(
+    [list(PAULI_TAGS[code].ljust(2, "\0").encode()) for code in range(len(PAULI_TAGS))], np.uint8
+)
+_BOB_OP_BYTES = np.array([list(b"I\0"), list(b"XZ")], np.uint8)
+
+
+def _decimal(values) -> np.ndarray:
+    """Non-negative integers as right-aligned decimal digits, one row each,
+    with pad bytes in place of leading zeros."""
+    values = np.asarray(values, dtype=np.int64)
+    width = len(str(int(values.max()))) if values.size else 1
+    out = np.empty((len(values), width), np.uint8)
+    for j in range(width):
+        place = 10 ** (width - 1 - j)
+        digit = values // place % 10 + ord("0")
+        out[:, j] = digit if place == 1 else np.where(values >= place, digit, 0)
+    return out
+
+
+def _text_rows(fields, end: str = "\n") -> bytes:
+    """One text row per qubit: the fields' cells joined by spaces, `end` after
+    the last. A field is a per-row uint8 array of shape (n,) or (n, w), or a
+    (1, 1) constant broadcast to every row; the first field is per-row. Pad
+    bytes are dropped."""
+    fields = [f if f.ndim == 2 else f[:, None] for f in fields]
+    n = len(fields[0])
+    buf = np.full((n, sum(f.shape[1] + 1 for f in fields)), ord(" "), np.uint8)
+    col = 0
+    for f in fields:
+        buf[:, col : col + f.shape[1]] = f
+        col += f.shape[1] + 1
+    buf[:, -1] = ord(end)
+    return buf[buf != 0].tobytes()
 
 
 @dataclass(frozen=True)
@@ -93,6 +130,8 @@ class RunConfig:
         if not self.basis_pool:
             raise ValueError("basis pool must be non-empty")
         angles = [b.theta for b in self.basis_pool]
+        if not all(math.isfinite(theta) for theta in angles):
+            raise ValueError(f"basis_pool angles must be finite: {angles}")
         if len(set(angles)) != len(angles):
             raise ValueError("basis pool angles must be pairwise distinct")
         if not 0 <= self.tag_length <= self.message_length:
@@ -126,10 +165,6 @@ class PreparationRecord:
     a: np.ndarray
     b: np.ndarray
     register: QubitRegister
-
-    @property
-    def qubits(self) -> list:
-        return self.register.states()
 
 
 def alice_prepare(config: RunConfig, rng: Rng) -> PreparationRecord:
@@ -287,14 +322,6 @@ class DerivationRecord:
     retained_positions: np.ndarray | None = None
     resolved_positions: np.ndarray | None = None
 
-    def blocks(self, t: int, n_bits: int, variant: str) -> np.ndarray:
-        """The strings d_s the decoder voted over."""
-        if variant == V2:
-            return self.M.reshape(n_bits, t)
-        if variant == V3:
-            return self.M.reshape(t, n_bits)
-        return self.M.reshape(1, -1)
-
 
 def derive(config: RunConfig, c, a) -> DerivationRecord:
     c, a = as_bits(c), as_bits(a)
@@ -359,7 +386,7 @@ class SessionResult:
             f"accepted={int(self.accepted)}",
             "abort_reason=" + (self.abort_reason or ""),
             "a=" + bits_to_text(self.prep.a),
-            "b=" + ",".join(str(int(x)) for x in self.prep.b),
+            "b=" + _text_rows([_decimal(self.prep.b)], end=",")[:-1].decode("ascii"),
             "m=" + bits_to_text(self.key_message),
             "c=" + bits_to_text(d.c),
             "M=" + bits_to_text(d.M),
@@ -369,17 +396,20 @@ class SessionResult:
             "ties=" + (bits_to_text(d.ties) if d.ties is not None else ""),
             "columns=index basis_index sent_bit noise_fwd eve_fwd bob_op noise_bwd eve_bwd measured_bit",
         ]
-        fwd_eve = "E" if self.eve_forward is not None else "-"
-        bwd_eve = "E" if self.eve_backward is not None else "-"
-        for k in range(len(self.prep.a)):
-            lines.append(
-                f"{k} {int(self.prep.b[k])} {int(self.prep.a[k])} "
-                f"{PAULI_TAGS[int(self.noise_codes_forward[k])]} {fwd_eve} "
-                f"{'XZ' if self.bob_ops[k] else 'I'} "
-                f"{PAULI_TAGS[int(self.noise_codes_backward[k])]} {bwd_eve} "
-                f"{int(d.c[k])}"
-            )
-        return "\n".join(lines) + "\n"
+        fwd_eve = np.array([[ord("E" if self.eve_forward is not None else "-")]], np.uint8)
+        bwd_eve = np.array([[ord("E" if self.eve_backward is not None else "-")]], np.uint8)
+        rows = _text_rows([
+            _decimal(np.arange(len(self.prep.a))),
+            _decimal(self.prep.b),
+            self.prep.a + ord("0"),
+            np.take(_PAULI_TAG_BYTES, self.noise_codes_forward, axis=0),
+            fwd_eve,
+            np.take(_BOB_OP_BYTES, self.bob_ops, axis=0),
+            np.take(_PAULI_TAG_BYTES, self.noise_codes_backward, axis=0),
+            bwd_eve,
+            d.c + ord("0"),
+        ])
+        return "\n".join(lines) + "\n" + rows.decode("ascii")
 
 
 def complete_round_trip(

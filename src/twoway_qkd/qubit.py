@@ -269,9 +269,6 @@ class QubitRegister:
     def state(self, k: int) -> PureState:
         return PureState(complex(self.amp0[k]), complex(self.amp1[k]))
 
-    def states(self) -> list[PureState]:
-        return [self.state(k) for k in range(len(self))]
-
     def apply_pauli(self, op: PauliWord, mask: np.ndarray | None = None) -> "QubitRegister":
         """Apply one Pauli word to every qubit (or only where mask is true)."""
         a0, a1 = self.amp0, self.amp1

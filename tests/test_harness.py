@@ -153,6 +153,22 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert main(["run", "--config", str(no_n)]) == 1
 
 
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        ({"noise": {"p_bitflip": float("nan")}}, "p_bitflip"),
+        ({"basis_pool": [float("inf")]}, "basis_pool"),
+        ({"eve": {"kind": "intercept_resend", "basis_pool": [float("-inf")]}}, "basis_pool"),
+    ],
+)
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys, override, field):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**BASE, **override}))  # NaN / Infinity literals
+    assert main(["run", "--config", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
+
+
 def test_cli_sweep_requires_axes(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(BASE))

@@ -14,7 +14,8 @@ from twoway_qkd import (
     run_session,
     run_star_session,
 )
-from twoway_qkd.network import FRAME_SIZE, TO_HUB, TO_LEAF
+from twoway_qkd.network import FRAME_DTYPE, FRAME_SIZE, TO_HUB, TO_LEAF, _register_frames
+from twoway_qkd.qubit import QubitRegister
 
 POOL = (Basis(0.0), Basis(math.pi / 4))
 
@@ -93,6 +94,40 @@ def test_frames_are_recorded_per_link_and_direction():
         assert all(f.link_id == outcome.link_id for f in frames)
         for f in frames:
             assert WireFrame.unpack(f.pack()) == f
+
+
+def test_frame_array_matches_the_per_frame_codec():
+    assert FRAME_DTYPE.itemsize == FRAME_SIZE
+    links = {"leaf1": LinkSettings(NoiseModel(p_both=0.3), NoiseModel(p_phaseflip=0.3),
+                                   EveStrategy.intercept_resend((0.0, math.pi / 4), legs=("backward",)))}
+    result = run_star_session(make_topology(3, links), RunConfig(n_bits=12, basis_pool=POOL, seed=23))
+    for outcome in result.outcomes.values():
+        expected = tuple(
+            WireFrame(outcome.link_id, direction, k, complex(register.amp0[k]), complex(register.amp1[k]))
+            for direction, register in (
+                (TO_HUB, outcome.result.delivered_to_bob),
+                (TO_LEAF, outcome.result.delivered_to_alice),
+            )
+            for k in range(len(register))
+        )
+        data = outcome.frames_bytes()
+        assert data == b"".join(frame.pack() for frame in expected)
+        assert outcome.frames == expected
+        assert [WireFrame.unpack(data[k : k + FRAME_SIZE]) for k in range(0, len(data), FRAME_SIZE)] == list(
+            outcome.frames
+        )
+
+
+def test_recording_an_unnormalized_register_raises():
+    amp0 = np.array([1.0, math.sqrt(1.0 + 1e-6)])
+    register = QubitRegister(amp0, np.zeros(2))
+    with pytest.raises(ValueError, match="normalized"):
+        WireFrame(0, TO_HUB, 1, complex(amp0[1]), 0j)
+    with pytest.raises(ValueError, match="normalized"):
+        _register_frames(0, TO_HUB, register)
+    with pytest.raises(ValueError, match="normalized"):
+        _register_frames(0, TO_HUB, QubitRegister(np.array([math.nan]), np.zeros(1)))
+    assert len(_register_frames(0, TO_HUB, QubitRegister(amp0[:1], np.zeros(1)))) == 1
 
 
 def test_link_independence_under_corruption():

@@ -24,6 +24,10 @@ def test_noise_model_validation():
         NoiseModel(p_bitflip=-0.1)
     with pytest.raises(ValueError):
         NoiseModel(p_bitflip=0.6, p_phaseflip=0.6)
+    with pytest.raises(ValueError, match="p_bitflip"):
+        NoiseModel(p_bitflip=float("nan"))
+    with pytest.raises(ValueError, match="p_both"):
+        NoiseModel(p_both=float("inf"))
     assert NoiseModel(0.2, 0.3, 0.1).p_identity == pytest.approx(0.4)
 
 
@@ -93,6 +97,8 @@ def test_eve_strategy_validation():
         EveStrategy.intercept_resend(())
     with pytest.raises(ValueError):
         EveStrategy(kind="intercept_resend", basis_pool=(0.0,), legs=frozenset({"sideways"}))
+    with pytest.raises(ValueError, match="finite"):
+        EveStrategy.intercept_resend((0.0, float("nan")))
 
 
 def test_eve_absent_is_noop():

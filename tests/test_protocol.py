@@ -41,6 +41,8 @@ def test_run_config_validation():
         RunConfig(n_bits=4, basis_pool=())
     with pytest.raises(ValueError):
         RunConfig(n_bits=4, basis_pool=(Basis(0.1), Basis(0.1)))
+    with pytest.raises(ValueError, match="finite"):
+        RunConfig(n_bits=4, basis_pool=(Basis(float("inf")),))
     with pytest.raises(ValueError):
         RunConfig(n_bits=4, variant="V2", repetition=3, tag_length=5)
     # V1 message spans all t*N qubits, so a longer tag is fine there.
@@ -299,6 +301,42 @@ def test_transcript_contains_per_qubit_records_and_strings():
     # One line per qubit after the column header.
     body = text.split("columns=")[1].strip().splitlines()[1:]
     assert len(body) == 4
+
+
+def reference_transcript_rows(result) -> list[str]:
+    """The per-qubit rows and the b= line, formatted one qubit at a time."""
+    tags = {0: "I", 1: "X", 2: "Z", 3: "XZ", 4: "ZX"}
+    fwd_eve = "E" if result.eve_forward is not None else "-"
+    bwd_eve = "E" if result.eve_backward is not None else "-"
+    rows = ["b=" + ",".join(str(int(x)) for x in result.prep.b)]
+    for k in range(len(result.prep.a)):
+        rows.append(
+            f"{k} {int(result.prep.b[k])} {int(result.prep.a[k])} "
+            f"{tags[int(result.noise_codes_forward[k])]} {fwd_eve} "
+            f"{'XZ' if result.bob_ops[k] else 'I'} "
+            f"{tags[int(result.noise_codes_backward[k])]} {bwd_eve} "
+            f"{int(result.derivation.c[k])}"
+        )
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["V1", "V2", "V3"]),
+    st.integers(1, 5),
+    st.integers(1, 40),
+    st.integers(1, 13),
+    st.integers(0, 2**31 - 1),
+    st.sets(st.sampled_from(["forward", "backward"])),
+)
+def test_transcript_rows_match_the_per_qubit_formatter(variant, t, n_bits, pool_size, seed, legs):
+    pool = tuple(Basis(k * math.pi / 13) for k in range(pool_size))
+    config = RunConfig(n_bits=n_bits, repetition=t, variant=variant, basis_pool=pool, seed=seed)
+    noise = NoiseModel(p_bitflip=0.1, p_phaseflip=0.1, p_both=0.1)
+    eve = EveStrategy.intercept_resend((0.0, math.pi / 4), legs=legs) if legs else EveStrategy.absent()
+    result = run_session(config, noise, noise, eve)
+    lines = result.transcript_text().splitlines()
+    assert [lines[11]] + lines[20:] == reference_transcript_rows(result)
 
 
 def test_zx_encoding_is_observationally_identical_to_xz():
