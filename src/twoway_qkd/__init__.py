@@ -32,13 +32,8 @@ from .protocol import (
     alice_measure,
     alice_prepare,
     bob_build_key_message,
-    bob_encode_v1,
-    bob_encode_v2,
-    bob_encode_v3,
-    bob_resolve,
-    derive_v1,
-    derive_v2,
-    derive_v3,
+    bob_encode,
+    majority,
     resolve_erasures,
     run_session,
     verify_tag,

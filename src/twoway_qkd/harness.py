@@ -27,12 +27,16 @@ Config schema::
       "format": "tabular" | "structured"
     }
 
+Only n_bits is required. A key outside this schema, or a value of the wrong
+JSON type, is a ConfigError naming the field.
+
 All reported rates are simulator-derived; the protocol's source material
 contains no numerical experiments to compare against.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -59,6 +63,47 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field."""
 
 
+# The keys to_dict writes, plus output_dir, which it leaves out.
+CONFIG_KEYS = (
+    "variant", "n_bits", "repetition", "basis_pool", "tag_length", "tag_bits", "seed",
+    "repetitions", "noise", "eve", "sweep", "format", "output_dir",
+)
+# Sweep axes and the JSON type of their values, in the fixed axis order.
+SWEEP_AXES = {"p_bitflip": float, "repetition": int, "eve": str, "tag_length": int}
+_JSON_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
+
+
+def _typed(name: str, value, kind):
+    """`value` if JSON gave it the type `kind`; a ConfigError naming the field
+    otherwise. An integer is also a number; true and false are neither."""
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{name}: expected {_JSON_KINDS[kind]}, got {value!r}")
+    return kind(value)
+
+
+def _typed_list(name: str, value, kind) -> list:
+    return [_typed(f"{name}[{k}]", item, kind) for k, item in enumerate(_typed(name, value, list))]
+
+
+def _object(name: str, value, keys) -> dict:
+    """A JSON object whose keys all lie in `keys`."""
+    value = _typed(name, value, dict)
+    unknown = set(value) - set(keys)
+    if unknown:
+        raise ConfigError(f"{name}: unknown keys {sorted(unknown)}")
+    return value
+
+
+def _build(name: str, factory, *args, **fields):
+    """factory(*args, **fields), with a ValueError turned into a ConfigError
+    that names the config section."""
+    try:
+        return factory(*args, **fields)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     run: RunConfig
@@ -79,26 +124,21 @@ class ExperimentConfig:
             raise ConfigError("format: must be 'tabular' or 'structured'")
 
     @property
+    def sweep_axes(self) -> dict:
+        """The axes this config sweeps, by name, in the fixed axis order."""
+        axes = (self.sweep_p_bitflip, self.sweep_repetition, self.sweep_eve, self.sweep_tag_length)
+        return {name: axis for name, axis in zip(SWEEP_AXES, axes) if axis is not None}
+
+    @property
     def has_sweep(self) -> bool:
-        return any(
-            axis is not None
-            for axis in (self.sweep_p_bitflip, self.sweep_repetition,
-                         self.sweep_eve, self.sweep_tag_length)
-        )
+        return bool(self.sweep_axes)
 
     def cells(self) -> list[dict]:
-        """Sweep cells in product order over the fixed axis order."""
-        p_axis = self.sweep_p_bitflip if self.sweep_p_bitflip is not None else (self.noise.p_bitflip,)
-        t_axis = self.sweep_repetition if self.sweep_repetition is not None else (self.run.repetition,)
-        e_axis = self.sweep_eve if self.sweep_eve is not None else (self.eve.kind,)
-        g_axis = self.sweep_tag_length if self.sweep_tag_length is not None else (self.run.tag_length,)
-        out = []
-        for p in p_axis:
-            for t in t_axis:
-                for e in e_axis:
-                    for g in g_axis:
-                        out.append({"p_bitflip": p, "repetition": t, "eve": e, "tag_length": g})
-        return out
+        """Sweep cells in product order over the fixed axis order; an axis
+        the config does not sweep holds its single configured value."""
+        fixed = (self.noise.p_bitflip, self.run.repetition, self.eve.kind, self.run.tag_length)
+        axes = {**{name: (value,) for name, value in zip(SWEEP_AXES, fixed)}, **self.sweep_axes}
+        return [dict(zip(axes, values)) for values in itertools.product(*axes.values())]
 
     def to_dict(self) -> dict:
         return {
@@ -120,16 +160,7 @@ class ExperimentConfig:
                 "basis_pool": list(self.eve.basis_pool),
                 "legs": sorted(self.eve.legs),
             },
-            "sweep": {
-                key: list(axis)
-                for key, axis in (
-                    ("p_bitflip", self.sweep_p_bitflip),
-                    ("repetition", self.sweep_repetition),
-                    ("eve", self.sweep_eve),
-                    ("tag_length", self.sweep_tag_length),
-                )
-                if axis is not None
-            },
+            "sweep": {name: list(axis) for name, axis in self.sweep_axes.items()},
             # output_dir is deliberately not persisted: replayed artifacts
             # must be byte-identical regardless of where they are written.
             "format": self.output_format,
@@ -137,58 +168,42 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        def grab(name, default=None, required=False):
-            if required and name not in data:
-                raise ConfigError(f"{name}: missing required field")
-            return data.get(name, default)
-
-        try:
-            run = RunConfig(
-                n_bits=int(grab("n_bits", required=True)),
-                repetition=int(grab("repetition", 1)),
-                variant=str(grab("variant", "V1")),
-                basis_pool=tuple(Basis(float(a)) for a in grab("basis_pool", [0.0])),
-                tag_length=int(grab("tag_length", 0)),
-                seed=int(grab("seed", 0)),
-                tag_bits=tuple(int(b) for b in data["tag_bits"]) if data.get("tag_bits") is not None else None,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"run parameters: {exc}") from exc
-        noise_d = grab("noise", {})
-        try:
-            noise = NoiseModel(
-                p_bitflip=float(noise_d.get("p_bitflip", 0.0)),
-                p_phaseflip=float(noise_d.get("p_phaseflip", 0.0)),
-                p_both=float(noise_d.get("p_both", 0.0)),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"noise: {exc}") from exc
-        eve_d = grab("eve", {})
-        try:
-            eve = EveStrategy(
-                kind=str(eve_d.get("kind", ABSENT)),
-                basis_pool=tuple(float(a) for a in eve_d.get("basis_pool", [])),
-                legs=frozenset(eve_d.get("legs", [])),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"eve: {exc}") from exc
-        sweep = grab("sweep", {})
-        if not isinstance(sweep, dict):
-            raise ConfigError("sweep: must be an object of axis lists")
-        unknown = set(sweep) - {"p_bitflip", "repetition", "eve", "tag_length"}
-        if unknown:
-            raise ConfigError(f"sweep: unknown axes {sorted(unknown)}")
+        data = _object("config", data, CONFIG_KEYS)
+        if "n_bits" not in data:
+            raise ConfigError("n_bits: missing required field")
+        tag_bits = data.get("tag_bits")
+        run = _build(
+            "run parameters", RunConfig,
+            n_bits=_typed("n_bits", data["n_bits"], int),
+            repetition=_typed("repetition", data.get("repetition", 1), int),
+            variant=_typed("variant", data.get("variant", "V1"), str),
+            basis_pool=tuple(Basis(a) for a in _typed_list("basis_pool", data.get("basis_pool", [0.0]), float)),
+            tag_length=_typed("tag_length", data.get("tag_length", 0), int),
+            seed=_typed("seed", data.get("seed", 0), int),
+            tag_bits=None if tag_bits is None else tuple(_typed_list("tag_bits", tag_bits, int)),
+        )
+        noise_d = _object("noise", data.get("noise", {}), ("p_bitflip", "p_phaseflip", "p_both"))
+        noise = _build("noise", NoiseModel, **{k: _typed(f"noise.{k}", v, float) for k, v in noise_d.items()})
+        eve_d = _object("eve", data.get("eve", {}), ("kind", "basis_pool", "legs"))
+        eve = _build(
+            "eve", EveStrategy,
+            kind=_typed("eve.kind", eve_d.get("kind", ABSENT), str),
+            basis_pool=tuple(_typed_list("eve.basis_pool", eve_d.get("basis_pool", []), float)),
+            legs=frozenset(_typed_list("eve.legs", eve_d.get("legs", []), str)),
+        )
+        sweep = _object("sweep", data.get("sweep", {}), SWEEP_AXES)
+        axes = {name: tuple(_typed_list(f"sweep.{name}", axis, SWEEP_AXES[name])) for name, axis in sweep.items()}
         return cls(
             run=run,
-            repetitions=int(grab("repetitions", 1)),
+            repetitions=_typed("repetitions", data.get("repetitions", 1), int),
             noise=noise,
             eve=eve,
-            sweep_p_bitflip=tuple(float(x) for x in sweep["p_bitflip"]) if "p_bitflip" in sweep else None,
-            sweep_repetition=tuple(int(x) for x in sweep["repetition"]) if "repetition" in sweep else None,
-            sweep_eve=tuple(str(x) for x in sweep["eve"]) if "eve" in sweep else None,
-            sweep_tag_length=tuple(int(x) for x in sweep["tag_length"]) if "tag_length" in sweep else None,
-            output_dir=str(grab("output_dir", "results")),
-            output_format=str(grab("format", "tabular")),
+            sweep_p_bitflip=axes.get("p_bitflip"),
+            sweep_repetition=axes.get("repetition"),
+            sweep_eve=axes.get("eve"),
+            sweep_tag_length=axes.get("tag_length"),
+            output_dir=_typed("output_dir", data.get("output_dir", "results"), str),
+            output_format=_typed("format", data.get("format", "tabular"), str),
         )
 
     @classmethod
@@ -257,16 +272,12 @@ class RunStatistics:
 
 
 def _cell_run_config(config: ExperimentConfig, params: dict) -> RunConfig:
-    try:
-        return replace(
-            config.run,
-            repetition=int(params["repetition"]),
-            tag_length=int(params["tag_length"]),
-            tag_bits=None if config.run.tag_bits is None
-            else tuple(config.run.tag_bits[: params["tag_length"]]),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"sweep cell {params}: {exc}") from exc
+    return _build(
+        f"sweep cell {params}", replace, config.run,
+        repetition=int(params["repetition"]),
+        tag_length=int(params["tag_length"]),
+        tag_bits=None if config.run.tag_bits is None else tuple(config.run.tag_bits[: params["tag_length"]]),
+    )
 
 
 def _cell_eve(config: ExperimentConfig, kind: str) -> EveStrategy:
@@ -274,10 +285,7 @@ def _cell_eve(config: ExperimentConfig, kind: str) -> EveStrategy:
         return EveStrategy.absent()
     pool = config.eve.basis_pool or tuple(b.theta for b in config.run.basis_pool)
     legs = config.eve.legs or frozenset(["forward"])
-    try:
-        return EveStrategy(kind=kind, basis_pool=pool, legs=legs)
-    except ValueError as exc:
-        raise ConfigError(f"sweep eve value {kind!r}: {exc}") from exc
+    return _build(f"sweep eve value {kind!r}", EveStrategy, kind=kind, basis_pool=pool, legs=legs)
 
 
 def run_experiment(config: ExperimentConfig) -> RunStatistics:
@@ -289,10 +297,8 @@ def run_experiment(config: ExperimentConfig) -> RunStatistics:
     cells = []
     for cell_index, params in enumerate(config.cells()):
         run_config = _cell_run_config(config, params)
-        try:
-            noise = replace(config.noise, p_bitflip=float(params["p_bitflip"]))
-        except ValueError as exc:
-            raise ConfigError(f"sweep p_bitflip value {params['p_bitflip']}: {exc}") from exc
+        p_bitflip = params["p_bitflip"]
+        noise = _build(f"sweep p_bitflip value {p_bitflip}", replace, config.noise, p_bitflip=float(p_bitflip))
         eve = _cell_eve(config, params["eve"])
 
         qber_sum = 0.0

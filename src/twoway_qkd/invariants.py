@@ -11,14 +11,7 @@ import itertools
 import numpy as np
 
 from .channel import NoiseModel
-from .protocol import (
-    RunConfig,
-    bob_resolve,
-    derive_v2,
-    derive_v3,
-    resolve_erasures,
-    run_session,
-)
+from .protocol import V2, V3, RunConfig, majority, resolve_erasures, run_session
 from .qubit import (
     XZ,
     ZX,
@@ -99,9 +92,7 @@ def _check_repetition_and_erasures() -> bool:
         for n in (1, 2, 3):
             for m_bits in itertools.product((0, 1), repeat=n):
                 m = np.array(m_bits, dtype=np.uint8)
-                a = np.zeros(t * n, dtype=np.uint8)
-                c = np.repeat(m, t)
-                m_prime, p = derive_v2(c, a, t, n)
+                m_prime, p = majority(np.repeat(m, t), t, n, V2)
                 if p.any() or not np.array_equal(m_prime, m):
                     return False
     for n in (2, 3):
@@ -113,7 +104,7 @@ def _check_repetition_and_erasures() -> bool:
                 p = np.array(p_bits, dtype=np.uint8)
                 m_prime = m.copy()
                 m_prime[p == 1] = 0
-                if not np.array_equal(resolve_erasures(m_prime, p), bob_resolve(m, p)):
+                if not np.array_equal(resolve_erasures(m_prime, p), resolve_erasures(m, p)):
                     return False
     return True
 
@@ -123,7 +114,7 @@ def _check_v3_majority() -> bool:
     for _ in range(200):
         t, n = int(rng.integers(1, 4)), int(rng.integers(1, 5))
         M = rng.integers(0, 2, size=t * n, dtype=np.uint8)
-        m, _ = derive_v3(M, np.zeros(t * n, dtype=np.uint8), t, n)
+        m, _ = majority(M, t, n, V3)
         expected = [int(sum(M[r * n + k] for r in range(t)) * 2 > t) for k in range(n)]
         if not np.array_equal(m, np.array(expected, dtype=np.uint8)):
             return False

@@ -14,12 +14,12 @@ produce identical transcripts.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import EveStrategy, NoiseModel
 from .protocol import (
+    LinkSettings,
     RunConfig,
     SessionResult,
     alice_prepare,
@@ -27,6 +27,7 @@ from .protocol import (
     complete_round_trip,
     hub_rng,
     link_rng,
+    link_streams,
 )
 from .qubit import PureState, QubitRegister
 
@@ -80,15 +81,6 @@ class WireFrame:
 
     def payload(self) -> PureState:
         return PureState(self.amp0, self.amp1)
-
-
-@dataclass(frozen=True)
-class LinkSettings:
-    """Channel conditions on one hub-leaf link."""
-
-    noise_forward: NoiseModel = NoiseModel()
-    noise_backward: NoiseModel = NoiseModel()
-    eve: EveStrategy = EveStrategy.absent()
 
 
 @dataclass(frozen=True)
@@ -184,28 +176,10 @@ def run_star_session(
     for link_id, leaf in enumerate(topology.leaves):
         leaf_config = config
         if leaf in per_leaf_pools:
-            leaf_config = RunConfig(
-                n_bits=config.n_bits,
-                repetition=config.repetition,
-                variant=config.variant,
-                basis_pool=tuple(per_leaf_pools[leaf]),
-                tag_length=config.tag_length,
-                seed=seed,
-                tag_bits=config.tag_bits,
-            )
-        settings = topology.link_settings(leaf)
+            leaf_config = replace(config, basis_pool=tuple(per_leaf_pools[leaf]), seed=seed)
         prep = alice_prepare(leaf_config, link_rng(seed, link_id, 0))
         result = complete_round_trip(
-            leaf_config,
-            prep,
-            key_message,
-            settings.noise_forward,
-            settings.noise_backward,
-            settings.eve,
-            forward_rng=link_rng(seed, link_id, 1),
-            eve_rng=link_rng(seed, link_id, 2),
-            backward_rng=link_rng(seed, link_id, 3),
-            measure_rng=link_rng(seed, link_id, 4),
+            leaf_config, prep, key_message, topology.link_settings(leaf), link_streams(seed, link_id)
         )
         frames = np.empty(0, FRAME_DTYPE)
         if record_frames:

@@ -21,7 +21,7 @@ Three variants:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +46,21 @@ def link_rng(seed: int, link: int, purpose: int) -> np.random.Generator:
 
 def hub_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=HUB_SPAWN_KEY))
+
+
+def link_streams(seed: int, link: int) -> tuple[Rng, Rng, Rng, Rng]:
+    """One link's round-trip streams (forward noise, Eve, backward noise,
+    measurement): purposes 1 to 4."""
+    return tuple(link_rng(seed, link, purpose) for purpose in (1, 2, 3, 4))
+
+
+@dataclass(frozen=True)
+class LinkSettings:
+    """Channel conditions on one link: a star's hub-leaf link or a two-party session."""
+
+    noise_forward: NoiseModel = NoiseModel()
+    noise_backward: NoiseModel = NoiseModel()
+    eve: EveStrategy = EveStrategy.absent()
 
 
 class AllErasuresError(ValueError):
@@ -132,12 +147,15 @@ class RunConfig:
         angles = [b.theta for b in self.basis_pool]
         if not all(math.isfinite(theta) for theta in angles):
             raise ValueError(f"basis_pool angles must be finite: {angles}")
-        if len(set(angles)) != len(angles):
-            raise ValueError("basis pool angles must be pairwise distinct")
+        # Angles equal mod pi give the same basis up to sign.
+        if any(abs(math.sin(x - y)) <= 1e-12 for i, x in enumerate(angles) for y in angles[i + 1 :]):
+            raise ValueError(f"basis_pool angles must be pairwise distinct modulo pi: {angles}")
         if not 0 <= self.tag_length <= self.message_length:
             raise ValueError("tag_length must lie in [0, message length]")
         if self.tag_bits is not None and len(self.tag_bits) != self.tag_length:
             raise ValueError("tag_bits length must equal tag_length")
+        if self.tag_bits is not None and any(bit not in (0, 1) for bit in self.tag_bits):
+            raise ValueError(f"tag_bits entries must be 0 or 1: {list(self.tag_bits)}")
 
     @property
     def qubit_count(self) -> int:
@@ -184,36 +202,23 @@ def bob_build_key_message(config: RunConfig, rng: Rng) -> np.ndarray:
     return m
 
 
-def bob_encode_v1(m, register: QubitRegister) -> QubitRegister:
-    """Apply XZ to qubit k exactly when m[k] = 1."""
+def bob_encode(config: RunConfig, m, register: QubitRegister) -> tuple[QubitRegister, np.ndarray]:
+    """Apply XZ to every qubit that carries a set key-message bit.
+
+    Qubit k carries m[k] in V1, m[k // t] in V2 (contiguous t-qubit blocks)
+    and m[k % N] in V3 (t consecutive N-qubit copies). Returns the encoded
+    register and the per-qubit uint8 mask of XZ applications.
+    """
     m = as_bits(m)
-    if len(m) != len(register):
-        raise ValueError(f"key-message length {len(m)} != qubit count {len(register)}")
-    return register.apply_pauli(XZ, mask=m == 1)
-
-
-def bob_encode_v2(m, register: QubitRegister, t: int) -> QubitRegister:
-    """Apply XZ to the contiguous t-qubit block of every set message bit."""
-    m = as_bits(m)
-    if len(register) != t * len(m):
-        raise ValueError(f"qubit count {len(register)} != t*N = {t * len(m)}")
-    return register.apply_pauli(XZ, mask=np.repeat(m, t) == 1)
-
-
-def bob_encode_v3(m, register: QubitRegister, t: int) -> QubitRegister:
-    """Encode the whole message into each of t consecutive N-qubit copies."""
-    m = as_bits(m)
-    if len(register) != t * len(m):
-        raise ValueError(f"qubit count {len(register)} != t*N = {t * len(m)}")
-    return register.apply_pauli(XZ, mask=np.tile(m, t) == 1)
-
-
-def bob_encode(config: RunConfig, m, register: QubitRegister) -> QubitRegister:
     if config.variant == V1:
-        return bob_encode_v1(m, register)
-    if config.variant == V2:
-        return bob_encode_v2(m, register, config.repetition)
-    return bob_encode_v3(m, register, config.repetition)
+        ops = m
+    elif config.variant == V2:
+        ops = np.repeat(m, config.repetition)
+    else:
+        ops = np.tile(m, config.repetition)
+    if len(ops) != len(register):
+        raise ValueError(f"key-message covers {len(ops)} qubits, register holds {len(register)}")
+    return register.apply_pauli(XZ, mask=ops == 1), ops
 
 
 def alice_measure(register: QubitRegister, prep: PreparationRecord, config: RunConfig, rng: Rng) -> np.ndarray:
@@ -223,36 +228,33 @@ def alice_measure(register: QubitRegister, prep: PreparationRecord, config: RunC
     return register.measure(config.pool_angles[prep.b], rng)
 
 
-def derive_v1(c, a) -> np.ndarray:
-    c, a = as_bits(c), as_bits(a)
-    if len(c) != len(a):
-        raise ValueError("c and a must have equal length")
-    return c ^ a
+def majority(M, t: int, n_bits: int, variant: str) -> tuple[np.ndarray, np.ndarray]:
+    """Majority-decode the t redundant copies of each of n_bits message bits.
 
-
-def derive_v2(c, a, t: int, n_bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Majority-decode N blocks of t bits; exact ties become erasures.
-
-    Returns (m_prime, p): decoded message and the erasure string, where
-    p[s] = 1 marks a tied block (decoded as 0 by convention).
+    V2 reads bit s from the contiguous block M[s*t : (s+1)*t], V3 from the
+    positions s, s+N, ..., s+(t-1)N. Returns (m_prime, ties): exact ties
+    decode to 0 and are flagged in ties (V2's erasure string p).
     """
-    M = derive_v1(c, a)
+    M = as_bits(M)
     if len(M) != t * n_bits:
         raise ValueError("string length must equal t*N")
-    counts = M.reshape(n_bits, t).sum(axis=1)
-    m_prime = (2 * counts > t).astype(np.uint8)
-    p = (2 * counts == t).astype(np.uint8)
-    return m_prime, p
+    if variant == V2:
+        counts = M.reshape(n_bits, t).sum(axis=1)
+    else:
+        counts = M.reshape(t, n_bits).sum(axis=0)
+    return (2 * counts > t).astype(np.uint8), (2 * counts == t).astype(np.uint8)
 
 
-def _resolve(bits, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shared erasure resolution.
+def _resolve(bits, p) -> np.ndarray:
+    """Erasure resolution; Alice applies it to her decoded message, Bob to
+    his key-message, both with Alice's erasure string p.
 
     Pivot k = the lowest non-erased index. Non-erased bits are retained in
     order; every erased position s is replaced by bits[k] XOR placeholder,
     where the erased source value is the decoder's fixed placeholder 0 on
-    both sides (so the two parties compute identical strings). Output C is
-    retained bits followed by resolved bits, ascending.
+    both sides (so the two parties compute identical strings whenever the
+    non-erased blocks decoded correctly). Output C is retained bits followed
+    by resolved bits, ascending.
     """
     bits, p = as_bits(bits), as_bits(p)
     if len(bits) != len(p):
@@ -260,42 +262,15 @@ def _resolve(bits, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     clear = np.flatnonzero(p == 0)
     if clear.size == 0:
         raise AllErasuresError("all positions erased; no pivot available")
-    pivot = int(clear[0])
     erased = np.flatnonzero(p == 1)
     masked = bits.copy()
     masked[erased] = 0
-    resolved = masked[pivot] ^ masked[erased]
-    C = np.concatenate([masked[clear], resolved]).astype(np.uint8)
-    return C, clear, erased
+    resolved = masked[clear[0]] ^ masked[erased]
+    return np.concatenate([masked[clear], resolved]).astype(np.uint8)
 
 
-def resolve_erasures(m_prime, p) -> np.ndarray:
-    """Alice's side: build C from the decoded message and erasure string."""
-    return _resolve(m_prime, p)[0]
-
-
-def bob_resolve(m, p) -> np.ndarray:
-    """Bob's side: build C from his key-message and Alice's erasure string.
-
-    Erased positions contribute the same placeholder value the decoder used,
-    which keeps the two parties' C identical whenever the non-erased blocks
-    decoded correctly.
-    """
-    return _resolve(m, p)[0]
-
-
-def derive_v3(c, a, t: int, n_bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-position majority over the t message copies.
-
-    Returns (m, ties); tied positions (even t) decode to 0 and are flagged.
-    """
-    M = derive_v1(c, a)
-    if len(M) != t * n_bits:
-        raise ValueError("string length must equal t*N")
-    counts = M.reshape(t, n_bits).sum(axis=0)
-    m = (2 * counts > t).astype(np.uint8)
-    ties = (2 * counts == t).astype(np.uint8)
-    return m, ties
+# The public name of the one resolver both parties run.
+resolve_erasures = _resolve
 
 
 def verify_tag(derived, config: RunConfig) -> bool:
@@ -319,27 +294,23 @@ class DerivationRecord:
     p: np.ndarray | None = None
     C: np.ndarray | None = None
     ties: np.ndarray | None = None
-    retained_positions: np.ndarray | None = None
-    resolved_positions: np.ndarray | None = None
 
 
 def derive(config: RunConfig, c, a) -> DerivationRecord:
     c, a = as_bits(c), as_bits(a)
+    if len(c) != len(a):
+        raise ValueError("c and a must have equal length")
+    M = c ^ a
     if config.variant == V1:
-        M = derive_v1(c, a)
         return DerivationRecord(c=c, M=M, m_prime=M, C=M)
-    if config.variant == V2:
-        m_prime, p = derive_v2(c, a, config.repetition, config.n_bits)
-        try:
-            C, clear, erased = _resolve(m_prime, p)
-        except AllErasuresError:
-            return DerivationRecord(c=c, M=c ^ a, m_prime=m_prime, p=p, C=None)
-        return DerivationRecord(
-            c=c, M=c ^ a, m_prime=m_prime, p=p, C=C,
-            retained_positions=clear, resolved_positions=erased,
-        )
-    m_prime, ties = derive_v3(c, a, config.repetition, config.n_bits)
-    return DerivationRecord(c=c, M=c ^ a, m_prime=m_prime, C=m_prime, ties=ties)
+    m_prime, ties = majority(M, config.repetition, config.n_bits, config.variant)
+    if config.variant == V3:
+        return DerivationRecord(c=c, M=M, m_prime=m_prime, C=m_prime, ties=ties)
+    try:
+        C = _resolve(m_prime, ties)
+    except AllErasuresError:
+        C = None
+    return DerivationRecord(c=c, M=M, m_prime=m_prime, p=ties, C=C)
 
 
 @dataclass(frozen=True)
@@ -360,7 +331,7 @@ class SessionResult:
     eve_backward: EveObservation | None
     delivered_to_bob: QubitRegister
     delivered_to_alice: QubitRegister
-    bob_ops: np.ndarray = field(default=None)  # uint8 mask of XZ applications
+    bob_ops: np.ndarray  # uint8 mask of XZ applications, one entry per qubit
 
     @property
     def agreement(self) -> bool:
@@ -413,40 +384,28 @@ class SessionResult:
 
 
 def complete_round_trip(
-    config: RunConfig,
-    prep: PreparationRecord,
-    key_message,
-    noise_forward: NoiseModel,
-    noise_backward: NoiseModel,
-    eve: EveStrategy,
-    forward_rng: Rng,
-    eve_rng: Rng,
-    backward_rng: Rng,
-    measure_rng: Rng,
+    config: RunConfig, prep: PreparationRecord, key_message, link: LinkSettings, streams: tuple[Rng, Rng, Rng, Rng]
 ) -> SessionResult:
     """Run phases II and III against an already-prepared qubit string.
 
-    Per leg, channel noise is applied first and Eve's tap second. The
-    separate random sources exist so the star network can give each link
-    independent streams; the two-party entry point passes one source for
-    all four.
+    Per leg, channel noise is applied first and Eve's tap second. The four
+    streams are ordered as link_streams returns them; they are separate so
+    that the star network can give each link independent streams, and a
+    session driven by one explicit generator passes that generator four times.
     """
     m = as_bits(key_message)
+    eve = link.eve
+    forward_rng, eve_rng, backward_rng, measure_rng = streams
 
-    reg, fwd_codes = perturb_register(prep.register, noise_forward, forward_rng)
+    reg, fwd_codes = perturb_register(prep.register, link.noise_forward, forward_rng)
     eve_fwd = None
     if eve.attacks(FORWARD):
         reg, eve_fwd = eve_tap_register(reg, eve, eve_rng)
     delivered_to_bob = reg
 
-    reg = bob_encode(config, m, reg)
-    bob_ops = (
-        as_bits(m) if config.variant == V1
-        else np.repeat(m, config.repetition) if config.variant == V2
-        else np.tile(m, config.repetition)
-    )
+    reg, bob_ops = bob_encode(config, m, reg)
 
-    reg, bwd_codes = perturb_register(reg, noise_backward, backward_rng)
+    reg, bwd_codes = perturb_register(reg, link.noise_backward, backward_rng)
     eve_bwd = None
     if eve.attacks(BACKWARD):
         reg, eve_bwd = eve_tap_register(reg, eve, eve_rng)
@@ -460,7 +419,7 @@ def complete_round_trip(
         abort_reason = "all_erasures"
         bob_final = None
     elif config.variant == V2:
-        bob_final = bob_resolve(m, record.p)
+        bob_final = _resolve(m, record.p)
     else:
         bob_final = m
     accepted = abort_reason is None and verify_tag(record.m_prime, config)
@@ -501,26 +460,11 @@ def run_session(
     rng is consumed sequentially in the fixed order (a, b, m, forward leg,
     backward leg, measurement).
     """
-    noise_forward = noise_forward or NoiseModel()
-    noise_backward = noise_backward or NoiseModel()
-    eve = eve or EveStrategy.absent()
+    link = LinkSettings(noise_forward or NoiseModel(), noise_backward or NoiseModel(), eve or EveStrategy.absent())
     if rng is None:
-        prep = alice_prepare(config, link_rng(config.seed, 0, 0))
-        m = (
-            bob_build_key_message(config, hub_rng(config.seed))
-            if key_message is None
-            else as_bits(key_message)
-        )
-        return complete_round_trip(
-            config, prep, m, noise_forward, noise_backward, eve,
-            forward_rng=link_rng(config.seed, 0, 1),
-            eve_rng=link_rng(config.seed, 0, 2),
-            backward_rng=link_rng(config.seed, 0, 3),
-            measure_rng=link_rng(config.seed, 0, 4),
-        )
-    prep = alice_prepare(config, rng)
-    m = bob_build_key_message(config, rng) if key_message is None else as_bits(key_message)
-    return complete_round_trip(
-        config, prep, m, noise_forward, noise_backward, eve,
-        forward_rng=rng, eve_rng=rng, backward_rng=rng, measure_rng=rng,
-    )
+        prep_rng, key_rng, streams = link_rng(config.seed, 0, 0), hub_rng(config.seed), link_streams(config.seed, 0)
+    else:
+        prep_rng, key_rng, streams = rng, rng, (rng,) * 4
+    prep = alice_prepare(config, prep_rng)
+    m = bob_build_key_message(config, key_rng) if key_message is None else as_bits(key_message)
+    return complete_round_trip(config, prep, m, link, streams)

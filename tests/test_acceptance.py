@@ -30,11 +30,9 @@ from twoway_qkd import (
     apply_channel,
     apply_pauli,
     born_probability,
-    bob_resolve,
-    derive_v2,
-    derive_v3,
     encode_bit,
     flip_probability,
+    majority,
     resolve_erasures,
     run_experiment,
     run_session,
@@ -43,7 +41,7 @@ from twoway_qkd import (
 )
 from twoway_qkd.cli import main as cli_main
 from twoway_qkd.harness import CONFIG_FILENAME, CSV_FILENAME, SUMMARY_FILENAME
-from twoway_qkd.protocol import AllErasuresError
+from twoway_qkd.protocol import AllErasuresError, derive
 from twoway_qkd.qubit import PAULI_MATRICES, QubitRegister
 
 
@@ -155,7 +153,7 @@ def test_criterion_5_repetition_decoding():
             for pattern in itertools.product((0, 1), repeat=t):
                 flips = sum(pattern)
                 block = np.array(pattern, dtype=np.uint8) ^ bit
-                m_prime, p = derive_v2(block, np.zeros(t, dtype=np.uint8), t, 1)
+                m_prime, p = majority(block, t, 1, "V2")
                 if flips < math.ceil(t / 2) and 2 * flips != t:
                     assert p[0] == 0 and m_prime[0] == bit
                 if 2 * flips == t:
@@ -199,11 +197,11 @@ def test_criterion_6_erasure_resolution_consistency():
                     with pytest.raises(AllErasuresError):
                         resolve_erasures(np.zeros(n, dtype=np.uint8), p)
                     with pytest.raises(AllErasuresError):
-                        bob_resolve(m, p)
+                        resolve_erasures(m, p)
                     continue
                 m_prime = m.copy()
                 m_prime[p == 1] = 0  # non-erased blocks decoded correctly
-                assert np.array_equal(resolve_erasures(m_prime, p), bob_resolve(m, p))
+                assert np.array_equal(resolve_erasures(m_prime, p), resolve_erasures(m, p))
     report(6, "Alice/Bob erasure resolution identical over all (m, p) with N <= 4; all-erasure aborts")
 
 
@@ -221,7 +219,7 @@ def test_criterion_7_copy_majority_equivalence():
         for n in (1, 2, 3, 4):
             for bits in itertools.product((0, 1), repeat=t * n):
                 M = np.array(bits, dtype=np.uint8)
-                m, _ = derive_v3(M, np.zeros(t * n, dtype=np.uint8), t, n)
+                m, _ = majority(M, t, n, "V3")
                 assert m.tolist() == _majority_oracle(M, t, n)
     rng = np.random.default_rng(77)
     for _ in range(10_000):
@@ -229,7 +227,7 @@ def test_criterion_7_copy_majority_equivalence():
         n = int(rng.integers(1, 33))
         M = rng.integers(0, 2, size=t * n, dtype=np.uint8)
         a = rng.integers(0, 2, size=t * n, dtype=np.uint8)
-        m, _ = derive_v3(M ^ a, a, t, n)
+        m = derive(RunConfig(n_bits=n, repetition=t, variant="V3"), M ^ a, a).m_prime
         assert m.tolist() == _majority_oracle(M, t, n)
     report(7, "copy-majority decoding matches the brute-force oracle exhaustively and on 10^4 random instances")
 

@@ -169,6 +169,30 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, override, field):
     assert err.startswith("config error:") and field in err
 
 
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        ({"tag_bits": [2, 0], "tag_length": 2}, "tag_bits"),
+        ({"repetitions": "abc"}, "repetitions"),
+        ({"n_bits": 4.5}, "n_bits"),
+        ({"noise": [1]}, "noise"),
+        ({"noise": {"p_bitflip": "0.1"}}, "p_bitflip"),
+        ({"eve": "x"}, "eve"),
+        ({"eve": {"kind": "intercept_resend", "basis_pool": [0.0], "legs": "forward"}}, "eve.legs"),
+        ({"sweep": {"p_bitflip": 0.1}}, "sweep.p_bitflip"),
+        ({"sweep": {"repetition": [3, "5"]}}, "sweep.repetition[1]"),
+        ({"repetitons": 5}, "repetitons"),
+    ],
+)
+def test_cli_rejects_malformed_json_fields(tmp_path, capsys, override, field):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**BASE, **override}))
+    assert main(["run", "--config", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
+    assert "Traceback" not in err
+
+
 def test_cli_sweep_requires_axes(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(BASE))

@@ -14,14 +14,9 @@ from twoway_qkd import (
     RunConfig,
     alice_measure,
     alice_prepare,
-    bob_encode_v1,
-    bob_encode_v2,
-    bob_encode_v3,
-    bob_resolve,
-    derive_v1,
-    derive_v2,
-    derive_v3,
+    bob_encode,
     encode_bit,
+    majority,
     resolve_erasures,
     run_session,
     verify_tag,
@@ -43,6 +38,13 @@ def test_run_config_validation():
         RunConfig(n_bits=4, basis_pool=(Basis(0.1), Basis(0.1)))
     with pytest.raises(ValueError, match="finite"):
         RunConfig(n_bits=4, basis_pool=(Basis(float("inf")),))
+    # Angles equal mod pi name the same basis up to sign.
+    with pytest.raises(ValueError, match="modulo pi"):
+        RunConfig(n_bits=4, basis_pool=(Basis(0.0), Basis(2 * math.pi)))
+    with pytest.raises(ValueError, match="modulo pi"):
+        RunConfig(n_bits=4, basis_pool=(Basis(0.3), Basis(0.3 + math.pi)))
+    with pytest.raises(ValueError, match="tag_bits"):
+        RunConfig(n_bits=4, tag_length=2, tag_bits=(2, 0))
     with pytest.raises(ValueError):
         RunConfig(n_bits=4, variant="V2", repetition=3, tag_length=5)
     # V1 message spans all t*N qubits, so a longer tag is fine there.
@@ -76,7 +78,7 @@ def test_single_qubit_prepare():
 def test_encode_v1_zero_message_is_identity():
     config = RunConfig(n_bits=8, basis_pool=POOL, seed=1)
     prep = alice_prepare(config, np.random.default_rng(1))
-    out = bob_encode_v1(np.zeros(8, dtype=np.uint8), prep.register)
+    out, _ = bob_encode(config, np.zeros(8, dtype=np.uint8), prep.register)
     assert np.array_equal(out.amp0, prep.register.amp0)
     assert np.array_equal(out.amp1, prep.register.amp1)
 
@@ -86,7 +88,7 @@ def test_encode_v1_flips_exactly_the_set_position():
     prep = alice_prepare(config, np.random.default_rng(3))
     m = np.zeros(8, dtype=np.uint8)
     m[5] = 1
-    out = bob_encode_v1(m, prep.register)
+    out, _ = bob_encode(config, m, prep.register)
     thetas = config.pool_angles[prep.b]
     p1 = out.probability_of_one(thetas)
     for k in range(8):
@@ -98,23 +100,24 @@ def test_encode_length_mismatch_rejected():
     config = RunConfig(n_bits=4, basis_pool=POOL, seed=0)
     prep = alice_prepare(config, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        bob_encode_v1(np.zeros(5, dtype=np.uint8), prep.register)
+        bob_encode(config, np.zeros(5, dtype=np.uint8), prep.register)
     with pytest.raises(ValueError):
-        bob_encode_v2(np.zeros(3, dtype=np.uint8), prep.register, 2)
+        bob_encode(RunConfig(n_bits=3, repetition=2, variant="V2"), np.zeros(3, dtype=np.uint8), prep.register)
     with pytest.raises(ValueError):
-        bob_encode_v3(np.zeros(3, dtype=np.uint8), prep.register, 2)
+        bob_encode(RunConfig(n_bits=3, repetition=2, variant="V3"), np.zeros(3, dtype=np.uint8), prep.register)
 
 
 def test_encode_v2_block_rule():
     config = RunConfig(n_bits=1, repetition=3, variant="V2", basis_pool=(Basis(0.2),), seed=4)
     prep = alice_prepare(config, np.random.default_rng(4))
-    out = bob_encode_v2(np.array([1], dtype=np.uint8), prep.register, 3)
+    out, _ = bob_encode(config, np.array([1], dtype=np.uint8), prep.register)
     thetas = config.pool_angles[prep.b]
     assert np.allclose(out.probability_of_one(thetas), 1 - prep.a, atol=1e-12)
 
     config = RunConfig(n_bits=2, repetition=2, variant="V2", basis_pool=(Basis(0.2),), seed=5)
     prep = alice_prepare(config, np.random.default_rng(5))
-    out = bob_encode_v2(np.array([0, 1], dtype=np.uint8), prep.register, 2)
+    out, ops = bob_encode(config, np.array([0, 1], dtype=np.uint8), prep.register)
+    assert ops.tolist() == [0, 0, 1, 1]
     thetas = config.pool_angles[prep.b]
     p1 = out.probability_of_one(thetas)
     expected = prep.a.astype(float).copy()
@@ -125,7 +128,8 @@ def test_encode_v2_block_rule():
 def test_encode_v3_per_copy_rule():
     config = RunConfig(n_bits=2, repetition=2, variant="V3", basis_pool=(Basis(0.3),), seed=6)
     prep = alice_prepare(config, np.random.default_rng(6))
-    out = bob_encode_v3(np.array([1, 0], dtype=np.uint8), prep.register, 2)
+    out, ops = bob_encode(config, np.array([1, 0], dtype=np.uint8), prep.register)
+    assert ops.tolist() == [1, 0, 1, 0]
     thetas = config.pool_angles[prep.b]
     p1 = out.probability_of_one(thetas)
     expected = prep.a.astype(float).copy()
@@ -146,30 +150,31 @@ def test_noiseless_roundtrip_recovers_message():
     rng = np.random.default_rng(9)
     prep = alice_prepare(config, rng)
     m = rng.integers(0, 2, 64, dtype=np.uint8)
-    c = alice_measure(bob_encode_v1(m, prep.register), prep, config, rng)
+    c = alice_measure(bob_encode(config, m, prep.register)[0], prep, config, rng)
     assert np.array_equal(c, prep.a ^ m)
-    assert np.array_equal(derive_v1(c, prep.a), m)
+    assert np.array_equal(derive(config, c, prep.a).M, m)
 
 
 def test_derive_v1_examples():
+    config = RunConfig(n_bits=4)
     a = np.array([1, 0, 1, 1], dtype=np.uint8)
-    assert np.array_equal(derive_v1(a, a), np.zeros(4, dtype=np.uint8))
-    assert np.array_equal(derive_v1(1 - a, a), np.ones(4, dtype=np.uint8))
+    assert np.array_equal(derive(config, a, a).M, np.zeros(4, dtype=np.uint8))
+    assert np.array_equal(derive(config, 1 - a, a).M, np.ones(4, dtype=np.uint8))
     with pytest.raises(ValueError):
-        derive_v1(a, a[:3])
+        derive(config, a, a[:3])
 
 
 def test_derive_v2_majority_and_erasure():
-    m_prime, p = derive_v2([1, 1, 0], np.zeros(3, dtype=np.uint8), 3, 1)
+    m_prime, p = majority([1, 1, 0], 3, 1, "V2")
     assert m_prime.tolist() == [1] and p.tolist() == [0]
-    m_prime, p = derive_v2([1, 0], np.zeros(2, dtype=np.uint8), 2, 1)
+    m_prime, p = majority([1, 0], 2, 1, "V2")
     assert m_prime.tolist() == [0] and p.tolist() == [1]
 
 
 def test_derive_v2_error_free_blocks():
     m = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
     M = np.repeat(m, 3)
-    m_prime, p = derive_v2(M, np.zeros(15, dtype=np.uint8), 3, 5)
+    m_prime, p = majority(M, 3, 5, "V2")
     assert np.array_equal(m_prime, m)
     assert not p.any()
 
@@ -183,7 +188,7 @@ def test_repetition_correction_brute_force(t):
         for pattern in itertools.product((0, 1), repeat=t):
             flips = sum(pattern)
             block = np.array(pattern, dtype=np.uint8) ^ bit
-            m_prime, p = derive_v2(block, np.zeros(t, dtype=np.uint8), t, 1)
+            m_prime, p = majority(block, t, 1, "V2")
             if 2 * flips == t:
                 assert p[0] == 1 and m_prime[0] == 0
             elif flips < threshold:
@@ -206,7 +211,7 @@ def test_resolve_all_erasures_aborts():
     with pytest.raises(AllErasuresError):
         resolve_erasures([0, 0], [1, 1])
     with pytest.raises(AllErasuresError):
-        bob_resolve([1, 1], [1, 1])
+        resolve_erasures([1, 1], [1, 1])
 
 
 def test_alice_and_bob_resolution_agree_exhaustively():
@@ -220,27 +225,27 @@ def test_alice_and_bob_resolution_agree_exhaustively():
                 # Premise: non-erased blocks decoded correctly.
                 m_prime = m.copy()
                 m_prime[p == 1] = 0
-                assert np.array_equal(resolve_erasures(m_prime, p), bob_resolve(m, p))
+                assert np.array_equal(resolve_erasures(m_prime, p), resolve_erasures(m, p))
 
 
 def test_derive_v3_reduces_to_v1_at_t_one():
     c = np.array([1, 0, 1], dtype=np.uint8)
     a = np.array([0, 0, 1], dtype=np.uint8)
-    m, ties = derive_v3(c, a, 1, 3)
-    assert np.array_equal(m, derive_v1(c, a))
+    m, ties = majority(c ^ a, 1, 3, "V3")
+    assert np.array_equal(m, derive(RunConfig(n_bits=3), c, a).M)
     assert not ties.any()
 
 
 def test_derive_v3_column_majority_example():
     M = np.array([1, 0, 1, 1, 0, 1, 0, 0, 1], dtype=np.uint8)  # copies 101/101/001
-    m, ties = derive_v3(M, np.zeros(9, dtype=np.uint8), 3, 3)
+    m, ties = majority(M, 3, 3, "V3")
     assert m.tolist() == [1, 0, 1]
     assert not ties.any()
 
 
 def test_derive_v3_tie_flags():
     M = np.array([1, 0, 0, 0], dtype=np.uint8)  # copies 10/00: column 0 ties
-    m, ties = derive_v3(M, np.zeros(4, dtype=np.uint8), 2, 2)
+    m, ties = majority(M, 2, 2, "V3")
     assert m.tolist() == [0, 0]
     assert ties.tolist() == [1, 0]
 
@@ -343,7 +348,7 @@ def test_zx_encoding_is_observationally_identical_to_xz():
     config = RunConfig(n_bits=16, basis_pool=POOL, seed=13)
     prep = alice_prepare(config, np.random.default_rng(13))
     m = np.random.default_rng(14).integers(0, 2, 16, dtype=np.uint8)
-    with_xz = bob_encode_v1(m, prep.register)
+    with_xz, _ = bob_encode(config, m, prep.register)
     with_zx = prep.register.apply_pauli(ZX, mask=m == 1)
     thetas = config.pool_angles[prep.b]
     assert np.allclose(
