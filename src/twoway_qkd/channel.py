@@ -99,7 +99,7 @@ def perturb_register(
 ) -> tuple[QubitRegister, np.ndarray]:
     """Vectorized perturb over a whole qubit string; returns the sampled codes."""
     if noise.is_trivial():
-        return register, np.zeros(len(register), dtype=np.int8)
+        return register, np.zeros(register.amp0.shape, dtype=np.int8)
     codes = noise.sample_codes(len(register), rng)
     return register.apply_pauli_codes(codes), codes
 
@@ -175,7 +175,8 @@ def eve_tap(
 def eve_tap_register(
     register: QubitRegister, strategy: EveStrategy, rng: Rng
 ) -> tuple[QubitRegister, EveObservation]:
-    """Vectorized tap over a whole qubit string on one leg."""
+    """Vectorized tap over a whole qubit string on one leg. On a batched
+    register the observation holds one row array per run."""
     if strategy.kind == ABSENT:
         return register, EveObservation()
     n = len(register)
@@ -184,6 +185,6 @@ def eve_tap_register(
     if strategy.kind == INTERCEPT_RESEND:
         outcomes = register.measure(thetas, rng)
         resent = QubitRegister.encode(outcomes, thetas)
-        return resent, EveObservation(tuple(thetas), tuple(int(o) for o in outcomes))
+        return resent, EveObservation(tuple(thetas), tuple(outcomes))
     fresh = rng.integers(2, size=n).astype(np.uint8)
     return QubitRegister.encode(fresh, thetas), EveObservation(tuple(thetas), ())

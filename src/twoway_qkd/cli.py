@@ -52,7 +52,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
     if args.seed is not None:
-        config = replace(config, run=replace(config.run, seed=args.seed))
+        try:
+            config = replace(config, run=replace(config.run, seed=args.seed))
+        except ValueError as exc:
+            raise ConfigError(f"--seed: {exc}") from exc
     if args.output_dir is not None:
         config = replace(config, output_dir=args.output_dir)
     if args.format is not None:

@@ -45,12 +45,21 @@ from pathlib import Path
 import numpy as np
 
 from .channel import ABSENT, EveStrategy, NoiseModel
-from .protocol import V2, RunConfig, run_session
+from .protocol import V2, LinkSettings, RunConfig, run_batch
+# Not called here: kept importable as harness.run_session, a name
+# bench/tracer.py wraps.
+from .protocol import run_session
 from .qubit import Basis
 
 CONFIG_FILENAME = "config_resolved.json"
 CSV_FILENAME = "results.csv"
 SUMMARY_FILENAME = "summary.json"
+
+# Qubit slots (runs x qubits per run) one batched pass of a cell holds at
+# most; bounds memory whatever repetitions x qubit_count a config asks for.
+# A 64-qubit V1 cell with Eve on both legs peaks near 60 MiB at 2**16 and
+# 360 MiB at 2**20, and runs no faster with the wider chunks.
+BATCH_QUBITS = 1 << 16
 
 _CSV_COLUMNS = (
     "p_bitflip", "repetition", "eve", "tag_length", "runs",
@@ -291,30 +300,38 @@ def _cell_eve(config: ExperimentConfig, kind: str) -> EveStrategy:
 def run_experiment(config: ExperimentConfig) -> RunStatistics:
     """Execute repetitions x sweep-grid sessions and aggregate per-cell rates.
 
-    Session seeds derive from (seed, cell index, repetition index), so cells
-    are independent and the whole grid is reproducible from the config.
+    Repetition r of cell i is driven by one generator, the r-th spawn of
+    SeedSequence(seed, spawn_key=(i,)), i.e. spawn key (i, r): cells are
+    independent and the whole grid is reproducible from the config. A cell's
+    repetitions run through run_batch in chunks of at most BATCH_QUBITS
+    qubit slots.
     """
     cells = []
     for cell_index, params in enumerate(config.cells()):
         run_config = _cell_run_config(config, params)
         p_bitflip = params["p_bitflip"]
         noise = _build(f"sweep p_bitflip value {p_bitflip}", replace, config.noise, p_bitflip=float(p_bitflip))
-        eve = _cell_eve(config, params["eve"])
+        link = LinkSettings(noise, noise, _cell_eve(config, params["eve"]))
+        seeds = np.random.SeedSequence(config.run.seed, spawn_key=(cell_index,))
+        chunk = max(1, BATCH_QUBITS // run_config.qubit_count)
 
+        # The float sums add one repetition at a time, in repetition order:
+        # a vectorized sum rounds differently, and the artifact bytes must
+        # not depend on the chunk size.
         qber_sum = 0.0
         agreements = 0
         detections = 0
         erasure_sum = 0.0
-        for rep in range(config.repetitions):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(config.run.seed, spawn_key=(cell_index, rep))
-            )
-            result = run_session(run_config, noise, noise, eve, rng=rng)
-            qber_sum += float(np.mean(result.derivation.m_prime != result.key_message))
-            agreements += int(result.agreement)
-            detections += int(result.abort_reason == "tag_mismatch")
+        for start in range(0, config.repetitions, chunk):
+            count = min(chunk, config.repetitions - start)
+            batch = run_batch(run_config, link, [np.random.default_rng(s) for s in seeds.spawn(count)])
+            for qber in np.mean(batch.m_prime != batch.key_message, axis=-1).tolist():
+                qber_sum += qber
+            agreements += int(batch.agreement.sum())
+            detections += int(batch.tag_mismatch.sum())
             if run_config.variant == V2:
-                erasure_sum += float(np.mean(result.derivation.p))
+                for erasure in np.mean(batch.ties, axis=-1).tolist():
+                    erasure_sum += erasure
         n = config.repetitions
         qber = qber_sum / n
         bits = n * run_config.message_length

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .channel import BACKWARD, FORWARD, EveObservation, EveStrategy, NoiseModel, perturb_register, eve_tap_register
-from .qubit import PAULI_TAGS, Basis, QubitRegister, Rng, XZ
+from .qubit import PAULI_TAGS, Basis, QubitRegister, Rng, RowStreams, XZ
 
 V1 = "V1"
 V2 = "V2"
@@ -67,13 +68,22 @@ class AllErasuresError(ValueError):
     """Every block tied: no pivot exists for erasure resolution."""
 
 
-def as_bits(values) -> np.ndarray:
-    """Coerce to a uint8 0/1 array; rejects anything else."""
+def as_bit_rows(values) -> np.ndarray:
+    """Coerce to a uint8 0/1 array of shape (..., n): one bit string, or a
+    batch of them along leading axes; rejects anything else."""
     arr = np.asarray(values, dtype=np.uint8)
-    if arr.ndim != 1:
-        raise ValueError("bit string must be one-dimensional")
+    if arr.ndim == 0:
+        raise ValueError("bit string must have at least one dimension")
     if arr.size and arr.max() > 1:
         raise ValueError("bit string entries must be 0 or 1")
+    return arr
+
+
+def as_bits(values) -> np.ndarray:
+    """Coerce to a one-dimensional uint8 0/1 array; rejects anything else."""
+    arr = as_bit_rows(values)
+    if arr.ndim != 1:
+        raise ValueError("bit string must be one-dimensional")
     return arr
 
 
@@ -140,6 +150,8 @@ class RunConfig:
             raise ValueError("n_bits must be >= 1")
         if self.repetition < 1:
             raise ValueError("repetition must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if not self.basis_pool:
@@ -198,7 +210,7 @@ def bob_build_key_message(config: RunConfig, rng: Rng) -> np.ndarray:
     """Random payload with the agreed tag sequence in the last positions."""
     m = rng.integers(0, 2, size=config.message_length, dtype=np.uint8)
     if config.tag_length:
-        m[config.message_length - config.tag_length :] = config.resolved_tag_bits()
+        m[..., config.message_length - config.tag_length :] = config.resolved_tag_bits()
     return m
 
 
@@ -207,23 +219,24 @@ def bob_encode(config: RunConfig, m, register: QubitRegister) -> tuple[QubitRegi
 
     Qubit k carries m[k] in V1, m[k // t] in V2 (contiguous t-qubit blocks)
     and m[k % N] in V3 (t consecutive N-qubit copies). Returns the encoded
-    register and the per-qubit uint8 mask of XZ applications.
+    register and the per-qubit uint8 mask of XZ applications. A batch of
+    key-messages (one row each) encodes a batched register row by row.
     """
-    m = as_bits(m)
+    m = as_bit_rows(m)
     if config.variant == V1:
         ops = m
     elif config.variant == V2:
-        ops = np.repeat(m, config.repetition)
+        ops = np.repeat(m, config.repetition, axis=-1)
     else:
         ops = np.tile(m, config.repetition)
-    if len(ops) != len(register):
-        raise ValueError(f"key-message covers {len(ops)} qubits, register holds {len(register)}")
+    if ops.shape[-1] != len(register):
+        raise ValueError(f"key-message covers {ops.shape[-1]} qubits, register holds {len(register)}")
     return register.apply_pauli(XZ, mask=ops == 1), ops
 
 
 def alice_measure(register: QubitRegister, prep: PreparationRecord, config: RunConfig, rng: Rng) -> np.ndarray:
     """Measure qubit k in the basis Alice prepared it in."""
-    if len(register) != len(prep.a):
+    if len(register) != prep.a.shape[-1]:
         raise ValueError("qubit count does not match the preparation record")
     return register.measure(config.pool_angles[prep.b], rng)
 
@@ -233,15 +246,16 @@ def majority(M, t: int, n_bits: int, variant: str) -> tuple[np.ndarray, np.ndarr
 
     V2 reads bit s from the contiguous block M[s*t : (s+1)*t], V3 from the
     positions s, s+N, ..., s+(t-1)N. Returns (m_prime, ties): exact ties
-    decode to 0 and are flagged in ties (V2's erasure string p).
+    decode to 0 and are flagged in ties (V2's erasure string p). A batch of
+    strings (leading axes) decodes row by row.
     """
-    M = as_bits(M)
-    if len(M) != t * n_bits:
+    M = as_bit_rows(M)
+    if M.shape[-1] != t * n_bits:
         raise ValueError("string length must equal t*N")
     if variant == V2:
-        counts = M.reshape(n_bits, t).sum(axis=1)
+        counts = M.reshape(*M.shape[:-1], n_bits, t).sum(axis=-1)
     else:
-        counts = M.reshape(t, n_bits).sum(axis=0)
+        counts = M.reshape(*M.shape[:-1], t, n_bits).sum(axis=-2)
     return (2 * counts > t).astype(np.uint8), (2 * counts == t).astype(np.uint8)
 
 
@@ -273,15 +287,16 @@ def _resolve(bits, p) -> np.ndarray:
 resolve_erasures = _resolve
 
 
-def verify_tag(derived, config: RunConfig) -> bool:
+def verify_tag(derived, config: RunConfig):
     """Accept iff the tag positions of the derived message match the agreed
-    sequence exactly. A reject signals suspected tampering, not an error."""
-    if config.tag_length == 0:
-        return True
-    derived = as_bits(derived)
-    if config.tag_length > len(derived):
+    sequence exactly. A reject signals suspected tampering, not an error.
+    Returns a bool for one message, a bool array for a batch of rows."""
+    derived = as_bit_rows(derived)
+    length = derived.shape[-1]
+    if config.tag_length > length:
         raise ValueError("tag longer than derived message")
-    return bool(np.array_equal(derived[len(derived) - config.tag_length :], config.resolved_tag_bits()))
+    ok = np.all(derived[..., length - config.tag_length :] == config.resolved_tag_bits(), axis=-1)
+    return bool(ok) if derived.ndim == 1 else ok
 
 
 @dataclass(frozen=True)
@@ -296,14 +311,22 @@ class DerivationRecord:
     ties: np.ndarray | None = None
 
 
+def _decode(config: RunConfig, M) -> tuple[np.ndarray, np.ndarray | None]:
+    """Alice's decoded message and tie flags from M = c XOR a: M itself and
+    no ties in V1, the majority vote in V2/V3. Works on a batch of rows."""
+    if config.variant == V1:
+        return M, None
+    return majority(M, config.repetition, config.n_bits, config.variant)
+
+
 def derive(config: RunConfig, c, a) -> DerivationRecord:
     c, a = as_bits(c), as_bits(a)
     if len(c) != len(a):
         raise ValueError("c and a must have equal length")
     M = c ^ a
+    m_prime, ties = _decode(config, M)
     if config.variant == V1:
         return DerivationRecord(c=c, M=M, m_prime=M, C=M)
-    m_prime, ties = majority(M, config.repetition, config.n_bits, config.variant)
     if config.variant == V3:
         return DerivationRecord(c=c, M=M, m_prime=m_prime, C=m_prime, ties=ties)
     try:
@@ -383,17 +406,17 @@ class SessionResult:
         return "\n".join(lines) + "\n" + rows.decode("ascii")
 
 
-def complete_round_trip(
-    config: RunConfig, prep: PreparationRecord, key_message, link: LinkSettings, streams: tuple[Rng, Rng, Rng, Rng]
-) -> SessionResult:
-    """Run phases II and III against an already-prepared qubit string.
+def _transit(config: RunConfig, prep: PreparationRecord, m: np.ndarray, link: LinkSettings, streams) -> tuple:
+    """Phase II and Alice's measurement, for one session or a batch of rows.
+    Returns (forward noise codes, forward Eve observation, register delivered
+    to Bob, Bob's op mask, backward noise codes, backward Eve observation,
+    register delivered to Alice, c).
 
     Per leg, channel noise is applied first and Eve's tap second. The four
     streams are ordered as link_streams returns them; they are separate so
     that the star network can give each link independent streams, and a
     session driven by one explicit generator passes that generator four times.
     """
-    m = as_bits(key_message)
     eve = link.eve
     forward_rng, eve_rng, backward_rng, measure_rng = streams
 
@@ -409,9 +432,20 @@ def complete_round_trip(
     eve_bwd = None
     if eve.attacks(BACKWARD):
         reg, eve_bwd = eve_tap_register(reg, eve, eve_rng)
-    delivered_to_alice = reg
 
     c = alice_measure(reg, prep, config, measure_rng)
+    return fwd_codes, eve_fwd, delivered_to_bob, bob_ops, bwd_codes, eve_bwd, reg, c
+
+
+def complete_round_trip(
+    config: RunConfig, prep: PreparationRecord, key_message, link: LinkSettings, streams: tuple[Rng, Rng, Rng, Rng]
+) -> SessionResult:
+    """Run phases II and III against an already-prepared qubit string;
+    `streams` are as _transit takes them."""
+    m = as_bits(key_message)
+    fwd_codes, eve_fwd, delivered_to_bob, bob_ops, bwd_codes, eve_bwd, delivered_to_alice, c = _transit(
+        config, prep, m, link, streams
+    )
     record = derive(config, c, prep.a)
 
     abort_reason = None
@@ -468,3 +502,46 @@ def run_session(
     prep = alice_prepare(config, prep_rng)
     m = bob_build_key_message(config, key_rng) if key_message is None else as_bits(key_message)
     return complete_round_trip(config, prep, m, link, streams)
+
+
+class BatchResult(NamedTuple):
+    """Per-row outcomes of run_batch; row r is the session rngs[r] drove."""
+
+    key_message: np.ndarray  # (R, message length)
+    m_prime: np.ndarray  # (R, message length)
+    ties: np.ndarray | None  # (R, n_bits) tie flags for V2/V3 (V2's p), None for V1
+    agreement: np.ndarray  # (R,) bool, as SessionResult.agreement
+    all_erasures: np.ndarray  # (R,) bool, abort_reason == "all_erasures"
+    tag_mismatch: np.ndarray  # (R,) bool, abort_reason == "tag_mismatch"
+
+
+def run_batch(config: RunConfig, link: LinkSettings, rngs) -> BatchResult:
+    """Sessions driven by one explicit generator each, run as one pass over
+    a (runs x qubits) array.
+
+    Row r draws from rngs[r] exactly what run_session(config,
+    link.noise_forward, link.noise_backward, link.eve, rng=rngs[r]) draws,
+    in the same order, and has the same key-message, decoded message and
+    abort reason.
+    """
+    rows = RowStreams(rngs)
+    prep = alice_prepare(config, rows)
+    m = bob_build_key_message(config, rows)
+    c = _transit(config, prep, m, link, (rows,) * 4)[-1]
+    m_prime, ties = _decode(config, c ^ prep.a)
+    correct = m_prime == m
+    all_erasures = np.zeros(len(m), dtype=bool)
+    if config.variant == V2:
+        # Both parties resolve with Alice's p, so their strings agree iff a
+        # pivot exists and every non-erased block decoded correctly.
+        all_erasures = ties.all(axis=-1)
+        correct |= ties == 1
+    tag_ok = verify_tag(m_prime, config)
+    return BatchResult(
+        key_message=m,
+        m_prime=m_prime,
+        ties=ties,
+        agreement=correct.all(axis=-1) & ~all_erasures,
+        all_erasures=all_erasures,
+        tag_mismatch=~all_erasures & ~tag_ok,
+    )

@@ -21,6 +21,28 @@ import numpy as np
 
 Rng = np.random.Generator
 
+
+class RowStreams:
+    """One generator per row of a batch, drawn in lockstep.
+
+    Each call draws one row from every generator with the same arguments and
+    stacks the rows, so generator r sees exactly the calls a one-session run
+    would make on it. Stands in for a Generator wherever a batched register
+    (leading run axis) is drawn for.
+    """
+
+    __slots__ = ("rngs",)
+
+    def __init__(self, rngs):
+        self.rngs = tuple(rngs)
+
+    def integers(self, *args, **kwargs) -> np.ndarray:
+        return np.array([rng.integers(*args, **kwargs) for rng in self.rngs])
+
+    def random(self, *args, **kwargs) -> np.ndarray:
+        return np.array([rng.random(*args, **kwargs) for rng in self.rngs])
+
+
 # Tolerances: exact double-precision identities vs accumulated channel sums.
 ATOL_EXACT = 1e-12
 ATOL_CHANNEL = 1e-10
@@ -242,7 +264,10 @@ PAULI_TAGS = {v: k for k, v in PAULI_CODES.items()}
 class QubitRegister:
     """A string of independent qubits, stored as two complex amplitude arrays.
 
-    All methods return new registers; instances are never mutated.
+    The arrays have shape (Q,) for one string or (..., Q) for a batch of
+    strings, one per leading index; len() is Q. A batched register draws its
+    randomness from a RowStreams, one row per generator. All methods return
+    new registers; instances are never mutated.
     """
 
     __slots__ = ("amp0", "amp1")
@@ -250,8 +275,8 @@ class QubitRegister:
     def __init__(self, amp0: np.ndarray, amp1: np.ndarray):
         self.amp0 = np.asarray(amp0, dtype=complex)
         self.amp1 = np.asarray(amp1, dtype=complex)
-        if self.amp0.shape != self.amp1.shape or self.amp0.ndim != 1:
-            raise ValueError("amplitude arrays must be 1-d and equal length")
+        if self.amp0.shape != self.amp1.shape or self.amp0.ndim == 0:
+            raise ValueError("amplitude arrays must have equal shape and at least one axis")
 
     @classmethod
     def encode(cls, bits: np.ndarray, thetas: np.ndarray) -> "QubitRegister":
@@ -264,7 +289,7 @@ class QubitRegister:
         return cls(amp0, amp1)
 
     def __len__(self) -> int:
-        return self.amp0.shape[0]
+        return self.amp0.shape[-1]
 
     def state(self, k: int) -> PureState:
         return PureState(complex(self.amp0[k]), complex(self.amp1[k]))

@@ -41,7 +41,7 @@ from twoway_qkd import (
 )
 from twoway_qkd.cli import main as cli_main
 from twoway_qkd.harness import CONFIG_FILENAME, CSV_FILENAME, SUMMARY_FILENAME
-from twoway_qkd.protocol import AllErasuresError, derive
+from twoway_qkd.protocol import AllErasuresError, derive, run_batch
 from twoway_qkd.qubit import PAULI_MATRICES, QubitRegister
 
 
@@ -175,11 +175,14 @@ def test_criterion_5_repetition_decoding():
                 n_bits=n_blocks_per_run, repetition=t, variant="V2",
                 basis_pool=(Basis(theta),), seed=0,
             )
-            errors = 0
-            for seed in range(runs):
-                rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(int(p * 1000), t)))
-                result = run_session(config, noise, noise, rng=rng)
-                errors += int((result.derivation.m_prime != result.key_message).sum())
+            # The per-run generators of one run_session(rng=...) per run; row r
+            # of the batch draws exactly what that session drew.
+            rngs = [
+                np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(int(p * 1000), t)))
+                for seed in range(runs)
+            ]
+            batch = run_batch(config, LinkSettings(noise, noise), rngs)
+            errors = int((batch.m_prime != batch.key_message).sum())
             total = runs * n_blocks_per_run
             rate = errors / total
             sigma = math.sqrt(tail * (1 - tail) / total)

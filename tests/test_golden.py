@@ -1,7 +1,7 @@
-"""Golden digests: sha256 pins of transcripts and wire frames.
+"""Golden digests: sha256 pins of transcripts, wire frames and sweep artifacts.
 
-The determinism promise is that (config, seed) fixes every transcript line
-and wire frame. The other tests compare a run with its replay under the same
+The determinism promise is that (config, seed) fixes every transcript line,
+wire frame and artifact byte. The other tests compare a run with its replay under the same
 code, which a change to the random streams or to the output encoders would
 pass; these pins catch it. Each case also asserts the feature of the format
 it was chosen to cover, so a pin cannot silently stop covering it.
@@ -15,10 +15,12 @@ import pytest
 from twoway_qkd import (
     Basis,
     EveStrategy,
+    ExperimentConfig,
     LinkSettings,
     NoiseModel,
     RunConfig,
     Topology,
+    run_experiment,
     run_session,
     run_star_session,
 )
@@ -120,3 +122,81 @@ def test_star_frames_digest():
 def test_star_without_frames_packs_nothing():
     result = three_leaf_star(record_frames=False)
     assert [outcome.frames_bytes() for outcome in result.outcomes.values()] == [b"", b"", b""]
+
+
+# Sweep configs that reach what the benchmark's scripts/ grids do not: V3,
+# V2 with even t (resolved ties and all_erasures aborts), phase-flip and
+# p_both noise, and both Eve kinds on the backward leg and on both legs.
+EXPERIMENT_CASES = {
+    "v3_even_and_odd_t_phase_noise": {
+        "variant": "V3", "n_bits": 6, "basis_pool": [0.0, math.pi / 8, math.pi / 4],
+        "tag_length": 2, "seed": 31, "repetitions": 30,
+        "noise": {"p_phaseflip": 0.05, "p_both": 0.05},
+        "sweep": {"p_bitflip": [0.0, 0.1], "repetition": [2, 3]},
+    },
+    "v2_one_block_even_t_aborts": {
+        "variant": "V2", "n_bits": 1, "basis_pool": [0.0],
+        "seed": 32, "repetitions": 40,
+        "noise": {"p_both": 0.1},
+        "sweep": {"p_bitflip": [0.2, 0.5], "repetition": [2, 4]},
+    },
+    "v1_eve_backward_leg": {
+        "variant": "V1", "n_bits": 16, "basis_pool": [0.0, math.pi / 4],
+        "seed": 33, "repetitions": 30,
+        "eve": {"kind": "intercept_resend", "basis_pool": [0.0, math.pi / 4], "legs": ["backward"]},
+        "sweep": {"eve": ["intercept_resend", "substitute"], "tag_length": [0, 4]},
+    },
+    "v2_even_t_eve_both_legs": {
+        "variant": "V2", "n_bits": 3, "repetition": 2, "basis_pool": [0.0, math.pi / 4],
+        "tag_length": 1, "seed": 34, "repetitions": 30,
+        "noise": {"p_phaseflip": 0.02},
+        "eve": {"kind": "substitute", "basis_pool": [0.0, math.pi / 8], "legs": ["forward", "backward"]},
+        "sweep": {"eve": ["absent", "intercept_resend", "substitute"]},
+    },
+}
+
+
+def check_covers(name: str, cells) -> None:
+    """The feature each experiment case was chosen to cover."""
+    if name == "v3_even_and_odd_t_phase_noise":
+        assert {c.params["repetition"] for c in cells} == {2, 3}
+        assert any(c.qber > 0 for c in cells if c.params["p_bitflip"] == 0.0)  # phase and p_both noise flip bits
+    elif name == "v2_one_block_even_t_aborts":
+        # One block: a tie erases every block, so erasure_rate is the abort rate.
+        assert all(c.erasure_rate > 0 for c in cells)
+        assert all(c.agreement_rate <= 1 - c.erasure_rate for c in cells)
+    else:
+        active = [c for c in cells if c.params["eve"] != "absent" and c.params["tag_length"] > 0]
+        assert active and all(c.detection_rate > 0 for c in active)
+    if name == "v2_even_t_eve_both_legs":
+        assert any(0 < c.erasure_rate < 1 for c in cells)
+
+
+# (results.csv, summary.json) sha256 per case.
+EXPERIMENT_PINS = {
+    "v3_even_and_odd_t_phase_noise": (
+        "594b9df34ea3d33bdaabdac2b58790b6afe93d380cd9ad9b08ff0542c82dacc2",
+        "9e1564388ebd37250bd0d9caa68639e7a4dc187cc0b7a401ae41254a6b765bd2",
+    ),
+    "v2_one_block_even_t_aborts": (
+        "29c44bd7f9abce749cd2f586d7d90151c7912e898d7626d2db203b978bb42ad2",
+        "a6709acddb17da3015d04627ae98936facb9625a07833c198796b5a083e02d77",
+    ),
+    "v1_eve_backward_leg": (
+        "a8f985735e73d5ccea454f31b6b2485f6c5df98fb511ae41cce22bd668ced2c3",
+        "1d12547ed2a4e36b5fc20a48dcb36e81b2459368ede3741e305e5de2d1a3c64b",
+    ),
+    "v2_even_t_eve_both_legs": (
+        "521577ffce00172f89e221635b64370aec134325a1b0480702dad5069c240f52",
+        "2b7f489a77daf2612f3332e3c02036a340d3f2f0dae52a18bb8d4bfab03a9c01",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", EXPERIMENT_PINS)
+def test_experiment_artifact_digests(name):
+    stats = run_experiment(ExperimentConfig.from_dict(EXPERIMENT_CASES[name]))
+    check_covers(name, stats.cells)
+    csv_pin, summary_pin = EXPERIMENT_PINS[name]
+    assert sha256(stats.csv_text().encode("ascii")) == csv_pin
+    assert sha256(stats.summary_json_text().encode("ascii")) == summary_pin

@@ -1,12 +1,24 @@
 import json
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from twoway_qkd import ConfigError, ExperimentConfig, emit_results, run_experiment
+from twoway_qkd import ConfigError, ExperimentConfig, emit_results, harness, run_experiment, run_session
 from twoway_qkd.cli import main
-from twoway_qkd.harness import CONFIG_FILENAME, CSV_FILENAME, SUMMARY_FILENAME
+from twoway_qkd.harness import (
+    CONFIG_FILENAME,
+    CSV_FILENAME,
+    SUMMARY_FILENAME,
+    CellStats,
+    _binomial_se,
+    _cell_eve,
+    _cell_run_config,
+)
 
 BASE = {
     "variant": "V1",
@@ -81,6 +93,89 @@ def test_rates_are_probabilities_with_sample_counts():
             assert 0.0 <= rate <= 1.0
 
 
+def reference_cells(config: ExperimentConfig) -> tuple[CellStats, ...]:
+    """The per-session loop run_experiment replaced, kept as its oracle:
+    one run_session per repetition, driven by the generator of spawn key
+    (cell index, repetition index)."""
+    cells = []
+    for cell_index, params in enumerate(config.cells()):
+        run_config = _cell_run_config(config, params)
+        noise = replace(config.noise, p_bitflip=float(params["p_bitflip"]))
+        eve = _cell_eve(config, params["eve"])
+        qber_sum = 0.0
+        agreements = 0
+        detections = 0
+        erasure_sum = 0.0
+        for rep in range(config.repetitions):
+            rng = np.random.default_rng(np.random.SeedSequence(config.run.seed, spawn_key=(cell_index, rep)))
+            result = run_session(run_config, noise, noise, eve, rng=rng)
+            qber_sum += float(np.mean(result.derivation.m_prime != result.key_message))
+            agreements += int(result.agreement)
+            detections += int(result.abort_reason == "tag_mismatch")
+            if run_config.variant == "V2":
+                erasure_sum += float(np.mean(result.derivation.p))
+        n = config.repetitions
+        qber = qber_sum / n
+        cells.append(
+            CellStats(
+                params=params,
+                runs=n,
+                qber=qber,
+                qber_se=_binomial_se(qber, n * run_config.message_length),
+                agreement_rate=agreements / n,
+                agreement_se=_binomial_se(agreements / n, n),
+                detection_rate=detections / n,
+                detection_se=_binomial_se(detections / n, n),
+                erasure_rate=erasure_sum / n,
+                erasure_se=_binomial_se(erasure_sum / n, n * run_config.n_bits),
+            )
+        )
+    return tuple(cells)
+
+
+@st.composite
+def experiment_dicts(draw):
+    variant = draw(st.sampled_from(["V1", "V2", "V3"]))
+    n_bits = draw(st.integers(1, 6))
+    pool = draw(st.sampled_from([[0.0], [0.0, math.pi / 4], [0.0, math.pi / 8, math.pi / 4]]))
+    return {
+        "variant": variant,
+        "n_bits": n_bits,
+        "repetition": draw(st.integers(1, 4)),
+        "basis_pool": pool,
+        "tag_length": draw(st.integers(0, n_bits)),
+        "seed": draw(st.integers(0, 2**32)),
+        "repetitions": draw(st.integers(1, 40)),
+        "noise": {
+            "p_bitflip": draw(st.sampled_from([0.0, 0.05, 0.3])),
+            "p_phaseflip": draw(st.sampled_from([0.0, 0.1])),
+            "p_both": draw(st.sampled_from([0.0, 0.1])),
+        },
+        "eve": {
+            "kind": draw(st.sampled_from(["absent", "intercept_resend", "substitute"])),
+            "basis_pool": draw(st.sampled_from([pool, [0.0, math.pi / 8]])),
+            "legs": draw(st.sampled_from([["forward"], ["backward"], ["forward", "backward"]])),
+        },
+        "sweep": draw(st.sampled_from([
+            {}, {"p_bitflip": [0.0, 0.2]}, {"repetition": [1, 2]}, {"eve": ["absent", "substitute"]},
+        ])),
+    }
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=experiment_dicts(), batch_qubits=st.one_of(st.integers(1, 64), st.just(harness.BATCH_QUBITS)))
+@example(
+    data={"variant": "V2", "n_bits": 2, "repetition": 2, "seed": 3, "repetitions": 25,
+          "noise": {"p_bitflip": 0.3}, "eve": {"kind": "intercept_resend", "basis_pool": [0.0],
+                                                "legs": ["backward"]}},
+    batch_qubits=16,  # chunks of 4 runs: 6 full chunks and one of 1
+)
+def test_batched_experiment_matches_the_per_session_loop(data, batch_qubits):
+    config = ExperimentConfig.from_dict(data)
+    with mock.patch.object(harness, "BATCH_QUBITS", batch_qubits):
+        assert run_experiment(config).cells == reference_cells(config)
+
+
 def test_experiment_is_deterministic():
     config = make_config(sweep={"p_bitflip": [0.0, 0.1]}, eve={"kind": "absent"})
     s1, s2 = run_experiment(config), run_experiment(config)
@@ -142,6 +237,14 @@ def test_cli_seed_override_changes_resolved_config(tmp_path, capsys):
     assert stored["seed"] == 99
 
 
+def test_cli_rejects_negative_seed_override(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(BASE))
+    assert main(["run", "--config", str(cfg_path), "--seed", "-1", "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "seed" in err
+
+
 def test_cli_config_error_exit_code(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["run", "--config", str(missing)]) == 1
@@ -182,6 +285,7 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, override, field):
         ({"sweep": {"p_bitflip": 0.1}}, "sweep.p_bitflip"),
         ({"sweep": {"repetition": [3, "5"]}}, "sweep.repetition[1]"),
         ({"repetitons": 5}, "repetitons"),
+        ({"seed": -1}, "seed"),
     ],
 )
 def test_cli_rejects_malformed_json_fields(tmp_path, capsys, override, field):

@@ -21,7 +21,7 @@ from twoway_qkd import (
     run_session,
     verify_tag,
 )
-from twoway_qkd.protocol import derive
+from twoway_qkd.protocol import LinkSettings, derive, run_batch
 from twoway_qkd.qubit import ZX
 
 POOL = (Basis(0.0), Basis(math.pi / 8), Basis(math.pi / 4))
@@ -49,6 +49,8 @@ def test_run_config_validation():
         RunConfig(n_bits=4, variant="V2", repetition=3, tag_length=5)
     # V1 message spans all t*N qubits, so a longer tag is fine there.
     RunConfig(n_bits=4, variant="V1", repetition=3, tag_length=5)
+    with pytest.raises(ValueError, match="seed"):
+        RunConfig(n_bits=4, seed=-1)
 
 
 def test_prepare_encodes_bits_in_chosen_bases():
@@ -368,3 +370,40 @@ def test_v1_exactness_property(seed, n_bits):
     config = RunConfig(n_bits=n_bits, basis_pool=POOL, seed=seed)
     result = run_session(config)
     assert np.array_equal(result.derivation.m_prime, result.key_message)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["V1", "V2", "V3"]),
+    st.integers(1, 4),
+    st.integers(1, 6),
+    st.integers(1, 3),
+    st.integers(0, 6),
+    st.sampled_from(["absent", "intercept_resend", "substitute"]),
+    st.sets(st.sampled_from(["forward", "backward"])),
+    st.integers(1, 12),
+    st.integers(0, 2**31 - 1),
+)
+def test_run_batch_rows_match_run_session(variant, t, n_bits, pool_size, tag_length, eve_kind, legs, rows, seed):
+    config = RunConfig(
+        n_bits=n_bits, repetition=t, variant=variant, basis_pool=POOL[:pool_size],
+        tag_length=min(tag_length, n_bits), seed=seed,
+    )
+    link = LinkSettings(
+        NoiseModel(p_bitflip=0.2, p_phaseflip=0.05), NoiseModel(p_both=0.1),
+        EveStrategy(eve_kind, (0.0, math.pi / 4), frozenset(legs)) if eve_kind != "absent" else EveStrategy.absent(),
+    )
+    batch = run_batch(config, link, [np.random.default_rng([seed, r]) for r in range(rows)])
+    for r in range(rows):
+        result = run_session(
+            config, link.noise_forward, link.noise_backward, link.eve, rng=np.random.default_rng([seed, r])
+        )
+        assert np.array_equal(batch.key_message[r], result.key_message)
+        assert np.array_equal(batch.m_prime[r], result.derivation.m_prime)
+        if variant == "V1":
+            assert batch.ties is None
+        else:
+            assert np.array_equal(batch.ties[r], result.derivation.ties if variant == "V3" else result.derivation.p)
+        assert batch.agreement[r] == result.agreement
+        assert batch.all_erasures[r] == (result.abort_reason == "all_erasures")
+        assert batch.tag_mismatch[r] == (result.abort_reason == "tag_mismatch")
