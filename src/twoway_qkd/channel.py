@@ -82,7 +82,10 @@ class NoiseModel:
         """Draw one Pauli code per qubit: 0=I, 1=X, 2=Z, 3=XZ."""
         u = rng.random(n)
         edges = np.cumsum([self.p_identity, self.p_bitflip, self.p_phaseflip])
-        return np.searchsorted(edges, u, side="right").astype(np.int8)
+        codes = (u >= edges[0]).view(np.int8)  # the number of edges at or below u
+        for edge in edges[1:]:
+            codes += u >= edge
+        return codes
 
 
 def perturb(state: PureState, noise: NoiseModel, rng: Rng) -> PureState:
@@ -181,10 +184,10 @@ def eve_tap_register(
         return register, EveObservation()
     n = len(register)
     pool = np.asarray(strategy.basis_pool)
-    thetas = pool[rng.integers(len(pool), size=n)]
+    index = rng.integers(len(pool), size=n)
     if strategy.kind == INTERCEPT_RESEND:
-        outcomes = register.measure(thetas, rng)
-        resent = QubitRegister.encode(outcomes, thetas)
-        return resent, EveObservation(tuple(thetas), tuple(outcomes))
+        outcomes = register.measure(pool, rng, index)
+        resent = QubitRegister.encode(outcomes, pool, index)
+        return resent, EveObservation(tuple(pool[index]), tuple(outcomes))
     fresh = rng.integers(2, size=n).astype(np.uint8)
-    return QubitRegister.encode(fresh, thetas), EveObservation(tuple(thetas), ())
+    return QubitRegister.encode(fresh, pool, index), EveObservation(tuple(pool[index]), ())

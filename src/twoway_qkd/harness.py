@@ -131,6 +131,9 @@ class ExperimentConfig:
             raise ConfigError("repetitions: must be >= 1")
         if self.output_format not in ("tabular", "structured"):
             raise ConfigError("format: must be 'tabular' or 'structured'")
+        for name, axis in self.sweep_axes.items():
+            if not axis:
+                raise ConfigError(f"sweep.{name}: must list at least one value")
 
     @property
     def sweep_axes(self) -> dict:

@@ -111,20 +111,25 @@ def _decimal(values) -> np.ndarray:
     return out
 
 
-def _text_rows(fields, end: str = "\n") -> bytes:
+def _text_rows(fields, end: str = "\n") -> list[str]:
     """One text row per qubit: the fields' cells joined by spaces, `end` after
     the last. A field is a per-row uint8 array of shape (n,) or (n, w), or a
     (1, 1) constant broadcast to every row; the first field is per-row. Pad
-    bytes are dropped."""
+    bytes are dropped. Rows are laid out 2**16 at a time, which bounds the
+    fixed-width buffer; returns the text of each such chunk."""
     fields = [f if f.ndim == 2 else f[:, None] for f in fields]
     n = len(fields[0])
-    buf = np.full((n, sum(f.shape[1] + 1 for f in fields)), ord(" "), np.uint8)
-    col = 0
-    for f in fields:
-        buf[:, col : col + f.shape[1]] = f
-        col += f.shape[1] + 1
-    buf[:, -1] = ord(end)
-    return buf[buf != 0].tobytes()
+    chunks = []
+    for start in range(0, n, 1 << 16):
+        stop = min(n, start + (1 << 16))
+        buf = np.full((stop - start, sum(f.shape[1] + 1 for f in fields)), ord(" "), np.uint8)
+        col = 0
+        for f in fields:
+            buf[:, col : col + f.shape[1]] = f[start:stop] if len(f) == n else f
+            col += f.shape[1] + 1
+        buf[:, -1] = ord(end)
+        chunks.append(buf[buf != 0].tobytes().decode("ascii"))
+    return chunks
 
 
 @dataclass(frozen=True)
@@ -202,7 +207,7 @@ def alice_prepare(config: RunConfig, rng: Rng) -> PreparationRecord:
     n = config.qubit_count
     a = rng.integers(0, 2, size=n, dtype=np.uint8)
     b = rng.integers(0, len(config.basis_pool), size=n, dtype=np.int64)
-    register = QubitRegister.encode(a, config.pool_angles[b])
+    register = QubitRegister.encode(a, config.pool_angles, b)
     return PreparationRecord(a, b, register)
 
 
@@ -238,7 +243,7 @@ def alice_measure(register: QubitRegister, prep: PreparationRecord, config: RunC
     """Measure qubit k in the basis Alice prepared it in."""
     if len(register) != prep.a.shape[-1]:
         raise ValueError("qubit count does not match the preparation record")
-    return register.measure(config.pool_angles[prep.b], rng)
+    return register.measure(config.pool_angles, rng, prep.b)
 
 
 def majority(M, t: int, n_bits: int, variant: str) -> tuple[np.ndarray, np.ndarray]:
@@ -368,6 +373,7 @@ class SessionResult:
         """Structured-text session transcript; stable across replays."""
         cfg = self.config
         d = self.derivation
+        basis_digits = _decimal(self.prep.b)
         lines = [
             "# twoway-qkd session transcript v1",
             f"variant={cfg.variant}",
@@ -380,7 +386,7 @@ class SessionResult:
             f"accepted={int(self.accepted)}",
             "abort_reason=" + (self.abort_reason or ""),
             "a=" + bits_to_text(self.prep.a),
-            "b=" + _text_rows([_decimal(self.prep.b)], end=",")[:-1].decode("ascii"),
+            "b=" + "".join(_text_rows([basis_digits], end=","))[:-1],
             "m=" + bits_to_text(self.key_message),
             "c=" + bits_to_text(d.c),
             "M=" + bits_to_text(d.M),
@@ -394,7 +400,7 @@ class SessionResult:
         bwd_eve = np.array([[ord("E" if self.eve_backward is not None else "-")]], np.uint8)
         rows = _text_rows([
             _decimal(np.arange(len(self.prep.a))),
-            _decimal(self.prep.b),
+            basis_digits,
             self.prep.a + ord("0"),
             np.take(_PAULI_TAG_BYTES, self.noise_codes_forward, axis=0),
             fwd_eve,
@@ -403,7 +409,7 @@ class SessionResult:
             bwd_eve,
             d.c + ord("0"),
         ])
-        return "\n".join(lines) + "\n" + rows.decode("ascii")
+        return "".join(["\n".join(lines), "\n", *rows])
 
 
 def _transit(config: RunConfig, prep: PreparationRecord, m: np.ndarray, link: LinkSettings, streams) -> tuple:

@@ -260,6 +260,12 @@ def apply_channel(rho: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
 PAULI_CODES = {"I": 0, "X": 1, "Z": 2, "XZ": 3, "ZX": 4}
 PAULI_TAGS = {v: k for k, v in PAULI_CODES.items()}
 
+# Each Pauli word by code, as the register applies it: swap the amplitudes
+# or not, then negate each where its flag is set (XZ: n0, n1 = -a1, a0).
+_SWAP = np.array([False, True, False, True, True])
+_NEGATE0 = np.array([False, False, False, True, False])
+_NEGATE1 = np.array([False, False, True, False, True])
+
 
 class QubitRegister:
     """A string of independent qubits, stored as two complex amplitude arrays.
@@ -279,14 +285,15 @@ class QubitRegister:
             raise ValueError("amplitude arrays must have equal shape and at least one axis")
 
     @classmethod
-    def encode(cls, bits: np.ndarray, thetas: np.ndarray) -> "QubitRegister":
-        """Vectorized encode_bit: qubit k holds bits[k] in the basis at thetas[k]."""
-        bits = np.asarray(bits)
+    def encode(cls, bits: np.ndarray, thetas: np.ndarray, index: np.ndarray | None = None) -> "QubitRegister":
+        """Vectorized encode_bit: qubit k holds bits[k] in the basis at
+        thetas[k], or at thetas[index[k]] when an index is given."""
+        if index is None:  # each angle is its own pool entry
+            thetas, index = np.ravel(thetas), np.arange(np.size(thetas)).reshape(np.shape(thetas))
         c, s = np.cos(thetas), np.sin(thetas)
-        one = bits == 1
-        amp0 = np.where(one, -s, c).astype(complex)
-        amp1 = np.where(one, c, s).astype(complex)
-        return cls(amp0, amp1)
+        # Column i * P + j: the amplitudes of bit i in the basis at pool angle j.
+        table = np.array([np.concatenate([c, -s]), np.concatenate([s, c])], dtype=complex)
+        return cls(*table.take(np.asarray(bits, dtype=np.intp) * len(c) + index, axis=1))
 
     def __len__(self) -> int:
         return self.amp0.shape[-1]
@@ -294,40 +301,36 @@ class QubitRegister:
     def state(self, k: int) -> PureState:
         return PureState(complex(self.amp0[k]), complex(self.amp1[k]))
 
+    def _signed_swap(self, swap, negate0, negate1) -> "QubitRegister":
+        # Swap and negation are exact: every result bit, a zero's sign included.
+        n0 = np.where(swap, self.amp1, self.amp0)
+        n1 = np.where(swap, self.amp0, self.amp1)
+        np.negative(n0, out=n0, where=negate0)
+        np.negative(n1, out=n1, where=negate1)
+        return QubitRegister(n0, n1)
+
     def apply_pauli(self, op: PauliWord, mask: np.ndarray | None = None) -> "QubitRegister":
         """Apply one Pauli word to every qubit (or only where mask is true)."""
-        a0, a1 = self.amp0, self.amp1
-        if op.tag == "I":
-            n0, n1 = a0, a1
-        elif op.tag == "X":
-            n0, n1 = a1, a0
-        elif op.tag == "Z":
-            n0, n1 = a0, -a1
-        elif op.tag == "XZ":
-            n0, n1 = -a1, a0
-        else:  # ZX
-            n0, n1 = a1, -a0
-        if mask is None:
-            return QubitRegister(n0.copy(), n1.copy())
-        mask = np.asarray(mask, dtype=bool)
-        return QubitRegister(np.where(mask, n0, a0), np.where(mask, n1, a1))
+        code = PAULI_CODES[op.tag]
+        on = True if mask is None else np.asarray(mask, dtype=bool)
+        return self._signed_swap(on & _SWAP[code], on & _NEGATE0[code], on & _NEGATE1[code])
 
     def apply_pauli_codes(self, codes: np.ndarray) -> "QubitRegister":
         """Apply a per-qubit Pauli word given as integer codes (PAULI_CODES)."""
-        reg = self
-        for code in np.unique(codes):
-            tag = PAULI_TAGS[int(code)]
-            if tag == "I":
-                continue
-            reg = reg.apply_pauli(PauliWord(tag), mask=codes == code)
-        return reg
+        return self._signed_swap(_SWAP.take(codes), _NEGATE0.take(codes), _NEGATE1.take(codes))
 
-    def probability_of_one(self, thetas: np.ndarray) -> np.ndarray:
-        """Born probability of outcome 1 per qubit, measuring at thetas."""
-        ip = -np.sin(thetas) * self.amp0 + np.cos(thetas) * self.amp1
-        return np.minimum(1.0, np.abs(ip) ** 2)
+    def probability_of_one(self, thetas: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
+        """Born probability of outcome 1 per qubit, measuring at thetas (or at
+        the pool thetas gathered by index)."""
+        if index is None:
+            thetas, index = np.ravel(thetas), np.arange(np.size(thetas)).reshape(np.shape(thetas))
+        # Cast per pool angle as numpy casts a float operand: bit-equal products.
+        ip = (-np.sin(thetas)).astype(complex).take(index) * self.amp0
+        ip += np.cos(thetas).astype(complex).take(index) * self.amp1
+        p1 = np.abs(ip)
+        return np.minimum(1.0, np.square(p1, out=p1), out=p1)
 
-    def measure(self, thetas: np.ndarray, rng: Rng) -> np.ndarray:
+    def measure(self, thetas: np.ndarray, rng: Rng, index: np.ndarray | None = None) -> np.ndarray:
         """Measure every qubit in its own basis; returns a uint8 bit array."""
-        p1 = self.probability_of_one(thetas)
+        p1 = self.probability_of_one(thetas, index)
         return (rng.random(len(self)) < p1).astype(np.uint8)

@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
 from dataclasses import replace
 from unittest import mock
 
@@ -286,6 +289,10 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, override, field):
         ({"sweep": {"repetition": [3, "5"]}}, "sweep.repetition[1]"),
         ({"repetitons": 5}, "repetitons"),
         ({"seed": -1}, "seed"),
+        ({"sweep": {"p_bitflip": []}}, "sweep.p_bitflip"),
+        ({"sweep": {"repetition": [3], "eve": []}}, "sweep.eve"),
+        ({"sweep": {"repetition": []}}, "sweep.repetition"),
+        ({"sweep": {"tag_length": []}}, "sweep.tag_length"),
     ],
 )
 def test_cli_rejects_malformed_json_fields(tmp_path, capsys, override, field):
@@ -303,6 +310,53 @@ def test_cli_sweep_requires_axes(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg_path)]) == 1
     cfg_path.write_text(json.dumps({**BASE, "sweep": {"repetition": [1, 3]}}))
     assert main(["sweep", "--config", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 0
+
+
+# A tiny valid config; the fuzz test below replaces one of its fields.
+TINY = {
+    "variant": "V2",
+    "n_bits": 4,
+    "repetition": 3,
+    "basis_pool": [0.0, math.pi / 4],
+    "tag_length": 2,
+    "tag_bits": [1, 0],
+    "seed": 3,
+    "repetitions": 2,
+    "noise": {"p_bitflip": 0.1, "p_phaseflip": 0.0, "p_both": 0.0},
+    "eve": {"kind": "intercept_resend", "basis_pool": [0.0, math.pi / 4], "legs": ["forward"]},
+    "sweep": {"p_bitflip": [0.0, 0.1], "repetition": [1, 3], "eve": ["absent", "substitute"], "tag_length": [0, 2]},
+    "format": "tabular",
+    "output_dir": "unused",
+}
+TINY_FIELDS = [(key,) for key in TINY] + [
+    (section, key) for section in ("noise", "eve", "sweep") for key in TINY[section]
+]
+
+# Any JSON value. Integers stay small so that no config asks for much work.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-64, 64) | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(TINY_FIELDS), json_values)
+def test_cli_fuzz_one_field_exits_cleanly(field, value):
+    config = json.loads(json.dumps(TINY))
+    *sections, key = field
+    target = config
+    for section in sections:
+        target = target[section]
+    target[key] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = f"{tmp}/cfg.json"
+        with open(cfg_path, "w") as handle:
+            json.dump(config, handle)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", "--config", cfg_path, "--output-dir", f"{tmp}/out"])
+    assert code == 0 or (code == 1 and err.getvalue().startswith("config error:")), err.getvalue()
 
 
 def test_cli_verify_passes(capsys):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twoway_qkd import (
@@ -13,6 +13,8 @@ from twoway_qkd import (
     DensityMatrix,
     I,
     KrausChannel,
+    NoiseModel,
+    PauliWord,
     PureState,
     QubitRegister,
     X,
@@ -25,6 +27,7 @@ from twoway_qkd import (
     measure_in_basis,
     to_density,
 )
+from twoway_qkd.qubit import PAULI_CODES, PAULI_TAGS
 
 angles = st.floats(min_value=-4 * math.pi, max_value=4 * math.pi, allow_nan=False)
 bits = st.sampled_from([0, 1])
@@ -243,6 +246,125 @@ def test_register_masked_pauli():
     out = reg.apply_pauli(X, mask=np.array([True, False, True]))
     assert np.allclose(out.amp1, [1, 0, 1])
     assert np.allclose(out.amp0, [0, 1, 0])
+
+
+# Each Pauli word as the register applies it, one qubit at a time in Python
+# complex arithmetic. The matrix product in apply_pauli gives the same
+# values, but it adds signed zero products, so the sign of a zero part can
+# differ from these; transcripts and wire frames are pinned to these signs.
+WORD_ARITHMETIC = {
+    "I": lambda a0, a1: (a0, a1),
+    "X": lambda a0, a1: (a1, a0),
+    "Z": lambda a0, a1: (a0, -a1),
+    "XZ": lambda a0, a1: (-a1, a0),
+    "ZX": lambda a0, a1: (a1, -a0),
+}
+
+
+def _bits(z) -> bytes:
+    """Every bit of a complex number, the signs of zero parts included."""
+    return np.complex128(z).tobytes()
+
+
+@settings(max_examples=60)
+@given(st.data(), st.integers(1, 3), st.integers(1, 24))
+def test_fused_pauli_pass_matches_each_word_bit_for_bit(data, runs, qubits):
+    cells = data.draw(
+        st.lists(
+            st.tuples(bits, angles, st.none() | angles, st.sampled_from(sorted(PAULI_TAGS))),
+            min_size=runs * qubits,
+            max_size=runs * qubits,
+        )
+    )
+    states = [
+        encode_bit(i, Basis(theta))
+        if phase is None
+        else encode_bit(i, Basis(theta)).phase_shifted(complex(math.cos(phase), math.sin(phase)))
+        for i, theta, phase, _ in cells
+    ]
+    amp0 = np.array([s.amp0 for s in states], dtype=complex).reshape(runs, qubits)
+    amp1 = np.array([s.amp1 for s in states], dtype=complex).reshape(runs, qubits)
+    codes = np.array([code for *_, code in cells], dtype=np.int8).reshape(runs, qubits)
+    reg = QubitRegister(amp0, amp1)
+    out = reg.apply_pauli_codes(codes)
+    for (r, k), code in np.ndenumerate(codes):
+        tag = PAULI_TAGS[int(code)]
+        expected = WORD_ARITHMETIC[tag](complex(amp0[r, k]), complex(amp1[r, k]))
+        assert (_bits(out.amp0[r, k]), _bits(out.amp1[r, k])) == tuple(map(_bits, expected))
+        scalar = apply_pauli(PureState(complex(amp0[r, k]), complex(amp1[r, k])), PauliWord(tag))
+        assert PureState(complex(out.amp0[r, k]), complex(out.amp1[r, k])) == scalar
+
+    # Bob's masked word goes through the same pass.
+    word = data.draw(st.sampled_from(sorted(PAULI_CODES)))
+    mask = data.draw(st.lists(st.booleans(), min_size=qubits, max_size=qubits))
+    masked = reg.apply_pauli(PauliWord(word), mask=np.array(mask))
+    by_codes = reg.apply_pauli_codes(np.broadcast_to(np.where(mask, PAULI_CODES[word], 0), codes.shape))
+    assert masked.amp0.tobytes() == by_codes.amp0.tobytes()
+    assert masked.amp1.tobytes() == by_codes.amp1.tobytes()
+
+
+finite_angles = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60)
+@given(st.data(), st.lists(finite_angles, min_size=1, max_size=12), st.integers(1, 3), st.integers(1, 40))
+def test_pool_indexed_kernels_match_per_qubit_angles(data, pool, runs, qubits):
+    pool = np.array(pool)
+    cells = data.draw(
+        st.lists(st.tuples(bits, st.integers(0, len(pool) - 1)), min_size=runs * qubits, max_size=runs * qubits)
+    )
+    bit_rows = np.array([i for i, _ in cells], dtype=np.uint8).reshape(runs, qubits)
+    index = np.array([j for _, j in cells]).reshape(runs, qubits)
+    thetas = pool[index]
+
+    reg = QubitRegister.encode(bit_rows, pool, index)
+    # Per-qubit angle references: cos and sin evaluated once per qubit.
+    c, s = np.cos(thetas), np.sin(thetas)
+    one = bit_rows == 1
+    assert reg.amp0.tobytes() == np.where(one, -s, c).astype(complex).tobytes()
+    assert reg.amp1.tobytes() == np.where(one, c, s).astype(complex).tobytes()
+    assert reg.amp0.tobytes() == QubitRegister.encode(bit_rows, thetas).amp0.tobytes()
+
+    # Measure a phased register so that the Born rule sees complex amplitudes.
+    phased = QubitRegister(reg.amp1 * (0.6 + 0.8j), reg.amp0)
+    expected = np.minimum(1.0, np.abs(-s * phased.amp0 + c * phased.amp1) ** 2)
+    assert phased.probability_of_one(pool, index).tobytes() == expected.tobytes()
+    assert phased.probability_of_one(thetas).tobytes() == expected.tobytes()
+
+
+class _FixedDraws:
+    """Stands in for a generator whose random() returns the given values."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, n):
+        return self.u
+
+
+probabilities = st.just(0.0) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=60)
+@given(probabilities, probabilities, probabilities, st.integers(0, 2**32))
+def test_sample_codes_count_edges_like_searchsorted(p_x, p_z, p_xz, seed):
+    assume(p_x + p_z + p_xz <= 1.0)
+    noise = NoiseModel(p_bitflip=p_x, p_phaseflip=p_z, p_both=p_xz)
+    edges = np.cumsum([noise.p_identity, p_x, p_z])
+    # Random draws plus every edge itself and its neighbours: a draw equal
+    # to an edge, repeated edges (zero probabilities) and the ends of [0, 1).
+    u = np.concatenate([
+        np.random.default_rng(seed).random(200),
+        edges,
+        np.nextafter(edges, 0.0),
+        np.nextafter(edges, 1.0),
+        [0.0, np.nextafter(1.0, 0.0)],
+    ])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    codes = noise.sample_codes(len(u), _FixedDraws(u))
+    assert codes.dtype == np.int8
+    assert np.array_equal(codes, np.searchsorted(edges, u, side="right"))
+    assert np.array_equal(noise.sample_codes(len(u), _FixedDraws(np.tile(u, (2, 1)))), np.tile(codes, (2, 1)))
 
 
 def test_pure_state_rejects_unnormalized():
