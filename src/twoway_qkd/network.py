@@ -166,8 +166,8 @@ def run_star_session(
     every link's qubits; each leaf prepares, measures, and derives with its
     own streams. A tag failure on one link aborts only that leaf.
     """
-    if seed is None:
-        seed = config.seed
+    seed = config.seed if seed is None else seed
+    config = replace(config, seed=seed)
     per_leaf_pools = per_leaf_pools or {}
 
     key_message = bob_build_key_message(config, hub_rng(seed))
@@ -176,7 +176,7 @@ def run_star_session(
     for link_id, leaf in enumerate(topology.leaves):
         leaf_config = config
         if leaf in per_leaf_pools:
-            leaf_config = replace(config, basis_pool=tuple(per_leaf_pools[leaf]), seed=seed)
+            leaf_config = replace(config, basis_pool=tuple(per_leaf_pools[leaf]))
         prep = alice_prepare(leaf_config, link_rng(seed, link_id, 0))
         result = complete_round_trip(
             leaf_config, prep, key_message, topology.link_settings(leaf), link_streams(seed, link_id)

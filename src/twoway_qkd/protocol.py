@@ -91,44 +91,48 @@ def bits_to_text(bits) -> str:
     return (as_bits(bits) + ord("0")).tobytes().decode("ascii")
 
 
-# Transcript cells as fixed-width byte rows; 0 is the pad byte, dropped on output.
-_PAULI_TAG_BYTES = np.array(
-    [list(PAULI_TAGS[code].ljust(2, "\0").encode()) for code in range(len(PAULI_TAGS))], np.uint8
-)
-_BOB_OP_BYTES = np.array([list(b"I\0"), list(b"XZ")], np.uint8)
+# Transcript cells are pre-rendered fixed-width byte strings ("S" items) with NUL
+# pad bytes at the end, dropped on output. _DIGITS holds "0000" to "9999".
+_DIGITS = (np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")).copy().view("S4").ravel()
 
 
-def _decimal(values) -> np.ndarray:
-    """Non-negative integers as right-aligned decimal digits, one row each,
-    with pad bytes in place of leading zeros."""
-    values = np.asarray(values, dtype=np.int64)
-    width = len(str(int(values.max()))) if values.size else 1
-    out = np.empty((len(values), width), np.uint8)
-    for j in range(width):
-        place = 10 ** (width - 1 - j)
-        digit = values // place % 10 + ord("0")
-        out[:, j] = digit if place == 1 else np.where(values >= place, digit, 0)
-    return out
+def _cells(items: np.ndarray, start: int, width: int) -> np.ndarray:
+    """A view of bytes [start, start + width) of each item of a 1-D "S" array."""
+    return np.ndarray(len(items), f"S{width}", items, start, items.strides)
 
 
-def _text_rows(fields, end: str = "\n") -> list[str]:
-    """One text row per qubit: the fields' cells joined by spaces, `end` after
-    the last. A field is a per-row uint8 array of shape (n,) or (n, w), or a
-    (1, 1) constant broadcast to every row; the first field is per-row. Pad
-    bytes are dropped. Rows are laid out 2**16 at a time, which bounds the
-    fixed-width buffer; returns the text of each such chunk."""
-    fields = [f if f.ndim == 2 else f[:, None] for f in fields]
-    n = len(fields[0])
-    chunks = []
-    for start in range(0, n, 1 << 16):
-        stop = min(n, start + (1 << 16))
-        buf = np.full((stop - start, sum(f.shape[1] + 1 for f in fields)), ord(" "), np.uint8)
-        col = 0
-        for f in fields:
-            buf[:, col : col + f.shape[1]] = f[start:stop] if len(f) == n else f
-            col += f.shape[1] + 1
-        buf[:, -1] = ord(end)
-        chunks.append(buf[buf != 0].tobytes().decode("ascii"))
+def _write_index(rows: np.ndarray, first: int, width: int) -> None:
+    """Write first, first + 1, ... (each `width` digits) into bytes [0, width) of rows."""
+    low, row = min(width, 4), 0
+    while row < len(rows):
+        high, offset = divmod(first + row, 10**4)
+        stop = min(len(rows), row + 10**4 - offset)
+        if width > low:
+            _cells(rows, 0, width - low)[row:stop] = str(high).encode()
+        _cells(rows, width - low, low)[row:stop] = _cells(_DIGITS, 4 - low, low)[offset : offset + stop - row]
+        row = stop
+
+
+def _render_rows(n: int, fields, numbered: bool) -> list[str]:
+    """Text rows 0 to n-1: r in decimal (when numbered), then table[codes[r]]
+    for each (table, codes) field, pad bytes dropped. Rows are split into
+    runs of equal index width, then 2**16-row chunks; each chunk is laid out
+    as one fixed-width buffer, compacted once, and returned as one string."""
+    padded = any((table.view(np.uint8) == 0).any() for table, _ in fields)
+    chunks, start = [], 0
+    while start < n:
+        width = len(str(start)) if numbered else 0
+        stop = min(n, start + (1 << 16), 10**width if numbered else n)
+        rows = np.empty(stop - start, f"S{width + sum(table.itemsize for table, _ in fields)}")
+        if numbered:
+            _write_index(rows, start, width)
+        col = width
+        for table, codes in fields:
+            _cells(rows, col, table.itemsize)[:] = table[codes[start:stop]]
+            col += table.itemsize
+        text = rows.view(np.uint8)
+        chunks.append(str((text[text != 0] if padded else text).data, "ascii"))
+        start = stop
     return chunks
 
 
@@ -373,7 +377,7 @@ class SessionResult:
         """Structured-text session transcript; stable across replays."""
         cfg = self.config
         d = self.derivation
-        basis_digits = _decimal(self.prep.b)
+        basis, pool = self.prep.b, range(len(cfg.basis_pool))
         lines = [
             "# twoway-qkd session transcript v1",
             f"variant={cfg.variant}",
@@ -386,7 +390,7 @@ class SessionResult:
             f"accepted={int(self.accepted)}",
             "abort_reason=" + (self.abort_reason or ""),
             "a=" + bits_to_text(self.prep.a),
-            "b=" + "".join(_text_rows([basis_digits], end=","))[:-1],
+            "b=" + "".join(_render_rows(len(basis), [(np.array([b"%d," % k for k in pool]), basis)], False))[:-1],
             "m=" + bits_to_text(self.key_message),
             "c=" + bits_to_text(d.c),
             "M=" + bits_to_text(d.M),
@@ -396,19 +400,15 @@ class SessionResult:
             "ties=" + (bits_to_text(d.ties) if d.ties is not None else ""),
             "columns=index basis_index sent_bit noise_fwd eve_fwd bob_op noise_bwd eve_bwd measured_bit",
         ]
-        fwd_eve = np.array([[ord("E" if self.eve_forward is not None else "-")]], np.uint8)
-        bwd_eve = np.array([[ord("E" if self.eve_backward is not None else "-")]], np.uint8)
-        rows = _text_rows([
-            _decimal(np.arange(len(self.prep.a))),
-            basis_digits,
-            self.prep.a + ord("0"),
-            np.take(_PAULI_TAG_BYTES, self.noise_codes_forward, axis=0),
-            fwd_eve,
-            np.take(_BOB_OP_BYTES, self.bob_ops, axis=0),
-            np.take(_PAULI_TAG_BYTES, self.noise_codes_backward, axis=0),
-            bwd_eve,
-            d.c + ord("0"),
+        # The columns after basis_index take 2*5*2*5*2 = 200 values, each rendered once.
+        fwd_eve, bwd_eve = ("E" if tap is not None else "-" for tap in (self.eve_forward, self.eve_backward))
+        tails = np.array([
+            f" {sent} {PAULI_TAGS[fwd]} {fwd_eve} {'XZ' if op else 'I'} {PAULI_TAGS[bwd]} {bwd_eve} {got}\n".encode()
+            for sent, fwd, op, bwd, got in np.ndindex(2, 5, 2, 5, 2)
         ])
+        sent, fwd, bwd = self.prep.a, self.noise_codes_forward, self.noise_codes_backward
+        code = (((sent * 5 + fwd) * 2 + self.bob_ops) * 5 + bwd) * 2 + d.c
+        rows = _render_rows(len(basis), [(np.array([b" %d" % k for k in pool]), basis), (tails, code)], True)
         return "".join(["\n".join(lines), "\n", *rows])
 
 

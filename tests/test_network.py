@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -179,4 +180,20 @@ def test_star_session_determinism():
         assert (
             r1.outcomes[leaf].result.transcript_text()
             == r2.outcomes[leaf].result.transcript_text()
+        )
+
+
+def test_seed_override_reaches_every_leaf():
+    # leaf0 has no per-leaf pool, leaf1 has one; both must record the seed
+    # that drove their streams.
+    config = RunConfig(n_bits=8, basis_pool=POOL, seed=1)
+    pools = {"leaf1": (Basis(0.1), Basis(0.9), Basis(1.3))}
+    overridden = run_star_session(make_topology(2), config, per_leaf_pools=pools, seed=2)
+    direct = run_star_session(make_topology(2), replace(config, seed=2), per_leaf_pools=pools)
+    for leaf in direct.outcomes:
+        assert overridden.outcomes[leaf].result.config.seed == 2
+        assert overridden.outcomes[leaf].frames_bytes() == direct.outcomes[leaf].frames_bytes()
+        assert (
+            overridden.outcomes[leaf].result.transcript_text()
+            == direct.outcomes[leaf].result.transcript_text()
         )

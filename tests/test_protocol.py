@@ -346,6 +346,29 @@ def test_transcript_rows_match_the_per_qubit_formatter(variant, t, n_bits, pool_
     assert [lines[11]] + lines[20:] == reference_transcript_rows(result)
 
 
+@pytest.mark.parametrize(
+    "config, leg",
+    [
+        # Crosses a 2**16-row chunk boundary and the 99,999 -> 100,000 index width change.
+        (RunConfig(n_bits=100_010, basis_pool=POOL, seed=29), "forward"),
+        # Two-digit basis indices (12-angle pool) across a 2**16-row chunk boundary.
+        (
+            RunConfig(
+                n_bits=17_000, repetition=4, variant="V2", seed=31,
+                basis_pool=tuple(Basis(k * math.pi / 13) for k in range(12)),
+            ),
+            "backward",
+        ),
+    ],
+)
+def test_long_transcript_rows_match_the_per_qubit_formatter(config, leg):
+    noise = NoiseModel(p_bitflip=0.1, p_phaseflip=0.1, p_both=0.1)
+    eve = EveStrategy.intercept_resend((0.0, math.pi / 4), legs=(leg,))
+    result = run_session(config, noise, noise, eve)
+    lines = result.transcript_text().splitlines()
+    assert [lines[11]] + lines[20:] == reference_transcript_rows(result)
+
+
 def test_zx_encoding_is_observationally_identical_to_xz():
     config = RunConfig(n_bits=16, basis_pool=POOL, seed=13)
     prep = alice_prepare(config, np.random.default_rng(13))
