@@ -169,6 +169,9 @@ def run_star_session(
     seed = config.seed if seed is None else seed
     config = replace(config, seed=seed)
     per_leaf_pools = per_leaf_pools or {}
+    unknown = set(per_leaf_pools) - set(topology.leaves)
+    if unknown:
+        raise ValueError(f"basis pools for unknown leaves: {sorted(unknown)}")
 
     key_message = bob_build_key_message(config, hub_rng(seed))
 

@@ -168,8 +168,9 @@ class RunConfig:
         angles = [b.theta for b in self.basis_pool]
         if not all(math.isfinite(theta) for theta in angles):
             raise ValueError(f"basis_pool angles must be finite: {angles}")
-        # Angles equal mod pi give the same basis up to sign.
-        if any(abs(math.sin(x - y)) <= 1e-12 for i, x in enumerate(angles) for y in angles[i + 1 :]):
+        # Angles equal mod pi give the same basis up to sign; sin(x - y) is expanded so x - y cannot overflow.
+        sines = [(math.sin(x), math.cos(x)) for x in angles]
+        if any(abs(sx * cy - cx * sy) <= 1e-12 for i, (sx, cx) in enumerate(sines) for sy, cy in sines[i + 1 :]):
             raise ValueError(f"basis_pool angles must be pairwise distinct modulo pi: {angles}")
         if not 0 <= self.tag_length <= self.message_length:
             raise ValueError("tag_length must lie in [0, message length]")
@@ -268,44 +269,46 @@ def majority(M, t: int, n_bits: int, variant: str) -> tuple[np.ndarray, np.ndarr
     return (2 * counts > t).astype(np.uint8), (2 * counts == t).astype(np.uint8)
 
 
-def _resolve(bits, p) -> np.ndarray:
-    """Erasure resolution; Alice applies it to her decoded message, Bob to
-    his key-message, both with Alice's erasure string p.
+def _resolve(bits, p) -> tuple[np.ndarray, np.ndarray]:
+    """Erasure resolution, row by row along any leading axes; Alice applies
+    it to her decoded message, Bob to his key-message, both with Alice's
+    erasure string p. Returns (C, all_erased).
 
-    Pivot k = the lowest non-erased index. Non-erased bits are retained in
-    order; every erased position s is replaced by bits[k] XOR placeholder,
-    where the erased source value is the decoder's fixed placeholder 0 on
-    both sides (so the two parties compute identical strings whenever the
-    non-erased blocks decoded correctly). Output C is retained bits followed
-    by resolved bits, ascending.
+    Pivot k = the lowest non-erased index. C is the non-erased bits in order,
+    then bits[k] XOR placeholder once per erased position, where the erased
+    source value is the decoder's fixed placeholder 0 on both sides (so the
+    two parties compute identical strings whenever the non-erased blocks
+    decoded correctly). A row with no pivot is all zeros and flagged.
     """
+    clear = p == 0
+    n_clear = clear.sum(axis=-1, keepdims=True)
+    retained = np.arange(bits.shape[-1]) < n_clear
+    C = np.zeros_like(bits)
+    C[retained] = bits[clear]
+    # Erased slots take the pivot bits[k], which is C's first slot (0 if there is no pivot).
+    return np.where(retained, C, C[..., :1]), n_clear[..., 0] == 0
+
+
+def resolve_erasures(bits, p) -> np.ndarray:
+    """_resolve for one string; raises AllErasuresError when every position is erased."""
     bits, p = as_bits(bits), as_bits(p)
     if len(bits) != len(p):
         raise ValueError("value and erasure strings must have equal length")
-    clear = np.flatnonzero(p == 0)
-    if clear.size == 0:
+    C, all_erased = _resolve(bits, p)
+    if all_erased:
         raise AllErasuresError("all positions erased; no pivot available")
-    erased = np.flatnonzero(p == 1)
-    masked = bits.copy()
-    masked[erased] = 0
-    resolved = masked[clear[0]] ^ masked[erased]
-    return np.concatenate([masked[clear], resolved]).astype(np.uint8)
-
-
-# The public name of the one resolver both parties run.
-resolve_erasures = _resolve
+    return C
 
 
 def verify_tag(derived, config: RunConfig):
     """Accept iff the tag positions of the derived message match the agreed
     sequence exactly. A reject signals suspected tampering, not an error.
-    Returns a bool for one message, a bool array for a batch of rows."""
+    Returns one numpy bool per row of derived."""
     derived = as_bit_rows(derived)
     length = derived.shape[-1]
     if config.tag_length > length:
         raise ValueError("tag longer than derived message")
-    ok = np.all(derived[..., length - config.tag_length :] == config.resolved_tag_bits(), axis=-1)
-    return bool(ok) if derived.ndim == 1 else ok
+    return (derived[..., length - config.tag_length :] == config.resolved_tag_bits()).all(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -320,29 +323,36 @@ class DerivationRecord:
     ties: np.ndarray | None = None
 
 
-def _decode(config: RunConfig, M) -> tuple[np.ndarray, np.ndarray | None]:
-    """Alice's decoded message and tie flags from M = c XOR a: M itself and
-    no ties in V1, the majority vote in V2/V3. Works on a batch of rows."""
-    if config.variant == V1:
-        return M, None
-    return majority(M, config.repetition, config.n_bits, config.variant)
-
-
 def derive(config: RunConfig, c, a) -> DerivationRecord:
-    c, a = as_bits(c), as_bits(a)
-    if len(c) != len(a):
+    """Alice's phase III for one session or a batch of rows: M = c XOR a is
+    kept in V1 and majority-decoded in V2/V3. V2's ties are its erasure
+    string p, resolved into C. C is None for a single string whose blocks
+    all tie, and all zeros for such a row of a batch."""
+    c, a = as_bit_rows(c), as_bit_rows(a)
+    if c.shape != a.shape:
         raise ValueError("c and a must have equal length")
     M = c ^ a
-    m_prime, ties = _decode(config, M)
     if config.variant == V1:
         return DerivationRecord(c=c, M=M, m_prime=M, C=M)
+    m_prime, ties = majority(M, config.repetition, config.n_bits, config.variant)
     if config.variant == V3:
         return DerivationRecord(c=c, M=M, m_prime=m_prime, C=m_prime, ties=ties)
-    try:
-        C = _resolve(m_prime, ties)
-    except AllErasuresError:
-        C = None
-    return DerivationRecord(c=c, M=M, m_prime=m_prime, p=ties, C=C)
+    C, all_erased = _resolve(m_prime, ties)
+    return DerivationRecord(c=c, M=M, m_prime=m_prime, p=ties, C=None if C.ndim == 1 and all_erased else C)
+
+
+def settle(config: RunConfig, record: DerivationRecord, m) -> tuple:
+    """Phase III's verdict, per row: (Bob's final string, all_erasures,
+    tag_mismatch, agreement). Bob's final string is his key-message m,
+    resolved with Alice's p in V2. A row aborts with all_erasures when p
+    leaves no pivot, else with tag_mismatch when Alice's decoded tag is
+    wrong; it agrees when it has a pivot and both final strings are equal."""
+    bob_final, all_erasures = m, np.zeros(m.shape[:-1], bool)
+    if config.variant == V2:
+        bob_final, all_erasures = _resolve(m, record.p)
+    alice_final = np.zeros_like(bob_final) if record.C is None else record.C
+    tag_mismatch = ~all_erasures & ~verify_tag(record.m_prime, config)
+    return bob_final, all_erasures, tag_mismatch, ~all_erasures & (alice_final == bob_final).all(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -355,6 +365,7 @@ class SessionResult:
     derivation: DerivationRecord
     accepted: bool
     abort_reason: str | None
+    agreement: bool  # both parties' final strings are equal (see settle)
     bob_final: np.ndarray | None
     alice_final: np.ndarray | None
     noise_codes_forward: np.ndarray
@@ -364,14 +375,6 @@ class SessionResult:
     delivered_to_bob: QubitRegister
     delivered_to_alice: QubitRegister
     bob_ops: np.ndarray  # uint8 mask of XZ applications, one entry per qubit
-
-    @property
-    def agreement(self) -> bool:
-        return (
-            self.alice_final is not None
-            and self.bob_final is not None
-            and bool(np.array_equal(self.alice_final, self.bob_final))
-        )
 
     def transcript_text(self) -> str:
         """Structured-text session transcript; stable across replays."""
@@ -449,38 +452,26 @@ def complete_round_trip(
     """Run phases II and III against an already-prepared qubit string;
     `streams` are as _transit takes them."""
     m = as_bits(key_message)
-    fwd_codes, eve_fwd, delivered_to_bob, bob_ops, bwd_codes, eve_bwd, delivered_to_alice, c = _transit(
-        config, prep, m, link, streams
-    )
+    fwd_codes, eve_fwd, to_bob, bob_ops, bwd_codes, eve_bwd, to_alice, c = _transit(config, prep, m, link, streams)
     record = derive(config, c, prep.a)
-
-    abort_reason = None
-    if record.C is None:
-        abort_reason = "all_erasures"
-        bob_final = None
-    elif config.variant == V2:
-        bob_final = _resolve(m, record.p)
-    else:
-        bob_final = m
-    accepted = abort_reason is None and verify_tag(record.m_prime, config)
-    if abort_reason is None and not accepted:
-        abort_reason = "tag_mismatch"
-
+    bob_final, all_erasures, tag_mismatch, agreement = settle(config, record, m)
+    abort_reason = "all_erasures" if all_erasures else "tag_mismatch" if tag_mismatch else None
     return SessionResult(
         config=config,
         prep=prep,
         key_message=m,
         derivation=record,
-        accepted=accepted,
+        accepted=abort_reason is None,
         abort_reason=abort_reason,
-        bob_final=bob_final,
+        agreement=bool(agreement),
+        bob_final=None if all_erasures else bob_final,
         alice_final=record.C,
         noise_codes_forward=fwd_codes,
         noise_codes_backward=bwd_codes,
         eve_forward=eve_fwd,
         eve_backward=eve_bwd,
-        delivered_to_bob=delivered_to_bob,
-        delivered_to_alice=delivered_to_alice,
+        delivered_to_bob=to_bob,
+        delivered_to_alice=to_alice,
         bob_ops=bob_ops,
     )
 
@@ -533,21 +524,7 @@ def run_batch(config: RunConfig, link: LinkSettings, rngs) -> BatchResult:
     rows = RowStreams(rngs)
     prep = alice_prepare(config, rows)
     m = bob_build_key_message(config, rows)
-    c = _transit(config, prep, m, link, (rows,) * 4)[-1]
-    m_prime, ties = _decode(config, c ^ prep.a)
-    correct = m_prime == m
-    all_erasures = np.zeros(len(m), dtype=bool)
-    if config.variant == V2:
-        # Both parties resolve with Alice's p, so their strings agree iff a
-        # pivot exists and every non-erased block decoded correctly.
-        all_erasures = ties.all(axis=-1)
-        correct |= ties == 1
-    tag_ok = verify_tag(m_prime, config)
-    return BatchResult(
-        key_message=m,
-        m_prime=m_prime,
-        ties=ties,
-        agreement=correct.all(axis=-1) & ~all_erasures,
-        all_erasures=all_erasures,
-        tag_mismatch=~all_erasures & ~tag_ok,
-    )
+    record = derive(config, _transit(config, prep, m, link, (rows,) * 4)[-1], prep.a)
+    _, all_erasures, tag_mismatch, agreement = settle(config, record, m)
+    ties = record.ties if record.p is None else record.p
+    return BatchResult(m, record.m_prime, ties, agreement, all_erasures, tag_mismatch)

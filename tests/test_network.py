@@ -83,6 +83,12 @@ def test_per_leaf_basis_pools():
     assert result.outcomes["celine"].result.config.basis_pool == celine_pool
 
 
+def test_per_leaf_pools_for_unknown_leaves_are_rejected():
+    config = RunConfig(n_bits=8, basis_pool=POOL, seed=5)
+    with pytest.raises(ValueError, match="alcie"):
+        run_star_session(Topology(leaves=("alice", "celine")), config, per_leaf_pools={"alcie": POOL})
+
+
 def test_frames_are_recorded_per_link_and_direction():
     config = RunConfig(n_bits=4, basis_pool=POOL, seed=6)
     result = run_star_session(make_topology(3), config)

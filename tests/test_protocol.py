@@ -21,7 +21,7 @@ from twoway_qkd import (
     run_session,
     verify_tag,
 )
-from twoway_qkd.protocol import LinkSettings, derive, run_batch
+from twoway_qkd.protocol import LinkSettings, _resolve, derive, run_batch
 from twoway_qkd.qubit import ZX
 
 POOL = (Basis(0.0), Basis(math.pi / 8), Basis(math.pi / 4))
@@ -51,6 +51,11 @@ def test_run_config_validation():
     RunConfig(n_bits=4, variant="V1", repetition=3, tag_length=5)
     with pytest.raises(ValueError, match="seed"):
         RunConfig(n_bits=4, seed=-1)
+    # Huge finite angles must not overflow the distinctness check.
+    RunConfig(n_bits=4, basis_pool=(Basis(1e308), Basis(-1e308)))
+    for pool in [(1e308, 1e308), (0.0, 2 * math.pi), (0.3, 0.3 + math.pi)]:
+        with pytest.raises(ValueError, match="modulo pi"):
+            RunConfig(n_bits=4, basis_pool=tuple(Basis(theta) for theta in pool))
 
 
 def test_prepare_encodes_bits_in_chosen_bases():
@@ -385,6 +390,47 @@ def test_all_erasures_session_aborts_cleanly():
     record = derive(RunConfig(n_bits=2, repetition=2, variant="V2"), [1, 0, 0, 1], [0, 0, 0, 0])
     assert record.C is None
     assert record.p.tolist() == [1, 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["V1", "V2", "V3"]),
+    st.integers(1, 4),
+    st.integers(1, 5),
+    st.integers(1, 8),
+    st.integers(0, 2**31 - 1),
+)
+def test_derive_and_resolve_rows_match_one_string(variant, t, n_bits, rows, seed):
+    config = RunConfig(n_bits=n_bits, repetition=t, variant=variant)
+    rng = np.random.default_rng(seed)
+    c, a = rng.integers(0, 2, (2, rows, t * n_bits), dtype=np.uint8)
+    # Some rows tie in every block (all erased in V2), the rest are random.
+    tied = rng.random(rows) < 0.3
+    if t % 2 == 0:
+        c[tied] = a[tied] ^ np.tile(np.repeat([0, 1], t // 2), n_bits)
+    record = derive(config, c, a)
+    for r in range(rows):
+        single = derive(config, c[r], a[r])
+        for field in ("c", "M", "m_prime", "p", "ties"):
+            row, one = getattr(record, field), getattr(single, field)
+            assert (row is None) == (one is None) and (one is None or np.array_equal(row[r], one)), field
+        if single.C is None:
+            assert variant == "V2" and record.p[r].all() and not record.C[r].any()
+        else:
+            assert np.array_equal(record.C[r], single.C)
+
+    bits = rng.integers(0, 2, (rows, n_bits), dtype=np.uint8)
+    p = rng.integers(0, 2, (rows, n_bits), dtype=np.uint8)
+    p[tied] = 1
+    resolved, all_erased = _resolve(bits, p)
+    assert np.array_equal(all_erased, p.all(axis=-1))
+    for r in range(rows):
+        if all_erased[r]:
+            assert not resolved[r].any()
+            with pytest.raises(AllErasuresError):
+                resolve_erasures(bits[r], p[r])
+        else:
+            assert np.array_equal(resolved[r], resolve_erasures(bits[r], p[r]))
 
 
 @settings(max_examples=30, deadline=None)
