@@ -102,7 +102,7 @@ def perturb_register(
 ) -> tuple[QubitRegister, np.ndarray]:
     """Vectorized perturb over a whole qubit string; returns the sampled codes."""
     if noise.is_trivial():
-        return register, np.zeros(register.amp0.shape, dtype=np.int8)
+        return register, np.zeros(register.codes.shape, dtype=np.int8)
     codes = noise.sample_codes(len(register), rng)
     return register.apply_pauli_codes(codes), codes
 

@@ -99,6 +99,9 @@ class Topology:
         unknown = set(self.links) - set(self.leaves)
         if unknown:
             raise ValueError(f"link settings for unknown leaves: {sorted(unknown)}")
+        for leaf, link in self.links.items():
+            if not isinstance(link, LinkSettings):
+                raise ValueError(f"link settings for leaf {leaf!r} must be LinkSettings, got {link!r}")
         if len(self.leaves) >= 1 << 16:
             raise ValueError("at most 65535 leaves (16-bit link ids)")
 
@@ -138,7 +141,8 @@ def _register_frames(link_id: int, direction: int, register: QubitRegister) -> n
 
     Raises ValueError, as WireFrame does, if any payload is not normalized.
     """
-    norm = np.abs(register.amp0) ** 2 + np.abs(register.amp1) ** 2
+    amp0, amp1 = register.amp0, register.amp1
+    norm = np.abs(amp0) ** 2 + np.abs(amp1) ** 2
     if not np.all(np.abs(norm - 1.0) <= NORM_TOLERANCE):
         raise ValueError("payload must be a normalized state")
     frames = np.empty(len(register), FRAME_DTYPE)
@@ -146,10 +150,10 @@ def _register_frames(link_id: int, direction: int, register: QubitRegister) -> n
     frames["direction"] = direction
     frames["sequence"] = np.arange(len(register))
     amplitudes = frames["amplitudes"]
-    amplitudes[:, 0] = register.amp0.real
-    amplitudes[:, 1] = register.amp0.imag
-    amplitudes[:, 2] = register.amp1.real
-    amplitudes[:, 3] = register.amp1.imag
+    amplitudes[:, 0] = amp0.real
+    amplitudes[:, 1] = amp0.imag
+    amplitudes[:, 2] = amp1.real
+    amplitudes[:, 3] = amp1.imag
     return frames
 
 

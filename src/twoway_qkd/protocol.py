@@ -21,6 +21,7 @@ Three variants:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -113,27 +114,37 @@ def _write_index(rows: np.ndarray, first: int, width: int) -> None:
         row = stop
 
 
-def _render_rows(n: int, fields, numbered: bool) -> list[str]:
-    """Text rows 0 to n-1: r in decimal (when numbered), then table[codes[r]]
-    for each (table, codes) field, pad bytes dropped. Rows are split into
-    runs of equal index width, then 2**16-row chunks; each chunk is laid out
-    as one fixed-width buffer, compacted once, and returned as one string."""
-    padded = any((table.view(np.uint8) == 0).any() for table, _ in fields)
-    chunks, start = [], 0
+def _render_rows(head: bytes, table: np.ndarray, codes, numbered: bool) -> str:
+    """head, then text row r for each entry of the code arrays: r in decimal
+    (when numbered), then the cell table[codes[0][r], codes[1][r], ...], pad
+    bytes dropped. Rows are split into runs of equal index width, then 2**16-row
+    chunks; each chunk is gathered as full-width items and compacted into one
+    output buffer, which is decoded once."""
+    n, padded = len(codes[0]), (table.view(np.uint8) == 0).any()
+    widest = len(str(n - 1)) if numbered else 0
+    items = np.zeros(table.size, f"S{widest + table.itemsize}")
+    _cells(items, widest, table.itemsize)[:] = table.ravel()
+    out = np.empty(len(head) + n * items.itemsize, np.uint8)
+    out[: len(head)] = np.frombuffer(head, np.uint8)
+    start, end = 0, len(head)
     while start < n:
         width = len(str(start)) if numbered else 0
-        stop = min(n, start + (1 << 16), 10**width if numbered else n)
-        rows = np.empty(stop - start, f"S{width + sum(table.itemsize for table, _ in fields)}")
-        if numbered:
-            _write_index(rows, start, width)
-        col = width
-        for table, codes in fields:
-            _cells(rows, col, table.itemsize)[:] = table[codes[start:stop]]
-            col += table.itemsize
-        text = rows.view(np.uint8)
-        chunks.append(str((text[text != 0] if padded else text).data, "ascii"))
-        start = stop
-    return chunks
+        run_stop = min(n, 10**width) if numbered else n
+        run_items = _cells(items, widest - width, width + table.itemsize)
+        for first in range(start, run_stop, 1 << 16):
+            chunk, index = slice(first, min(run_stop, first + (1 << 16))), 0
+            for c, size in zip(codes, table.shape):
+                index = index * size + c[chunk]
+            rows = run_items.take(index)
+            if numbered:
+                _write_index(rows, first, width)
+            text = rows.view(np.uint8)
+            if padded:
+                text = text[text != 0]
+            out[end : end + len(text)] = text
+            end += len(text)
+        start = run_stop
+    return str(out[:end].data, "ascii")
 
 
 @dataclass(frozen=True)
@@ -155,6 +166,10 @@ class RunConfig:
     tag_bits: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        for name in ("n_bits", "repetition", "tag_length", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_bits < 1:
             raise ValueError("n_bits must be >= 1")
         if self.repetition < 1:
@@ -165,6 +180,8 @@ class RunConfig:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if not self.basis_pool:
             raise ValueError("basis pool must be non-empty")
+        if not all(isinstance(b, Basis) for b in self.basis_pool):
+            raise ValueError(f"basis_pool entries must be Basis objects: {list(self.basis_pool)}")
         angles = [b.theta for b in self.basis_pool]
         if not all(math.isfinite(theta) for theta in angles):
             raise ValueError(f"basis_pool angles must be finite: {angles}")
@@ -393,7 +410,7 @@ class SessionResult:
             f"accepted={int(self.accepted)}",
             "abort_reason=" + (self.abort_reason or ""),
             "a=" + bits_to_text(self.prep.a),
-            "b=" + "".join(_render_rows(len(basis), [(np.array([b"%d," % k for k in pool]), basis)], False))[:-1],
+            _render_rows(b"b=", np.array([b"%d," % k for k in pool]), [basis], False)[:-1],
             "m=" + bits_to_text(self.key_message),
             "c=" + bits_to_text(d.c),
             "M=" + bits_to_text(d.M),
@@ -403,16 +420,17 @@ class SessionResult:
             "ties=" + (bits_to_text(d.ties) if d.ties is not None else ""),
             "columns=index basis_index sent_bit noise_fwd eve_fwd bob_op noise_bwd eve_bwd measured_bit",
         ]
-        # The columns after basis_index take 2*5*2*5*2 = 200 values, each rendered once.
+        # The columns after basis_index take 2*5*2*5*2 = 200 values, each rendered once;
+        # a row's cell is its basis index's cell followed by one of those.
         fwd_eve, bwd_eve = ("E" if tap is not None else "-" for tap in (self.eve_forward, self.eve_backward))
         tails = np.array([
             f" {sent} {PAULI_TAGS[fwd]} {fwd_eve} {'XZ' if op else 'I'} {PAULI_TAGS[bwd]} {bwd_eve} {got}\n".encode()
             for sent, fwd, op, bwd, got in np.ndindex(2, 5, 2, 5, 2)
         ])
+        cells = np.char.add(np.array([b" %d" % k for k in pool])[:, None], tails)
         sent, fwd, bwd = self.prep.a, self.noise_codes_forward, self.noise_codes_backward
         code = (((sent * 5 + fwd) * 2 + self.bob_ops) * 5 + bwd) * 2 + d.c
-        rows = _render_rows(len(basis), [(np.array([b" %d" % k for k in pool]), basis), (tails, code)], True)
-        return "".join(["\n".join(lines), "\n", *rows])
+        return _render_rows("\n".join([*lines, ""]).encode(), cells, [basis, code], True)
 
 
 def _transit(config: RunConfig, prep: PreparationRecord, m: np.ndarray, link: LinkSettings, streams) -> tuple:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -260,75 +261,136 @@ def apply_channel(rho: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
 PAULI_CODES = {"I": 0, "X": 1, "Z": 2, "XZ": 3, "ZX": 4}
 PAULI_TAGS = {v: k for k, v in PAULI_CODES.items()}
 
-# Each Pauli word by code, as the register applies it: swap the amplitudes
-# or not, then negate each where its flag is set (XZ: n0, n1 = -a1, a0).
-_SWAP = np.array([False, True, False, True, True])
-_NEGATE0 = np.array([False, False, False, True, False])
-_NEGATE1 = np.array([False, False, True, False, True])
+# Signed swap v (0-7): swap the amplitude pair if bit 0 is set, then negate
+# the amplitude of |0> (bit 1) and of |1> (bit 2); exact, zero signs included.
+# Each Pauli word is one, by code (XZ: -a1, a0), and so is v followed by a word.
+_WORD_SWAPS = (0, 1, 4, 3, 5)
+
+
+def _then(v: int, w: int) -> int:
+    """The signed swap that applies v, then w."""
+    if w & 1:  # w swaps: v's swap bit flips and its two negations trade places
+        v ^= 1 | 6 * ((v >> 1 ^ v >> 2) & 1)
+    return v ^ (w & 6)
+
+
+#: Code change for signed swap v then Pauli code w, at index w * 8 + v.
+_DELTA = np.array([_then(v, w) - v for w in _WORD_SWAPS for v in range(8)])
+
+
+def _born(thetas: np.ndarray, index, amp0: np.ndarray, amp1: np.ndarray) -> np.ndarray:
+    """Born probability of outcome 1 measuring at thetas[index]."""
+    # Cast per pool angle as numpy casts a float operand: bit-equal products.
+    ip = (-np.sin(thetas)).astype(complex).take(index) * amp0
+    ip += np.cos(thetas).astype(complex).take(index) * amp1
+    p1 = np.abs(ip)
+    return np.minimum(1.0, np.square(p1, out=p1), out=p1)
+
+
+def _as_pool(thetas, index) -> tuple[np.ndarray, np.ndarray]:
+    """(pool angles, index); per-qubit angles (no index) become a pool of
+    their distinct bit patterns, so that -0.0 stays apart from 0.0."""
+    thetas = np.ascontiguousarray(thetas, dtype=float)
+    if index is None:
+        pool, index = np.unique(thetas.view(np.uint64), return_inverse=True)
+        return pool.view(float), index.reshape(thetas.shape)
+    return thetas, index
+
+
+class _StateTable:
+    """The amplitudes of every code 8 * k + v (state k under signed swap v),
+    and the Born probabilities of every code per measuring pool. Registers
+    derived from one another share a table, and so do all registers encoded
+    in one pool (_pool_table)."""
+
+    def __init__(self, amp0: np.ndarray, amp1: np.ndarray):
+        v, amps = np.arange(8), np.array([amp0, amp1])[:, :, None]
+        pair = np.where(v & 1, amps[::-1], amps)
+        negate = np.array([v >> 1 & 1, v >> 2 & 1], dtype=bool)[:, None, :]
+        self.amps = np.where(negate, -pair, pair).reshape(2, -1)
+        self.dtype = np.min_scalar_type(self.amps.shape[1] - 1)
+        self.born: dict[bytes, np.ndarray] = {}  # pool bytes -> P(1) of code c at angle j, at j * 8S + c
+
+
+@lru_cache(maxsize=64)
+def _pool_table(key: bytes) -> _StateTable:
+    """State i * P + j is bit i in the basis at angle j of the pool with these
+    float64 bytes. Cached: every session in one pool shares its tables."""
+    thetas = np.frombuffer(key)
+    c, s = np.cos(thetas), np.sin(thetas)
+    return _StateTable(np.concatenate([c, -s]).astype(complex), np.concatenate([s, c]).astype(complex))
 
 
 class QubitRegister:
-    """A string of independent qubits, stored as two complex amplitude arrays.
+    """A string of independent qubits, stored as one code per qubit into a
+    table of states (_StateTable); amp0 and amp1 are gathered on access.
 
-    The arrays have shape (Q,) for one string or (..., Q) for a batch of
+    The codes have shape (Q,) for one string or (..., Q) for a batch of
     strings, one per leading index; len() is Q. A batched register draws its
     randomness from a RowStreams, one row per generator. All methods return
     new registers; instances are never mutated.
     """
 
-    __slots__ = ("amp0", "amp1")
+    __slots__ = ("table", "codes")
 
     def __init__(self, amp0: np.ndarray, amp1: np.ndarray):
-        self.amp0 = np.asarray(amp0, dtype=complex)
-        self.amp1 = np.asarray(amp1, dtype=complex)
-        if self.amp0.shape != self.amp1.shape or self.amp0.ndim == 0:
+        amp0, amp1 = np.asarray(amp0, dtype=complex), np.asarray(amp1, dtype=complex)
+        if amp0.shape != amp1.shape or amp0.ndim == 0:
             raise ValueError("amplitude arrays must have equal shape and at least one axis")
+        self.table = _StateTable(amp0.ravel(), amp1.ravel())
+        self.codes = (np.arange(amp0.size, dtype=self.table.dtype) << 3).reshape(amp0.shape)
+
+    @classmethod
+    def _of(cls, table: _StateTable, codes: np.ndarray) -> "QubitRegister":
+        register = object.__new__(cls)
+        register.table, register.codes = table, codes
+        return register
 
     @classmethod
     def encode(cls, bits: np.ndarray, thetas: np.ndarray, index: np.ndarray | None = None) -> "QubitRegister":
         """Vectorized encode_bit: qubit k holds bits[k] in the basis at
         thetas[k], or at thetas[index[k]] when an index is given."""
-        if index is None:  # each angle is its own pool entry
-            thetas, index = np.ravel(thetas), np.arange(np.size(thetas)).reshape(np.shape(thetas))
-        c, s = np.cos(thetas), np.sin(thetas)
-        # Column i * P + j: the amplitudes of bit i in the basis at pool angle j.
-        table = np.array([np.concatenate([c, -s]), np.concatenate([s, c])], dtype=complex)
-        return cls(*table.take(np.asarray(bits, dtype=np.intp) * len(c) + index, axis=1))
+        thetas, index = _as_pool(thetas, index)
+        table = _pool_table(thetas.tobytes())
+        codes = np.asarray(bits, dtype=table.dtype) * len(thetas) + np.asarray(index).astype(table.dtype)
+        return cls._of(table, codes << 3)
 
     def __len__(self) -> int:
-        return self.amp0.shape[-1]
+        return self.codes.shape[-1]
+
+    amp0 = property(lambda self: self.table.amps[0].take(self.codes), doc="Amplitudes of |0>, gathered on access.")
+    amp1 = property(lambda self: self.table.amps[1].take(self.codes), doc="Amplitudes of |1>, gathered on access.")
 
     def state(self, k: int) -> PureState:
-        return PureState(complex(self.amp0[k]), complex(self.amp1[k]))
+        amp0, amp1 = self.table.amps[:, self.codes[k]]
+        return PureState(complex(amp0), complex(amp1))
 
-    def _signed_swap(self, swap, negate0, negate1) -> "QubitRegister":
-        # Swap and negation are exact: every result bit, a zero's sign included.
-        n0 = np.where(swap, self.amp1, self.amp0)
-        n1 = np.where(swap, self.amp0, self.amp1)
-        np.negative(n0, out=n0, where=negate0)
-        np.negative(n1, out=n1, where=negate1)
-        return QubitRegister(n0, n1)
+    def _apply(self, words) -> "QubitRegister":
+        # One gather: each code's signed swap followed by its Pauli word.
+        index = self.codes & 7
+        index |= np.asarray(words, dtype=self.codes.dtype) << 3
+        return QubitRegister._of(self.table, self.codes + _DELTA.astype(self.codes.dtype).take(index))
 
     def apply_pauli(self, op: PauliWord, mask: np.ndarray | None = None) -> "QubitRegister":
         """Apply one Pauli word to every qubit (or only where mask is true)."""
         code = PAULI_CODES[op.tag]
-        on = True if mask is None else np.asarray(mask, dtype=bool)
-        return self._signed_swap(on & _SWAP[code], on & _NEGATE0[code], on & _NEGATE1[code])
+        return self._apply(code if mask is None else np.asarray(mask, dtype=bool) * np.uint8(code))
 
     def apply_pauli_codes(self, codes: np.ndarray) -> "QubitRegister":
         """Apply a per-qubit Pauli word given as integer codes (PAULI_CODES)."""
-        return self._signed_swap(_SWAP.take(codes), _NEGATE0.take(codes), _NEGATE1.take(codes))
+        return self._apply(codes)
 
     def probability_of_one(self, thetas: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
         """Born probability of outcome 1 per qubit, measuring at thetas (or at
         the pool thetas gathered by index)."""
-        if index is None:
-            thetas, index = np.ravel(thetas), np.arange(np.size(thetas)).reshape(np.shape(thetas))
-        # Cast per pool angle as numpy casts a float operand: bit-equal products.
-        ip = (-np.sin(thetas)).astype(complex).take(index) * self.amp0
-        ip += np.cos(thetas).astype(complex).take(index) * self.amp1
-        p1 = np.abs(ip)
-        return np.minimum(1.0, np.square(p1, out=p1), out=p1)
+        thetas, index = _as_pool(thetas, index)
+        n_codes, key = self.table.amps.shape[1], thetas.tobytes()
+        if n_codes * len(thetas) > self.codes.size:  # a pair table larger than the register
+            return _born(thetas, index, self.amp0, self.amp1)
+        if key not in self.table.born:
+            j, code = np.divmod(np.arange(len(thetas) * n_codes), n_codes)
+            self.table.born[key] = _born(thetas, j, *self.table.amps.take(code, axis=1))
+        return self.table.born[key].take(np.asarray(index, dtype=np.intp) * n_codes + self.codes)
 
     def measure(self, thetas: np.ndarray, rng: Rng, index: np.ndarray | None = None) -> np.ndarray:
         """Measure every qubit in its own basis; returns a uint8 bit array."""

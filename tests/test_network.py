@@ -34,6 +34,8 @@ def test_topology_validation():
         Topology(hub="a", leaves=("a", "b"))
     with pytest.raises(ValueError):
         Topology(leaves=("a",), links={"b": LinkSettings()})
+    with pytest.raises(ValueError, match="'a'"):
+        Topology(leaves=("a",), links={"a": "oops"})
 
 
 def test_wireframe_pack_unpack_roundtrip():
@@ -87,6 +89,9 @@ def test_per_leaf_pools_for_unknown_leaves_are_rejected():
     config = RunConfig(n_bits=8, basis_pool=POOL, seed=5)
     with pytest.raises(ValueError, match="alcie"):
         run_star_session(Topology(leaves=("alice", "celine")), config, per_leaf_pools={"alcie": POOL})
+    # A pool of plain angles is a config error, not an AttributeError deep in a leaf.
+    with pytest.raises(ValueError, match="basis_pool"):
+        run_star_session(Topology(leaves=("alice", "celine")), config, per_leaf_pools={"alice": [0.1, 0.2]})
 
 
 def test_frames_are_recorded_per_link_and_direction():

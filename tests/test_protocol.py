@@ -56,6 +56,13 @@ def test_run_config_validation():
     for pool in [(1e308, 1e308), (0.0, 2 * math.pi), (0.3, 0.3 + math.pi)]:
         with pytest.raises(ValueError, match="modulo pi"):
             RunConfig(n_bits=4, basis_pool=tuple(Basis(theta) for theta in pool))
+    # Counts and the seed must be integers (not bools); pool entries must be Basis objects.
+    for field, value in [("n_bits", 4.5), ("repetition", 2.0), ("tag_length", True), ("seed", True), ("seed", "0")]:
+        with pytest.raises(ValueError, match=field):
+            RunConfig(**{"n_bits": 4, field: value})
+    with pytest.raises(ValueError, match="basis_pool"):
+        RunConfig(n_bits=4, basis_pool=(0.1,))
+    RunConfig(n_bits=np.int64(4), repetition=np.int32(2), seed=np.uint8(1))
 
 
 def test_prepare_encodes_bits_in_chosen_bases():

@@ -332,6 +332,70 @@ def test_pool_indexed_kernels_match_per_qubit_angles(data, pool, runs, qubits):
     assert phased.probability_of_one(thetas).tobytes() == expected.tobytes()
 
 
+def _encoded(bit_rows: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """encode_bit's amplitudes per qubit, cos and sin evaluated per qubit."""
+    c, s, one = np.cos(thetas), np.sin(thetas), bit_rows == 1
+    return np.where(one, -s, c).astype(complex), np.where(one, c, s).astype(complex)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.data(),
+    st.lists(finite_angles, min_size=1, max_size=3),
+    st.lists(finite_angles, min_size=1, max_size=3),
+    st.integers(1, 3),
+    st.integers(1, 96),
+    st.lists(st.sampled_from(["codes", "masked", "eve"]), min_size=1, max_size=6),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+def test_successive_layers_match_the_word_oracle_bit_for_bit(data, pool, eve_pool, runs, qubits, layers, phased, seed):
+    """Pauli layers compose exactly: after any sequence of noise codes,
+    masked words and Eve-style re-encodings, every amplitude bit (zero signs
+    included) equals the words applied one at a time in Python complex
+    arithmetic, and measurement reads the per-qubit Born formula byte for byte."""
+    pool, eve_pool, shape = np.array(pool), np.array(eve_pool), (runs, qubits)
+    rng = np.random.default_rng(seed)
+    bit_rows, index = rng.integers(0, 2, shape, dtype=np.uint8), rng.integers(0, len(pool), shape)
+    amp0, amp1 = _encoded(bit_rows, pool[index])
+    reg = QubitRegister.encode(bit_rows, pool, index)
+    if phased:  # arbitrary complex amplitudes: a register with a table of its own
+        phase = np.exp(1j * rng.uniform(-math.pi, math.pi, shape))
+        amp0, amp1 = amp0 * phase, amp1 * phase
+        reg = QubitRegister(amp0, amp1)
+    expected = [[(complex(amp0[r, k]), complex(amp1[r, k])) for k in range(qubits)] for r in range(runs)]
+
+    for layer in layers:
+        if layer == "eve":
+            eve_index = rng.integers(0, len(eve_pool), shape)
+            outcomes = reg.measure(eve_pool, rng, eve_index)
+            reg = QubitRegister.encode(outcomes, eve_pool, eve_index)
+            fresh0, fresh1 = _encoded(outcomes, eve_pool[eve_index])
+            expected = [[(complex(fresh0[r, k]), complex(fresh1[r, k])) for k in range(qubits)] for r in range(runs)]
+            continue
+        if layer == "codes":
+            codes = rng.integers(0, 5, shape).astype(np.int8)
+            reg = reg.apply_pauli_codes(codes)
+        else:
+            word = data.draw(st.sampled_from(sorted(PAULI_CODES)))
+            mask = rng.random(shape) < 0.5
+            reg = reg.apply_pauli(PauliWord(word), mask=mask)
+            codes = np.where(mask, PAULI_CODES[word], 0)
+        for (r, k), code in np.ndenumerate(codes):
+            expected[r][k] = WORD_ARITHMETIC[PAULI_TAGS[int(code)]](*expected[r][k])
+
+    want0 = np.array([[a0 for a0, _ in row] for row in expected], dtype=complex)
+    want1 = np.array([[a1 for _, a1 in row] for row in expected], dtype=complex)
+    assert reg.amp0.tobytes() == want0.tobytes()
+    assert reg.amp1.tobytes() == want1.tobytes()
+
+    measure_index = rng.integers(0, len(pool), shape)
+    thetas = pool[measure_index]
+    born = np.minimum(1.0, np.abs(-np.sin(thetas) * want0 + np.cos(thetas) * want1) ** 2)
+    assert reg.probability_of_one(pool, measure_index).tobytes() == born.tobytes()
+    assert reg.probability_of_one(thetas).tobytes() == born.tobytes()
+
+
 class _FixedDraws:
     """Stands in for a generator whose random() returns the given values."""
 
