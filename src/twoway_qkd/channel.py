@@ -124,8 +124,12 @@ class EveStrategy:
             raise ValueError(f"unknown Eve strategy {self.kind!r}")
         if self.kind != ABSENT and not self.basis_pool:
             raise ValueError("active Eve strategy needs a non-empty basis pool")
-        if not all(math.isfinite(theta) for theta in self.basis_pool):
-            raise ValueError(f"basis_pool angles must be finite: {list(self.basis_pool)}")
+        try:
+            finite = all(math.isfinite(theta) for theta in self.basis_pool)
+        except TypeError:
+            finite = False
+        if not finite:
+            raise ValueError(f"basis_pool angles must be finite numbers: {list(self.basis_pool)}")
         if not self.legs <= {FORWARD, BACKWARD}:
             raise ValueError(f"legs must be a subset of {{forward, backward}}: {self.legs}")
         object.__setattr__(self, "legs", frozenset(self.legs))

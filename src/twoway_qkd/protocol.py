@@ -64,6 +64,11 @@ class LinkSettings:
     noise_backward: NoiseModel = NoiseModel()
     eve: EveStrategy = EveStrategy.absent()
 
+    def __post_init__(self) -> None:
+        for name, kind in (("noise_forward", NoiseModel), ("noise_backward", NoiseModel), ("eve", EveStrategy)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be of type {kind.__name__}, got {getattr(self, name)!r}")
+
 
 class AllErasuresError(ValueError):
     """Every block tied: no pivot exists for erasure resolution."""
@@ -147,6 +152,10 @@ def _render_rows(head: bytes, table: np.ndarray, codes, numbered: bool) -> str:
     return str(out[:end].data, "ascii")
 
 
+# RunConfig.resolved_tag_bits' default tag of each length, built on first use.
+_DEFAULT_TAGS: dict[int, np.ndarray] = {}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Parameters of one protocol session.
@@ -209,10 +218,15 @@ class RunConfig:
         return np.array([b.theta for b in self.basis_pool])
 
     def resolved_tag_bits(self) -> np.ndarray:
-        """The pre-agreed check sequence; defaults to alternating 1,0,1,0..."""
+        """The pre-agreed check sequence; defaults to alternating 1,0,1,0...
+        The default is built once per length, read-only, and shared."""
         if self.tag_bits is not None:
             return as_bits(self.tag_bits)
-        return np.fromiter(((k + 1) % 2 for k in range(self.tag_length)), np.uint8, self.tag_length)
+        tag = _DEFAULT_TAGS.get(self.tag_length)
+        if tag is None:
+            tag = _DEFAULT_TAGS[self.tag_length] = ((np.arange(self.tag_length) + 1) % 2).astype(np.uint8)
+            tag.flags.writeable = False
+        return tag
 
 
 @dataclass(frozen=True)
@@ -537,7 +551,8 @@ def run_batch(config: RunConfig, link: LinkSettings, rngs) -> BatchResult:
     Row r draws from rngs[r] exactly what run_session(config,
     link.noise_forward, link.noise_backward, link.eve, rng=rngs[r]) draws,
     in the same order, and has the same key-message, decoded message and
-    abort reason.
+    abort reason. rngs[r] may also be a PCG64 bit generator; the row is then
+    the session a Generator over it drives (RowStreams).
     """
     rows = RowStreams(rngs)
     prep = alice_prepare(config, rows)

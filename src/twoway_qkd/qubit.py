@@ -24,24 +24,102 @@ Rng = np.random.Generator
 
 
 class RowStreams:
-    """One generator per row of a batch, drawn in lockstep.
+    """One PCG64 stream per row of a batch, drawn in lockstep.
 
-    Each call draws one row from every generator with the same arguments and
-    stacks the rows, so generator r sees exactly the calls a one-session run
-    would make on it. Stands in for a Generator wherever a batched register
-    (leading run axis) is drawn for.
+    Each call draws one row from every stream with the same arguments and
+    stacks the rows. Row r holds what the same call on a Generator over
+    stream r returns, and leaves the stream as that call would, so it sees
+    exactly the draws a one-session run makes. Stands in for a Generator
+    wherever a batched register (leading run axis) is drawn for. Rows are
+    Generators or bit generators that keep a spare 32-bit half as PCG64 does.
+
+    Values are decoded from bit_generator.random_raw words as Generator
+    decodes them. random() takes (word >> 11) * 2**-53. integers() takes
+    32-bit halves, low half first; a spare high half stays pending for the
+    stream's next integers() call (the state's has_uint32), and random()
+    never uses it. A uint8 span of 2 takes the top bit of each byte, low byte
+    first. An int64 span takes Lemire's (half * span) >> 32 and rejects a
+    half whose product has low 32 bits below 2**32 % span.
     """
 
-    __slots__ = ("rngs",)
+    __slots__ = ("bits", "pending")
 
     def __init__(self, rngs):
-        self.rngs = tuple(rngs)
+        self.bits = tuple(getattr(rng, "bit_generator", rng) for rng in rngs)
+        states = [bit.state for bit in self.bits]
+        if not states or not all("has_uint32" in state for state in states):
+            raise ValueError("RowStreams needs at least one row, each keeping a spare 32-bit half as PCG64 does")
+        # Each stream's pending high half, or -1 when it holds none.
+        self.pending = [state["uinteger"] if state["has_uint32"] else -1 for state in states]
 
-    def integers(self, *args, **kwargs) -> np.ndarray:
-        return np.array([rng.integers(*args, **kwargs) for rng in self.rngs])
+    def _halves(self, count: int) -> np.ndarray:
+        """The next `count` 32-bit halves of every row, (R, count) little-endian uint32."""
+        rows, held = len(self.bits), sum(spare >= 0 for spare in self.pending)
+        if 0 < held < rows:  # rows differ (rare: after a Lemire rejection, or as given)
+            return np.array([[self._next_half(r) for _ in range(count)] for r in range(rows)], "<u4")
+        words = (count + 1 - (held > 0)) // 2
+        raw = np.concatenate([bit.random_raw(words) for bit in self.bits]).astype("<u8", copy=False)
+        halves = raw.view("<u4").reshape(rows, 2 * words)
+        if held:
+            halves = np.concatenate([np.array(self.pending, "<u4")[:, None], halves], axis=1)
+        if count < halves.shape[1]:
+            self.pending = halves[:, count].tolist()
+        elif held:
+            self.pending = [-1] * rows
+        return halves[:, :count]
 
-    def random(self, *args, **kwargs) -> np.ndarray:
-        return np.array([rng.random(*args, **kwargs) for rng in self.rngs])
+    def _next_half(self, row: int) -> int:
+        half = self.pending[row]
+        if half >= 0:
+            self.pending[row] = -1
+            return half
+        word = int(self.bits[row].random_raw())
+        self.pending[row] = word >> 32
+        return word & 0xFFFFFFFF
+
+    def _lemire(self, n: int, span: int) -> np.ndarray:
+        products = self._halves(n).astype(np.uint64) * span
+        values = products >> 32
+        threshold = (1 << 32) % span  # a half is rejected with probability threshold / 2**32
+        if threshold and np.count_nonzero(rejected := products.astype(np.uint32) < threshold):
+            for row in np.flatnonzero(rejected.any(axis=1)):
+                kept = values[row][~rejected[row]].tolist()
+                while len(kept) < n:
+                    product = self._next_half(row) * span
+                    if product & 0xFFFFFFFF >= threshold:
+                        kept.append(product >> 32)
+                values[row] = kept
+        return values
+
+    def integers(self, low, high=None, size: int = 1, dtype=np.int64) -> np.ndarray:
+        """(R, size) values in [low, high), or in [0, low) when high is None."""
+        if high is None:
+            low, high = 0, low
+        dtype, span, n, before = np.dtype(dtype), int(high) - int(low), int(size), list(self.pending)
+        if span == 1:  # draws nothing, as in Generator
+            values = np.zeros((len(self.bits), n), dtype)
+        elif span == 2 and dtype == np.uint8:
+            values = self._halves(-(-n // 4)).view(np.uint8)[:, :n] >> 7
+        elif 1 < span <= 1 << 32 and dtype == np.int64:
+            values = self._lemire(n, span).astype(dtype)
+        else:
+            raise ValueError(f"RowStreams draws span 1, uint8 span 2 and int64 spans up to 2**32, not {dtype} span {span}")
+        if self.pending != before:
+            for bit, spare, old in zip(self.bits, self.pending, before):
+                if spare != old:
+                    state = bit.state
+                    if spare >= 0:
+                        state["uinteger"] = spare
+                    state["has_uint32"] = int(spare >= 0)
+                    bit.state = state
+        if low:
+            values += dtype.type(low)
+        return values
+
+    def random(self, size: int = 1) -> np.ndarray:
+        """(R, size) uniforms in [0, 1)."""
+        raw = np.concatenate([bit.random_raw(size) for bit in self.bits])
+        return (raw >> 11).reshape(len(self.bits), size) * 2.0**-53
 
 
 # Tolerances: exact double-precision identities vs accumulated channel sums.

@@ -21,6 +21,8 @@ from twoway_qkd.harness import (
     _binomial_se,
     _cell_eve,
     _cell_run_config,
+    _row_seed_words,
+    _SeedWords,
 )
 
 BASE = {
@@ -371,3 +373,17 @@ def test_unwritable_output_path(tmp_path):
     config = make_config()
     with pytest.raises(ConfigError, match="output_dir"):
         emit_results(run_experiment(config), target / "sub")
+
+
+@pytest.mark.parametrize("seed", [0, 2**32, 2**130 + 3])
+@pytest.mark.parametrize("cell", [3, 2**32 + 5])
+def test_row_seed_words_match_seed_sequence(seed, cell):
+    # Rows on both sides of 2**32, where a row index grows from one uint32 word to two.
+    for start, count in [(0, 3), (2**32 - 2, 4)]:
+        words = _row_seed_words(seed, (cell,), start, count)
+        assert words.dtype == np.uint64 and words.shape == (count, 4)
+        for r in range(count):
+            spawned = np.random.SeedSequence(seed, spawn_key=(cell, start + r))
+            assert np.array_equal(words[r], spawned.generate_state(4, np.uint64))
+            # A PCG64 seeded from the words is the stream the SeedSequence would seed.
+            assert np.array_equal(np.random.PCG64(_SeedWords(words[r])).random_raw(3), np.random.PCG64(spawned).random_raw(3))

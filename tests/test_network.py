@@ -36,6 +36,9 @@ def test_topology_validation():
         Topology(leaves=("a",), links={"b": LinkSettings()})
     with pytest.raises(ValueError, match="'a'"):
         Topology(leaves=("a",), links={"a": "oops"})
+    # A link's own fields are checked when the LinkSettings is built.
+    with pytest.raises(ValueError, match="noise_backward"):
+        Topology(leaves=("a",), links={"a": LinkSettings(noise_backward="x")})
 
 
 def test_wireframe_pack_unpack_roundtrip():

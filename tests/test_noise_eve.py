@@ -99,6 +99,10 @@ def test_eve_strategy_validation():
         EveStrategy(kind="intercept_resend", basis_pool=(0.0,), legs=frozenset({"sideways"}))
     with pytest.raises(ValueError, match="finite"):
         EveStrategy.intercept_resend((0.0, float("nan")))
+    # A pool entry that is not a number is a ValueError naming the pool, not a TypeError.
+    for pool in (["a"], [0.0, None], [0.0, 1j]):
+        with pytest.raises(ValueError, match="basis_pool"):
+            EveStrategy.intercept_resend(pool)
 
 
 def test_eve_absent_is_noop():

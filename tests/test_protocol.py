@@ -63,6 +63,25 @@ def test_run_config_validation():
     with pytest.raises(ValueError, match="basis_pool"):
         RunConfig(n_bits=4, basis_pool=(0.1,))
     RunConfig(n_bits=np.int64(4), repetition=np.int32(2), seed=np.uint8(1))
+    # Link fields must be a NoiseModel or an EveStrategy, checked where the link is built.
+    for field, value in [("noise_forward", "x"), ("noise_backward", 0.1), ("eve", None)]:
+        with pytest.raises(ValueError, match=field):
+            LinkSettings(**{field: value})
+    with pytest.raises(ValueError, match="noise_forward"):
+        run_session(RunConfig(n_bits=4), noise_forward="x")
+    with pytest.raises(ValueError, match="eve"):
+        run_session(RunConfig(n_bits=4), eve="intercept_resend")
+
+
+def test_default_tag_is_built_once_and_read_only():
+    config = RunConfig(n_bits=12, tag_length=7)
+    tag = config.resolved_tag_bits()
+    assert tag.dtype == np.uint8 and tag.tolist() == [1, 0, 1, 0, 1, 0, 1]
+    assert RunConfig(n_bits=9, tag_length=7, seed=3).resolved_tag_bits() is tag
+    with pytest.raises(ValueError):
+        tag[0] = 0
+    assert config.resolved_tag_bits().tolist() == [1, 0, 1, 0, 1, 0, 1]
+    assert RunConfig(n_bits=4).resolved_tag_bits().shape == (0,)
 
 
 def test_prepare_encodes_bits_in_chosen_bases():

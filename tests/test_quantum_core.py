@@ -27,7 +27,7 @@ from twoway_qkd import (
     measure_in_basis,
     to_density,
 )
-from twoway_qkd.qubit import PAULI_CODES, PAULI_TAGS
+from twoway_qkd.qubit import PAULI_CODES, PAULI_TAGS, RowStreams
 
 angles = st.floats(min_value=-4 * math.pi, max_value=4 * math.pi, allow_nan=False)
 bits = st.sampled_from([0, 1])
@@ -429,6 +429,110 @@ def test_sample_codes_count_edges_like_searchsorted(p_x, p_z, p_xz, seed):
     assert codes.dtype == np.int8
     assert np.array_equal(codes, np.searchsorted(edges, u, side="right"))
     assert np.array_equal(noise.sample_codes(len(u), _FixedDraws(np.tile(u, (2, 1)))), np.tile(codes, (2, 1)))
+
+
+# One draw as the protocol makes it: ("uint8", n) is integers(0, 2, n, uint8);
+# ("int64", low, span, n) is integers(span, size=n) when low is None and
+# integers(low, low + span, size=n) otherwise; ("random", n) is random(n).
+row_calls = st.one_of(
+    st.tuples(st.just("uint8"), st.integers(1, 70)),
+    st.tuples(st.just("int64"), st.none() | st.integers(-5, 5), st.integers(1, 12), st.integers(1, 70)),
+    st.tuples(st.just("random"), st.integers(1, 70)),
+)
+
+
+def _draw(source, call):
+    kind, *args = call
+    if kind == "uint8":
+        return source.integers(0, 2, size=args[0], dtype=np.uint8)
+    if kind == "random":
+        return source.random(args[0])
+    low, span, n = args
+    return source.integers(span, size=n) if low is None else source.integers(low, low + span, size=n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 2**64 - 1), st.booleans()), min_size=1, max_size=5),
+    st.lists(row_calls, min_size=1, max_size=8),
+    st.booleans(),
+)
+def test_row_streams_equal_generator_calls_stacked(rows, calls, as_bit_generators):
+    # Each row is a seed and whether its generator starts with a pending half
+    # word (four uint8 draws take one of two halves).
+    def generators():
+        gens = [np.random.default_rng(seed) for seed, _ in rows]
+        for gen, (_, pending) in zip(gens, rows):
+            if pending:
+                gen.integers(0, 2, size=4, dtype=np.uint8)
+        return gens
+
+    batch, reference = generators(), generators()
+    streams = RowStreams([gen.bit_generator for gen in batch] if as_bit_generators else batch)
+    for call in calls:
+        got, want = _draw(streams, call), np.array([_draw(gen, call) for gen in reference])
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    # Each stream is left as Generator leaves it: a further draw agrees.
+    for gen, ref in zip(batch, reference):
+        assert gen.bit_generator.state["has_uint32"] == ref.bit_generator.state["has_uint32"]
+        assert np.array_equal(gen.integers(0, 7, size=9), ref.integers(0, 7, size=9))
+        assert gen.bit_generator.state == ref.bit_generator.state
+
+
+class _WordSource:
+    """Stands in for a PCG64: hands out fixed 64-bit words and holds a
+    has_uint32/uinteger state for RowStreams to read and write."""
+
+    def __init__(self, words):
+        self.words = list(words)
+        self.state = {"has_uint32": 0, "uinteger": 0}
+
+    def random_raw(self, size=None):
+        if size is None:
+            return self.words.pop(0)
+        drawn, self.words = self.words[:size], self.words[size:]
+        return np.array(drawn, np.uint64)
+
+
+def _lemire_bounded(next_uint32, span):
+    """numpy's buffered_bounded_lemire_uint32 for rng = span - 1, transcribed."""
+    rng = span - 1
+    rng_excl = rng + 1
+    m = next_uint32() * rng_excl
+    leftover = m & 0xFFFFFFFF
+    if leftover < rng_excl:
+        threshold = (0xFFFFFFFF - rng) % rng_excl
+        while leftover < threshold:
+            m = next_uint32() * rng_excl
+            leftover = m & 0xFFFFFFFF
+    return m >> 32
+
+
+def test_row_streams_lemire_rejection_redraws_like_numpy():
+    # For span 3 the only rejected half word is 0 (2**32 % 3 == 1). Row 0's
+    # first word is all zeros and its second has a zero low half; row 1 has none.
+    extra = [int(w) for w in np.random.default_rng(5).integers(1, 2**63, size=12)]
+    words = [[0, 7 << 32, *extra[:6]], extra[6:]]
+    streams = RowStreams([_WordSource(row) for row in words])
+    got = [streams.integers(3, size=5), streams.integers(0, 3, size=4), streams.integers(0, 2, size=5, dtype=np.uint8)]
+
+    for r, row in enumerate(words):
+        halves, taken = iter([half for word in row for half in (word & 0xFFFFFFFF, word >> 32)]), []
+
+        def next_uint32():
+            taken.append(next(halves))
+            return taken[-1]
+
+        first = [_lemire_bounded(next_uint32, 3) for _ in range(5)]
+        second = [_lemire_bounded(next_uint32, 3) for _ in range(4)]
+        third = [int(byte) >> 7 for byte in np.array([next_uint32(), next_uint32()], "<u4").view(np.uint8)[:5]]
+        assert got[0][r].tolist() == first and got[1][r].tolist() == second and got[2][r].tolist() == third
+        # Row 0 takes 14 halves, row 1 takes 11: only row 1 keeps the high half of its last word.
+        assert len(taken) == (14, 11)[r]
+        assert streams.bits[r].state["has_uint32"] == len(taken) % 2
+        if len(taken) % 2:
+            assert streams.bits[r].state["uinteger"] == next(halves)
 
 
 def test_pure_state_rejects_unnormalized():
