@@ -49,7 +49,7 @@ from .protocol import V2, LinkSettings, RunConfig, run_batch
 # Not called here: kept importable as harness.run_session, a name
 # bench/tracer.py wraps.
 from .protocol import run_session
-from .qubit import Basis
+from .qubit import Basis, RowStreams, _row_seed_words
 
 CONFIG_FILENAME = "config_resolved.json"
 CSV_FILENAME = "results.csv"
@@ -300,68 +300,6 @@ def _cell_eve(config: ExperimentConfig, kind: str) -> EveStrategy:
     return _build(f"sweep eve value {kind!r}", EveStrategy, kind=kind, basis_pool=pool, legs=legs)
 
 
-# SeedSequence's hash constants, as numpy's bit_generator module defines them.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def _hash_consts(init: int, mult: int, first: int, count: int) -> np.ndarray:
-    """init * mult**k mod 2**32 for k = first, ..., first + count: the hash
-    constant before and after each of `count` hashing steps."""
-    consts = [init * pow(mult, first, 1 << 32) % (1 << 32)]
-    for _ in range(count):
-        consts.append(consts[-1] * mult % (1 << 32))
-    return np.array(consts, np.uint32)
-
-
-_STATE_HASH = _hash_consts(_INIT_B, _MULT_B, 0, 8)
-
-
-def _n_words(value: int) -> int:
-    """How many uint32 words SeedSequence splits a non-negative int into."""
-    return max(1, -(-value.bit_length() // 32))
-
-
-def _row_seed_words(seed: int, key: tuple, start: int, count: int) -> np.ndarray:
-    """(count, 4) uint64: row r is the PCG64 seed state
-    SeedSequence(seed, spawn_key=key + (start + r,)).generate_state(4, np.uint64).
-
-    SeedSequence mixes the entropy the rows share (seed, then key) into its
-    pool once. Each row's last spawn-key word (two from 2**32 on) is then
-    mixed into that pool, and the state generated, for all rows at once, in
-    uint32 arithmetic that wraps as SeedSequence's does.
-    """
-    pool = np.random.SeedSequence(seed, spawn_key=key).pool
-    # Each entropy word takes four hashmix steps; a spawn key pads the seed to four words.
-    steps = 4 * (max(4, _n_words(seed)) + sum(_n_words(k) for k in key))
-    # Row indices as (low, high) uint32 word pairs.
-    rows = np.arange(start, start + count, dtype="<u8").view("<u4").reshape(count, 2)
-    for word in range(1 + (start + count > 1 << 32)):
-        hashes = _hash_consts(_INIT_A, _MULT_A, steps + 4 * word, 4)
-        value = (rows[:, word, None] ^ hashes[:4]) * hashes[1:]
-        value ^= value >> 16
-        mixed = _MIX_MULT_L * pool - _MIX_MULT_R * value
-        mixed ^= mixed >> 16
-        pool = np.where(rows[:, 1, None] > 0, mixed, pool) if word else mixed
-    state = (np.concatenate([pool, pool], axis=1) ^ _STATE_HASH[:8]) * _STATE_HASH[1:]
-    state ^= state >> 16
-    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
-
-
-class _SeedWords(np.random.bit_generator.ISeedSequence):
-    """Hands PCG64 the four uint64 seed words _row_seed_words computed for a
-    row, in place of the SeedSequence that would generate the same words."""
-
-    __slots__ = ("words",)
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-        return self.words
-
-
 def run_experiment(config: ExperimentConfig) -> RunStatistics:
     """Execute repetitions x sweep-grid sessions and aggregate per-cell rates.
 
@@ -370,7 +308,7 @@ def run_experiment(config: ExperimentConfig) -> RunStatistics:
     independent and the whole grid is reproducible from the config. A cell's
     repetitions run through run_batch in chunks of at most BATCH_QUBITS
     qubit slots; a chunk's seed states are derived in one pass
-    (_row_seed_words).
+    (_row_seed_words) and seed its rows' streams (RowStreams.from_seed_words).
     """
     cells = []
     for cell_index, params in enumerate(config.cells()):
@@ -390,7 +328,7 @@ def run_experiment(config: ExperimentConfig) -> RunStatistics:
         for start in range(0, config.repetitions, chunk):
             count = min(chunk, config.repetitions - start)
             words = _row_seed_words(config.run.seed, (cell_index,), start, count)
-            batch = run_batch(run_config, link, [np.random.PCG64(_SeedWords(row)) for row in words])
+            batch = run_batch(run_config, link, RowStreams.from_seed_words(words))
             for qber in np.mean(batch.m_prime != batch.key_message, axis=-1).tolist():
                 qber_sum += qber
             agreements += int(batch.agreement.sum())

@@ -6,9 +6,9 @@ fans out into one independent stream per (link, purpose) via numpy
 SeedSequence spawn keys, plus one hub stream for the shared key-message.
 This makes link transcripts independent by construction: events on link i
 cannot move the stream of link j, and a one-leaf star is bit-identical to
-the two-party session. Links are processed sequentially; since every
-operation is pure and streams are per-link, interleaved scheduling would
-produce identical transcripts.
+the two-party session. Leaves with the same link settings and pool run as
+the rows of one batched pass; since every operation is pure and streams
+are per-link, any grouping or order produces identical transcripts.
 """
 
 from __future__ import annotations
@@ -22,14 +22,13 @@ from .protocol import (
     LinkSettings,
     RunConfig,
     SessionResult,
+    _round_trip,
+    _session_result,
     alice_prepare,
     bob_build_key_message,
-    complete_round_trip,
     hub_rng,
-    link_rng,
-    link_streams,
 )
-from .qubit import PureState, QubitRegister
+from .qubit import PureState, QubitRegister, RowStreams, _row_seed_words
 
 TO_HUB = 0
 TO_LEAF = 1
@@ -45,6 +44,7 @@ _FRAME_STRUCT = struct.Struct("<HBQdddd")
 FRAME_SIZE = _FRAME_STRUCT.size
 FRAME_DTYPE = np.dtype([("link_id", "<u2"), ("direction", "u1"), ("sequence", "<u8"), ("amplitudes", "<f8", (4,))])
 NORM_TOLERANCE = 1e-9
+_CLEAN_LINK = LinkSettings()  # a link the topology lists no settings for
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ class Topology:
             raise ValueError("at most 65535 leaves (16-bit link ids)")
 
     def link_settings(self, leaf: str) -> LinkSettings:
-        return self.links.get(leaf, LinkSettings())
+        return self.links.get(leaf, _CLEAN_LINK)
 
 
 @dataclass(frozen=True)
@@ -136,25 +136,29 @@ class StarSessionResult:
         return [name for name, o in self.outcomes.items() if o.result.accepted]
 
 
-def _register_frames(link_id: int, direction: int, register: QubitRegister) -> np.ndarray:
-    """One FRAME_DTYPE record per qubit, sequence numbers from 0.
-
-    Raises ValueError, as WireFrame does, if any payload is not normalized.
-    """
-    amp0, amp1 = register.amp0, register.amp1
-    norm = np.abs(amp0) ** 2 + np.abs(amp1) ** 2
-    if not np.all(np.abs(norm - 1.0) <= NORM_TOLERANCE):
+def _register_frames(link_id, direction, register: QubitRegister, frames: np.ndarray | None = None) -> np.ndarray:
+    """FRAME_DTYPE records, sequence numbers from 0, into `frames` or a new
+    array: (Q,) for one register, (R, Q) for rows with one link id each.
+    Amplitudes come from a per-code (re0, im0, re1, im1) table, -0.0 kept.
+    Raises ValueError, as WireFrame does, if any payload is not normalized."""
+    amps, codes = register.table.amps, register.codes
+    unnormalized = ~(np.abs(np.abs(amps[0]) ** 2 + np.abs(amps[1]) ** 2 - 1.0) <= NORM_TOLERANCE)
+    if unnormalized.any() and unnormalized.take(codes).any():
         raise ValueError("payload must be a normalized state")
-    frames = np.empty(len(register), FRAME_DTYPE)
-    frames["link_id"] = link_id
+    frames = np.empty(codes.shape, FRAME_DTYPE) if frames is None else frames
+    frames["link_id"] = np.expand_dims(link_id, -1)
     frames["direction"] = direction
     frames["sequence"] = np.arange(len(register))
-    amplitudes = frames["amplitudes"]
-    amplitudes[:, 0] = amp0.real
-    amplitudes[:, 1] = amp0.imag
-    amplitudes[:, 2] = amp1.real
-    amplitudes[:, 3] = amp1.imag
+    frames["amplitudes"] = amps.view(float).reshape(2, -1, 2).transpose(1, 0, 2).reshape(-1, 4).take(codes, axis=0)
     return frames
+
+
+def _group_key(config: RunConfig, link: LinkSettings) -> tuple:
+    """Leaves with equal keys run as rows of one pass. LinkSettings and Basis
+    compare -0.0 equal to 0.0, but state tables key on float bytes, so angles
+    are keyed by their bytes (Eve's with their dtype, which her taps keep)."""
+    eve_pool = np.asarray(link.eve.basis_pool)
+    return link, eve_pool.dtype.str, eve_pool.tobytes(), config.pool_angles.astype(float).tobytes()
 
 
 def run_star_session(
@@ -179,20 +183,35 @@ def run_star_session(
 
     key_message = bob_build_key_message(config, hub_rng(seed))
 
-    outcomes: dict[str, LeafOutcome] = {}
-    for link_id, leaf in enumerate(topology.leaves):
-        leaf_config = config
-        if leaf in per_leaf_pools:
-            leaf_config = replace(config, basis_pool=tuple(per_leaf_pools[leaf]))
-        prep = alice_prepare(leaf_config, link_rng(seed, link_id, 0))
-        result = complete_round_trip(
-            leaf_config, prep, key_message, topology.link_settings(leaf), link_streams(seed, link_id)
-        )
-        frames = np.empty(0, FRAME_DTYPE)
+    leaves = topology.leaves
+    configs = [replace(config, basis_pool=tuple(per_leaf_pools[leaf])) if leaf in per_leaf_pools else config
+               for leaf in leaves]
+    links = [topology.link_settings(leaf) for leaf in leaves]
+    groups: dict[tuple, list[int]] = {}
+    for link_id, (leaf_config, link) in enumerate(zip(configs, links)):
+        groups.setdefault(_group_key(leaf_config, link), []).append(link_id)
+    # Row 5 * link + purpose seeds the stream link_rng(seed, link, purpose).
+    words = _row_seed_words(seed, np.arange(len(leaves))[:, None], 0, 5)
+    # A row of (to-hub, to-leaf) frames per leaf, a group's consecutive; (L, 0, Q) if unrecorded.
+    frames = np.empty((len(leaves), 2 * record_frames, config.qubit_count), FRAME_DTYPE)
+    outcomes, start = [None] * len(leaves), 0
+    for ids in groups.values():
+        rows = np.array(ids)
+        group_config, link = configs[ids[0]], links[ids[0]]
+        prep = alice_prepare(group_config, RowStreams.from_seed_words(words[5 * rows]))
+        m = np.broadcast_to(key_message, (len(ids), len(key_message)))
+        # Purposes 1-4 the pass draws from; no name holds their streams past it.
+        drawn = (not link.noise_forward.is_trivial(), any(map(link.eve.attacks, link.eve.legs)),
+                 not link.noise_backward.is_trivial(), True)
+        passed = _round_trip(group_config, prep, m, link, [
+            RowStreams.from_seed_words(words[5 * rows + purpose]) if used else None
+            for purpose, used in enumerate(drawn, 1)
+        ])
+        block, start = frames[start : start + len(ids)], start + len(ids)
         if record_frames:
-            frames = np.concatenate([
-                _register_frames(link_id, TO_HUB, result.delivered_to_bob),
-                _register_frames(link_id, TO_LEAF, result.delivered_to_alice),
-            ])
-        outcomes[leaf] = LeafOutcome(leaf, link_id, result, frames)
-    return StarSessionResult(key_message=key_message, outcomes=outcomes)
+            _register_frames(rows, TO_HUB, passed[0][2], block[:, TO_HUB])
+            _register_frames(rows, TO_LEAF, passed[0][6], block[:, TO_LEAF])
+        for row, link_id in enumerate(ids):
+            result = _session_result(configs[link_id], prep, m, passed, row)
+            outcomes[link_id] = LeafOutcome(leaves[link_id], link_id, result, block[row].reshape(-1))
+    return StarSessionResult(key_message=key_message, outcomes={o.leaf: o for o in outcomes})

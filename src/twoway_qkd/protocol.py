@@ -457,6 +457,7 @@ def _transit(config: RunConfig, prep: PreparationRecord, m: np.ndarray, link: Li
     streams are ordered as link_streams returns them; they are separate so
     that the star network can give each link independent streams, and a
     session driven by one explicit generator passes that generator four times.
+    Noise streams are drawn from only for non-trivial noise, Eve's only if she taps.
     """
     eve = link.eve
     forward_rng, eve_rng, backward_rng, measure_rng = streams
@@ -478,34 +479,56 @@ def _transit(config: RunConfig, prep: PreparationRecord, m: np.ndarray, link: Li
     return fwd_codes, eve_fwd, delivered_to_bob, bob_ops, bwd_codes, eve_bwd, reg, c
 
 
+def _round_trip(config: RunConfig, prep: PreparationRecord, m: np.ndarray, link: LinkSettings, streams) -> tuple:
+    """Phases II and III, one session or a batch: (_transit's arrays, derivation record, settle's verdict)."""
+    transit = _transit(config, prep, m, link, streams)
+    record = derive(config, transit[-1], prep.a)
+    return transit, record, settle(config, record, m)
+
+
+def _row_tap(tap: EveObservation | None, row) -> EveObservation | None:
+    """Row `row` of a batched tap (a row array per field); a session's tap (row=...) as it is."""
+    if tap is None or row is ...:
+        return tap
+    return EveObservation(*(tuple(field[row]) if field else () for field in (tap.basis_angles, tap.outcomes)))
+
+
+def _session_result(config: RunConfig, prep: PreparationRecord, m: np.ndarray, passed: tuple, row=...) -> SessionResult:
+    """The SessionResult of a _round_trip pass's one session (row=...) or of
+    row `row` of a batch, under that session's config, from views of the
+    pass's arrays. C and Bob's final string are None if every block erased."""
+    (fwd_codes, eve_fwd, to_bob, bob_ops, bwd_codes, eve_bwd, to_alice, c), record, verdict = passed
+    bob_final, all_erasures, tag_mismatch, agreement = (flags[row] for flags in verdict)
+    abort_reason = "all_erasures" if all_erasures else "tag_mismatch" if tag_mismatch else None
+    alice_final = None if all_erasures else record.C[row]
+    p, ties = (None if bits is None else bits[row] for bits in (record.p, record.ties))
+    return SessionResult(
+        config=config,
+        prep=PreparationRecord(prep.a[row], prep.b[row], prep.register.row(row)),
+        key_message=m[row],
+        derivation=DerivationRecord(c[row], record.M[row], record.m_prime[row], p, alice_final, ties),
+        accepted=abort_reason is None,
+        abort_reason=abort_reason,
+        agreement=bool(agreement),
+        bob_final=None if all_erasures else bob_final,
+        alice_final=alice_final,
+        noise_codes_forward=fwd_codes[row],
+        noise_codes_backward=bwd_codes[row],
+        eve_forward=_row_tap(eve_fwd, row),
+        eve_backward=_row_tap(eve_bwd, row),
+        delivered_to_bob=to_bob.row(row),
+        delivered_to_alice=to_alice.row(row),
+        bob_ops=bob_ops[row],
+    )
+
+
 def complete_round_trip(
     config: RunConfig, prep: PreparationRecord, key_message, link: LinkSettings, streams: tuple[Rng, Rng, Rng, Rng]
 ) -> SessionResult:
     """Run phases II and III against an already-prepared qubit string;
     `streams` are as _transit takes them."""
     m = as_bits(key_message)
-    fwd_codes, eve_fwd, to_bob, bob_ops, bwd_codes, eve_bwd, to_alice, c = _transit(config, prep, m, link, streams)
-    record = derive(config, c, prep.a)
-    bob_final, all_erasures, tag_mismatch, agreement = settle(config, record, m)
-    abort_reason = "all_erasures" if all_erasures else "tag_mismatch" if tag_mismatch else None
-    return SessionResult(
-        config=config,
-        prep=prep,
-        key_message=m,
-        derivation=record,
-        accepted=abort_reason is None,
-        abort_reason=abort_reason,
-        agreement=bool(agreement),
-        bob_final=None if all_erasures else bob_final,
-        alice_final=record.C,
-        noise_codes_forward=fwd_codes,
-        noise_codes_backward=bwd_codes,
-        eve_forward=eve_fwd,
-        eve_backward=eve_bwd,
-        delivered_to_bob=to_bob,
-        delivered_to_alice=to_alice,
-        bob_ops=bob_ops,
-    )
+    return _session_result(config, prep, m, _round_trip(config, prep, m, link, streams))
 
 
 def run_session(
@@ -552,12 +575,11 @@ def run_batch(config: RunConfig, link: LinkSettings, rngs) -> BatchResult:
     link.noise_forward, link.noise_backward, link.eve, rng=rngs[r]) draws,
     in the same order, and has the same key-message, decoded message and
     abort reason. rngs[r] may also be a PCG64 bit generator; the row is then
-    the session a Generator over it drives (RowStreams).
+    the session a Generator over it drives (RowStreams); rngs may be a RowStreams.
     """
-    rows = RowStreams(rngs)
+    rows = rngs if isinstance(rngs, RowStreams) else RowStreams(rngs)
     prep = alice_prepare(config, rows)
     m = bob_build_key_message(config, rows)
-    record = derive(config, _transit(config, prep, m, link, (rows,) * 4)[-1], prep.a)
-    _, all_erasures, tag_mismatch, agreement = settle(config, record, m)
+    _, record, (_, all_erasures, tag_mismatch, agreement) = _round_trip(config, prep, m, link, (rows,) * 4)
     ties = record.ties if record.p is None else record.p
     return BatchResult(m, record.m_prime, ties, agreement, all_erasures, tag_mismatch)

@@ -52,6 +52,15 @@ class RowStreams:
         # Each stream's pending high half, or -1 when it holds none.
         self.pending = [state["uinteger"] if state["has_uint32"] else -1 for state in states]
 
+    @classmethod
+    def from_seed_words(cls, words: np.ndarray) -> "RowStreams":
+        """Rows over fresh PCG64 streams, row r seeded with the four uint64
+        words words[r] (_row_seed_words); a fresh stream holds no spare half."""
+        rows = object.__new__(cls)
+        rows.bits = tuple(np.random.PCG64(_SeedWords(row)) for row in words)
+        rows.pending = [-1] * len(rows.bits)
+        return rows
+
     def _halves(self, count: int) -> np.ndarray:
         """The next `count` 32-bit halves of every row, (R, count) little-endian uint32."""
         rows, held = len(self.bits), sum(spare >= 0 for spare in self.pending)
@@ -78,7 +87,8 @@ class RowStreams:
         return word & 0xFFFFFFFF
 
     def _lemire(self, n: int, span: int) -> np.ndarray:
-        products = self._halves(n).astype(np.uint64) * span
+        products = self._halves(n).astype(np.uint64)
+        products *= span
         values = products >> 32
         threshold = (1 << 32) % span  # a half is rejected with probability threshold / 2**32
         if threshold and np.count_nonzero(rejected := products.astype(np.uint32) < threshold):
@@ -119,7 +129,71 @@ class RowStreams:
     def random(self, size: int = 1) -> np.ndarray:
         """(R, size) uniforms in [0, 1)."""
         raw = np.concatenate([bit.random_raw(size) for bit in self.bits])
-        return (raw >> 11).reshape(len(self.bits), size) * 2.0**-53
+        raw >>= 11
+        return raw.reshape(len(self.bits), size) * 2.0**-53
+
+
+# SeedSequence's hash constants, as numpy's bit_generator module defines them.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# Hash constants before and after each of one word's hashmix steps, and of generate_state's.
+_MULT_A_POWERS = np.array([pow(_MULT_A, k, 1 << 32) for k in range(5)], np.uint32)
+_STATE_HASH = np.array([_INIT_B * pow(_MULT_B, k, 1 << 32) % (1 << 32) for k in range(9)], np.uint32)
+
+
+def _n_words(value: int) -> int:
+    """How many uint32 words SeedSequence splits a non-negative int into."""
+    return max(1, -(-value.bit_length() // 32))
+
+
+def _row_seed_words(seed: int, prefixes, start: int, count: int) -> np.ndarray:
+    """(P * count, 4) uint64 for P spawn-key prefixes (one key, or a (P, K)
+    array): row p * count + r is the PCG64 seed state SeedSequence(seed,
+    spawn_key=(*prefixes[p], start + r)).generate_state(4, np.uint64).
+
+    Key words follow the seed's, padded to four words as the pool is, so all
+    rows share SeedSequence(seed)'s pool and mix their key words into it (a
+    value from 2**32 on is two words, low first: each row keeps its own hash
+    constant) in uint32 arithmetic that wraps as SeedSequence's does.
+    """
+    prefixes = np.array(prefixes, "<u8", ndmin=2)
+    trailing = np.tile(np.arange(start, start + count, dtype="<u8"), len(prefixes))[:, None]
+    # SeedSequence mixes a prefix all rows share (a sweep cell) itself, once.
+    shared = tuple(prefixes[0].tolist()) if len(prefixes) == 1 else ()
+    keys = trailing if shared else np.column_stack([np.repeat(prefixes, count, axis=0), trailing])
+    words = keys.view("<u4").reshape(len(keys), -1, 2)
+    two_words = words[:, :, 1, None] > 0
+    pool = np.random.SeedSequence(seed, spawn_key=shared).pool[None]
+    # Four hashmix steps per entropy word, and the seed counts as at least four words.
+    steps = 4 * (max(4, _n_words(seed)) + sum(map(_n_words, shared)))
+    const = np.full((1, 1), _INIT_A * pow(_MULT_A, steps, 1 << 32) % (1 << 32), np.uint32)
+    for column, high in enumerate(two_words.any(axis=0)[:, 0]):
+        for half in (0, 1) if high else (0,):
+            hashes = const * _MULT_A_POWERS
+            value = (words[:, column, half, None] ^ hashes[:, :4]) * hashes[:, 1:]
+            value ^= value >> 16
+            mixed = _MIX_MULT_L * pool - _MIX_MULT_R * value
+            mixed ^= mixed >> 16
+            if half:  # only a value from 2**32 on has a high word to mix
+                mixed, hashes = np.where(two_words[:, column], mixed, pool), np.where(two_words[:, column], hashes, const)
+            pool, const = mixed, hashes[:, 4:]
+    state = (np.concatenate([pool, pool], axis=1) ^ _STATE_HASH[:8]) * _STATE_HASH[1:]
+    state ^= state >> 16
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """Hands PCG64 the four uint64 seed words _row_seed_words computed for a
+    row, in place of the SeedSequence that would generate the same words."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.words
 
 
 # Tolerances: exact double-precision identities vs accumulated channel sums.
@@ -424,6 +498,10 @@ class QubitRegister:
         register.table, register.codes = table, codes
         return register
 
+    def row(self, index) -> "QubitRegister":
+        """Row `index` of a batched register (index=...: all of it), sharing its table."""
+        return QubitRegister._of(self.table, self.codes[index])
+
     @classmethod
     def encode(cls, bits: np.ndarray, thetas: np.ndarray, index: np.ndarray | None = None) -> "QubitRegister":
         """Vectorized encode_bit: qubit k holds bits[k] in the basis at
@@ -468,7 +546,9 @@ class QubitRegister:
         if key not in self.table.born:
             j, code = np.divmod(np.arange(len(thetas) * n_codes), n_codes)
             self.table.born[key] = _born(thetas, j, *self.table.amps.take(code, axis=1))
-        return self.table.born[key].take(np.asarray(index, dtype=np.intp) * n_codes + self.codes)
+        flat = np.asarray(index, dtype=np.intp) * n_codes
+        flat += self.codes
+        return self.table.born[key].take(flat)
 
     def measure(self, thetas: np.ndarray, rng: Rng, index: np.ndarray | None = None) -> np.ndarray:
         """Measure every qubit in its own basis; returns a uint8 bit array."""

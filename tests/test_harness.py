@@ -21,9 +21,8 @@ from twoway_qkd.harness import (
     _binomial_se,
     _cell_eve,
     _cell_run_config,
-    _row_seed_words,
-    _SeedWords,
 )
+from twoway_qkd.qubit import RowStreams, _row_seed_words, _SeedWords
 
 BASE = {
     "variant": "V1",
@@ -387,3 +386,19 @@ def test_row_seed_words_match_seed_sequence(seed, cell):
             assert np.array_equal(words[r], spawned.generate_state(4, np.uint64))
             # A PCG64 seeded from the words is the stream the SeedSequence would seed.
             assert np.array_equal(np.random.PCG64(_SeedWords(words[r])).random_raw(3), np.random.PCG64(spawned).random_raw(3))
+    # Two-word keys (link, purpose), as a star derives them: rows of prefixes,
+    # each with purposes 0-4; the cell as a link mixes one- and two-word prefixes.
+    links = [0, 1, 65535, cell]
+    words = _row_seed_words(seed, np.array(links)[:, None], 0, 5)
+    assert words.dtype == np.uint64 and words.shape == (5 * len(links), 4)
+    streams = RowStreams.from_seed_words(words)
+    uniforms, bits = streams.random(3), streams.integers(0, 2, size=9, dtype=np.uint8)
+    for i, link in enumerate(links):
+        for purpose in range(5):
+            r = 5 * i + purpose
+            spawned = np.random.SeedSequence(seed, spawn_key=(link, purpose))
+            assert np.array_equal(words[r], spawned.generate_state(4, np.uint64))
+            reference = np.random.default_rng(spawned)
+            assert np.array_equal(uniforms[r], reference.random(3))
+            assert np.array_equal(bits[r], reference.integers(0, 2, size=9, dtype=np.uint8))
+            assert streams.bits[r].state == reference.bit_generator.state

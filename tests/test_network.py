@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twoway_qkd import (
     Basis,
@@ -16,6 +18,7 @@ from twoway_qkd import (
     run_star_session,
 )
 from twoway_qkd.network import FRAME_DTYPE, FRAME_SIZE, TO_HUB, TO_LEAF, _register_frames
+from twoway_qkd.protocol import alice_prepare, bob_build_key_message, complete_round_trip, hub_rng, link_rng, link_streams
 from twoway_qkd.qubit import QubitRegister
 
 POOL = (Basis(0.0), Basis(math.pi / 4))
@@ -211,3 +214,100 @@ def test_seed_override_reaches_every_leaf():
             overridden.outcomes[leaf].result.transcript_text()
             == direct.outcomes[leaf].result.transcript_text()
         )
+
+
+def reference_leaf(config, seed, link_id, link, key_message, record_frames):
+    """One leaf as the star ran it leaf by leaf: its own streams, one
+    round trip, then frames through the one-frame codec."""
+    prep = alice_prepare(config, link_rng(seed, link_id, 0))
+    result = complete_round_trip(config, prep, key_message, link, link_streams(seed, link_id))
+    frames = b""
+    if record_frames:
+        frames = b"".join(
+            WireFrame(link_id, direction, k, complex(register.amp0[k]), complex(register.amp1[k])).pack()
+            for direction, register in ((TO_HUB, result.delivered_to_bob), (TO_LEAF, result.delivered_to_alice))
+            for k in range(len(register))
+        )
+    return result, frames
+
+
+def assert_star_matches_reference(topology, config, pools, seed, record_frames):
+    star = run_star_session(topology, config, per_leaf_pools=pools, seed=seed, record_frames=record_frames)
+    config = replace(config, seed=seed)
+    key_message = bob_build_key_message(config, hub_rng(seed))
+    assert np.array_equal(star.key_message, key_message)
+    assert list(star.outcomes) == list(topology.leaves)
+    for link_id, leaf in enumerate(topology.leaves):
+        leaf_config = replace(config, basis_pool=tuple(pools[leaf])) if leaf in pools else config
+        want, frames = reference_leaf(leaf_config, seed, link_id, topology.link_settings(leaf), key_message, record_frames)
+        outcome = star.outcomes[leaf]
+        got = outcome.result
+        assert outcome.link_id == link_id and got.config == leaf_config
+        assert got.config.basis_pool == leaf_config.basis_pool
+        assert got.transcript_text() == want.transcript_text()
+        assert outcome.frames_bytes() == frames
+        assert (got.accepted, got.abort_reason, got.agreement) == (want.accepted, want.abort_reason, want.agreement)
+        assert type(got.accepted) is bool and type(got.agreement) is bool
+        for got_final, want_final in ((got.bob_final, want.bob_final), (got.alice_final, want.alice_final)):
+            assert (got_final is None) == (want_final is None)
+            if want_final is not None:
+                assert np.array_equal(got_final, want_final)
+        assert (got.derivation.C is None) == (want.derivation.C is None)
+        for got_tap, want_tap in ((got.eve_forward, want.eve_forward), (got.eve_backward, want.eve_backward)):
+            assert got_tap == want_tap
+            if want_tap is not None:
+                assert [type(x) for x in got_tap.basis_angles + got_tap.outcomes] == [
+                    type(x) for x in want_tap.basis_angles + want_tap.outcomes
+                ]
+    return star
+
+
+NOISES = (NoiseModel(), NoiseModel(p_bitflip=0.3), NoiseModel(p_phaseflip=0.25, p_both=0.25))
+EVE_POOL = (0.0, math.pi / 4)
+EVES = (EveStrategy.absent(),) + tuple(
+    strategy(EVE_POOL, legs=legs)
+    for strategy in (EveStrategy.intercept_resend, EveStrategy.substitute)
+    for legs in (("forward",), ("backward",), ("forward", "backward"))
+)
+LEAF_POOLS = (POOL, (Basis(0.1), Basis(0.9), Basis(1.3)), (Basis(math.pi / 8),))
+
+
+@st.composite
+def star_cases(draw):
+    variant = draw(st.sampled_from(["V1", "V2", "V3"]))
+    # V2 with even t, so that rows with every block erased occur.
+    t = draw(st.sampled_from([2, 4])) if variant == "V2" else draw(st.integers(1, 3))
+    n_bits = draw(st.integers(1, 5))
+    message_length = n_bits * t if variant == "V1" else n_bits
+    tag_length = draw(st.integers(1, message_length)) if draw(st.booleans()) else 0
+    config = RunConfig(n_bits=n_bits, repetition=t, variant=variant, basis_pool=POOL, tag_length=tag_length)
+    link = st.builds(LinkSettings, st.sampled_from(NOISES), st.sampled_from(NOISES), st.sampled_from(EVES))
+    settings_ = draw(st.lists(link, min_size=3, max_size=3, unique=True))
+    n_leaves = draw(st.integers(3, 9))
+    choices = [0, 1, 2] + draw(st.lists(st.integers(0, 3), min_size=n_leaves - 3, max_size=n_leaves - 3))
+    leaves = tuple(f"leaf{i}" for i in range(n_leaves))
+    # Choice 3: no entry in the topology's links (a clean link).
+    links = {leaf: settings_[c] for leaf, c in zip(leaves, choices) if c < 3}
+    pools = {leaf: LEAF_POOLS[c] for leaf in leaves if (c := draw(st.integers(0, 3))) < len(LEAF_POOLS)}
+    return Topology(leaves=leaves, links=links), config, pools, draw(st.integers(0, 2**40)), draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(star_cases())
+def test_batched_star_matches_the_per_leaf_reference(case):
+    assert_star_matches_reference(*case)
+
+
+def test_negative_zero_angles_keep_leaves_apart():
+    # LinkSettings and Basis compare -0.0 equal to 0.0, but the encoded
+    # amplitudes keep the sign: each leaf must match its own reference.
+    tapped = [LinkSettings(eve=EveStrategy.intercept_resend((zero, math.pi / 4))) for zero in (0.0, -0.0)]
+    assert tapped[0] == tapped[1] and hash(tapped[0]) == hash(tapped[1])
+    pools = {"leaf2": (Basis(0.0), Basis(math.pi / 4)), "leaf3": (Basis(-0.0), Basis(math.pi / 4))}
+    topology = Topology(leaves=("leaf0", "leaf1", "leaf2", "leaf3"), links={"leaf0": tapped[0], "leaf1": tapped[1]})
+    config = RunConfig(n_bits=16, basis_pool=POOL, tag_length=4)
+    star = assert_star_matches_reference(topology, config, pools, 29, True)
+    # The -0.0 leaves do carry a negative zero on the wire (Eve's resend, Alice's encoding).
+    for leaf in ("leaf1", "leaf3"):
+        amplitudes = star.outcomes[leaf].frame_array["amplitudes"]
+        assert np.any((amplitudes == 0) & np.signbit(amplitudes))
