@@ -122,6 +122,9 @@ class EveStrategy:
     def __post_init__(self) -> None:
         if self.kind not in (ABSENT, INTERCEPT_RESEND, SUBSTITUTE):
             raise ValueError(f"unknown Eve strategy {self.kind!r}")
+        # Stored hashable whatever iterables were given: a star groups its links by LinkSettings.
+        object.__setattr__(self, "basis_pool", tuple(self.basis_pool))
+        object.__setattr__(self, "legs", frozenset(self.legs))
         if self.kind != ABSENT and not self.basis_pool:
             raise ValueError("active Eve strategy needs a non-empty basis pool")
         try:
@@ -132,7 +135,6 @@ class EveStrategy:
             raise ValueError(f"basis_pool angles must be finite numbers: {list(self.basis_pool)}")
         if not self.legs <= {FORWARD, BACKWARD}:
             raise ValueError(f"legs must be a subset of {{forward, backward}}: {self.legs}")
-        object.__setattr__(self, "legs", frozenset(self.legs))
 
     @classmethod
     def absent(cls) -> "EveStrategy":
@@ -140,11 +142,11 @@ class EveStrategy:
 
     @classmethod
     def intercept_resend(cls, basis_pool, legs=(FORWARD,)) -> "EveStrategy":
-        return cls(INTERCEPT_RESEND, tuple(basis_pool), frozenset(legs))
+        return cls(INTERCEPT_RESEND, basis_pool, legs)
 
     @classmethod
     def substitute(cls, basis_pool, legs=(FORWARD,)) -> "EveStrategy":
-        return cls(SUBSTITUTE, tuple(basis_pool), frozenset(legs))
+        return cls(SUBSTITUTE, basis_pool, legs)
 
     def attacks(self, leg: str) -> bool:
         return self.kind != ABSENT and leg in self.legs

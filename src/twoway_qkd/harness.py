@@ -39,27 +39,18 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .channel import ABSENT, EveStrategy, NoiseModel
-from .protocol import V2, LinkSettings, RunConfig, run_batch
-# Not called here: kept importable as harness.run_session, a name
-# bench/tracer.py wraps.
-from .protocol import run_session
+from .protocol import V2, LinkSettings, RunConfig, _passes, run_batch
 from .qubit import Basis, RowStreams, _row_seed_words
 
 CONFIG_FILENAME = "config_resolved.json"
 CSV_FILENAME = "results.csv"
 SUMMARY_FILENAME = "summary.json"
-
-# Qubit slots (runs x qubits per run) one batched pass of a cell holds at
-# most; bounds memory whatever repetitions x qubit_count a config asks for.
-# A 64-qubit V1 cell with Eve on both legs peaks near 60 MiB at 2**16 and
-# 360 MiB at 2**20, and runs no faster with the wider chunks.
-BATCH_QUBITS = 1 << 16
 
 _CSV_COLUMNS = (
     "p_bitflip", "repetition", "eve", "tag_length", "runs",
@@ -251,15 +242,8 @@ class CellStats:
     erasure_se: float
 
     def to_dict(self) -> dict:
-        out = dict(self.params)
-        out.update(
-            runs=self.runs,
-            qber=self.qber, qber_se=self.qber_se,
-            agreement_rate=self.agreement_rate, agreement_se=self.agreement_se,
-            detection_rate=self.detection_rate, detection_se=self.detection_se,
-            erasure_rate=self.erasure_rate, erasure_se=self.erasure_se,
-        )
-        return out
+        """The cell's sweep parameters, then every other field by name."""
+        return {**self.params, **{f.name: getattr(self, f.name) for f in fields(self) if f.name != "params"}}
 
 
 @dataclass(frozen=True)
@@ -306,8 +290,8 @@ def run_experiment(config: ExperimentConfig) -> RunStatistics:
     Repetition r of cell i is driven by one PCG64 stream, the r-th spawn of
     SeedSequence(seed, spawn_key=(i,)), i.e. spawn key (i, r): cells are
     independent and the whole grid is reproducible from the config. A cell's
-    repetitions run through run_batch in chunks of at most BATCH_QUBITS
-    qubit slots; a chunk's seed states are derived in one pass
+    repetitions run through run_batch in chunks of at most BATCH_QUBITS qubit
+    slots (protocol._passes); a chunk's seed states are derived in one pass
     (_row_seed_words) and seed its rows' streams (RowStreams.from_seed_words).
     """
     cells = []
@@ -316,7 +300,6 @@ def run_experiment(config: ExperimentConfig) -> RunStatistics:
         p_bitflip = params["p_bitflip"]
         noise = _build(f"sweep p_bitflip value {p_bitflip}", replace, config.noise, p_bitflip=float(p_bitflip))
         link = LinkSettings(noise, noise, _cell_eve(config, params["eve"]))
-        chunk = max(1, BATCH_QUBITS // run_config.qubit_count)
 
         # The float sums add one repetition at a time, in repetition order:
         # a vectorized sum rounds differently, and the artifact bytes must
@@ -325,9 +308,8 @@ def run_experiment(config: ExperimentConfig) -> RunStatistics:
         agreements = 0
         detections = 0
         erasure_sum = 0.0
-        for start in range(0, config.repetitions, chunk):
-            count = min(chunk, config.repetitions - start)
-            words = _row_seed_words(config.run.seed, (cell_index,), start, count)
+        for chunk in _passes(config.repetitions, run_config.qubit_count):
+            words = _row_seed_words(config.run.seed, (cell_index,), chunk.start, chunk.stop - chunk.start)
             batch = run_batch(run_config, link, RowStreams.from_seed_words(words))
             for qber in np.mean(batch.m_prime != batch.key_message, axis=-1).tolist():
                 qber_sum += qber

@@ -1,14 +1,14 @@
 """Star generalization: one hub (Bob) shares a single key-message with any
 number of leaf parties over independent simulated quantum links.
 
-Seed splitting (see protocol.link_rng / protocol.hub_rng): a master seed
-fans out into one independent stream per (link, purpose) via numpy
-SeedSequence spawn keys, plus one hub stream for the shared key-message.
-This makes link transcripts independent by construction: events on link i
-cannot move the stream of link j, and a one-leaf star is bit-identical to
-the two-party session. Leaves with the same link settings and pool run as
-the rows of one batched pass; since every operation is pure and streams
-are per-link, any grouping or order produces identical transcripts.
+Seed splitting (see protocol._link_streams): a master seed fans out into
+one independent stream per (link, purpose), seeded with the words
+qubit._row_seed_words derives for that spawn key, plus one hub stream for
+the shared key-message. Events on link i cannot move the stream
+of link j, and a one-leaf star is bit-identical to the two-party session.
+Leaves with the same link settings and pool run as the rows of passes of at
+most protocol.BATCH_QUBITS qubit slots; as every operation is pure and
+streams are per-link, any grouping or split gives identical transcripts.
 """
 
 from __future__ import annotations
@@ -22,13 +22,15 @@ from .protocol import (
     LinkSettings,
     RunConfig,
     SessionResult,
+    _key_rng,
+    _link_streams,
+    _passes,
     _round_trip,
     _session_result,
     alice_prepare,
     bob_build_key_message,
-    hub_rng,
 )
-from .qubit import PureState, QubitRegister, RowStreams, _row_seed_words
+from .qubit import PureState, QubitRegister
 
 TO_HUB = 0
 TO_LEAF = 1
@@ -154,7 +156,7 @@ def _register_frames(link_id, direction, register: QubitRegister, frames: np.nda
 
 
 def _group_key(config: RunConfig, link: LinkSettings) -> tuple:
-    """Leaves with equal keys run as rows of one pass. LinkSettings and Basis
+    """Leaves with equal keys share passes. LinkSettings and Basis
     compare -0.0 equal to 0.0, but state tables key on float bytes, so angles
     are keyed by their bytes (Eve's with their dtype, which her taps keep)."""
     eve_pool = np.asarray(link.eve.basis_pool)
@@ -181,7 +183,7 @@ def run_star_session(
     if unknown:
         raise ValueError(f"basis pools for unknown leaves: {sorted(unknown)}")
 
-    key_message = bob_build_key_message(config, hub_rng(seed))
+    key_message = bob_build_key_message(config, _key_rng(seed))
 
     leaves = topology.leaves
     configs = [replace(config, basis_pool=tuple(per_leaf_pools[leaf])) if leaf in per_leaf_pools else config
@@ -190,27 +192,19 @@ def run_star_session(
     groups: dict[tuple, list[int]] = {}
     for link_id, (leaf_config, link) in enumerate(zip(configs, links)):
         groups.setdefault(_group_key(leaf_config, link), []).append(link_id)
-    # Row 5 * link + purpose seeds the stream link_rng(seed, link, purpose).
-    words = _row_seed_words(seed, np.arange(len(leaves))[:, None], 0, 5)
-    # A row of (to-hub, to-leaf) frames per leaf, a group's consecutive; (L, 0, Q) if unrecorded.
+    # A row of (to-hub, to-leaf) frames per leaf, a pass's consecutive; (L, 0, Q) if unrecorded.
     frames = np.empty((len(leaves), 2 * record_frames, config.qubit_count), FRAME_DTYPE)
     outcomes, start = [None] * len(leaves), 0
-    for ids in groups.values():
-        rows = np.array(ids)
+    for ids in [group[rows] for group in groups.values() for rows in _passes(len(group), config.qubit_count)]:
         group_config, link = configs[ids[0]], links[ids[0]]
-        prep = alice_prepare(group_config, RowStreams.from_seed_words(words[5 * rows]))
+        prep_rows, *streams = _link_streams(seed, ids, link)
+        prep = alice_prepare(group_config, prep_rows)
         m = np.broadcast_to(key_message, (len(ids), len(key_message)))
-        # Purposes 1-4 the pass draws from; no name holds their streams past it.
-        drawn = (not link.noise_forward.is_trivial(), any(map(link.eve.attacks, link.eve.legs)),
-                 not link.noise_backward.is_trivial(), True)
-        passed = _round_trip(group_config, prep, m, link, [
-            RowStreams.from_seed_words(words[5 * rows + purpose]) if used else None
-            for purpose, used in enumerate(drawn, 1)
-        ])
+        passed = _round_trip(group_config, prep, m, link, streams)
         block, start = frames[start : start + len(ids)], start + len(ids)
         if record_frames:
-            _register_frames(rows, TO_HUB, passed[0][2], block[:, TO_HUB])
-            _register_frames(rows, TO_LEAF, passed[0][6], block[:, TO_LEAF])
+            _register_frames(ids, TO_HUB, passed[0][2], block[:, TO_HUB])
+            _register_frames(ids, TO_LEAF, passed[0][6], block[:, TO_LEAF])
         for row, link_id in enumerate(ids):
             result = _session_result(configs[link_id], prep, m, passed, row)
             outcomes[link_id] = LeafOutcome(leaves[link_id], link_id, result, block[row].reshape(-1))

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import BACKWARD, FORWARD, EveObservation, EveStrategy, NoiseModel, perturb_register, eve_tap_register
-from .qubit import PAULI_TAGS, Basis, QubitRegister, Rng, RowStreams, XZ
+from .qubit import PAULI_TAGS, Basis, QubitRegister, Rng, RowStreams, XZ, _row_seed_words, _SeedWords
 
 V1 = "V1"
 V2 = "V2"
@@ -36,24 +36,33 @@ V3 = "V3"
 VARIANTS = (V1, V2, V3)
 
 # Seed splitting: one independent stream per (link, purpose) from the master
-# seed, via SeedSequence spawn keys. Purposes: 0 preparation, 1 forward-leg
-# noise, 2 Eve, 3 backward-leg noise, 4 measurement. The hub key-message
-# stream uses a key no link can collide with. A two-party session is link 0.
+# seed, seeded with the words _row_seed_words derives for spawn key (link,
+# purpose). Purposes: 0 preparation, 1 forward-leg noise, 2 Eve, 3 backward-leg
+# noise, 4 measurement. The hub key-message stream uses a key no link can
+# collide with. A two-party session is link 0.
 HUB_SPAWN_KEY = (1 << 16, 0)
 
-
-def link_rng(seed: int, link: int, purpose: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(link, purpose)))
-
-
-def hub_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=HUB_SPAWN_KEY))
+# Qubit slots (rows x qubits per row) one batched pass of a sweep cell or a
+# star group holds at most; bounds memory whatever the number of rows. A
+# 64-qubit V1 cell with Eve on both legs peaks near 60 MiB at 2**16 and
+# 360 MiB at 2**20, and runs no faster with the wider chunks.
+BATCH_QUBITS = 1 << 16
 
 
-def link_streams(seed: int, link: int) -> tuple[Rng, Rng, Rng, Rng]:
-    """One link's round-trip streams (forward noise, Eve, backward noise,
-    measurement): purposes 1 to 4."""
-    return tuple(link_rng(seed, link, purpose) for purpose in (1, 2, 3, 4))
+def _passes(rows: int, qubit_count: int) -> list[slice]:
+    """Consecutive slices of `rows` rows, each within BATCH_QUBITS qubit slots."""
+    step = max(1, BATCH_QUBITS // qubit_count)
+    return [slice(start, min(rows, start + step)) for start in range(0, rows, step)]
+
+
+def _generator(words: np.ndarray) -> Rng:
+    """A Generator over the PCG64 stream that (1, 4) seed words seed."""
+    return np.random.Generator(np.random.PCG64(_SeedWords(words[0])))
+
+
+def _key_rng(seed: int) -> Rng:
+    """The hub's key-message stream, spawn key HUB_SPAWN_KEY."""
+    return _generator(_row_seed_words(seed, HUB_SPAWN_KEY[:1], HUB_SPAWN_KEY[1], 1))
 
 
 @dataclass(frozen=True)
@@ -68,6 +77,16 @@ class LinkSettings:
         for name, kind in (("noise_forward", NoiseModel), ("noise_backward", NoiseModel), ("eve", EveStrategy)):
             if not isinstance(getattr(self, name), kind):
                 raise ValueError(f"{name} must be of type {kind.__name__}, got {getattr(self, name)!r}")
+
+
+def _link_streams(seed: int, links, link: LinkSettings, stream=RowStreams.from_seed_words) -> list:
+    """The streams of purposes 0-4 of links `links` under settings `link`,
+    each built by `stream` from (len(links), 4) seed words, one row per link;
+    None for a purpose the settings never draw from (see _transit)."""
+    words = _row_seed_words(seed, np.asarray(links)[:, None], 0, 5).reshape(-1, 5, 4)
+    drawn = (True, not link.noise_forward.is_trivial(), any(map(link.eve.attacks, link.eve.legs)),
+             not link.noise_backward.is_trivial(), True)
+    return [stream(words[:, purpose]) if used else None for purpose, used in enumerate(drawn)]
 
 
 class AllErasuresError(ValueError):
@@ -454,10 +473,10 @@ def _transit(config: RunConfig, prep: PreparationRecord, m: np.ndarray, link: Li
     register delivered to Alice, c).
 
     Per leg, channel noise is applied first and Eve's tap second. The four
-    streams are ordered as link_streams returns them; they are separate so
-    that the star network can give each link independent streams, and a
-    session driven by one explicit generator passes that generator four times.
-    Noise streams are drawn from only for non-trivial noise, Eve's only if she taps.
+    streams are purposes 1-4 of _link_streams; they are separate so that each
+    link draws from its own, and a session driven by one explicit generator
+    passes that generator four times. Noise streams are drawn from only for
+    non-trivial noise, Eve's only if she taps (else they may be None).
     """
     eve = link.eve
     forward_rng, eve_rng, backward_rng, measure_rng = streams
@@ -522,15 +541,6 @@ def _session_result(config: RunConfig, prep: PreparationRecord, m: np.ndarray, p
     )
 
 
-def complete_round_trip(
-    config: RunConfig, prep: PreparationRecord, key_message, link: LinkSettings, streams: tuple[Rng, Rng, Rng, Rng]
-) -> SessionResult:
-    """Run phases II and III against an already-prepared qubit string;
-    `streams` are as _transit takes them."""
-    m = as_bits(key_message)
-    return _session_result(config, prep, m, _round_trip(config, prep, m, link, streams))
-
-
 def run_session(
     config: RunConfig,
     noise_forward: NoiseModel | None = None,
@@ -548,12 +558,12 @@ def run_session(
     """
     link = LinkSettings(noise_forward or NoiseModel(), noise_backward or NoiseModel(), eve or EveStrategy.absent())
     if rng is None:
-        prep_rng, key_rng, streams = link_rng(config.seed, 0, 0), hub_rng(config.seed), link_streams(config.seed, 0)
+        key_rng, (prep_rng, *streams) = _key_rng(config.seed), _link_streams(config.seed, [0], link, _generator)
     else:
-        prep_rng, key_rng, streams = rng, rng, (rng,) * 4
+        key_rng, prep_rng, streams = rng, rng, (rng,) * 4
     prep = alice_prepare(config, prep_rng)
     m = bob_build_key_message(config, key_rng) if key_message is None else as_bits(key_message)
-    return complete_round_trip(config, prep, m, link, streams)
+    return _session_result(config, prep, m, _round_trip(config, prep, m, link, streams))
 
 
 class BatchResult(NamedTuple):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twoway_qkd import ConfigError, ExperimentConfig, emit_results, harness, run_experiment, run_session
+from twoway_qkd import ConfigError, ExperimentConfig, emit_results, protocol, run_experiment, run_session
 from twoway_qkd.cli import main
 from twoway_qkd.harness import (
     CONFIG_FILENAME,
@@ -22,6 +22,7 @@ from twoway_qkd.harness import (
     _cell_eve,
     _cell_run_config,
 )
+from twoway_qkd.protocol import HUB_SPAWN_KEY, _key_rng
 from twoway_qkd.qubit import RowStreams, _row_seed_words, _SeedWords
 
 BASE = {
@@ -167,7 +168,7 @@ def experiment_dicts(draw):
 
 
 @settings(max_examples=50, deadline=None)
-@given(data=experiment_dicts(), batch_qubits=st.one_of(st.integers(1, 64), st.just(harness.BATCH_QUBITS)))
+@given(data=experiment_dicts(), batch_qubits=st.one_of(st.integers(1, 64), st.just(protocol.BATCH_QUBITS)))
 @example(
     data={"variant": "V2", "n_bits": 2, "repetition": 2, "seed": 3, "repetitions": 25,
           "noise": {"p_bitflip": 0.3}, "eve": {"kind": "intercept_resend", "basis_pool": [0.0],
@@ -176,7 +177,7 @@ def experiment_dicts(draw):
 )
 def test_batched_experiment_matches_the_per_session_loop(data, batch_qubits):
     config = ExperimentConfig.from_dict(data)
-    with mock.patch.object(harness, "BATCH_QUBITS", batch_qubits):
+    with mock.patch.object(protocol, "BATCH_QUBITS", batch_qubits):
         assert run_experiment(config).cells == reference_cells(config)
 
 
@@ -402,3 +403,12 @@ def test_row_seed_words_match_seed_sequence(seed, cell):
             assert np.array_equal(uniforms[r], reference.random(3))
             assert np.array_equal(bits[r], reference.integers(0, 2, size=9, dtype=np.uint8))
             assert streams.bits[r].state == reference.bit_generator.state
+    # The hub's key-message stream, spawn key HUB_SPAWN_KEY = (1 << 16, 0).
+    assert HUB_SPAWN_KEY == (1 << 16, 0)
+    spawned = np.random.SeedSequence(seed, spawn_key=HUB_SPAWN_KEY)
+    words = _row_seed_words(seed, HUB_SPAWN_KEY[:1], HUB_SPAWN_KEY[1], 1)
+    assert np.array_equal(words[0], spawned.generate_state(4, np.uint64))
+    hub, reference = _key_rng(seed), np.random.default_rng(spawned)
+    assert np.array_equal(hub.integers(0, 2, size=9, dtype=np.uint8), reference.integers(0, 2, size=9, dtype=np.uint8))
+    assert np.array_equal(hub.random(3), reference.random(3))
+    assert hub.bit_generator.state == reference.bit_generator.state

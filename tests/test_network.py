@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,8 +18,9 @@ from twoway_qkd import (
     run_session,
     run_star_session,
 )
+from twoway_qkd import network, protocol
 from twoway_qkd.network import FRAME_DTYPE, FRAME_SIZE, TO_HUB, TO_LEAF, _register_frames
-from twoway_qkd.protocol import alice_prepare, bob_build_key_message, complete_round_trip, hub_rng, link_rng, link_streams
+from twoway_qkd.protocol import _round_trip, _session_result, alice_prepare, bob_build_key_message
 from twoway_qkd.qubit import QubitRegister
 
 POOL = (Basis(0.0), Basis(math.pi / 4))
@@ -216,11 +218,16 @@ def test_seed_override_reaches_every_leaf():
         )
 
 
+def spawned_rng(seed, key):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
 def reference_leaf(config, seed, link_id, link, key_message, record_frames):
     """One leaf as the star ran it leaf by leaf: its own streams, one
     round trip, then frames through the one-frame codec."""
-    prep = alice_prepare(config, link_rng(seed, link_id, 0))
-    result = complete_round_trip(config, prep, key_message, link, link_streams(seed, link_id))
+    prep_rng, *streams = (spawned_rng(seed, (link_id, purpose)) for purpose in range(5))
+    prep = alice_prepare(config, prep_rng)
+    result = _session_result(config, prep, key_message, _round_trip(config, prep, key_message, link, streams))
     frames = b""
     if record_frames:
         frames = b"".join(
@@ -234,7 +241,7 @@ def reference_leaf(config, seed, link_id, link, key_message, record_frames):
 def assert_star_matches_reference(topology, config, pools, seed, record_frames):
     star = run_star_session(topology, config, per_leaf_pools=pools, seed=seed, record_frames=record_frames)
     config = replace(config, seed=seed)
-    key_message = bob_build_key_message(config, hub_rng(seed))
+    key_message = bob_build_key_message(config, spawned_rng(seed, (1 << 16, 0)))
     assert np.array_equal(star.key_message, key_message)
     assert list(star.outcomes) == list(topology.leaves)
     for link_id, leaf in enumerate(topology.leaves):
@@ -311,3 +318,36 @@ def test_negative_zero_angles_keep_leaves_apart():
     for leaf in ("leaf1", "leaf3"):
         amplitudes = star.outcomes[leaf].frame_array["amplitudes"]
         assert np.any((amplitudes == 0) & np.signbit(amplitudes))
+
+
+def star_bytes(star):
+    return {leaf: (o.result.transcript_text(), o.frames_bytes()) for leaf, o in star.outcomes.items()}
+
+
+@pytest.mark.parametrize("batch_qubits", [1, 72, 150])
+def test_star_passes_split_at_batch_qubits(batch_qubits):
+    # 36 qubits a leaf: passes of 1, 2 and 4 leaves over groups of 5, 3 and 1 leaves.
+    eve = EveStrategy.intercept_resend((0.0, math.pi / 4), legs=("forward", "backward"))
+    noisy = LinkSettings(NoiseModel(p_bitflip=0.2), NoiseModel(p_phaseflip=0.1, p_both=0.1), eve)
+    links = {f"leaf{i}": noisy for i in (1, 3, 4)}
+    pools = {"leaf8": (Basis(0.1), Basis(0.9), Basis(1.3))}
+    config = RunConfig(n_bits=12, repetition=3, variant="V2", basis_pool=POOL, tag_length=4, seed=31)
+    default = run_star_session(make_topology(9, links), config, per_leaf_pools=pools)
+    with mock.patch.object(protocol, "BATCH_QUBITS", batch_qubits), \
+            mock.patch.object(network, "_link_streams", wraps=protocol._link_streams) as passes:
+        split = run_star_session(make_topology(9, links), config, per_leaf_pools=pools)
+    assert passes.call_count == {1: 9, 72: 6, 150: 4}[batch_qubits]
+    assert star_bytes(split) == star_bytes(default)
+
+
+def test_eve_pool_and_legs_given_as_lists():
+    # The star groups links by LinkSettings, so Eve's pool and legs must hash
+    # whatever iterables they were given as; the bytes are those of tuples.
+    config = RunConfig(n_bits=16, basis_pool=POOL, tag_length=4, seed=37)
+    stars = [
+        run_star_session(make_topology(3, {"leaf1": LinkSettings(eve=EveStrategy("intercept_resend", pool, legs))}), config)
+        for pool, legs in (((0.1, 0.2), frozenset({"forward"})), ([0.1, 0.2], frozenset({"forward"})),
+                           (np.array([0.1, 0.2]), frozenset({"forward"})), ((0.1, 0.2), ["forward"]))
+    ]
+    for star in stars[1:]:
+        assert star_bytes(star) == star_bytes(stars[0])

@@ -103,6 +103,14 @@ def test_eve_strategy_validation():
     for pool in (["a"], [0.0, None], [0.0, 1j]):
         with pytest.raises(ValueError, match="basis_pool"):
             EveStrategy.intercept_resend(pool)
+    # A pool given as a list or an array, and legs given as a list, are stored
+    # as a tuple and a frozenset: equal to, and hashing as, the canonical form.
+    canonical = EveStrategy("intercept_resend", (0.1, 0.2), frozenset({"forward"}))
+    for pool, legs in (([0.1, 0.2], frozenset({"forward"})), (np.array([0.1, 0.2]), frozenset({"forward"})),
+                       ((0.1, 0.2), ["forward"])):
+        strategy = EveStrategy("intercept_resend", pool, legs)
+        assert type(strategy.basis_pool) is tuple and type(strategy.legs) is frozenset
+        assert strategy == canonical and hash(strategy) == hash(canonical)
 
 
 def test_eve_absent_is_noop():
