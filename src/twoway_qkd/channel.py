@@ -122,17 +122,18 @@ class EveStrategy:
     def __post_init__(self) -> None:
         if self.kind not in (ABSENT, INTERCEPT_RESEND, SUBSTITUTE):
             raise ValueError(f"unknown Eve strategy {self.kind!r}")
-        # Stored hashable whatever iterables were given: a star groups its links by LinkSettings.
-        object.__setattr__(self, "basis_pool", tuple(self.basis_pool))
-        object.__setattr__(self, "legs", frozenset(self.legs))
-        if self.kind != ABSENT and not self.basis_pool:
-            raise ValueError("active Eve strategy needs a non-empty basis pool")
         try:
-            finite = all(math.isfinite(theta) for theta in self.basis_pool)
+            pool = tuple(self.basis_pool)
+            finite = all(math.isfinite(theta) for theta in pool)
         except TypeError:
             finite = False
         if not finite:
-            raise ValueError(f"basis_pool angles must be finite numbers: {list(self.basis_pool)}")
+            raise ValueError(f"basis_pool angles must be finite numbers: {self.basis_pool!r}")
+        # Stored hashable whatever iterables were given: a star groups its links by LinkSettings.
+        object.__setattr__(self, "basis_pool", pool)
+        object.__setattr__(self, "legs", frozenset(self.legs))
+        if self.kind != ABSENT and not self.basis_pool:
+            raise ValueError("active Eve strategy needs a non-empty basis pool")
         if not self.legs <= {FORWARD, BACKWARD}:
             raise ValueError(f"legs must be a subset of {{forward, backward}}: {self.legs}")
 

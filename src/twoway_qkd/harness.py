@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -242,8 +242,15 @@ class CellStats:
     erasure_se: float
 
     def to_dict(self) -> dict:
-        """The cell's sweep parameters, then every other field by name."""
-        return {**self.params, **{f.name: getattr(self, f.name) for f in fields(self) if f.name != "params"}}
+        out = dict(self.params)
+        out.update(
+            runs=self.runs,
+            qber=self.qber, qber_se=self.qber_se,
+            agreement_rate=self.agreement_rate, agreement_se=self.agreement_se,
+            detection_rate=self.detection_rate, detection_se=self.detection_se,
+            erasure_rate=self.erasure_rate, erasure_se=self.erasure_se,
+        )
+        return out
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Star generalization: one hub (Bob) shares a single key-message with any
 number of leaf parties over independent simulated quantum links.
 
-Seed splitting (see protocol._link_streams): a master seed fans out into
+Seed splitting (see protocol._link_words): a master seed fans out into
 one independent stream per (link, purpose), seeded with the words
 qubit._row_seed_words derives for that spawn key, plus one hub stream for
 the shared key-message. Events on link i cannot move the stream
@@ -23,14 +23,14 @@ from .protocol import (
     RunConfig,
     SessionResult,
     _key_rng,
-    _link_streams,
+    _link_words,
     _passes,
     _round_trip,
     _session_result,
     alice_prepare,
     bob_build_key_message,
 )
-from .qubit import PureState, QubitRegister
+from .qubit import PureState, QubitRegister, RowStreams
 
 TO_HUB = 0
 TO_LEAF = 1
@@ -195,17 +195,20 @@ def run_star_session(
     # A row of (to-hub, to-leaf) frames per leaf, a pass's consecutive; (L, 0, Q) if unrecorded.
     frames = np.empty((len(leaves), 2 * record_frames, config.qubit_count), FRAME_DTYPE)
     outcomes, start = [None] * len(leaves), 0
-    for ids in [group[rows] for group in groups.values() for rows in _passes(len(group), config.qubit_count)]:
-        group_config, link = configs[ids[0]], links[ids[0]]
-        prep_rows, *streams = _link_streams(seed, ids, link)
-        prep = alice_prepare(group_config, prep_rows)
-        m = np.broadcast_to(key_message, (len(ids), len(key_message)))
-        passed = _round_trip(group_config, prep, m, link, streams)
-        block, start = frames[start : start + len(ids)], start + len(ids)
-        if record_frames:
-            _register_frames(ids, TO_HUB, passed[0][2], block[:, TO_HUB])
-            _register_frames(ids, TO_LEAF, passed[0][6], block[:, TO_LEAF])
-        for row, link_id in enumerate(ids):
-            result = _session_result(configs[link_id], prep, m, passed, row)
-            outcomes[link_id] = LeafOutcome(leaves[link_id], link_id, result, block[row].reshape(-1))
+    for group in groups.values():
+        group_config, link = configs[group[0]], links[group[0]]
+        for rows in _passes(len(group), config.qubit_count):
+            ids = group[rows]
+            prep_rows, *streams = [words if words is None else RowStreams.from_seed_words(words)
+                                   for words in _link_words(seed, ids, link)]
+            prep = alice_prepare(group_config, prep_rows)
+            m = np.broadcast_to(key_message, (len(ids), len(key_message)))
+            passed = _round_trip(group_config, prep, m, link, streams)
+            block, start = frames[start : start + len(ids)], start + len(ids)
+            if record_frames:
+                _register_frames(ids, TO_HUB, passed[0][2], block[:, TO_HUB])
+                _register_frames(ids, TO_LEAF, passed[0][6], block[:, TO_LEAF])
+            for row, link_id in enumerate(ids):
+                result = _session_result(configs[link_id], prep, m, passed, row)
+                outcomes[link_id] = LeafOutcome(leaves[link_id], link_id, result, block[row].reshape(-1))
     return StarSessionResult(key_message=key_message, outcomes={o.leaf: o for o in outcomes})

@@ -56,13 +56,13 @@ def _passes(rows: int, qubit_count: int) -> list[slice]:
 
 
 def _generator(words: np.ndarray) -> Rng:
-    """A Generator over the PCG64 stream that (1, 4) seed words seed."""
-    return np.random.Generator(np.random.PCG64(_SeedWords(words[0])))
+    """A Generator over the PCG64 stream that four uint64 seed words seed."""
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
 def _key_rng(seed: int) -> Rng:
     """The hub's key-message stream, spawn key HUB_SPAWN_KEY."""
-    return _generator(_row_seed_words(seed, HUB_SPAWN_KEY[:1], HUB_SPAWN_KEY[1], 1))
+    return _generator(_row_seed_words(seed, HUB_SPAWN_KEY[:1], HUB_SPAWN_KEY[1], 1)[0])
 
 
 @dataclass(frozen=True)
@@ -79,14 +79,14 @@ class LinkSettings:
                 raise ValueError(f"{name} must be of type {kind.__name__}, got {getattr(self, name)!r}")
 
 
-def _link_streams(seed: int, links, link: LinkSettings, stream=RowStreams.from_seed_words) -> list:
-    """The streams of purposes 0-4 of links `links` under settings `link`,
-    each built by `stream` from (len(links), 4) seed words, one row per link;
-    None for a purpose the settings never draw from (see _transit)."""
+def _link_words(seed: int, links, link: LinkSettings) -> list:
+    """The seed words of purposes 0-4 of links `links` under settings `link`:
+    (len(links), 4) uint64 per purpose, one row per link; None for a purpose
+    the settings never draw from (see _transit)."""
     words = _row_seed_words(seed, np.asarray(links)[:, None], 0, 5).reshape(-1, 5, 4)
     drawn = (True, not link.noise_forward.is_trivial(), any(map(link.eve.attacks, link.eve.legs)),
              not link.noise_backward.is_trivial(), True)
-    return [stream(words[:, purpose]) if used else None for purpose, used in enumerate(drawn)]
+    return [words[:, purpose] if used else None for purpose, used in enumerate(drawn)]
 
 
 class AllErasuresError(ValueError):
@@ -473,7 +473,7 @@ def _transit(config: RunConfig, prep: PreparationRecord, m: np.ndarray, link: Li
     register delivered to Alice, c).
 
     Per leg, channel noise is applied first and Eve's tap second. The four
-    streams are purposes 1-4 of _link_streams; they are separate so that each
+    streams are purposes 1-4 of _link_words; they are separate so that each
     link draws from its own, and a session driven by one explicit generator
     passes that generator four times. Noise streams are drawn from only for
     non-trivial noise, Eve's only if she taps (else they may be None).
@@ -558,7 +558,9 @@ def run_session(
     """
     link = LinkSettings(noise_forward or NoiseModel(), noise_backward or NoiseModel(), eve or EveStrategy.absent())
     if rng is None:
-        key_rng, (prep_rng, *streams) = _key_rng(config.seed), _link_streams(config.seed, [0], link, _generator)
+        key_rng = _key_rng(config.seed)
+        words = _link_words(config.seed, [0], link)
+        prep_rng, *streams = [row if row is None else _generator(row[0]) for row in words]
     else:
         key_rng, prep_rng, streams = rng, rng, (rng,) * 4
     prep = alice_prepare(config, prep_rng)

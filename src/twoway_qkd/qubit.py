@@ -15,6 +15,7 @@ string; it must agree with the scalar path bit for bit (tested).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -157,6 +158,7 @@ def _row_seed_words(seed: int, prefixes, start: int, count: int) -> np.ndarray:
     value from 2**32 on is two words, low first: each row keeps its own hash
     constant) in uint32 arithmetic that wraps as SeedSequence's does.
     """
+    seed = operator.index(seed)  # a Python int, whatever integer type the config holds
     prefixes = np.array(prefixes, "<u8", ndmin=2)
     trailing = np.tile(np.arange(start, start + count, dtype="<u8"), len(prefixes))[:, None]
     # SeedSequence mixes a prefix all rows share (a sweep cell) itself, once.

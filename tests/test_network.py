@@ -334,7 +334,7 @@ def test_star_passes_split_at_batch_qubits(batch_qubits):
     config = RunConfig(n_bits=12, repetition=3, variant="V2", basis_pool=POOL, tag_length=4, seed=31)
     default = run_star_session(make_topology(9, links), config, per_leaf_pools=pools)
     with mock.patch.object(protocol, "BATCH_QUBITS", batch_qubits), \
-            mock.patch.object(network, "_link_streams", wraps=protocol._link_streams) as passes:
+            mock.patch.object(network, "_link_words", wraps=protocol._link_words) as passes:
         split = run_star_session(make_topology(9, links), config, per_leaf_pools=pools)
     assert passes.call_count == {1: 9, 72: 6, 150: 4}[batch_qubits]
     assert star_bytes(split) == star_bytes(default)
@@ -349,5 +349,20 @@ def test_eve_pool_and_legs_given_as_lists():
         for pool, legs in (((0.1, 0.2), frozenset({"forward"})), ([0.1, 0.2], frozenset({"forward"})),
                            (np.array([0.1, 0.2]), frozenset({"forward"})), ((0.1, 0.2), ["forward"]))
     ]
+    for star in stars[1:]:
+        assert star_bytes(star) == star_bytes(stars[0])
+
+
+def test_numpy_integer_seed_gives_the_bytes_of_the_int_seed():
+    # RunConfig takes any integer seed; numpy integers seed the same streams as ints.
+    eve = EveStrategy.intercept_resend((0.0, math.pi / 4), legs=("forward", "backward"))
+    link = LinkSettings(NoiseModel(p_bitflip=0.2), NoiseModel(p_phaseflip=0.1), eve)
+    config = RunConfig(n_bits=12, repetition=3, variant="V2", basis_pool=POOL, tag_length=4)
+    sessions = [run_session(replace(config, seed=seed), link.noise_forward, link.noise_backward, link.eve)
+                for seed in (1, np.uint8(1), np.int64(1))]
+    stars = [run_star_session(make_topology(3, {"leaf2": link}), config, seed=seed) for seed in (1, np.uint8(1))]
+    stars.append(run_star_session(make_topology(3, {"leaf2": link}), replace(config, seed=np.uint8(1))))
+    for session in sessions[1:]:
+        assert session.transcript_text() == sessions[0].transcript_text()
     for star in stars[1:]:
         assert star_bytes(star) == star_bytes(stars[0])

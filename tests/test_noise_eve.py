@@ -100,9 +100,11 @@ def test_eve_strategy_validation():
     with pytest.raises(ValueError, match="finite"):
         EveStrategy.intercept_resend((0.0, float("nan")))
     # A pool entry that is not a number is a ValueError naming the pool, not a TypeError.
-    for pool in (["a"], [0.0, None], [0.0, 1j]):
+    for pool in (["a"], [0.0, None], [0.0, 1j], 0.5):
         with pytest.raises(ValueError, match="basis_pool"):
             EveStrategy.intercept_resend(pool)
+        with pytest.raises(ValueError, match="basis_pool"):
+            EveStrategy("intercept_resend", pool)
     # A pool given as a list or an array, and legs given as a list, are stored
     # as a tuple and a frozenset: equal to, and hashing as, the canonical form.
     canonical = EveStrategy("intercept_resend", (0.1, 0.2), frozenset({"forward"}))
