@@ -78,6 +78,8 @@ class WireFrame:
 
     @classmethod
     def unpack(cls, data: bytes) -> "WireFrame":
+        if len(data) != FRAME_SIZE:
+            raise ValueError(f"a wire frame is {FRAME_SIZE} bytes, not {len(data)}")
         link_id, direction, sequence, re0, im0, re1, im1 = _FRAME_STRUCT.unpack(data)
         return cls(link_id, direction, sequence, complex(re0, im0), complex(re1, im1))
 
@@ -167,7 +169,6 @@ def run_star_session(
     topology: Topology,
     config: RunConfig,
     per_leaf_pools: dict | None = None,
-    seed: int | None = None,
     record_frames: bool = True,
 ) -> StarSessionResult:
     """One hub round with every leaf.
@@ -176,14 +177,12 @@ def run_star_session(
     every link's qubits; each leaf prepares, measures, and derives with its
     own streams. A tag failure on one link aborts only that leaf.
     """
-    seed = config.seed if seed is None else seed
-    config = replace(config, seed=seed)
     per_leaf_pools = per_leaf_pools or {}
     unknown = set(per_leaf_pools) - set(topology.leaves)
     if unknown:
         raise ValueError(f"basis pools for unknown leaves: {sorted(unknown)}")
 
-    key_message = bob_build_key_message(config, _key_rng(seed))
+    key_message = bob_build_key_message(config, _key_rng(config.seed))
 
     leaves = topology.leaves
     configs = [replace(config, basis_pool=tuple(per_leaf_pools[leaf])) if leaf in per_leaf_pools else config
@@ -200,7 +199,7 @@ def run_star_session(
         for rows in _passes(len(group), config.qubit_count):
             ids = group[rows]
             prep_rows, *streams = [words if words is None else RowStreams.from_seed_words(words)
-                                   for words in _link_words(seed, ids, link)]
+                                   for words in _link_words(config.seed, ids, link)]
             prep = alice_prepare(group_config, prep_rows)
             m = np.broadcast_to(key_message, (len(ids), len(key_message)))
             passed = _round_trip(group_config, prep, m, link, streams)

@@ -569,7 +569,7 @@ def run_session(
 
 
 class BatchResult(NamedTuple):
-    """Per-row outcomes of run_batch; row r is the session rngs[r] drove."""
+    """Per-row outcomes of run_batch; row r is the session stream r drove."""
 
     key_message: np.ndarray  # (R, message length)
     m_prime: np.ndarray  # (R, message length)
@@ -579,17 +579,15 @@ class BatchResult(NamedTuple):
     tag_mismatch: np.ndarray  # (R,) bool, abort_reason == "tag_mismatch"
 
 
-def run_batch(config: RunConfig, link: LinkSettings, rngs) -> BatchResult:
-    """Sessions driven by one explicit generator each, run as one pass over
-    a (runs x qubits) array.
+def run_batch(config: RunConfig, link: LinkSettings, rows: RowStreams) -> BatchResult:
+    """Sessions driven by one stream each, run as one pass over a
+    (runs x qubits) array.
 
-    Row r draws from rngs[r] exactly what run_session(config,
-    link.noise_forward, link.noise_backward, link.eve, rng=rngs[r]) draws,
-    in the same order, and has the same key-message, decoded message and
-    abort reason. rngs[r] may also be a PCG64 bit generator; the row is then
-    the session a Generator over it drives (RowStreams); rngs may be a RowStreams.
+    Row r draws from stream r exactly what run_session(config,
+    link.noise_forward, link.noise_backward, link.eve, rng=Generator over
+    stream r) draws, in the same order, and has the same key-message,
+    decoded message and abort reason.
     """
-    rows = rngs if isinstance(rngs, RowStreams) else RowStreams(rngs)
     prep = alice_prepare(config, rows)
     m = bob_build_key_message(config, rows)
     _, record, (_, all_erasures, tag_mismatch, agreement) = _round_trip(config, prep, m, link, (rows,) * 4)

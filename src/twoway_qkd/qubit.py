@@ -29,43 +29,36 @@ class RowStreams:
 
     Each call draws one row from every stream with the same arguments and
     stacks the rows. Row r holds what the same call on a Generator over
-    stream r returns, and leaves the stream as that call would, so it sees
-    exactly the draws a one-session run makes. Stands in for a Generator
-    wherever a batched register (leading run axis) is drawn for. Rows are
-    Generators or bit generators that keep a spare 32-bit half as PCG64 does.
+    stream r returns, so it sees exactly the draws a one-session run makes.
+    Stands in for a Generator wherever a batched register (leading run axis)
+    is drawn for. Rows are fresh bit generators (random_raw, no spare half
+    held) that RowStreams owns: it never reads or writes their state.
 
-    Values are decoded from bit_generator.random_raw words as Generator
-    decodes them. random() takes (word >> 11) * 2**-53. integers() takes
-    32-bit halves, low half first; a spare high half stays pending for the
-    stream's next integers() call (the state's has_uint32), and random()
-    never uses it. A uint8 span of 2 takes the top bit of each byte, low byte
-    first. An int64 span takes Lemire's (half * span) >> 32 and rejects a
-    half whose product has low 32 bits below 2**32 % span.
+    Values are decoded from random_raw words as Generator decodes them.
+    random() takes (word >> 11) * 2**-53. integers() takes 32-bit halves,
+    low half first; a spare high half stays pending for the stream's next
+    integers() call (pending is its only record), and random() never uses
+    it. A uint8 span of 2 takes the top bit of each byte, low byte first. An
+    int64 span takes Lemire's (half * span) >> 32 and rejects a half whose
+    product has low 32 bits below 2**32 % span.
     """
 
     __slots__ = ("bits", "pending")
 
-    def __init__(self, rngs):
-        self.bits = tuple(getattr(rng, "bit_generator", rng) for rng in rngs)
-        states = [bit.state for bit in self.bits]
-        if not states or not all("has_uint32" in state for state in states):
-            raise ValueError("RowStreams needs at least one row, each keeping a spare 32-bit half as PCG64 does")
+    def __init__(self, bits):
+        self.bits = tuple(bits)
         # Each stream's pending high half, or -1 when it holds none.
-        self.pending = [state["uinteger"] if state["has_uint32"] else -1 for state in states]
+        self.pending = [-1] * len(self.bits)
 
     @classmethod
     def from_seed_words(cls, words: np.ndarray) -> "RowStreams":
-        """Rows over fresh PCG64 streams, row r seeded with the four uint64
-        words words[r] (_row_seed_words); a fresh stream holds no spare half."""
-        rows = object.__new__(cls)
-        rows.bits = tuple(np.random.PCG64(_SeedWords(row)) for row in words)
-        rows.pending = [-1] * len(rows.bits)
-        return rows
+        """Rows over fresh PCG64 streams, row r seeded with the four uint64 words[r] of _row_seed_words."""
+        return cls(np.random.PCG64(_SeedWords(row)) for row in words)
 
     def _halves(self, count: int) -> np.ndarray:
         """The next `count` 32-bit halves of every row, (R, count) little-endian uint32."""
         rows, held = len(self.bits), sum(spare >= 0 for spare in self.pending)
-        if 0 < held < rows:  # rows differ (rare: after a Lemire rejection, or as given)
+        if 0 < held < rows:  # rows differ (rare: after a Lemire rejection)
             return np.array([[self._next_half(r) for _ in range(count)] for r in range(rows)], "<u4")
         words = (count + 1 - (held > 0)) // 2
         raw = np.concatenate([bit.random_raw(words) for bit in self.bits]).astype("<u8", copy=False)
@@ -106,7 +99,7 @@ class RowStreams:
         """(R, size) values in [low, high), or in [0, low) when high is None."""
         if high is None:
             low, high = 0, low
-        dtype, span, n, before = np.dtype(dtype), int(high) - int(low), int(size), list(self.pending)
+        dtype, span, n = np.dtype(dtype), int(high) - int(low), int(size)
         if span == 1:  # draws nothing, as in Generator
             values = np.zeros((len(self.bits), n), dtype)
         elif span == 2 and dtype == np.uint8:
@@ -115,14 +108,6 @@ class RowStreams:
             values = self._lemire(n, span).astype(dtype)
         else:
             raise ValueError(f"RowStreams draws span 1, uint8 span 2 and int64 spans up to 2**32, not {dtype} span {span}")
-        if self.pending != before:
-            for bit, spare, old in zip(self.bits, self.pending, before):
-                if spare != old:
-                    state = bit.state
-                    if spare >= 0:
-                        state["uinteger"] = spare
-                    state["has_uint32"] = int(spare >= 0)
-                    bit.state = state
         if low:
             values += dtype.type(low)
         return values
@@ -481,7 +466,7 @@ class QubitRegister:
 
     The codes have shape (Q,) for one string or (..., Q) for a batch of
     strings, one per leading index; len() is Q. A batched register draws its
-    randomness from a RowStreams, one row per generator. All methods return
+    randomness from a RowStreams, one row per stream. All methods return
     new registers; instances are never mutated.
     """
 

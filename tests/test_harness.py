@@ -394,15 +394,17 @@ def test_row_seed_words_match_seed_sequence(seed, cell):
     assert words.dtype == np.uint64 and words.shape == (5 * len(links), 4)
     streams = RowStreams.from_seed_words(words)
     uniforms, bits = streams.random(3), streams.integers(0, 2, size=9, dtype=np.uint8)
+    references = []
     for i, link in enumerate(links):
         for purpose in range(5):
             r = 5 * i + purpose
             spawned = np.random.SeedSequence(seed, spawn_key=(link, purpose))
             assert np.array_equal(words[r], spawned.generate_state(4, np.uint64))
-            reference = np.random.default_rng(spawned)
-            assert np.array_equal(uniforms[r], reference.random(3))
-            assert np.array_equal(bits[r], reference.integers(0, 2, size=9, dtype=np.uint8))
-            assert streams.bits[r].state == reference.bit_generator.state
+            references.append(np.random.default_rng(spawned))
+            assert np.array_equal(uniforms[r], references[r].random(3))
+            assert np.array_equal(bits[r], references[r].integers(0, 2, size=9, dtype=np.uint8))
+    # A further draw takes each row's spare half, as Generator does.
+    assert np.array_equal(streams.integers(0, 7, size=9), [ref.integers(0, 7, size=9) for ref in references])
     # The hub's key-message stream, spawn key HUB_SPAWN_KEY = (1 << 16, 0).
     assert HUB_SPAWN_KEY == (1 << 16, 0)
     spawned = np.random.SeedSequence(seed, spawn_key=HUB_SPAWN_KEY)

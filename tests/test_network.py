@@ -62,6 +62,11 @@ def test_wireframe_validation():
         WireFrame(0, TO_HUB, -1, 1.0, 0.0)
     with pytest.raises(ValueError):
         WireFrame(0, TO_HUB, 0, 1.0, 1.0)
+    # Data that is not one frame long: short and long.
+    frame = WireFrame(0, TO_HUB, 0, 1.0, 0.0).pack()
+    for data in (frame[:-1], frame + b"\0"):
+        with pytest.raises(ValueError):
+            WireFrame.unpack(data)
 
 
 def test_two_leaves_noiseless_both_derive_m():
@@ -202,22 +207,6 @@ def test_star_session_determinism():
         )
 
 
-def test_seed_override_reaches_every_leaf():
-    # leaf0 has no per-leaf pool, leaf1 has one; both must record the seed
-    # that drove their streams.
-    config = RunConfig(n_bits=8, basis_pool=POOL, seed=1)
-    pools = {"leaf1": (Basis(0.1), Basis(0.9), Basis(1.3))}
-    overridden = run_star_session(make_topology(2), config, per_leaf_pools=pools, seed=2)
-    direct = run_star_session(make_topology(2), replace(config, seed=2), per_leaf_pools=pools)
-    for leaf in direct.outcomes:
-        assert overridden.outcomes[leaf].result.config.seed == 2
-        assert overridden.outcomes[leaf].frames_bytes() == direct.outcomes[leaf].frames_bytes()
-        assert (
-            overridden.outcomes[leaf].result.transcript_text()
-            == direct.outcomes[leaf].result.transcript_text()
-        )
-
-
 def spawned_rng(seed, key):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
@@ -239,8 +228,8 @@ def reference_leaf(config, seed, link_id, link, key_message, record_frames):
 
 
 def assert_star_matches_reference(topology, config, pools, seed, record_frames):
-    star = run_star_session(topology, config, per_leaf_pools=pools, seed=seed, record_frames=record_frames)
     config = replace(config, seed=seed)
+    star = run_star_session(topology, config, per_leaf_pools=pools, record_frames=record_frames)
     key_message = bob_build_key_message(config, spawned_rng(seed, (1 << 16, 0)))
     assert np.array_equal(star.key_message, key_message)
     assert list(star.outcomes) == list(topology.leaves)
@@ -360,8 +349,8 @@ def test_numpy_integer_seed_gives_the_bytes_of_the_int_seed():
     config = RunConfig(n_bits=12, repetition=3, variant="V2", basis_pool=POOL, tag_length=4)
     sessions = [run_session(replace(config, seed=seed), link.noise_forward, link.noise_backward, link.eve)
                 for seed in (1, np.uint8(1), np.int64(1))]
-    stars = [run_star_session(make_topology(3, {"leaf2": link}), config, seed=seed) for seed in (1, np.uint8(1))]
-    stars.append(run_star_session(make_topology(3, {"leaf2": link}), replace(config, seed=np.uint8(1))))
+    stars = [run_star_session(make_topology(3, {"leaf2": link}), replace(config, seed=seed))
+             for seed in (1, np.uint8(1))]
     for session in sessions[1:]:
         assert session.transcript_text() == sessions[0].transcript_text()
     for star in stars[1:]:

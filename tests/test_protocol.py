@@ -22,7 +22,7 @@ from twoway_qkd import (
     verify_tag,
 )
 from twoway_qkd.protocol import LinkSettings, _resolve, derive, run_batch
-from twoway_qkd.qubit import ZX
+from twoway_qkd.qubit import ZX, RowStreams
 
 POOL = (Basis(0.0), Basis(math.pi / 8), Basis(math.pi / 4))
 
@@ -488,7 +488,7 @@ def test_run_batch_rows_match_run_session(variant, t, n_bits, pool_size, tag_len
         NoiseModel(p_bitflip=0.2, p_phaseflip=0.05), NoiseModel(p_both=0.1),
         EveStrategy(eve_kind, (0.0, math.pi / 4), frozenset(legs)) if eve_kind != "absent" else EveStrategy.absent(),
     )
-    batch = run_batch(config, link, [np.random.default_rng([seed, r]) for r in range(rows)])
+    batch = run_batch(config, link, RowStreams([np.random.PCG64([seed, r]) for r in range(rows)]))
     for r in range(rows):
         result = run_session(
             config, link.noise_forward, link.noise_backward, link.eve, rng=np.random.default_rng([seed, r])
