@@ -39,13 +39,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .channel import ABSENT, EveStrategy, NoiseModel
-from .protocol import V2, LinkSettings, RunConfig, _passes, run_batch
+from .protocol import V2, LinkSettings, RunConfig, _passes, _row_halves, run_batch
 from .qubit import Basis, RowStreams, _row_seed_words
 
 CONFIG_FILENAME = "config_resolved.json"
@@ -74,9 +75,9 @@ _JSON_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a l
 
 
 def _typed(name: str, value, kind):
-    """`value` if JSON gave it the type `kind`; a ConfigError naming the field
-    otherwise. An integer is also a number; true and false are neither."""
-    accepted = (int, float) if kind is float else kind
+    """`value` as `kind` if it has that JSON type (numpy integers included); a
+    ConfigError naming the field otherwise. An integer is also a number; true and false are neither."""
+    accepted = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ConfigError(f"{name}: expected {_JSON_KINDS[kind]}, got {value!r}")
     return kind(value)
@@ -118,6 +119,11 @@ class ExperimentConfig:
     output_format: str = "tabular"
 
     def __post_init__(self) -> None:
+        for name, kind in (("run", RunConfig), ("noise", NoiseModel), ("eve", EveStrategy)):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"{name}: must be of type {kind.__name__}, got {getattr(self, name)!r}")
+        # Numbers are stored as the Python types from_dict gives: numpy ones would change the artifact bytes.
+        object.__setattr__(self, "repetitions", _typed("repetitions", self.repetitions, int))
         if self.repetitions < 1:
             raise ConfigError("repetitions: must be >= 1")
         if self.output_format not in ("tabular", "structured"):
@@ -125,6 +131,8 @@ class ExperimentConfig:
         for name, axis in self.sweep_axes.items():
             if not axis:
                 raise ConfigError(f"sweep.{name}: must list at least one value")
+            axis = tuple(_typed(f"sweep.{name}[{k}]", value, SWEEP_AXES[name]) for k, value in enumerate(axis))
+            object.__setattr__(self, f"sweep_{name}", axis)
 
     @property
     def sweep_axes(self) -> dict:
@@ -195,7 +203,7 @@ class ExperimentConfig:
             legs=frozenset(_typed_list("eve.legs", eve_d.get("legs", []), str)),
         )
         sweep = _object("sweep", data.get("sweep", {}), SWEEP_AXES)
-        axes = {name: tuple(_typed_list(f"sweep.{name}", axis, SWEEP_AXES[name])) for name, axis in sweep.items()}
+        axes = {name: tuple(_typed(f"sweep.{name}", axis, list)) for name, axis in sweep.items()}
         return cls(
             run=run,
             repetitions=_typed("repetitions", data.get("repetitions", 1), int),
@@ -299,7 +307,7 @@ def run_experiment(config: ExperimentConfig) -> RunStatistics:
     independent and the whole grid is reproducible from the config. A cell's
     repetitions run through run_batch in chunks of at most BATCH_QUBITS qubit
     slots (protocol._passes); a chunk's seed states are derived in one pass
-    (_row_seed_words) and seed its rows' streams (RowStreams.from_seed_words).
+    (_row_seed_words) and seed its rows' read-ahead streams (RowStreams.from_seed_words).
     """
     cells = []
     for cell_index, params in enumerate(config.cells()):
@@ -315,9 +323,10 @@ def run_experiment(config: ExperimentConfig) -> RunStatistics:
         agreements = 0
         detections = 0
         erasure_sum = 0.0
+        ahead = -(-sum(_row_halves(run_config, link)) // 2)
         for chunk in _passes(config.repetitions, run_config.qubit_count):
             words = _row_seed_words(config.run.seed, (cell_index,), chunk.start, chunk.stop - chunk.start)
-            batch = run_batch(run_config, link, RowStreams.from_seed_words(words))
+            batch = run_batch(run_config, link, RowStreams.from_seed_words(words, ahead))
             for qber in np.mean(batch.m_prime != batch.key_message, axis=-1).tolist():
                 qber_sum += qber
             agreements += int(batch.agreement.sum())

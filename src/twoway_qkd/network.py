@@ -26,6 +26,7 @@ from .protocol import (
     _link_words,
     _passes,
     _round_trip,
+    _row_halves,
     _session_result,
     alice_prepare,
     bob_build_key_message,
@@ -196,10 +197,11 @@ def run_star_session(
     outcomes, start = [None] * len(leaves), 0
     for group in groups.values():
         group_config, link = configs[group[0]], links[group[0]]
+        halves = _row_halves(group_config, link)
         for rows in _passes(len(group), config.qubit_count):
             ids = group[rows]
-            prep_rows, *streams = [words if words is None else RowStreams.from_seed_words(words)
-                                   for words in _link_words(config.seed, ids, link)]
+            prep_rows, *streams = [words if words is None else RowStreams.from_seed_words(words, -(-count // 2))
+                                   for words, count in zip(_link_words(config.seed, ids, link), halves)]
             prep = alice_prepare(group_config, prep_rows)
             m = np.broadcast_to(key_message, (len(ids), len(key_message)))
             passed = _round_trip(group_config, prep, m, link, streams)

@@ -27,7 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import BACKWARD, FORWARD, EveObservation, EveStrategy, NoiseModel, perturb_register, eve_tap_register
+from .channel import (BACKWARD, FORWARD, INTERCEPT_RESEND, EveObservation, EveStrategy, NoiseModel, perturb_register,
+                      eve_tap_register)
 from .qubit import PAULI_TAGS, Basis, QubitRegister, Rng, RowStreams, XZ, _row_seed_words, _SeedWords
 
 V1 = "V1"
@@ -87,6 +88,18 @@ def _link_words(seed: int, links, link: LinkSettings) -> list:
     drawn = (True, not link.noise_forward.is_trivial(), any(map(link.eve.attacks, link.eve.legs)),
              not link.noise_backward.is_trivial(), True)
     return [words[:, purpose] if used else None for purpose, used in enumerate(drawn)]
+
+
+def _row_halves(config: RunConfig, link: LinkSettings) -> list:
+    """The 32-bit halves one row draws for purposes 0-4 of _link_words and for the
+    key-message: one per integers() value, a quarter per uint8 bit, two per random() value
+    (a whole word; a spare half stays pending). A stream reads the -(-halves // 2) words that
+    hold the halves of all its purposes; exact unless a Lemire half is rejected (a top-up)."""
+    n, eve, legs = config.qubit_count, link.eve, sum(map(link.eve.attacks, (FORWARD, BACKWARD)))
+    noise = [0 if model.is_trivial() else 2 * n for model in (link.noise_forward, link.noise_backward)]
+    tap = legs * n * ((len(eve.basis_pool) > 1) + 1 + (eve.kind == INTERCEPT_RESEND))
+    prepare = -(-n // 4) + n * (len(config.basis_pool) > 1)
+    return [prepare, noise[0], tap, noise[1], 2 * n, -(-config.message_length // 4)]
 
 
 class AllErasuresError(ValueError):

@@ -34,6 +34,10 @@ class RowStreams:
     is drawn for. Rows are fresh bit generators (random_raw, no spare half
     held) that RowStreams owns: it never reads or writes their state.
 
+    Each row reads the `ahead` words its pass draws (protocol._row_halves) in one random_raw
+    call when built. Draws take them through one cursor all rows share and top up from each
+    stream past their end; a row that reads alone (_next_half) takes its buffered words first.
+
     Values are decoded from random_raw words as Generator decodes them.
     random() takes (word >> 11) * 2**-53. integers() takes 32-bit halves,
     low half first; a spare high half stays pending for the stream's next
@@ -43,26 +47,45 @@ class RowStreams:
     product has low 32 bits below 2**32 % span.
     """
 
-    __slots__ = ("bits", "pending")
+    __slots__ = ("bits", "pending", "ahead", "cursor")
 
-    def __init__(self, bits):
+    def __init__(self, bits, ahead: int = 0):
         self.bits = tuple(bits)
         # Each stream's pending high half, or -1 when it holds none.
         self.pending = [-1] * len(self.bits)
+        self.ahead = np.array([bit.random_raw(ahead) for bit in self.bits], np.uint64).reshape(len(self.bits), ahead)
+        self.cursor = 0  # words every row has read
 
     @classmethod
-    def from_seed_words(cls, words: np.ndarray) -> "RowStreams":
-        """Rows over fresh PCG64 streams, row r seeded with the four uint64 words[r] of _row_seed_words."""
-        return cls(np.random.PCG64(_SeedWords(row)) for row in words)
+    def from_seed_words(cls, words: np.ndarray, ahead: int = 0) -> "RowStreams":
+        """Rows over fresh PCG64 streams, row r seeded with the uint64 words[r] of _row_seed_words."""
+        return cls((np.random.PCG64(_SeedWords(row)) for row in words), ahead)
+
+    def _words(self, count: int) -> np.ndarray:
+        """The next `count` words of every row, (R, count) uint64."""
+        words = self.ahead[:, self.cursor : self.cursor + count]
+        self.cursor += count
+        if short := count - words.shape[1]:  # past the read-ahead: top up from each stream
+            words = np.hstack([words, np.concatenate([bit.random_raw(short) for bit in self.bits]).reshape(-1, short)])
+        return words
+
+    def _word(self, row: int) -> int:
+        """Row `row`'s next word alone. Its later buffered words move up one and
+        its stream refills the last, so the shared cursor stays right for every row."""
+        if self.cursor >= self.ahead.shape[1]:
+            return int(self.bits[row].random_raw())
+        buffered = self.ahead[row, self.cursor :]
+        word = int(buffered[0])
+        buffered[:-1] = buffered[1:]
+        buffered[-1] = self.bits[row].random_raw()
+        return word
 
     def _halves(self, count: int) -> np.ndarray:
         """The next `count` 32-bit halves of every row, (R, count) little-endian uint32."""
         rows, held = len(self.bits), sum(spare >= 0 for spare in self.pending)
         if 0 < held < rows:  # rows differ (rare: after a Lemire rejection)
             return np.array([[self._next_half(r) for _ in range(count)] for r in range(rows)], "<u4")
-        words = (count + 1 - (held > 0)) // 2
-        raw = np.concatenate([bit.random_raw(words) for bit in self.bits]).astype("<u8", copy=False)
-        halves = raw.view("<u4").reshape(rows, 2 * words)
+        halves = self._words((count + 1 - (held > 0)) // 2).astype("<u8", copy=False).view("<u4")
         if held:
             halves = np.concatenate([np.array(self.pending, "<u4")[:, None], halves], axis=1)
         if count < halves.shape[1]:
@@ -76,7 +99,7 @@ class RowStreams:
         if half >= 0:
             self.pending[row] = -1
             return half
-        word = int(self.bits[row].random_raw())
+        word = self._word(row)
         self.pending[row] = word >> 32
         return word & 0xFFFFFFFF
 
@@ -113,10 +136,8 @@ class RowStreams:
         return values
 
     def random(self, size: int = 1) -> np.ndarray:
-        """(R, size) uniforms in [0, 1)."""
-        raw = np.concatenate([bit.random_raw(size) for bit in self.bits])
-        raw >>= 11
-        return raw.reshape(len(self.bits), size) * 2.0**-53
+        """(R, size) uniforms in [0, 1); the words are shifted in place, as drawn words are never read again."""
+        return np.right_shift(words := self._words(size), 11, out=words) * 2.0**-53
 
 
 # SeedSequence's hash constants, as numpy's bit_generator module defines them.

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 from dataclasses import replace
 from unittest import mock
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twoway_qkd import ConfigError, ExperimentConfig, emit_results, protocol, run_experiment, run_session
+from twoway_qkd import ConfigError, ExperimentConfig, RunConfig, emit_results, protocol, run_experiment, run_session
 from twoway_qkd.cli import main
 from twoway_qkd.harness import (
     CONFIG_FILENAME,
@@ -57,6 +58,33 @@ def test_config_errors_name_the_field():
         make_config(repetitions=0)
     with pytest.raises(ConfigError, match="format"):
         make_config(format="xml")
+
+
+@pytest.mark.parametrize(
+    "fields, field",
+    [
+        ({"repetitions": True}, "repetitions"),
+        ({"repetitions": 2.5}, "repetitions"),
+        ({"repetitions": "3"}, "repetitions"),
+        ({"noise": "x"}, "noise"),
+        ({"eve": "x"}, "eve"),
+        ({"run": "x"}, "run"),
+        ({"sweep_repetition": (2.0,)}, "sweep.repetition[0]"),
+        ({"sweep_tag_length": (0, True)}, "sweep.tag_length[1]"),
+        ({"sweep_p_bitflip": ("0.1",)}, "sweep.p_bitflip[0]"),
+        ({"sweep_eve": (None,)}, "sweep.eve[0]"),
+    ],
+)
+def test_experiment_config_checks_field_types(fields, field):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(field)}:"):
+        ExperimentConfig(**{"run": RunConfig(n_bits=4), **fields})
+
+
+def test_experiment_config_takes_numpy_integers_as_ints():
+    config = ExperimentConfig(RunConfig(n_bits=4), repetitions=np.int64(3), sweep_repetition=(np.int64(2),))
+    plain = ExperimentConfig(RunConfig(n_bits=4), repetitions=3, sweep_repetition=(2,))
+    assert config.json_text() == plain.json_text()
+    assert run_experiment(config).csv_text() == run_experiment(plain).csv_text()
 
 
 def test_single_cell_noiseless_grid():

@@ -21,8 +21,9 @@ from twoway_qkd import (
     run_session,
     verify_tag,
 )
-from twoway_qkd.protocol import LinkSettings, _resolve, derive, run_batch
-from twoway_qkd.qubit import ZX, RowStreams
+from twoway_qkd.network import Topology, run_star_session
+from twoway_qkd.protocol import LinkSettings, _resolve, _row_halves, derive, run_batch
+from twoway_qkd.qubit import ZX, RowStreams, _row_seed_words
 
 POOL = (Basis(0.0), Basis(math.pi / 8), Basis(math.pi / 4))
 
@@ -467,6 +468,21 @@ def test_v1_exactness_property(seed, n_bits):
     assert np.array_equal(result.derivation.m_prime, result.key_message)
 
 
+# A link for the tests below: either leg noisy or not, Eve absent or tapping
+# the given legs with a 1- or 2-angle pool.
+links = st.builds(
+    lambda noisy, eve_kind, legs, eve_pool: LinkSettings(
+        NoiseModel(p_bitflip=0.2, p_phaseflip=0.05) if noisy[0] else NoiseModel(),
+        NoiseModel(p_both=0.1) if noisy[1] else NoiseModel(),
+        EveStrategy(eve_kind, (0.0, math.pi / 4)[:eve_pool], frozenset(legs)) if eve_kind != "absent" else EveStrategy(),
+    ),
+    st.tuples(st.booleans(), st.booleans()),
+    st.sampled_from(["absent", "intercept_resend", "substitute"]),
+    st.sets(st.sampled_from(["forward", "backward"])),
+    st.integers(1, 2),
+)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from(["V1", "V2", "V3"]),
@@ -474,21 +490,17 @@ def test_v1_exactness_property(seed, n_bits):
     st.integers(1, 6),
     st.integers(1, 3),
     st.integers(0, 6),
-    st.sampled_from(["absent", "intercept_resend", "substitute"]),
-    st.sets(st.sampled_from(["forward", "backward"])),
+    links,
     st.integers(1, 12),
     st.integers(0, 2**31 - 1),
 )
-def test_run_batch_rows_match_run_session(variant, t, n_bits, pool_size, tag_length, eve_kind, legs, rows, seed):
+def test_run_batch_rows_match_run_session(variant, t, n_bits, pool_size, tag_length, link, rows, seed):
     config = RunConfig(
         n_bits=n_bits, repetition=t, variant=variant, basis_pool=POOL[:pool_size],
         tag_length=min(tag_length, n_bits), seed=seed,
     )
-    link = LinkSettings(
-        NoiseModel(p_bitflip=0.2, p_phaseflip=0.05), NoiseModel(p_both=0.1),
-        EveStrategy(eve_kind, (0.0, math.pi / 4), frozenset(legs)) if eve_kind != "absent" else EveStrategy.absent(),
-    )
-    batch = run_batch(config, link, RowStreams([np.random.PCG64([seed, r]) for r in range(rows)]))
+    ahead = -(-sum(_row_halves(config, link)) // 2)
+    batch = run_batch(config, link, RowStreams([np.random.PCG64([seed, r]) for r in range(rows)], ahead))
     for r in range(rows):
         result = run_session(
             config, link.noise_forward, link.noise_backward, link.eve, rng=np.random.default_rng([seed, r])
@@ -502,3 +514,36 @@ def test_run_batch_rows_match_run_session(variant, t, n_bits, pool_size, tag_len
         assert batch.agreement[r] == result.agreement
         assert batch.all_erasures[r] == (result.abort_reason == "all_erasures")
         assert batch.tag_mismatch[r] == (result.abort_reason == "tag_mismatch")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["V1", "V2", "V3"]),
+    st.integers(1, 3),
+    st.integers(1, 5),
+    st.integers(1, 3),
+    links,
+    st.integers(1, 4),
+    st.integers(0, 2**31 - 1),
+)
+def test_row_halves_are_the_words_each_pass_reads(variant, t, n_bits, pool_size, link, rows, seed):
+    # Fresh PCG64 rows read ahead by _row_halves' count take exactly their
+    # read-ahead: no top-up and no buffered word left. (A Lemire rejection,
+    # at most 2**-32 a half here, makes its row read one more word alone.)
+    config = RunConfig(n_bits=n_bits, repetition=t, variant=variant, basis_pool=POOL[:pool_size], seed=seed)
+    built, from_seed_words = [], RowStreams.from_seed_words
+
+    def recording(words, ahead=0):
+        built.append(from_seed_words(words, ahead))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RowStreams, "from_seed_words", recording)
+        run_batch(config, link, RowStreams.from_seed_words(
+            _row_seed_words(seed, (0,), 0, rows), -(-sum(_row_halves(config, link)) // 2)))
+        leaves = tuple(f"leaf{k}" for k in range(rows))
+        run_star_session(Topology(leaves=leaves, links=dict.fromkeys(leaves, link)), config)
+    # The batch's stream, then the star's prepare, measure and any noise or Eve streams.
+    assert len(built) == 3 + sum(count > 0 for count in _row_halves(config, link)[1:4])
+    for streams in built:
+        assert streams.ahead.shape == (rows, streams.cursor)

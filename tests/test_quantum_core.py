@@ -455,9 +455,14 @@ def _draw(source, call):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5), st.lists(row_calls, min_size=1, max_size=8))
-def test_row_streams_equal_generator_calls_stacked(seeds, calls):
-    streams = RowStreams([np.random.PCG64(seed) for seed in seeds])
+@given(
+    st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5),
+    st.lists(row_calls, min_size=1, max_size=8),
+    st.integers(0, 300),
+)
+def test_row_streams_equal_generator_calls_stacked(seeds, calls, ahead):
+    # A read-ahead shorter than the calls take tops up in the middle of a draw.
+    streams = RowStreams([np.random.PCG64(seed) for seed in seeds], ahead)
     reference = [np.random.default_rng(seed) for seed in seeds]
     for call in calls:
         got, want = _draw(streams, call), np.array([_draw(gen, call) for gen in reference])
@@ -517,6 +522,24 @@ def test_row_streams_lemire_rejection_redraws_like_numpy():
         # Row 0 takes 14 halves, row 1 takes 11: only row 1 keeps the high half of its last word.
         assert len(taken) == (14, 11)[r]
         assert streams.pending[r] == (next(halves) if len(taken) % 2 else -1)
+
+
+@pytest.mark.parametrize("ahead", [3, 12])
+def test_row_streams_read_ahead_keeps_lemire_redraws(ahead):
+    # The rows of the test above, padded, read ahead by fewer and by more
+    # words than the draws take (11 and 9): rejected halves make row 0 read
+    # alone, from its buffered words first.
+    extra = [int(w) for w in np.random.default_rng(5).integers(1, 2**63, size=60)]
+    words = [[0, 7 << 32, *extra[:28]], extra[30:]]
+    draws = []
+    for read_ahead in (0, ahead):
+        streams = RowStreams([_WordSource(row) for row in words], read_ahead)
+        draws.append([
+            streams.integers(3, size=5), streams.integers(0, 3, size=4), streams.random(2),
+            streams.integers(0, 2, size=5, dtype=np.uint8), streams.integers(0, 7, size=3), streams.pending,
+        ])
+    for unbuffered, buffered in zip(*draws):
+        assert np.array_equal(unbuffered, buffered)
 
 
 def test_pure_state_rejects_unnormalized():
