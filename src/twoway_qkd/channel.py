@@ -15,6 +15,7 @@ hiding.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,13 +50,14 @@ class NoiseModel:
     p_both: float = 0.0
 
     def __post_init__(self) -> None:
-        probs = (self.p_bitflip, self.p_phaseflip, self.p_both)
-        for name, p in zip(("p_bitflip", "p_phaseflip", "p_both"), probs):
-            # Written so that NaN fails too.
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must lie in [0,1], got {p}")
-        if sum(probs) > 1.0 + 1e-15:
-            raise ValueError(f"probabilities sum to {sum(probs)} > 1")
+        for name in ("p_bitflip", "p_phaseflip", "p_both"):
+            p = getattr(self, name)
+            # Written so that NaN fails too. Stored as a float, as from_dict gives it: an int prints differently.
+            if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
+                raise ValueError(f"{name} must be a number in [0,1], got {p!r}")
+            object.__setattr__(self, name, float(p))
+        if (total := sum((self.p_bitflip, self.p_phaseflip, self.p_both))) > 1.0 + 1e-15:
+            raise ValueError(f"probabilities sum to {total} > 1")
 
     @property
     def p_identity(self) -> float:
@@ -80,12 +82,34 @@ class NoiseModel:
 
     def sample_codes(self, n: int, rng: Rng) -> np.ndarray:
         """Draw one Pauli code per qubit: 0=I, 1=X, 2=Z, 3=XZ."""
-        u = rng.random(n)
+        return self._codes(rng.random(n))
+
+    def _codes(self, u: np.ndarray) -> np.ndarray:
         edges = np.cumsum([self.p_identity, self.p_bitflip, self.p_phaseflip])
         codes = (u >= edges[0]).view(np.int8)  # the number of edges at or below u
         for edge in edges[1:]:
             codes += u >= edge
         return codes
+
+
+class RowNoise:
+    """The noise of a batched pass's rows: rows spans[k] draw under models[k],
+    each at its own model's probabilities. The models must all draw or all be
+    trivial, so that every row reads the same words."""
+
+    __slots__ = ("models", "spans")
+
+    def __init__(self, models, spans):
+        if len({model.is_trivial() for model in models}) > 1:
+            raise ValueError("the rows of one pass must all draw noise or none")
+        self.models, self.spans = models, spans
+
+    def is_trivial(self) -> bool:
+        return self.models[0].is_trivial()
+
+    def sample_codes(self, n: int, rng: Rng) -> np.ndarray:
+        u = rng.random(n)
+        return np.concatenate([model._codes(u[span]) for model, span in zip(self.models, self.spans)])
 
 
 def perturb(state: PureState, noise: NoiseModel, rng: Rng) -> PureState:
@@ -98,7 +122,7 @@ def perturb(state: PureState, noise: NoiseModel, rng: Rng) -> PureState:
 
 
 def perturb_register(
-    register: QubitRegister, noise: NoiseModel, rng: Rng
+    register: QubitRegister, noise: NoiseModel | RowNoise, rng: Rng
 ) -> tuple[QubitRegister, np.ndarray]:
     """Vectorized perturb over a whole qubit string; returns the sampled codes."""
     if noise.is_trivial():

@@ -299,60 +299,66 @@ def _cell_eve(config: ExperimentConfig, kind: str) -> EveStrategy:
     return _build(f"sweep eve value {kind!r}", EveStrategy, kind=kind, basis_pool=pool, legs=legs)
 
 
+def _cell_settings(config: ExperimentConfig, cells: list[dict]) -> list[tuple[RunConfig, LinkSettings]]:
+    """Each cell's RunConfig and LinkSettings. Cells with equal values share
+    one object, built once: each build re-runs its checks."""
+    run_configs, links = {}, {}
+    for params in cells:
+        if (key := (params["repetition"], params["tag_length"])) not in run_configs:
+            run_configs[key] = _cell_run_config(config, params)
+        if (key := (params["p_bitflip"], params["eve"])) not in links:
+            noise = _build(f"sweep p_bitflip value {key[0]}", replace, config.noise, p_bitflip=float(key[0]))
+            links[key] = LinkSettings(noise, noise, _cell_eve(config, key[1]))
+    return [(run_configs[p["repetition"], p["tag_length"]], links[p["p_bitflip"], p["eve"]]) for p in cells]
+
+
 def run_experiment(config: ExperimentConfig) -> RunStatistics:
     """Execute repetitions x sweep-grid sessions and aggregate per-cell rates.
 
     Repetition r of cell i is driven by one PCG64 stream, the r-th spawn of
     SeedSequence(seed, spawn_key=(i,)), i.e. spawn key (i, r): cells are
-    independent and the whole grid is reproducible from the config. A cell's
-    repetitions run through run_batch in chunks of at most BATCH_QUBITS qubit
-    slots (protocol._passes); a chunk's seed states are derived in one pass
-    (_row_seed_words) and seed its rows' read-ahead streams (RowStreams.from_seed_words).
+    independent and the whole grid is reproducible from the config. Cells
+    whose rows draw alike (the same repetition factor, Eve kind and noise
+    triviality; they differ only in p_bitflip and tag_length) share
+    run_batch passes: a pass holds as many whole cells as fit in
+    BATCH_QUBITS qubit slots, each cell's rows together and in cell order,
+    and a cell larger than that is split (protocol._passes). A pass's seed
+    states are derived in one _row_seed_words call and seed its rows'
+    read-ahead streams (RowStreams.from_seed_words).
     """
-    cells = []
-    for cell_index, params in enumerate(config.cells()):
-        run_config = _cell_run_config(config, params)
-        p_bitflip = params["p_bitflip"]
-        noise = _build(f"sweep p_bitflip value {p_bitflip}", replace, config.noise, p_bitflip=float(p_bitflip))
-        link = LinkSettings(noise, noise, _cell_eve(config, params["eve"]))
-
-        # The float sums add one repetition at a time, in repetition order:
-        # a vectorized sum rounds differently, and the artifact bytes must
-        # not depend on the chunk size.
-        qber_sum = 0.0
-        agreements = 0
-        detections = 0
-        erasure_sum = 0.0
+    cells = config.cells()
+    settings = _cell_settings(config, cells)
+    groups: dict[tuple, list[int]] = {}
+    for index, (run_config, link) in enumerate(settings):
+        groups.setdefault((run_config.repetition, link.eve.kind, link.noise_forward.is_trivial()), []).append(index)
+    n = config.repetitions
+    # Per cell: the sums of qber, erasure share, agreement and detection. They
+    # add one repetition at a time, in repetition order, as np.cumsum does (np.sum
+    # adds pairwise and rounds differently): the bytes must not depend on the passes.
+    sums = np.zeros((4, len(cells)))
+    for group in groups.values():
+        run_config, link = settings[group[0]]
         ahead = -(-sum(_row_halves(run_config, link)) // 2)
-        for chunk in _passes(config.repetitions, run_config.qubit_count):
-            words = _row_seed_words(config.run.seed, (cell_index,), chunk.start, chunk.stop - chunk.start)
-            batch = run_batch(run_config, link, RowStreams.from_seed_words(words, ahead))
-            for qber in np.mean(batch.m_prime != batch.key_message, axis=-1).tolist():
-                qber_sum += qber
-            agreements += int(batch.agreement.sum())
-            detections += int(batch.tag_mismatch.sum())
-            if run_config.variant == V2:
-                for erasure in np.mean(batch.ties, axis=-1).tolist():
-                    erasure_sum += erasure
-        n = config.repetitions
-        qber = qber_sum / n
-        bits = n * run_config.message_length
-        blocks = n * run_config.n_bits
-        cells.append(
-            CellStats(
-                params=params,
-                runs=n,
-                qber=qber,
-                qber_se=_binomial_se(qber, bits),
-                agreement_rate=agreements / n,
-                agreement_se=_binomial_se(agreements / n, n),
-                detection_rate=detections / n,
-                detection_se=_binomial_se(detections / n, n),
-                erasure_rate=erasure_sum / n,
-                erasure_se=_binomial_se(erasure_sum / n, blocks),
-            )
-        )
-    return RunStatistics(config=config, cells=tuple(cells))
+        for members in _passes(len(group), n * run_config.qubit_count):
+            ids = group[members]
+            for rows in _passes(n, run_config.qubit_count):
+                count = rows.stop - rows.start
+                words = _row_seed_words(config.run.seed, np.array(ids)[:, None], rows.start, count)
+                batch = run_batch([(*settings[i], count) for i in ids], RowStreams.from_seed_words(words, ahead))
+                qbers = np.mean(batch.m_prime != batch.key_message, axis=-1)
+                erasures = np.mean(batch.ties, axis=-1) if run_config.variant == V2 else np.zeros_like(qbers)
+                outcomes = np.stack([qbers, erasures, batch.agreement, batch.tag_mismatch]).reshape(4, len(ids), count)
+                sums[:, ids] = np.cumsum(np.concatenate([sums[:, ids, None], outcomes], axis=2), axis=2)[:, :, -1]
+    stats = []
+    for params, (run_config, _), totals in zip(cells, settings, sums.T.tolist()):
+        qber, erasure, agreement, detection = (total / n for total in totals)
+        stats.append(CellStats(
+            params=params, runs=n, qber=qber, qber_se=_binomial_se(qber, n * run_config.message_length),
+            agreement_rate=agreement, agreement_se=_binomial_se(agreement, n),
+            detection_rate=detection, detection_se=_binomial_se(detection, n),
+            erasure_rate=erasure, erasure_se=_binomial_se(erasure, n * run_config.n_bits),
+        ))
+    return RunStatistics(config=config, cells=tuple(stats))
 
 
 def emit_results(stats: RunStatistics, output_dir) -> list[Path]:

@@ -20,6 +20,7 @@ Three variants:
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -27,8 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import (BACKWARD, FORWARD, INTERCEPT_RESEND, EveObservation, EveStrategy, NoiseModel, perturb_register,
-                      eve_tap_register)
+from .channel import (BACKWARD, FORWARD, INTERCEPT_RESEND, EveObservation, EveStrategy, NoiseModel, RowNoise,
+                      perturb_register, eve_tap_register)
 from .qubit import PAULI_TAGS, Basis, QubitRegister, Rng, RowStreams, XZ, _row_seed_words, _SeedWords
 
 V1 = "V1"
@@ -43,7 +44,7 @@ VARIANTS = (V1, V2, V3)
 # collide with. A two-party session is link 0.
 HUB_SPAWN_KEY = (1 << 16, 0)
 
-# Qubit slots (rows x qubits per row) one batched pass of a sweep cell or a
+# Qubit slots (rows x qubits per row) one batched pass of sweep cells or a
 # star group holds at most; bounds memory whatever the number of rows. A
 # 64-qubit V1 cell with Eve on both legs peaks near 60 MiB at 2**16 and
 # 360 MiB at 2**20, and runs no faster with the wider chunks.
@@ -51,7 +52,7 @@ BATCH_QUBITS = 1 << 16
 
 
 def _passes(rows: int, qubit_count: int) -> list[slice]:
-    """Consecutive slices of `rows` rows, each within BATCH_QUBITS qubit slots."""
+    """Consecutive slices of `rows` rows (or sweep cells), each within BATCH_QUBITS qubit slots."""
     step = max(1, BATCH_QUBITS // qubit_count)
     return [slice(start, min(rows, start + step)) for start in range(0, rows, step)]
 
@@ -70,14 +71,15 @@ def _key_rng(seed: int) -> Rng:
 class LinkSettings:
     """Channel conditions on one link: a star's hub-leaf link or a two-party session."""
 
-    noise_forward: NoiseModel = NoiseModel()
-    noise_backward: NoiseModel = NoiseModel()
+    noise_forward: NoiseModel | RowNoise = NoiseModel()
+    noise_backward: NoiseModel | RowNoise = NoiseModel()
     eve: EveStrategy = EveStrategy.absent()
 
     def __post_init__(self) -> None:
-        for name, kind in (("noise_forward", NoiseModel), ("noise_backward", NoiseModel), ("eve", EveStrategy)):
-            if not isinstance(getattr(self, name), kind):
-                raise ValueError(f"{name} must be of type {kind.__name__}, got {getattr(self, name)!r}")
+        noise = (NoiseModel, RowNoise)  # a RowNoise is a run_batch pass's, one model per row
+        for name, kinds in (("noise_forward", noise), ("noise_backward", noise), ("eve", (EveStrategy,))):
+            if not isinstance(getattr(self, name), kinds):
+                raise ValueError(f"{name} must be of type {kinds[0].__name__}, got {getattr(self, name)!r}")
 
 
 def _link_words(seed: int, links, link: LinkSettings) -> list:
@@ -211,6 +213,7 @@ class RunConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a numpy integer would not serialize to JSON
         if self.n_bits < 1:
             raise ValueError("n_bits must be >= 1")
         if self.repetition < 1:
@@ -232,10 +235,12 @@ class RunConfig:
             raise ValueError(f"basis_pool angles must be pairwise distinct modulo pi: {angles}")
         if not 0 <= self.tag_length <= self.message_length:
             raise ValueError("tag_length must lie in [0, message length]")
-        if self.tag_bits is not None and len(self.tag_bits) != self.tag_length:
-            raise ValueError("tag_bits length must equal tag_length")
-        if self.tag_bits is not None and any(bit not in (0, 1) for bit in self.tag_bits):
-            raise ValueError(f"tag_bits entries must be 0 or 1: {list(self.tag_bits)}")
+        if self.tag_bits is not None:
+            if len(self.tag_bits) != self.tag_length:
+                raise ValueError("tag_bits length must equal tag_length")
+            if any(isinstance(bit, bool) or bit not in (0, 1) for bit in self.tag_bits):
+                raise ValueError(f"tag_bits entries must be 0 or 1: {list(self.tag_bits)}")
+            object.__setattr__(self, "tag_bits", tuple(map(int, self.tag_bits)))
 
     @property
     def qubit_count(self) -> int:
@@ -592,17 +597,31 @@ class BatchResult(NamedTuple):
     tag_mismatch: np.ndarray  # (R,) bool, abort_reason == "tag_mismatch"
 
 
-def run_batch(config: RunConfig, link: LinkSettings, rows: RowStreams) -> BatchResult:
-    """Sessions driven by one stream each, run as one pass over a
-    (runs x qubits) array.
+def run_batch(cells, rows: RowStreams) -> BatchResult:
+    """The sessions of one pass, run over a (rows x qubits) array with one
+    stream per row. Each cell (config, link, count) holds the next `count`
+    rows. Cells may differ only in noise probabilities and tag, with each
+    leg's noise trivial in all of them or in none; a pass of one cell is the
+    plain case.
 
     Row r draws from stream r exactly what run_session(config,
     link.noise_forward, link.noise_backward, link.eve, rng=Generator over
-    stream r) draws, in the same order, and has the same key-message,
-    decoded message and abort reason.
+    stream r) draws under its cell's settings, in the same order, and has
+    the same key-message, decoded message and abort reason.
     """
+    configs, links, counts = zip(*cells)
+    spans = [slice(stop - count, stop) for stop, count in zip(itertools.accumulate(counts), counts)]
+    # The shortest tag serves the pass: every other cell's tag covers its positions, and is rewritten and rechecked.
+    config = min(configs, key=lambda cell_config: cell_config.tag_length)
+    link = LinkSettings(RowNoise([cell_link.noise_forward for cell_link in links], spans),
+                        RowNoise([cell_link.noise_backward for cell_link in links], spans), links[0].eve)
     prep = alice_prepare(config, rows)
     m = bob_build_key_message(config, rows)
+    retagged = [(cell_config, span) for cell_config, span in zip(configs, spans) if cell_config is not config]
+    for cell_config, span in retagged:
+        m[span, config.message_length - cell_config.tag_length :] = cell_config.resolved_tag_bits()
     _, record, (_, all_erasures, tag_mismatch, agreement) = _round_trip(config, prep, m, link, (rows,) * 4)
+    for cell_config, span in retagged:
+        tag_mismatch[span] = ~all_erasures[span] & ~verify_tag(record.m_prime[span], cell_config)
     ties = record.ties if record.p is None else record.p
     return BatchResult(m, record.m_prime, ties, agreement, all_erasures, tag_mismatch)

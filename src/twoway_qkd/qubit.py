@@ -15,7 +15,6 @@ string; it must agree with the scalar path bit for bit (tested).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -82,7 +81,7 @@ class RowStreams:
 
     def _halves(self, count: int) -> np.ndarray:
         """The next `count` 32-bit halves of every row, (R, count) little-endian uint32."""
-        rows, held = len(self.bits), sum(spare >= 0 for spare in self.pending)
+        rows, held = len(self.bits), len(self.bits) - self.pending.count(-1)
         if 0 < held < rows:  # rows differ (rare: after a Lemire rejection)
             return np.array([[self._next_half(r) for _ in range(count)] for r in range(rows)], "<u4")
         halves = self._words((count + 1 - (held > 0)) // 2).astype("<u8", copy=False).view("<u4")
@@ -164,7 +163,6 @@ def _row_seed_words(seed: int, prefixes, start: int, count: int) -> np.ndarray:
     value from 2**32 on is two words, low first: each row keeps its own hash
     constant) in uint32 arithmetic that wraps as SeedSequence's does.
     """
-    seed = operator.index(seed)  # a Python int, whatever integer type the config holds
     prefixes = np.array(prefixes, "<u8", ndmin=2)
     trailing = np.tile(np.arange(start, start + count, dtype="<u8"), len(prefixes))[:, None]
     # SeedSequence mixes a prefix all rows share (a sweep cell) itself, once.

@@ -181,7 +181,7 @@ def test_criterion_5_repetition_decoding():
                 np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(int(p * 1000), t)))
                 for seed in range(runs)
             )
-            batch = run_batch(config, LinkSettings(noise, noise), rows)
+            batch = run_batch([(config, LinkSettings(noise, noise), runs)], rows)
             errors = int((batch.m_prime != batch.key_message).sum())
             total = runs * n_blocks_per_run
             rate = errors / total

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twoway_qkd import ConfigError, ExperimentConfig, RunConfig, emit_results, protocol, run_experiment, run_session
+from twoway_qkd import (ConfigError, ExperimentConfig, NoiseModel, RunConfig, emit_results, protocol, run_experiment,
+                        run_session)
 from twoway_qkd.cli import main
 from twoway_qkd.harness import (
     CONFIG_FILENAME,
@@ -85,6 +86,21 @@ def test_experiment_config_takes_numpy_integers_as_ints():
     plain = ExperimentConfig(RunConfig(n_bits=4), repetitions=3, sweep_repetition=(2,))
     assert config.json_text() == plain.json_text()
     assert run_experiment(config).csv_text() == run_experiment(plain).csv_text()
+    run = RunConfig(n_bits=np.int64(4), repetition=np.int32(2), tag_length=np.int8(1), seed=np.uint16(3),
+                    tag_bits=(np.uint8(0),))
+    plain = ExperimentConfig(RunConfig(n_bits=4, repetition=2, tag_length=1, seed=3, tag_bits=(0,)), repetitions=2)
+    assert ExperimentConfig(run, repetitions=2).json_text() == plain.json_text()
+
+
+def test_python_built_config_with_int_probabilities_replays_byte_for_byte(tmp_path):
+    config = ExperimentConfig(RunConfig(n_bits=4), repetitions=2, noise=NoiseModel(p_bitflip=0, p_both=1),
+                              sweep_tag_length=(0, 2))
+    emit_results(run_experiment(config), tmp_path / "a")
+    replayed = ExperimentConfig.from_json_file(tmp_path / "a" / CONFIG_FILENAME)
+    emit_results(run_experiment(replayed), tmp_path / "b")
+    for name in (CONFIG_FILENAME, CSV_FILENAME, SUMMARY_FILENAME):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    assert "0.0,1," in (tmp_path / "a" / CSV_FILENAME).read_text()
 
 
 def test_single_cell_noiseless_grid():
@@ -189,8 +205,12 @@ def experiment_dicts(draw):
             "basis_pool": draw(st.sampled_from([pool, [0.0, math.pi / 8]])),
             "legs": draw(st.sampled_from([["forward"], ["backward"], ["forward", "backward"]])),
         },
+        # Cells that draw alike share passes: several p_bitflip or tag_length values, alone or crossed.
         "sweep": draw(st.sampled_from([
             {}, {"p_bitflip": [0.0, 0.2]}, {"repetition": [1, 2]}, {"eve": ["absent", "substitute"]},
+            {"p_bitflip": [0.05, 0.0, 0.3, 0.1]}, {"tag_length": [n_bits, 0, 1]},
+            {"p_bitflip": [0.3, 0.0, 0.05], "tag_length": [0, n_bits]},
+            {"repetition": [2, 1], "tag_length": [1, n_bits]},
         ])),
     }
 

@@ -29,6 +29,13 @@ def test_noise_model_validation():
     with pytest.raises(ValueError, match="p_both"):
         NoiseModel(p_both=float("inf"))
     assert NoiseModel(0.2, 0.3, 0.1).p_identity == pytest.approx(0.4)
+    # Probabilities are stored as floats; a bool or a non-number is an error naming the field.
+    for field, value in [("p_bitflip", True), ("p_phaseflip", "0.1"), ("p_both", None), ("p_bitflip", 1j)]:
+        with pytest.raises(ValueError, match=field):
+            NoiseModel(**{field: value})
+    noise = NoiseModel(p_bitflip=0, p_phaseflip=np.float32(0.5), p_both=np.int64(0))
+    assert all(type(p) is float for p in (noise.p_bitflip, noise.p_phaseflip, noise.p_both))
+    assert noise == NoiseModel(0.0, 0.5, 0.0)
 
 
 def test_noise_channel_is_complete():

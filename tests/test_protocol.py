@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,8 +45,9 @@ def test_run_config_validation():
         RunConfig(n_bits=4, basis_pool=(Basis(0.0), Basis(2 * math.pi)))
     with pytest.raises(ValueError, match="modulo pi"):
         RunConfig(n_bits=4, basis_pool=(Basis(0.3), Basis(0.3 + math.pi)))
-    with pytest.raises(ValueError, match="tag_bits"):
-        RunConfig(n_bits=4, tag_length=2, tag_bits=(2, 0))
+    for tag_bits in [(2, 0), (True, 0)]:
+        with pytest.raises(ValueError, match="tag_bits"):
+            RunConfig(n_bits=4, tag_length=2, tag_bits=tag_bits)
     with pytest.raises(ValueError):
         RunConfig(n_bits=4, variant="V2", repetition=3, tag_length=5)
     # V1 message spans all t*N qubits, so a longer tag is fine there.
@@ -63,7 +65,9 @@ def test_run_config_validation():
             RunConfig(**{"n_bits": 4, field: value})
     with pytest.raises(ValueError, match="basis_pool"):
         RunConfig(n_bits=4, basis_pool=(0.1,))
-    RunConfig(n_bits=np.int64(4), repetition=np.int32(2), seed=np.uint8(1))
+    # numpy integers are stored as Python ints, so that a config of them serializes to JSON.
+    config = RunConfig(n_bits=np.int64(4), repetition=np.int32(2), tag_length=np.int16(1), seed=np.uint8(1))
+    assert [type(value) for value in (config.n_bits, config.repetition, config.tag_length, config.seed)] == [int] * 4
     # Link fields must be a NoiseModel or an EveStrategy, checked where the link is built.
     for field, value in [("noise_forward", "x"), ("noise_backward", 0.1), ("eve", None)]:
         with pytest.raises(ValueError, match=field):
@@ -500,7 +504,7 @@ def test_run_batch_rows_match_run_session(variant, t, n_bits, pool_size, tag_len
         tag_length=min(tag_length, n_bits), seed=seed,
     )
     ahead = -(-sum(_row_halves(config, link)) // 2)
-    batch = run_batch(config, link, RowStreams([np.random.PCG64([seed, r]) for r in range(rows)], ahead))
+    batch = run_batch([(config, link, rows)], RowStreams([np.random.PCG64([seed, r]) for r in range(rows)], ahead))
     for r in range(rows):
         result = run_session(
             config, link.noise_forward, link.noise_backward, link.eve, rng=np.random.default_rng([seed, r])
@@ -539,7 +543,7 @@ def test_row_halves_are_the_words_each_pass_reads(variant, t, n_bits, pool_size,
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(RowStreams, "from_seed_words", recording)
-        run_batch(config, link, RowStreams.from_seed_words(
+        run_batch([(config, link, rows)], RowStreams.from_seed_words(
             _row_seed_words(seed, (0,), 0, rows), -(-sum(_row_halves(config, link)) // 2)))
         leaves = tuple(f"leaf{k}" for k in range(rows))
         run_star_session(Topology(leaves=leaves, links=dict.fromkeys(leaves, link)), config)
@@ -547,3 +551,43 @@ def test_row_halves_are_the_words_each_pass_reads(variant, t, n_bits, pool_size,
     assert len(built) == 3 + sum(count > 0 for count in _row_halves(config, link)[1:4])
     for streams in built:
         assert streams.ahead.shape == (rows, streams.cursor)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["V1", "V2", "V3"]),
+    st.integers(1, 3),
+    st.integers(1, 5),
+    links,
+    # Per cell: p_bitflip on each noisy leg, tag length, whether the tag is explicit, and rows.
+    st.lists(st.tuples(st.sampled_from([0.0, 0.1, 0.3]), st.integers(0, 5), st.booleans(), st.integers(1, 4)),
+             min_size=2, max_size=4),
+    st.integers(0, 2**31 - 1),
+)
+def test_a_pass_of_cells_gives_each_cell_its_own_rows(variant, t, n_bits, link, cells, seed):
+    base = RunConfig(n_bits=n_bits, repetition=t, variant=variant, basis_pool=POOL[:2], seed=seed)
+    specs = []
+    for p, tag_length, explicit, rows in cells:
+        tag_length = min(tag_length, base.message_length)
+        config = replace(base, tag_length=tag_length, tag_bits=(0,) * tag_length if explicit else None)
+        noise = [model if model.is_trivial() else replace(model, p_bitflip=p)
+                 for model in (link.noise_forward, link.noise_backward)]
+        specs.append((config, LinkSettings(*noise, link.eve), rows))
+    words = _row_seed_words(seed, (0,), 0, sum(rows for *_, rows in cells))
+    ahead = -(-sum(_row_halves(base, link)) // 2)
+    fused = run_batch(specs, RowStreams.from_seed_words(words, ahead))
+    start = 0
+    for spec in specs:
+        span = slice(start, start + spec[2])
+        alone = run_batch([spec], RowStreams.from_seed_words(words[span], ahead))
+        for got, want in zip(fused, alone):
+            assert (got is None) == (want is None)
+            assert got is None or np.array_equal(got[span], want)
+        start = span.stop
+
+
+def test_a_pass_rejects_cells_that_draw_noise_differently():
+    config = RunConfig(n_bits=4)
+    cells = [(config, LinkSettings(NoiseModel(p_bitflip=0.1)), 2), (config, LinkSettings(), 2)]
+    with pytest.raises(ValueError, match="noise"):
+        run_batch(cells, RowStreams.from_seed_words(_row_seed_words(0, (0,), 0, 4)))
