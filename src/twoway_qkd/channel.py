@@ -14,13 +14,12 @@ hiding.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .qubit import (
+    ANGLE,
     PAULI_TAGS,
     Basis,
     KrausChannel,
@@ -29,6 +28,8 @@ from .qubit import (
     QubitRegister,
     Rng,
     apply_pauli,
+    check_fields,
+    checked,
     encode_bit,
     measure_in_basis,
 )
@@ -50,12 +51,10 @@ class NoiseModel:
     p_both: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("p_bitflip", "p_phaseflip", "p_both"):
-            p = getattr(self, name)
-            # Written so that NaN fails too. Stored as a float, as from_dict gives it: an int prints differently.
-            if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be a number in [0,1], got {p!r}")
-            object.__setattr__(self, name, float(p))
+        check_fields(self, p_bitflip=float, p_phaseflip=float, p_both=float)
+        for name, p in (("p_bitflip", self.p_bitflip), ("p_phaseflip", self.p_phaseflip), ("p_both", self.p_both)):
+            if not 0.0 <= p <= 1.0:  # written so that NaN fails too
+                raise ValueError(f"{name} must lie in [0,1], got {p!r}")
         if (total := sum((self.p_bitflip, self.p_phaseflip, self.p_both))) > 1.0 + 1e-15:
             raise ValueError(f"probabilities sum to {total} > 1")
 
@@ -67,18 +66,10 @@ class NoiseModel:
         return self.p_bitflip == self.p_phaseflip == self.p_both == 0.0
 
     def kraus_channel(self) -> KrausChannel:
-        """The averaged channel {sqrt(p_j) * P_j} this model unravels."""
-        coeffs = []
-        for p, slot in (
-            (self.p_identity, 0),
-            (self.p_bitflip, 1),
-            (self.p_phaseflip, 2),
-            (self.p_both, 3),
-        ):
-            row = [0.0, 0.0, 0.0, 0.0]
-            row[slot] = np.sqrt(p)
-            coeffs.append(tuple(row))
-        return KrausChannel.from_pauli_coefficients(coeffs)
+        """The averaged channel {sqrt(p_j) * P_j} this model unravels: row j of the
+        diagonal holds the coefficients of operator j over (I, X, Z, XZ)."""
+        probabilities = [self.p_identity, self.p_bitflip, self.p_phaseflip, self.p_both]
+        return KrausChannel.from_pauli_coefficients(np.diag(np.sqrt(probabilities)))
 
     def sample_codes(self, n: int, rng: Rng) -> np.ndarray:
         """Draw one Pauli code per qubit: 0=I, 1=X, 2=Z, 3=XZ."""
@@ -144,33 +135,30 @@ class EveStrategy:
     legs: frozenset = frozenset()
 
     def __post_init__(self) -> None:
+        # Stored hashable whatever iterables were given: a star groups its links by LinkSettings.
+        if (pool := checked("basis_pool", self.basis_pool, [ANGLE])) is not self.basis_pool:
+            object.__setattr__(self, "basis_pool", pool)
+        if type(self.legs) is not frozenset:  # a set's members are checked as a subset below
+            legs = self.legs if isinstance(self.legs, set) else checked("legs", self.legs, [str])
+            object.__setattr__(self, "legs", frozenset(legs))
+        object.__setattr__(self, "kind", checked("kind", self.kind, str))
         if self.kind not in (ABSENT, INTERCEPT_RESEND, SUBSTITUTE):
             raise ValueError(f"unknown Eve strategy {self.kind!r}")
-        try:
-            pool = tuple(self.basis_pool)
-            finite = all(math.isfinite(theta) for theta in pool)
-        except TypeError:
-            finite = False
-        if not finite:
-            raise ValueError(f"basis_pool angles must be finite numbers: {self.basis_pool!r}")
-        # Stored hashable whatever iterables were given: a star groups its links by LinkSettings.
-        object.__setattr__(self, "basis_pool", pool)
-        object.__setattr__(self, "legs", frozenset(self.legs))
         if self.kind != ABSENT and not self.basis_pool:
             raise ValueError("active Eve strategy needs a non-empty basis pool")
         if not self.legs <= {FORWARD, BACKWARD}:
-            raise ValueError(f"legs must be a subset of {{forward, backward}}: {self.legs}")
+            raise ValueError(f"legs: must be a subset of {{forward, backward}}, got {set(self.legs)}")
 
     @classmethod
     def absent(cls) -> "EveStrategy":
         return cls()
 
     @classmethod
-    def intercept_resend(cls, basis_pool, legs=(FORWARD,)) -> "EveStrategy":
+    def intercept_resend(cls, basis_pool, legs=frozenset({FORWARD})) -> "EveStrategy":
         return cls(INTERCEPT_RESEND, basis_pool, legs)
 
     @classmethod
-    def substitute(cls, basis_pool, legs=(FORWARD,)) -> "EveStrategy":
+    def substitute(cls, basis_pool, legs=frozenset({FORWARD})) -> "EveStrategy":
         return cls(SUBSTITUTE, basis_pool, legs)
 
     def attacks(self, leg: str) -> bool:

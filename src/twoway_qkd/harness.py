@@ -28,7 +28,8 @@ Config schema::
     }
 
 Only n_bits is required. A key outside this schema, or a value of the wrong
-JSON type, is a ConfigError naming the field.
+JSON type, is a ConfigError naming the field: each value goes through
+qubit.checked, the check every config type applies to its own fields.
 
 All reported rates are simulator-derived; the protocol's source material
 contains no numerical experiments to compare against.
@@ -39,15 +40,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .channel import ABSENT, EveStrategy, NoiseModel
 from .protocol import V2, LinkSettings, RunConfig, _passes, _row_halves, run_batch
-from .qubit import Basis, RowStreams, _row_seed_words
+from .qubit import ANGLE, Basis, RowStreams, _row_seed_words, check_fields, checked
 
 CONFIG_FILENAME = "config_resolved.json"
 CSV_FILENAME = "results.csv"
@@ -71,20 +71,14 @@ CONFIG_KEYS = (
 )
 # Sweep axes and the JSON type of their values, in the fixed axis order.
 SWEEP_AXES = {"p_bitflip": float, "repetition": int, "eve": str, "tag_length": int}
-_JSON_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
 
 
 def _typed(name: str, value, kind):
-    """`value` as `kind` if it has that JSON type (numpy integers included); a
-    ConfigError naming the field otherwise. An integer is also a number; true and false are neither."""
-    accepted = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ConfigError(f"{name}: expected {_JSON_KINDS[kind]}, got {value!r}")
-    return kind(value)
-
-
-def _typed_list(name: str, value, kind) -> list:
-    return [_typed(f"{name}[{k}]", item, kind) for k, item in enumerate(_typed(name, value, list))]
+    """qubit.checked(name, value, kind), its ValueError re-raised as a ConfigError with the same message."""
+    try:
+        return checked(name, value, kind)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _object(name: str, value, keys) -> dict:
@@ -119,19 +113,18 @@ class ExperimentConfig:
     output_format: str = "tabular"
 
     def __post_init__(self) -> None:
-        for name, kind in (("run", RunConfig), ("noise", NoiseModel), ("eve", EveStrategy)):
-            if not isinstance(getattr(self, name), kind):
-                raise ConfigError(f"{name}: must be of type {kind.__name__}, got {getattr(self, name)!r}")
-        # Numbers are stored as the Python types from_dict gives: numpy ones would change the artifact bytes.
-        object.__setattr__(self, "repetitions", _typed("repetitions", self.repetitions, int))
+        try:
+            check_fields(self, run=RunConfig, repetitions=int, noise=NoiseModel, eve=EveStrategy, output_dir=(str, Path))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.repetitions < 1:
             raise ConfigError("repetitions: must be >= 1")
-        if self.output_format not in ("tabular", "structured"):
+        if _typed("format", self.output_format, str) not in ("tabular", "structured"):
             raise ConfigError("format: must be 'tabular' or 'structured'")
         for name, axis in self.sweep_axes.items():
+            axis = _typed(f"sweep.{name}", axis, [SWEEP_AXES[name]])
             if not axis:
                 raise ConfigError(f"sweep.{name}: must list at least one value")
-            axis = tuple(_typed(f"sweep.{name}[{k}]", value, SWEEP_AXES[name]) for k, value in enumerate(axis))
             object.__setattr__(self, f"sweep_{name}", axis)
 
     @property
@@ -161,11 +154,7 @@ class ExperimentConfig:
             "tag_bits": list(self.run.tag_bits) if self.run.tag_bits is not None else None,
             "seed": self.run.seed,
             "repetitions": self.repetitions,
-            "noise": {
-                "p_bitflip": self.noise.p_bitflip,
-                "p_phaseflip": self.noise.p_phaseflip,
-                "p_both": self.noise.p_both,
-            },
+            "noise": asdict(self.noise),
             "eve": {
                 "kind": self.eve.kind,
                 "basis_pool": list(self.eve.basis_pool),
@@ -182,39 +171,25 @@ class ExperimentConfig:
         data = _object("config", data, CONFIG_KEYS)
         if "n_bits" not in data:
             raise ConfigError("n_bits: missing required field")
-        tag_bits = data.get("tag_bits")
-        run = _build(
-            "run parameters", RunConfig,
-            n_bits=_typed("n_bits", data["n_bits"], int),
-            repetition=_typed("repetition", data.get("repetition", 1), int),
-            variant=_typed("variant", data.get("variant", "V1"), str),
-            basis_pool=tuple(Basis(a) for a in _typed_list("basis_pool", data.get("basis_pool", [0.0]), float)),
-            tag_length=_typed("tag_length", data.get("tag_length", 0), int),
-            seed=_typed("seed", data.get("seed", 0), int),
-            tag_bits=None if tag_bits is None else tuple(_typed_list("tag_bits", tag_bits, int)),
-        )
+        # RunConfig checks its own fields and holds their defaults; Basis takes checked angles.
+        keys = ("n_bits", "repetition", "variant", "tag_length", "seed", "tag_bits")
+        given = {key: data[key] for key in keys if key in data}
+        pool = tuple(map(Basis, _typed("basis_pool", data.get("basis_pool", [0.0]), [ANGLE])))
+        run = _build("run parameters", RunConfig, basis_pool=pool, **given)
         noise_d = _object("noise", data.get("noise", {}), ("p_bitflip", "p_phaseflip", "p_both"))
         noise = _build("noise", NoiseModel, **{k: _typed(f"noise.{k}", v, float) for k, v in noise_d.items()})
-        eve_d = _object("eve", data.get("eve", {}), ("kind", "basis_pool", "legs"))
-        eve = _build(
-            "eve", EveStrategy,
-            kind=_typed("eve.kind", eve_d.get("kind", ABSENT), str),
-            basis_pool=tuple(_typed_list("eve.basis_pool", eve_d.get("basis_pool", []), float)),
-            legs=frozenset(_typed_list("eve.legs", eve_d.get("legs", []), str)),
-        )
+        eve_kinds = {"kind": str, "basis_pool": [ANGLE], "legs": [str]}
+        eve_d = _object("eve", data.get("eve", {}), eve_kinds)
+        eve = _build("eve", EveStrategy, **{k: _typed(f"eve.{k}", v, eve_kinds[k]) for k, v in eve_d.items()})
         sweep = _object("sweep", data.get("sweep", {}), SWEEP_AXES)
-        axes = {name: tuple(_typed(f"sweep.{name}", axis, list)) for name, axis in sweep.items()}
         return cls(
             run=run,
-            repetitions=_typed("repetitions", data.get("repetitions", 1), int),
+            repetitions=data.get("repetitions", 1),
             noise=noise,
             eve=eve,
-            sweep_p_bitflip=axes.get("p_bitflip"),
-            sweep_repetition=axes.get("repetition"),
-            sweep_eve=axes.get("eve"),
-            sweep_tag_length=axes.get("tag_length"),
+            **{f"sweep_{name}": axis for name, axis in sweep.items()},
             output_dir=_typed("output_dir", data.get("output_dir", "results"), str),
-            output_format=_typed("format", data.get("format", "tabular"), str),
+            output_format=data.get("format", "tabular"),
         )
 
     @classmethod
@@ -250,15 +225,8 @@ class CellStats:
     erasure_se: float
 
     def to_dict(self) -> dict:
-        out = dict(self.params)
-        out.update(
-            runs=self.runs,
-            qber=self.qber, qber_se=self.qber_se,
-            agreement_rate=self.agreement_rate, agreement_se=self.agreement_se,
-            detection_rate=self.detection_rate, detection_se=self.detection_se,
-            erasure_rate=self.erasure_rate, erasure_se=self.erasure_se,
-        )
-        return out
+        """The cell's sweep parameters, then every other field by name."""
+        return {**self.params, **{f.name: getattr(self, f.name) for f in fields(self) if f.name != "params"}}
 
 
 @dataclass(frozen=True)
@@ -285,8 +253,8 @@ class RunStatistics:
 def _cell_run_config(config: ExperimentConfig, params: dict) -> RunConfig:
     return _build(
         f"sweep cell {params}", replace, config.run,
-        repetition=int(params["repetition"]),
-        tag_length=int(params["tag_length"]),
+        repetition=params["repetition"],
+        tag_length=params["tag_length"],
         tag_bits=None if config.run.tag_bits is None else tuple(config.run.tag_bits[: params["tag_length"]]),
     )
 
@@ -307,7 +275,7 @@ def _cell_settings(config: ExperimentConfig, cells: list[dict]) -> list[tuple[Ru
         if (key := (params["repetition"], params["tag_length"])) not in run_configs:
             run_configs[key] = _cell_run_config(config, params)
         if (key := (params["p_bitflip"], params["eve"])) not in links:
-            noise = _build(f"sweep p_bitflip value {key[0]}", replace, config.noise, p_bitflip=float(key[0]))
+            noise = _build(f"sweep p_bitflip value {key[0]}", replace, config.noise, p_bitflip=key[0])
             links[key] = LinkSettings(noise, noise, _cell_eve(config, key[1]))
     return [(run_configs[p["repetition"], p["tag_length"]], links[p["p_bitflip"], p["eve"]]) for p in cells]
 

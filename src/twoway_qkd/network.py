@@ -31,7 +31,7 @@ from .protocol import (
     alice_prepare,
     bob_build_key_message,
 )
-from .qubit import PureState, QubitRegister, RowStreams
+from .qubit import QubitRegister, RowStreams, check_fields, checked
 
 TO_HUB = 0
 TO_LEAF = 1
@@ -84,9 +84,6 @@ class WireFrame:
         link_id, direction, sequence, re0, im0, re1, im1 = _FRAME_STRUCT.unpack(data)
         return cls(link_id, direction, sequence, complex(re0, im0), complex(re1, im1))
 
-    def payload(self) -> PureState:
-        return PureState(self.amp0, self.amp1)
-
 
 @dataclass(frozen=True)
 class Topology:
@@ -95,6 +92,9 @@ class Topology:
     links: dict = field(default_factory=dict)  # leaf name -> LinkSettings
 
     def __post_init__(self) -> None:
+        check_fields(self, hub=str, leaves=[str], links=dict)
+        for leaf, link in self.links.items():
+            checked(f"links[{leaf!r}]", link, LinkSettings)
         if not self.leaves:
             raise ValueError("topology needs at least one leaf")
         if len(set(self.leaves)) != len(self.leaves):
@@ -104,9 +104,6 @@ class Topology:
         unknown = set(self.links) - set(self.leaves)
         if unknown:
             raise ValueError(f"link settings for unknown leaves: {sorted(unknown)}")
-        for leaf, link in self.links.items():
-            if not isinstance(link, LinkSettings):
-                raise ValueError(f"link settings for leaf {leaf!r} must be LinkSettings, got {link!r}")
         if len(self.leaves) >= 1 << 16:
             raise ValueError("at most 65535 leaves (16-bit link ids)")
 
@@ -159,11 +156,10 @@ def _register_frames(link_id, direction, register: QubitRegister, frames: np.nda
 
 
 def _group_key(config: RunConfig, link: LinkSettings) -> tuple:
-    """Leaves with equal keys share passes. LinkSettings and Basis
-    compare -0.0 equal to 0.0, but state tables key on float bytes, so angles
-    are keyed by their bytes (Eve's with their dtype, which her taps keep)."""
-    eve_pool = np.asarray(link.eve.basis_pool)
-    return link, eve_pool.dtype.str, eve_pool.tobytes(), config.pool_angles.astype(float).tobytes()
+    """Leaves with equal keys share passes. LinkSettings and Basis compare
+    -0.0 equal to 0.0, but state tables key on float bytes, so angles (Python
+    floats, as every config stores them) are keyed by their bytes too."""
+    return link, np.array(link.eve.basis_pool).tobytes(), config.pool_angles.tobytes()
 
 
 def run_star_session(

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,7 +29,7 @@ import numpy as np
 
 from .channel import (BACKWARD, FORWARD, INTERCEPT_RESEND, EveObservation, EveStrategy, NoiseModel, RowNoise,
                       perturb_register, eve_tap_register)
-from .qubit import PAULI_TAGS, Basis, QubitRegister, Rng, RowStreams, XZ, _row_seed_words, _SeedWords
+from .qubit import PAULI_TAGS, Basis, QubitRegister, Rng, RowStreams, XZ, _row_seed_words, _SeedWords, check_fields, checked
 
 V1 = "V1"
 V2 = "V2"
@@ -77,9 +76,9 @@ class LinkSettings:
 
     def __post_init__(self) -> None:
         noise = (NoiseModel, RowNoise)  # a RowNoise is a run_batch pass's, one model per row
-        for name, kinds in (("noise_forward", noise), ("noise_backward", noise), ("eve", (EveStrategy,))):
-            if not isinstance(getattr(self, name), kinds):
-                raise ValueError(f"{name} must be of type {kinds[0].__name__}, got {getattr(self, name)!r}")
+        checked("noise_forward", self.noise_forward, noise)
+        checked("noise_backward", self.noise_backward, noise)
+        checked("eve", self.eve, EveStrategy)
 
 
 def _link_words(seed: int, links, link: LinkSettings) -> list:
@@ -209,11 +208,7 @@ class RunConfig:
     tag_bits: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        for name in ("n_bits", "repetition", "tag_length", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # a numpy integer would not serialize to JSON
+        check_fields(self, n_bits=int, repetition=int, variant=str, basis_pool=[Basis], tag_length=int, seed=int)
         if self.n_bits < 1:
             raise ValueError("n_bits must be >= 1")
         if self.repetition < 1:
@@ -224,11 +219,7 @@ class RunConfig:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if not self.basis_pool:
             raise ValueError("basis pool must be non-empty")
-        if not all(isinstance(b, Basis) for b in self.basis_pool):
-            raise ValueError(f"basis_pool entries must be Basis objects: {list(self.basis_pool)}")
         angles = [b.theta for b in self.basis_pool]
-        if not all(math.isfinite(theta) for theta in angles):
-            raise ValueError(f"basis_pool angles must be finite: {angles}")
         # Angles equal mod pi give the same basis up to sign; sin(x - y) is expanded so x - y cannot overflow.
         sines = [(math.sin(x), math.cos(x)) for x in angles]
         if any(abs(sx * cy - cx * sy) <= 1e-12 for i, (sx, cx) in enumerate(sines) for sy, cy in sines[i + 1 :]):
@@ -236,11 +227,11 @@ class RunConfig:
         if not 0 <= self.tag_length <= self.message_length:
             raise ValueError("tag_length must lie in [0, message length]")
         if self.tag_bits is not None:
+            check_fields(self, tag_bits=[int])
             if len(self.tag_bits) != self.tag_length:
                 raise ValueError("tag_bits length must equal tag_length")
-            if any(isinstance(bit, bool) or bit not in (0, 1) for bit in self.tag_bits):
+            if any(bit not in (0, 1) for bit in self.tag_bits):
                 raise ValueError(f"tag_bits entries must be 0 or 1: {list(self.tag_bits)}")
-            object.__setattr__(self, "tag_bits", tuple(map(int, self.tag_bits)))
 
     @property
     def qubit_count(self) -> int:

@@ -15,12 +15,61 @@ string; it must agree with the scalar path bit for bit (tested).
 from __future__ import annotations
 
 import math
+import numbers
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 Rng = np.random.Generator
+
+# The field check every config type runs in __post_init__ (this module is one they all import).
+#: The field kind of a basis angle: a float that must be finite.
+ANGLE = "angle"
+_ACCEPTED = {int: numbers.Integral, float: numbers.Real, ANGLE: numbers.Real, str: str}
+_EXPECTED = {int: "an integer", float: "a number", ANGLE: "a finite number", str: "a string"}
+_UNORDERED = (str, dict, set, frozenset)  # not lists: a str iterates letters, a dict keys, a set in hash order
+
+
+def checked(name: str, value, kind):
+    """What field `name` stores for `value`, or ValueError("<name>: expected ..., got ...").
+
+    int takes any Integral and stores an int; float and ANGLE (also finite) take any Real
+    and store a float; a bool is never a number. str takes a str, any other class (or tuple
+    of classes) an instance. [kind] takes any iterable but a str, dict or set and stores a
+    tuple, item k checked as name[k]. So equal values are stored, printed and written alike.
+    """
+    if type(value) is kind or kind is ANGLE and type(value) is float and math.isfinite(value):
+        return value
+    if type(kind) is list:
+        try:
+            items = value if type(value) is tuple else None if isinstance(value, _UNORDERED) else tuple(value)
+        except TypeError:  # not iterable
+            items = None
+        if items is not None:
+            item_kind, fast = kind[0], float if kind[0] is ANGLE else kind[0]
+            for item in items:  # stored as they are, unless one needs checked()
+                if type(item) is not fast or item_kind is ANGLE and not math.isfinite(item):
+                    return tuple([checked(f"{name}[{k}]", item, item_kind) for k, item in enumerate(items)])
+            return items
+    elif type(kind) is tuple or kind not in _ACCEPTED:  # classes
+        if isinstance(value, kind):
+            return value
+    elif isinstance(value, _ACCEPTED[kind]) and not isinstance(value, bool):
+        with suppress(OverflowError):  # an int beyond the float range
+            if kind is not ANGLE or math.isfinite(value):
+                return float(value) if kind is ANGLE else kind(value)
+    classes = kind if type(kind) is tuple else (kind,)
+    expected = "a list" if type(kind) is list else _EXPECTED.get(kind) or " or ".join(c.__name__ for c in classes)
+    raise ValueError(f"{name}: expected {expected}, got {value!r}")
+
+
+def check_fields(config, **kinds) -> None:
+    """Store checked(name, field value, kind) in each named field of a frozen dataclass."""
+    for name, kind in kinds.items():
+        if type(value := getattr(config, name)) is not kind and (stored := checked(name, value, kind)) is not value:
+            object.__setattr__(config, name, stored)
 
 
 class RowStreams:
@@ -256,6 +305,9 @@ class Basis:
     """
 
     theta: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "theta", checked("theta", self.theta, ANGLE))
 
     @property
     def alpha(self) -> float:

@@ -12,19 +12,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twoway_qkd import (ConfigError, ExperimentConfig, NoiseModel, RunConfig, emit_results, protocol, run_experiment,
-                        run_session)
+from twoway_qkd import (Basis, ConfigError, EveStrategy, ExperimentConfig, NoiseModel, RunConfig, emit_results, protocol,
+                        run_experiment, run_session)
 from twoway_qkd.cli import main
 from twoway_qkd.harness import (
     CONFIG_FILENAME,
     CSV_FILENAME,
     SUMMARY_FILENAME,
+    SWEEP_AXES,
     CellStats,
     _binomial_se,
     _cell_eve,
     _cell_run_config,
 )
-from twoway_qkd.protocol import HUB_SPAWN_KEY, _key_rng
+from twoway_qkd.protocol import HUB_SPAWN_KEY, VARIANTS, _key_rng
 from twoway_qkd.qubit import RowStreams, _row_seed_words, _SeedWords
 
 BASE = {
@@ -315,6 +316,9 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         ({"noise": {"p_bitflip": float("nan")}}, "p_bitflip"),
         ({"basis_pool": [float("inf")]}, "basis_pool"),
         ({"eve": {"kind": "intercept_resend", "basis_pool": [float("-inf")]}}, "basis_pool"),
+        # Integers beyond the float range.
+        ({"basis_pool": [10**400]}, "basis_pool"),
+        ({"noise": {"p_bitflip": 10**400}}, "p_bitflip"),
     ],
 )
 def test_cli_rejects_non_finite_numbers(tmp_path, capsys, override, field):
@@ -407,6 +411,138 @@ def test_cli_fuzz_one_field_exits_cleanly(field, value):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["run", "--config", cfg_path, "--output-dir", f"{tmp}/out"])
     assert code == 0 or (code == 1 and err.getvalue().startswith("config error:")), err.getvalue()
+
+
+ANGLES = (0.0, 1.0, 0.5, math.pi / 4)  # pairwise distinct modulo pi, in float32 too
+KINDS = ("absent", "intercept_resend", "substitute")
+
+
+@st.composite
+def tiny_specs(draw):
+    """The constructor arguments of a config of TINY's shape, as plain Python values."""
+    variant, n_bits, repetition = draw(st.sampled_from(VARIANTS)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    tag_length = draw(st.integers(0, n_bits))
+    tag_bits = draw(st.none() | st.lists(st.sampled_from([0, 1]), min_size=tag_length, max_size=tag_length))
+    kind = draw(st.sampled_from(KINDS))
+    axis = lambda values: draw(st.none() | st.lists(st.sampled_from(values), min_size=1, max_size=2, unique=True))
+    return {
+        "run": dict(n_bits=n_bits, repetition=repetition, variant=variant, tag_length=tag_length,
+                    seed=draw(st.integers(0, 300)), tag_bits=tag_bits,
+                    basis_pool=draw(st.lists(st.sampled_from(ANGLES), min_size=1, max_size=3, unique=True))),
+        "repetitions": draw(st.integers(1, 3)),
+        "noise": dict(p_bitflip=draw(st.sampled_from([0, 0.1, 0.5])), p_phaseflip=draw(st.sampled_from([0, 0.2])),
+                      p_both=draw(st.sampled_from([0, 0.25]))),
+        "eve": dict(kind=kind, basis_pool=draw(st.lists(st.sampled_from(ANGLES), min_size=int(kind != "absent"),
+                                                        max_size=2)),
+                    legs=draw(st.lists(st.sampled_from(["forward", "backward"]), max_size=2, unique=True))),
+        "sweep_p_bitflip": axis([0.0, 0.1, 0.5]),
+        "sweep_repetition": axis([1, 2, 3]),
+        "sweep_eve": axis(KINDS),
+        "sweep_tag_length": axis(range(tag_length + 1) if tag_bits is not None else range(n_bits + 1)),
+        "output_format": draw(st.sampled_from(["tabular", "structured"])),
+        "output_dir": "unused",
+    }
+
+
+def build_config(spec):
+    """The ExperimentConfig of a tiny_specs dict, built in Python. A dict section becomes
+    its RunConfig, NoiseModel or EveStrategy, and a list run pool Basis objects; any
+    other value is passed as it is."""
+    sections = {"run": RunConfig, "noise": NoiseModel, "eve": EveStrategy}
+    fields = dict(spec)
+    for name, factory in sections.items():
+        if type(fields[name]) is dict:
+            if name == "run" and type(pool := fields[name]["basis_pool"]) is list:
+                fields[name] = {**fields[name], "basis_pool": tuple(map(Basis, pool))}
+            fields[name] = factory(**fields[name])
+    return ExperimentConfig(**fields)
+
+
+# The numbers of a spec, by path and type; a path ending in None means every item of a list.
+NUMBERS = [(("run", key), int) for key in ("n_bits", "repetition", "tag_length", "seed")] + [
+    (("run", "tag_bits", None), int), (("run", "basis_pool", None), float), (("repetitions",), int),
+    (("eve", "basis_pool", None), float), (("sweep_p_bitflip", None), float), (("sweep_repetition", None), int),
+    (("sweep_tag_length", None), int)] + [(("noise", key), float) for key in ("p_bitflip", "p_phaseflip", "p_both")]
+
+
+def respelled(draw, value, kind):
+    """`value` in a numpy or Python type that holds it: an int as int, int64 or uint8, a float as float, float64,
+    float32 or (if integral) int. float32 rounds, so a config is compared with its own replay."""
+    if kind is int:
+        types = [int, np.int64] + [np.uint8] * (0 <= value < 256)
+    else:
+        types = [float, np.float64, np.float32] + [int] * (value == int(value))
+    return draw(st.sampled_from(types))(value)
+
+
+@st.composite
+def respelled_specs(draw):
+    spec = json.loads(json.dumps(draw(tiny_specs())))  # a deep copy
+    for (*sections, key), kind in NUMBERS:
+        target = spec
+        for section in sections:
+            target = target[section]
+        if key is not None:
+            target[key] = respelled(draw, target[key], kind)
+        elif target is not None:
+            target[:] = [respelled(draw, item, kind) for item in target]
+    return spec
+
+
+@settings(max_examples=60, deadline=None)
+@given(respelled_specs())
+def test_respelled_config_replays_byte_for_byte(spec):
+    # numpy scalars and ints in float fields are stored as the Python values from_dict gives.
+    config = build_config(spec)
+    replayed = ExperimentConfig.from_dict(config.to_dict())
+    assert config.json_text() == replayed.json_text()
+    stats, replayed_stats = run_experiment(config), run_experiment(replayed)
+    assert stats.csv_text() == replayed_stats.csv_text()
+    assert stats.summary_json_text() == replayed_stats.summary_json_text()
+
+
+# Values of the wrong type for each kind of field; "list" is a tuple field's container,
+# "config" a RunConfig, NoiseModel or EveStrategy.
+WRONG = {
+    int: [2.5, np.float64(2.0), "3", True, None, 1j, [1]],
+    float: ["0.1", True, None, 1j, [0.1], np.array([0.1, 0.2])],
+    "angle": ["0.1", True, None, 1j, float("nan"), float("inf"), -float("inf")],
+    str: [3, None, True, b"x", ["x"]],
+    # None is no list, but it is a valid tag_bits and sweep axis; a set has no order (legs, stored as one, take it).
+    "list": [0.5, True, "ab", {"a": 1}, 3, {1}],
+    "config": ["x", None, 3, [1], object()],
+}
+# Every field of a spec: (path, the name its error starts with, kind). An int ends
+# the path of a list item; item 0 of the run's pool is the angle of a Basis.
+FIELDS = [(("run", key), key, int) for key in ("n_bits", "repetition", "tag_length", "seed")] + [
+    (("run", "variant"), "variant", str), (("run", "basis_pool"), "basis_pool", "list"),
+    (("run", "basis_pool", 0), "theta", "angle"), (("run", "tag_bits"), "tag_bits", "list"),
+    (("run", "tag_bits", 0), "tag_bits[0]", int), (("repetitions",), "repetitions", int),
+    (("eve", "kind"), "kind", str), (("eve", "basis_pool"), "basis_pool", "list"),
+    (("eve", "basis_pool", 0), "basis_pool[0]", "angle"), (("eve", "legs"), "legs", "list"),
+    (("eve", "legs", 0), "legs[0]", str), (("output_format",), "format", str), (("output_dir",), "output_dir", str),
+    (("run",), "run", "config"), (("noise",), "noise", "config"), (("eve",), "eve", "config")] + [
+    (("noise", key), key, float) for key in ("p_bitflip", "p_phaseflip", "p_both")] + [
+    ((f"sweep_{axis}",), f"sweep.{axis}", "list") for axis in SWEEP_AXES] + [
+    ((f"sweep_{axis}", 0), f"sweep.{axis}[0]", kind) for axis, kind in SWEEP_AXES.items()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(tiny_specs(), st.sampled_from(FIELDS), st.data())
+def test_a_wrong_typed_field_is_an_error_naming_it(spec, field, data):
+    # Give every list field an item 0.
+    spec["run"].update(tag_length=1, tag_bits=[1])
+    spec["eve"].update(kind="substitute", basis_pool=[0.5, 0.0], legs=["forward"])
+    spec.update(sweep_p_bitflip=[0.1], sweep_repetition=[2], sweep_eve=["absent"], sweep_tag_length=[1])
+    build_config(spec)
+    (*sections, key), name, kind = field
+    target = spec
+    for section in sections:
+        target = target[section]
+    target[key] = data.draw(st.sampled_from(WRONG[kind]))
+    with pytest.raises(ValueError) as raised:  # a ConfigError is one; a TypeError or AttributeError fails the test
+        build_config(spec)
+    assert str(raised.value).startswith(f"{name}:"), str(raised.value)
 
 
 def test_cli_verify_passes(capsys):

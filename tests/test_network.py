@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -44,6 +45,14 @@ def test_topology_validation():
     # A link's own fields are checked when the LinkSettings is built.
     with pytest.raises(ValueError, match="noise_backward"):
         Topology(leaves=("a",), links={"a": LinkSettings(noise_backward="x")})
+    # Fields of the wrong type name the field: neither a str nor a set (no order) is a tuple of
+    # leaves, and a list is no dict of links.
+    for fields, name in [({"leaves": "ab"}, "leaves"), ({"leaves": {"a", "b"}}, "leaves"),
+                         ({"leaves": (1, 2)}, "leaves[0]"), ({"hub": 3, "leaves": ("a",)}, "hub"),
+                         ({"leaves": ("a",), "links": [("a", LinkSettings())]}, "links")]:
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)}:"):
+            Topology(**fields)
+    assert Topology(leaves=["a", "b"]).leaves == ("a", "b")
 
 
 def test_wireframe_pack_unpack_roundtrip():
@@ -84,6 +93,21 @@ def test_one_leaf_degenerates_to_two_party_session():
     assert (
         star.outcomes["alice"].result.transcript_text() == two_party.transcript_text()
     )
+
+
+@pytest.mark.parametrize("x", [0.5, 0.1, math.pi / 8])
+def test_equal_angles_give_equal_transcripts(x):
+    # Basis stores a Python float, so an angle's numpy or int spelling changes no byte.
+    eve = EveStrategy.intercept_resend((0.0, math.pi / 4), legs=("forward", "backward"))
+    for given, plain in [(np.float64(x), x), (np.float32(x), float(np.float32(x))), (1, 1.0)]:
+        configs = [RunConfig(n_bits=8, repetition=3, variant="V2", basis_pool=(Basis(0.0), Basis(theta)), tag_length=2,
+                             seed=4) for theta in (given, plain)]
+        assert configs[0] == configs[1]
+        sessions = [run_session(config, NoiseModel(p_bitflip=0.1), eve=eve).transcript_text() for config in configs]
+        assert sessions[0] == sessions[1]
+        leaves = [run_star_session(Topology(leaves=("a",)), config).outcomes["a"] for config in configs]
+        assert leaves[0].result.transcript_text() == leaves[1].result.transcript_text()
+        assert leaves[0].frames_bytes() == leaves[1].frames_bytes()
 
 
 def test_per_leaf_basis_pools():
