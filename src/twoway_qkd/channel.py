@@ -73,34 +73,32 @@ class NoiseModel:
 
     def sample_codes(self, n: int, rng: Rng) -> np.ndarray:
         """Draw one Pauli code per qubit: 0=I, 1=X, 2=Z, 3=XZ."""
-        return self._codes(rng.random(n))
+        return _pauli_codes(rng.random(n), np.cumsum([self.p_identity, self.p_bitflip, self.p_phaseflip]))
 
-    def _codes(self, u: np.ndarray) -> np.ndarray:
-        edges = np.cumsum([self.p_identity, self.p_bitflip, self.p_phaseflip])
-        codes = (u >= edges[0]).view(np.int8)  # the number of edges at or below u
-        for edge in edges[1:]:
-            codes += u >= edge
-        return codes
+
+def _pauli_codes(u: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The number of the three edges at or below each uniform u: its Pauli code.
+    edges[k] is one threshold, or a (rows, 1) column of them for rows of u."""
+    codes = (u >= edges[0]).view(np.int8)
+    for edge in edges[1:]:
+        codes += u >= edge
+    return codes
 
 
 class RowNoise:
-    """The noise of a batched pass's rows: rows spans[k] draw under models[k],
-    each at its own model's probabilities. The models must all draw or all be
-    trivial, so that every row reads the same words."""
+    """The noise of a batched pass's rows: models[k] covers the next counts[k] rows (or
+    `counts` rows each), at its own edges, summed as NoiseModel.sample_codes sums them.
+    The models all draw or are all trivial (protocol._pass_groups), so every row reads alike."""
 
-    __slots__ = ("models", "spans")
+    __slots__ = ("edges", "is_trivial")
 
-    def __init__(self, models, spans):
-        if len({model.is_trivial() for model in models}) > 1:
-            raise ValueError("the rows of one pass must all draw noise or none")
-        self.models, self.spans = models, spans
-
-    def is_trivial(self) -> bool:
-        return self.models[0].is_trivial()
+    def __init__(self, models, counts):
+        self.is_trivial = models[0].is_trivial  # every model's answer
+        edges = np.cumsum([(model.p_identity, model.p_bitflip, model.p_phaseflip) for model in models], axis=1)
+        self.edges = np.repeat(edges, counts, axis=0).T[:, :, None]  # (3, rows, 1)
 
     def sample_codes(self, n: int, rng: Rng) -> np.ndarray:
-        u = rng.random(n)
-        return np.concatenate([model._codes(u[span]) for model, span in zip(self.models, self.spans)])
+        return _pauli_codes(rng.random(n), self.edges)
 
 
 def perturb(state: PureState, noise: NoiseModel, rng: Rng) -> PureState:
@@ -135,7 +133,7 @@ class EveStrategy:
     legs: frozenset = frozenset()
 
     def __post_init__(self) -> None:
-        # Stored hashable whatever iterables were given: a star groups its links by LinkSettings.
+        # Stored hashable whatever iterables were given: protocol._pass_groups keys on the legs.
         if (pool := checked("basis_pool", self.basis_pool, [ANGLE])) is not self.basis_pool:
             object.__setattr__(self, "basis_pool", pool)
         if type(self.legs) is not frozenset:  # a set's members are checked as a subset below

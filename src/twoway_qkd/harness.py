@@ -46,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import ABSENT, EveStrategy, NoiseModel
-from .protocol import V2, LinkSettings, RunConfig, _passes, _row_halves, run_batch
+from .protocol import V2, LinkSettings, RunConfig, _pass_groups, _passes, _row_halves, run_batch
 from .qubit import ANGLE, Basis, RowStreams, _row_seed_words, check_fields, checked
 
 CONFIG_FILENAME = "config_resolved.json"
@@ -286,25 +286,20 @@ def run_experiment(config: ExperimentConfig) -> RunStatistics:
     Repetition r of cell i is driven by one PCG64 stream, the r-th spawn of
     SeedSequence(seed, spawn_key=(i,)), i.e. spawn key (i, r): cells are
     independent and the whole grid is reproducible from the config. Cells
-    whose rows draw alike (the same repetition factor, Eve kind and noise
-    triviality; they differ only in p_bitflip and tag_length) share
-    run_batch passes: a pass holds as many whole cells as fit in
-    BATCH_QUBITS qubit slots, each cell's rows together and in cell order,
-    and a cell larger than that is split (protocol._passes). A pass's seed
-    states are derived in one _row_seed_words call and seed its rows'
-    read-ahead streams (RowStreams.from_seed_words).
+    whose rows draw alike (protocol._pass_groups) share run_batch passes: a
+    pass holds as many whole cells as fit in BATCH_QUBITS qubit slots, each
+    cell's rows together and in cell order, and a cell larger than that is
+    split (protocol._passes). One _row_seed_words call derives a pass's seed
+    states, which seed its rows' read-ahead streams (RowStreams.from_seed_words).
     """
     cells = config.cells()
     settings = _cell_settings(config, cells)
-    groups: dict[tuple, list[int]] = {}
-    for index, (run_config, link) in enumerate(settings):
-        groups.setdefault((run_config.repetition, link.eve.kind, link.noise_forward.is_trivial()), []).append(index)
     n = config.repetitions
     # Per cell: the sums of qber, erasure share, agreement and detection. They
     # add one repetition at a time, in repetition order, as np.cumsum does (np.sum
     # adds pairwise and rounds differently): the bytes must not depend on the passes.
     sums = np.zeros((4, len(cells)))
-    for group in groups.values():
+    for group in _pass_groups(settings):
         run_config, link = settings[group[0]]
         ahead = -(-sum(_row_halves(run_config, link)) // 2)
         for members in _passes(len(group), n * run_config.qubit_count):

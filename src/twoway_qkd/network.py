@@ -1,20 +1,21 @@
 """Star generalization: one hub (Bob) shares a single key-message with any
 number of leaf parties over independent simulated quantum links.
 
-Seed splitting (see protocol._link_words): a master seed fans out into
-one independent stream per (link, purpose), seeded with the words
-qubit._row_seed_words derives for that spawn key, plus one hub stream for
-the shared key-message. Events on link i cannot move the stream
-of link j, and a one-leaf star is bit-identical to the two-party session.
-Leaves with the same link settings and pool run as the rows of passes of at
-most protocol.BATCH_QUBITS qubit slots; as every operation is pure and
-streams are per-link, any grouping or split gives identical transcripts.
+Seed splitting (see protocol._link_words): a master seed fans out into one
+independent stream per (link, purpose), plus one hub stream for the shared
+key-message, so events on link i cannot move the stream of link j, and a
+one-leaf star is bit-identical to the two-party session. Leaves whose rows
+draw alike (protocol._pass_groups) run as the rows of passes of at most
+protocol.BATCH_QUBITS qubit slots, each at its own noise levels; as every
+operation is pure and streams are per-link, any grouping or split gives
+identical transcripts.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -24,6 +25,8 @@ from .protocol import (
     SessionResult,
     _key_rng,
     _link_words,
+    _pass_groups,
+    _pass_link,
     _passes,
     _round_trip,
     _row_halves,
@@ -89,10 +92,11 @@ class WireFrame:
 class Topology:
     hub: str = "bob"
     leaves: tuple[str, ...] = ()
-    links: dict = field(default_factory=dict)  # leaf name -> LinkSettings
+    links: dict | MappingProxyType = field(default_factory=dict)  # leaf name -> LinkSettings
 
     def __post_init__(self) -> None:
-        check_fields(self, hub=str, leaves=[str], links=dict)
+        check_fields(self, hub=str, leaves=[str], links=(dict, MappingProxyType))
+        object.__setattr__(self, "links", MappingProxyType(dict(self.links)))  # the caller's dict may change
         for leaf, link in self.links.items():
             checked(f"links[{leaf!r}]", link, LinkSettings)
         if not self.leaves:
@@ -155,13 +159,6 @@ def _register_frames(link_id, direction, register: QubitRegister, frames: np.nda
     return frames
 
 
-def _group_key(config: RunConfig, link: LinkSettings) -> tuple:
-    """Leaves with equal keys share passes. LinkSettings and Basis compare
-    -0.0 equal to 0.0, but state tables key on float bytes, so angles (Python
-    floats, as every config stores them) are keyed by their bytes too."""
-    return link, np.array(link.eve.basis_pool).tobytes(), config.pool_angles.tobytes()
-
-
 def run_star_session(
     topology: Topology,
     config: RunConfig,
@@ -185,19 +182,17 @@ def run_star_session(
     configs = [replace(config, basis_pool=tuple(per_leaf_pools[leaf])) if leaf in per_leaf_pools else config
                for leaf in leaves]
     links = [topology.link_settings(leaf) for leaf in leaves]
-    groups: dict[tuple, list[int]] = {}
-    for link_id, (leaf_config, link) in enumerate(zip(configs, links)):
-        groups.setdefault(_group_key(leaf_config, link), []).append(link_id)
     # A row of (to-hub, to-leaf) frames per leaf, a pass's consecutive; (L, 0, Q) if unrecorded.
     frames = np.empty((len(leaves), 2 * record_frames, config.qubit_count), FRAME_DTYPE)
     outcomes, start = [None] * len(leaves), 0
-    for group in groups.values():
-        group_config, link = configs[group[0]], links[group[0]]
-        halves = _row_halves(group_config, link)
+    for group in _pass_groups(zip(configs, links)):
+        group_config = configs[group[0]]
         for rows in _passes(len(group), config.qubit_count):
             ids = group[rows]
-            prep_rows, *streams = [words if words is None else RowStreams.from_seed_words(words, -(-count // 2))
-                                   for words, count in zip(_link_words(config.seed, ids, link), halves)]
+            link = _pass_link([links[link_id] for link_id in ids], 1)
+            words = zip(_link_words(config.seed, ids), _row_halves(group_config, link))
+            prep_rows, *streams = [RowStreams.from_seed_words(row, -(-count // 2)) if count else None
+                                   for row, count in words]
             prep = alice_prepare(group_config, prep_rows)
             m = np.broadcast_to(key_message, (len(ids), len(key_message)))
             passed = _round_trip(group_config, prep, m, link, streams)

@@ -75,20 +75,15 @@ class LinkSettings:
     eve: EveStrategy = EveStrategy.absent()
 
     def __post_init__(self) -> None:
-        noise = (NoiseModel, RowNoise)  # a RowNoise is a run_batch pass's, one model per row
+        noise = (NoiseModel, RowNoise)  # a RowNoise is a pass's (_pass_link), one model per row
         checked("noise_forward", self.noise_forward, noise)
         checked("noise_backward", self.noise_backward, noise)
         checked("eve", self.eve, EveStrategy)
 
 
-def _link_words(seed: int, links, link: LinkSettings) -> list:
-    """The seed words of purposes 0-4 of links `links` under settings `link`:
-    (len(links), 4) uint64 per purpose, one row per link; None for a purpose
-    the settings never draw from (see _transit)."""
-    words = _row_seed_words(seed, np.asarray(links)[:, None], 0, 5).reshape(-1, 5, 4)
-    drawn = (True, not link.noise_forward.is_trivial(), any(map(link.eve.attacks, link.eve.legs)),
-             not link.noise_backward.is_trivial(), True)
-    return [words[:, purpose] if used else None for purpose, used in enumerate(drawn)]
+def _link_words(seed: int, links) -> np.ndarray:
+    """The seed words of purposes 0-4 of links `links`: (5, len(links), 4) uint64, one row per link."""
+    return _row_seed_words(seed, np.asarray(links)[:, None], 0, 5).reshape(-1, 5, 4).transpose(1, 0, 2)
 
 
 def _row_halves(config: RunConfig, link: LinkSettings) -> list:
@@ -101,6 +96,25 @@ def _row_halves(config: RunConfig, link: LinkSettings) -> list:
     tap = legs * n * ((len(eve.basis_pool) > 1) + 1 + (eve.kind == INTERCEPT_RESEND))
     prepare = -(-n // 4) + n * (len(config.basis_pool) > 1)
     return [prepare, noise[0], tap, noise[1], 2 * n, -(-config.message_length // 4)]
+
+
+def _pass_groups(pairs) -> list[list[int]]:
+    """The indices of (config, link) pairs whose rows draw alike, and so may share passes: the
+    same variant, n_bits, repetition and pool; Eve's kind, pool and legs; noise drawn or not on
+    each leg. Angles key by their bytes, as state tables do: -0.0 and 0.0 compare equal, encode apart."""
+    groups: dict[tuple, list[int]] = {}
+    for index, (config, link) in enumerate(pairs):
+        eve, noise = link.eve, (link.noise_forward.is_trivial(), link.noise_backward.is_trivial())
+        key = (config.variant, config.n_bits, config.repetition, config.pool_angles.tobytes(), eve.kind,
+               np.array(eve.basis_pool).tobytes(), eve.legs, noise)
+        groups.setdefault(key, []).append(index)
+    return list(groups.values())
+
+
+def _pass_link(links, counts) -> LinkSettings:
+    """A pass's settings: each leg's noise at each row's link's levels (RowNoise), the first link's Eve."""
+    return LinkSettings(RowNoise([link.noise_forward for link in links], counts),
+                        RowNoise([link.noise_backward for link in links], counts), links[0].eve)
 
 
 class AllErasuresError(ValueError):
@@ -568,8 +582,8 @@ def run_session(
     link = LinkSettings(noise_forward or NoiseModel(), noise_backward or NoiseModel(), eve or EveStrategy.absent())
     if rng is None:
         key_rng = _key_rng(config.seed)
-        words = _link_words(config.seed, [0], link)
-        prep_rng, *streams = [row if row is None else _generator(row[0]) for row in words]
+        words = zip(_link_words(config.seed, [0]), _row_halves(config, link))
+        prep_rng, *streams = [_generator(row[0]) if count else None for row, count in words]
     else:
         key_rng, prep_rng, streams = rng, rng, (rng,) * 4
     prep = alice_prepare(config, prep_rng)
@@ -591,9 +605,8 @@ class BatchResult(NamedTuple):
 def run_batch(cells, rows: RowStreams) -> BatchResult:
     """The sessions of one pass, run over a (rows x qubits) array with one
     stream per row. Each cell (config, link, count) holds the next `count`
-    rows. Cells may differ only in noise probabilities and tag, with each
-    leg's noise trivial in all of them or in none; a pass of one cell is the
-    plain case.
+    rows. The cells must draw alike (one protocol._pass_groups group): they
+    may differ in tag and noise levels; a pass of one cell is the plain case.
 
     Row r draws from stream r exactly what run_session(config,
     link.noise_forward, link.noise_backward, link.eve, rng=Generator over
@@ -601,11 +614,12 @@ def run_batch(cells, rows: RowStreams) -> BatchResult:
     the same key-message, decoded message and abort reason.
     """
     configs, links, counts = zip(*cells)
+    if len(_pass_groups(zip(configs, links))) > 1:
+        raise ValueError("the cells of one pass must draw alike: they may differ only in tag and noise levels")
     spans = [slice(stop - count, stop) for stop, count in zip(itertools.accumulate(counts), counts)]
     # The shortest tag serves the pass: every other cell's tag covers its positions, and is rewritten and rechecked.
     config = min(configs, key=lambda cell_config: cell_config.tag_length)
-    link = LinkSettings(RowNoise([cell_link.noise_forward for cell_link in links], spans),
-                        RowNoise([cell_link.noise_backward for cell_link in links], spans), links[0].eve)
+    link = _pass_link(links, counts)
     prep = alice_prepare(config, rows)
     m = bob_build_key_message(config, rows)
     retagged = [(cell_config, span) for cell_config, span in zip(configs, spans) if cell_config is not config]

@@ -124,6 +124,33 @@ def test_star_without_frames_packs_nothing():
     assert [outcome.frames_bytes() for outcome in result.outcomes.values()] == [b"", b"", b""]
 
 
+HETEROGENEOUS_STAR_PIN = "49a6c847c6002533789a1e5c3cc2eef2030085aaf514b187802cda2c13eec2c7"
+
+
+def test_heterogeneous_noise_star_digest():
+    # Leaves whose rows draw alike (noise on both legs) at a different noise
+    # level each: two of them tapped by the same Eve, one with its own pool.
+    eve = EveStrategy.intercept_resend((0.0, math.pi / 4), legs=(FORWARD, BACKWARD))
+    links = {
+        "leaf0": LinkSettings(NoiseModel(p_bitflip=0.05), NoiseModel(p_phaseflip=0.04)),
+        "leaf1": LinkSettings(NoiseModel(p_phaseflip=0.1, p_both=0.02), NoiseModel(p_bitflip=0.08)),
+        "leaf2": LinkSettings(NoiseModel(p_both=0.15), NoiseModel(p_bitflip=0.03, p_phaseflip=0.03, p_both=0.03)),
+        "leaf3": LinkSettings(NoiseModel(p_bitflip=0.06), NoiseModel(p_both=0.05), eve),
+        "leaf4": LinkSettings(NoiseModel(p_phaseflip=0.07), NoiseModel(p_bitflip=0.03), eve),
+        "leaf5": LinkSettings(NoiseModel(p_bitflip=0.12), NoiseModel(p_phaseflip=0.06)),
+    }
+    topology = Topology(leaves=tuple(links), links=links)
+    config = RunConfig(n_bits=16, repetition=3, variant="V2", basis_pool=POOL_3, tag_length=3, seed=106)
+    result = run_star_session(topology, config, per_leaf_pools={"leaf5": (Basis(0.1), Basis(0.9))})
+    assert len(set(links.values())) == len(links)
+    for leaf, outcome in result.outcomes.items():
+        table = [row.split() for row in rows(outcome.result.transcript_text())]
+        assert any(row[3] != "I" for row in table) and any(row[6] != "I" for row in table)
+        assert all(row[4] == row[7] == ("E" if leaf in ("leaf3", "leaf4") else "-") for row in table)
+    data = b"".join(o.result.transcript_text().encode("ascii") + o.frames_bytes() for o in result.outcomes.values())
+    assert sha256(data) == HETEROGENEOUS_STAR_PIN
+
+
 # Sweep configs that reach what the benchmark's scripts/ grids do not: V3,
 # V2 with even t (resolved ties and all_erasures aborts), phase-flip and
 # p_both noise, and both Eve kinds on the backward leg and on both legs.

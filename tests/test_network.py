@@ -282,7 +282,11 @@ def assert_star_matches_reference(topology, config, pools, seed, record_frames):
     return star
 
 
-NOISES = (NoiseModel(), NoiseModel(p_bitflip=0.3), NoiseModel(p_phaseflip=0.25, p_both=0.25))
+# Several levels per kind, so that links which draw alike but differ in noise levels share passes.
+NOISES = (
+    NoiseModel(), NoiseModel(p_bitflip=0.3), NoiseModel(p_phaseflip=0.25, p_both=0.25), NoiseModel(p_bitflip=0.05),
+    NoiseModel(p_bitflip=0.1, p_phaseflip=0.05, p_both=0.02), NoiseModel(p_bitflip=-0.0, p_both=0.6),
+)
 EVE_POOL = (0.0, math.pi / 4)
 EVES = (EveStrategy.absent(),) + tuple(
     strategy(EVE_POOL, legs=legs)
@@ -353,8 +357,32 @@ def test_star_passes_split_at_batch_qubits(batch_qubits):
     assert star_bytes(split) == star_bytes(default)
 
 
+def test_leaves_at_distinct_noise_levels_share_one_pass():
+    levels = [0.01 * (i + 1) for i in range(8)]
+    links = {f"leaf{i}": LinkSettings(NoiseModel(p_bitflip=p), NoiseModel(p_phaseflip=2 * p, p_both=0.01))
+             for i, p in enumerate(levels)}
+    assert len(set(links.values())) == 8
+    config = RunConfig(n_bits=12, basis_pool=POOL, tag_length=4)
+    with mock.patch.object(network, "_link_words", wraps=protocol._link_words) as passes:
+        assert_star_matches_reference(make_topology(8, links), config, {}, 41, True)
+    assert passes.call_count == 1
+
+
+def test_topology_keeps_a_read_only_copy_of_its_links():
+    links = {"leaf1": LinkSettings(noise_forward=NoiseModel(p_bitflip=0.3))}
+    topology = make_topology(3, links)
+    config = RunConfig(n_bits=16, basis_pool=POOL, tag_length=4, seed=43)
+    before = star_bytes(run_star_session(topology, config))
+    links["leaf1"] = LinkSettings()
+    links["leaf2"] = LinkSettings(eve=EveStrategy.substitute((0.0, math.pi / 4)))
+    with pytest.raises(TypeError):
+        topology.links["leaf0"] = "oops"
+    assert star_bytes(run_star_session(topology, config)) == before
+    assert replace(topology, hub="alice").links == topology.links
+
+
 def test_eve_pool_and_legs_given_as_lists():
-    # The star groups links by LinkSettings, so Eve's pool and legs must hash
+    # The star keys its passes on Eve's pool and legs, so they must key alike
     # whatever iterables they were given as; the bytes are those of tuples.
     config = RunConfig(n_bits=16, basis_pool=POOL, tag_length=4, seed=37)
     stars = [

@@ -27,6 +27,7 @@ from twoway_qkd import (
     measure_in_basis,
     to_density,
 )
+from twoway_qkd.channel import RowNoise
 from twoway_qkd.qubit import PAULI_CODES, PAULI_TAGS, RowStreams
 
 angles = st.floats(min_value=-4 * math.pi, max_value=4 * math.pi, allow_nan=False)
@@ -429,6 +430,32 @@ def test_sample_codes_count_edges_like_searchsorted(p_x, p_z, p_xz, seed):
     assert codes.dtype == np.int8
     assert np.array_equal(codes, np.searchsorted(edges, u, side="right"))
     assert np.array_equal(noise.sample_codes(len(u), _FixedDraws(np.tile(u, (2, 1)))), np.tile(codes, (2, 1)))
+
+
+def test_row_noise_thresholds_each_row_at_its_own_model():
+    # A -0.0 probability, probabilities summing to 1, a repeated edge and an edge at 1.
+    models = [
+        NoiseModel(p_bitflip=0.2, p_phaseflip=-0.0, p_both=0.1),
+        NoiseModel(p_bitflip=0.5, p_phaseflip=0.25, p_both=0.25),
+        NoiseModel(p_phaseflip=0.3),
+        NoiseModel(p_both=1.0),
+    ]
+    counts = [2, 1, 3, 2]
+    edges = np.concatenate([np.cumsum([m.p_identity, m.p_bitflip, m.p_phaseflip]) for m in models])
+    shared = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0), [0.0, np.nextafter(1.0, 0.0)]])
+    shared = shared[(shared >= 0.0) & (shared < 1.0)]
+    u = np.hstack([np.random.default_rng(3).random((sum(counts), 200)), np.tile(shared, (sum(counts), 1))])
+    codes = RowNoise(models, counts).sample_codes(u.shape[1], _FixedDraws(u))
+    assert codes.dtype == np.int8
+    start = 0
+    for model, count in zip(models, counts):
+        rows = u[start : start + count]
+        assert np.array_equal(codes[start : start + count], model.sample_codes(rows.shape[1], _FixedDraws(rows)))
+        start += count
+    # One row per model, as a star pass gives each leaf its own.
+    one_each = RowNoise(models, 1).sample_codes(u.shape[1], _FixedDraws(u[: len(models)]))
+    for row, model in enumerate(models):
+        assert np.array_equal(one_each[row], model.sample_codes(u.shape[1], _FixedDraws(u[row])))
 
 
 # One draw as the protocol makes it: ("uint8", n) is integers(0, 2, n, uint8);
