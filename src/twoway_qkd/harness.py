@@ -307,10 +307,11 @@ def run_experiment(config: ExperimentConfig) -> RunStatistics:
             for rows in _passes(n, run_config.qubit_count):
                 count = rows.stop - rows.start
                 words = _row_seed_words(config.run.seed, np.array(ids)[:, None], rows.start, count)
-                batch = run_batch([(*settings[i], count) for i in ids], RowStreams.from_seed_words(words, ahead))
-                qbers = np.mean(batch.m_prime != batch.key_message, axis=-1)
-                erasures = np.mean(batch.ties, axis=-1) if run_config.variant == V2 else np.zeros_like(qbers)
-                outcomes = np.stack([qbers, erasures, batch.agreement, batch.tag_mismatch]).reshape(4, len(ids), count)
+                _, m, (_, record, (_, _, tag_mismatch, agreement)) = run_batch(
+                    [(*settings[i], count) for i in ids], (RowStreams.from_seed_words(words, ahead),) * 5)
+                qbers = np.mean(record.m_prime != m, axis=-1)
+                erasures = np.mean(record.p, axis=-1) if run_config.variant == V2 else np.zeros_like(qbers)
+                outcomes = np.stack([qbers, erasures, agreement, tag_mismatch]).reshape(4, len(ids), count)
                 sums[:, ids] = np.cumsum(np.concatenate([sums[:, ids, None], outcomes], axis=2), axis=2)[:, :, -1]
     stats = []
     for params, (run_config, _), totals in zip(cells, settings, sums.T.tolist()):

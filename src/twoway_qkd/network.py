@@ -5,8 +5,9 @@ Seed splitting (see protocol._link_words): a master seed fans out into one
 independent stream per (link, purpose), plus one hub stream for the shared
 key-message, so events on link i cannot move the stream of link j, and a
 one-leaf star is bit-identical to the two-party session. Leaves whose rows
-draw alike (protocol._pass_groups) run as the rows of passes of at most
-protocol.BATCH_QUBITS qubit slots, each at its own noise levels; as every
+draw alike (protocol._pass_groups) run as the rows of protocol.run_batch
+passes of at most protocol.BATCH_QUBITS qubit slots, each at its own noise
+levels, consecutive leaves with equal settings as one cell; as every
 operation is pure and streams are per-link, any grouping or split gives
 identical transcripts.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from types import MappingProxyType
 
 import numpy as np
@@ -26,13 +28,11 @@ from .protocol import (
     _key_rng,
     _link_words,
     _pass_groups,
-    _pass_link,
     _passes,
-    _round_trip,
     _row_halves,
     _session_result,
-    alice_prepare,
     bob_build_key_message,
+    run_batch,
 )
 from .qubit import QubitRegister, RowStreams, check_fields, checked
 
@@ -114,6 +114,10 @@ class Topology:
     def link_settings(self, leaf: str) -> LinkSettings:
         return self.links.get(leaf, _CLEAN_LINK)
 
+    def __reduce__(self):
+        # A mappingproxy cannot be pickled or copied; a rebuild from a dict of the links can.
+        return Topology, (self.hub, self.leaves, dict(self.links))
+
 
 @dataclass(frozen=True)
 class LeafOutcome:
@@ -186,16 +190,14 @@ def run_star_session(
     frames = np.empty((len(leaves), 2 * record_frames, config.qubit_count), FRAME_DTYPE)
     outcomes, start = [None] * len(leaves), 0
     for group in _pass_groups(zip(configs, links)):
-        group_config = configs[group[0]]
+        halves = _row_halves(configs[group[0]], links[group[0]])
         for rows in _passes(len(group), config.qubit_count):
             ids = group[rows]
-            link = _pass_link([links[link_id] for link_id in ids], 1)
-            words = zip(_link_words(config.seed, ids), _row_halves(group_config, link))
-            prep_rows, *streams = [RowStreams.from_seed_words(row, -(-count // 2)) if count else None
-                                   for row, count in words]
-            prep = alice_prepare(group_config, prep_rows)
+            streams = [RowStreams.from_seed_words(row, -(-count // 2)) if count else None
+                       for row, count in zip(_link_words(config.seed, ids), halves)]
+            cells = [(*settings, len(list(run))) for settings, run in groupby((configs[i], links[i]) for i in ids)]
             m = np.broadcast_to(key_message, (len(ids), len(key_message)))
-            passed = _round_trip(group_config, prep, m, link, streams)
+            prep, m, passed = run_batch(cells, streams, m)
             block, start = frames[start : start + len(ids)], start + len(ids)
             if record_frames:
                 _register_frames(ids, TO_HUB, passed[0][2], block[:, TO_HUB])

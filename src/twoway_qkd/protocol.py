@@ -23,13 +23,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .channel import (BACKWARD, FORWARD, INTERCEPT_RESEND, EveObservation, EveStrategy, NoiseModel, RowNoise,
                       perturb_register, eve_tap_register)
-from .qubit import PAULI_TAGS, Basis, QubitRegister, Rng, RowStreams, XZ, _row_seed_words, _SeedWords, check_fields, checked
+from .qubit import PAULI_TAGS, Basis, QubitRegister, Rng, XZ, _row_seed_words, _SeedWords, check_fields, checked
 
 V1 = "V1"
 V2 = "V2"
@@ -112,9 +111,11 @@ def _pass_groups(pairs) -> list[list[int]]:
 
 
 def _pass_link(links, counts) -> LinkSettings:
-    """A pass's settings: each leg's noise at each row's link's levels (RowNoise), the first link's Eve."""
-    return LinkSettings(RowNoise([link.noise_forward for link in links], counts),
-                        RowNoise([link.noise_backward for link in links], counts), links[0].eve)
+    """A pass's settings: each leg's noise the model every row shares, or at each row's link's
+    levels (RowNoise) where the models differ; the first link's Eve."""
+    legs = [[link.noise_forward for link in links], [link.noise_backward for link in links]]
+    noise = [models[0] if models.count(models[0]) == len(models) else RowNoise(models, counts) for models in legs]
+    return LinkSettings(*noise, links[0].eve)
 
 
 class AllErasuresError(ValueError):
@@ -490,7 +491,7 @@ class SessionResult:
 
 
 def _transit(config: RunConfig, prep: PreparationRecord, m: np.ndarray, link: LinkSettings, streams) -> tuple:
-    """Phase II and Alice's measurement, for one session or a batch of rows.
+    """Phase II and Alice's measurement, for run_batch's one session or batch of rows.
     Returns (forward noise codes, forward Eve observation, register delivered
     to Bob, Bob's op mask, backward noise codes, backward Eve observation,
     register delivered to Alice, c).
@@ -521,13 +522,6 @@ def _transit(config: RunConfig, prep: PreparationRecord, m: np.ndarray, link: Li
     return fwd_codes, eve_fwd, delivered_to_bob, bob_ops, bwd_codes, eve_bwd, reg, c
 
 
-def _round_trip(config: RunConfig, prep: PreparationRecord, m: np.ndarray, link: LinkSettings, streams) -> tuple:
-    """Phases II and III, one session or a batch: (_transit's arrays, derivation record, settle's verdict)."""
-    transit = _transit(config, prep, m, link, streams)
-    record = derive(config, transit[-1], prep.a)
-    return transit, record, settle(config, record, m)
-
-
 def _row_tap(tap: EveObservation | None, row) -> EveObservation | None:
     """Row `row` of a batched tap (a row array per field); a session's tap (row=...) as it is."""
     if tap is None or row is ...:
@@ -536,7 +530,7 @@ def _row_tap(tap: EveObservation | None, row) -> EveObservation | None:
 
 
 def _session_result(config: RunConfig, prep: PreparationRecord, m: np.ndarray, passed: tuple, row=...) -> SessionResult:
-    """The SessionResult of a _round_trip pass's one session (row=...) or of
+    """The SessionResult of a run_batch pass's one session (row=...) or of
     row `row` of a batch, under that session's config, from views of the
     pass's arrays. C and Bob's final string are None if every block erased."""
     (fwd_codes, eve_fwd, to_bob, bob_ops, bwd_codes, eve_bwd, to_alice, c), record, verdict = passed
@@ -572,7 +566,8 @@ def run_session(
     key_message=None,
     rng: Rng | None = None,
 ) -> SessionResult:
-    """One two-party session, fully determined by (config, seed).
+    """One two-party session, fully determined by (config, seed): a run_batch
+    pass of one row, its arrays one-dimensional.
 
     With no explicit source, random streams follow the link-0 seed-splitting
     scheme, so this is bit-identical to a one-leaf star session. An explicit
@@ -580,53 +575,50 @@ def run_session(
     backward leg, measurement).
     """
     link = LinkSettings(noise_forward or NoiseModel(), noise_backward or NoiseModel(), eve or EveStrategy.absent())
+    m = None if key_message is None else as_bits(key_message)
     if rng is None:
-        key_rng = _key_rng(config.seed)
-        words = zip(_link_words(config.seed, [0]), _row_halves(config, link))
-        prep_rng, *streams = [_generator(row[0]) if count else None for row, count in words]
+        # Rows 0-4 seed link 0's purposes; row 5 is spawn key (1 << 16, 0), the hub's HUB_SPAWN_KEY.
+        words = _row_seed_words(config.seed, [[0], HUB_SPAWN_KEY[:1]], 0, 5)
+        streams = [_generator(row) if count else None for row, count in zip(words[:5], _row_halves(config, link))]
+        if m is None:
+            m = bob_build_key_message(config, _generator(words[5]))
     else:
-        key_rng, prep_rng, streams = rng, rng, (rng,) * 4
-    prep = alice_prepare(config, prep_rng)
-    m = bob_build_key_message(config, key_rng) if key_message is None else as_bits(key_message)
-    return _session_result(config, prep, m, _round_trip(config, prep, m, link, streams))
+        streams = (rng,) * 5
+    prep, m, passed = run_batch([(config, link, 1)], streams, m)
+    return _session_result(config, prep, m, passed)
 
 
-class BatchResult(NamedTuple):
-    """Per-row outcomes of run_batch; row r is the session stream r drove."""
+def run_batch(cells, streams, m=None) -> tuple:
+    """The sessions of one pass: (Alice's preparation, the key-messages,
+    (_transit's arrays, derivation record, settle's verdict)), one row per
+    session. Each cell (config, link, count) holds the next `count` rows. The
+    cells must draw alike (one protocol._pass_groups group): they may differ
+    in tag and noise levels; a pass of one cell is the plain case, and a
+    one-row cell of Generators gives one-dimensional arrays.
 
-    key_message: np.ndarray  # (R, message length)
-    m_prime: np.ndarray  # (R, message length)
-    ties: np.ndarray | None  # (R, n_bits) tie flags for V2/V3 (V2's p), None for V1
-    agreement: np.ndarray  # (R,) bool, as SessionResult.agreement
-    all_erasures: np.ndarray  # (R,) bool, abort_reason == "all_erasures"
-    tag_mismatch: np.ndarray  # (R,) bool, abort_reason == "tag_mismatch"
-
-
-def run_batch(cells, rows: RowStreams) -> BatchResult:
-    """The sessions of one pass, run over a (rows x qubits) array with one
-    stream per row. Each cell (config, link, count) holds the next `count`
-    rows. The cells must draw alike (one protocol._pass_groups group): they
-    may differ in tag and noise levels; a pass of one cell is the plain case.
-
-    Row r draws from stream r exactly what run_session(config,
-    link.noise_forward, link.noise_backward, link.eve, rng=Generator over
-    stream r) draws under its cell's settings, in the same order, and has
-    the same key-message, decoded message and abort reason.
+    streams are purposes 0-4 of _link_words, one row each per session (a
+    RowStreams, or a Generator for one session); a caller with one source
+    passes it five times. Without m, the key-messages are drawn from
+    streams[0] right after preparation, each cell's tag in place. So row r
+    draws exactly what run_session(config, link.noise_forward,
+    link.noise_backward, link.eve, rng=Generator over its stream) draws under
+    its cell's settings, in the same order.
     """
     configs, links, counts = zip(*cells)
-    if len(_pass_groups(zip(configs, links))) > 1:
+    if len(cells) > 1 and len(_pass_groups(zip(configs, links))) > 1:
         raise ValueError("the cells of one pass must draw alike: they may differ only in tag and noise levels")
     spans = [slice(stop - count, stop) for stop, count in zip(itertools.accumulate(counts), counts)]
     # The shortest tag serves the pass: every other cell's tag covers its positions, and is rewritten and rechecked.
     config = min(configs, key=lambda cell_config: cell_config.tag_length)
-    link = _pass_link(links, counts)
-    prep = alice_prepare(config, rows)
-    m = bob_build_key_message(config, rows)
     retagged = [(cell_config, span) for cell_config, span in zip(configs, spans) if cell_config is not config]
-    for cell_config, span in retagged:
-        m[span, config.message_length - cell_config.tag_length :] = cell_config.resolved_tag_bits()
-    _, record, (_, all_erasures, tag_mismatch, agreement) = _round_trip(config, prep, m, link, (rows,) * 4)
+    prep = alice_prepare(config, streams[0])
+    if m is None:
+        m = bob_build_key_message(config, streams[0])
+        for cell_config, span in retagged:
+            m[span, config.message_length - cell_config.tag_length :] = cell_config.resolved_tag_bits()
+    transit = _transit(config, prep, m, _pass_link(links, counts), streams[1:])
+    record = derive(config, transit[-1], prep.a)
+    bob_final, all_erasures, tag_mismatch, agreement = settle(config, record, m)
     for cell_config, span in retagged:
         tag_mismatch[span] = ~all_erasures[span] & ~verify_tag(record.m_prime[span], cell_config)
-    ties = record.ties if record.p is None else record.p
-    return BatchResult(m, record.m_prime, ties, agreement, all_erasures, tag_mismatch)
+    return prep, m, (transit, record, (bob_final, all_erasures, tag_mismatch, agreement))

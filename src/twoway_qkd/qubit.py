@@ -197,11 +197,6 @@ _MULT_A_POWERS = np.array([pow(_MULT_A, k, 1 << 32) for k in range(5)], np.uint3
 _STATE_HASH = np.array([_INIT_B * pow(_MULT_B, k, 1 << 32) % (1 << 32) for k in range(9)], np.uint32)
 
 
-def _n_words(value: int) -> int:
-    """How many uint32 words SeedSequence splits a non-negative int into."""
-    return max(1, -(-value.bit_length() // 32))
-
-
 def _row_seed_words(seed: int, prefixes, start: int, count: int) -> np.ndarray:
     """(P * count, 4) uint64 for P spawn-key prefixes (one key, or a (P, K)
     array): row p * count + r is the PCG64 seed state SeedSequence(seed,
@@ -214,14 +209,13 @@ def _row_seed_words(seed: int, prefixes, start: int, count: int) -> np.ndarray:
     """
     prefixes = np.array(prefixes, "<u8", ndmin=2)
     trailing = np.tile(np.arange(start, start + count, dtype="<u8"), len(prefixes))[:, None]
-    # SeedSequence mixes a prefix all rows share (a sweep cell) itself, once.
-    shared = tuple(prefixes[0].tolist()) if len(prefixes) == 1 else ()
-    keys = trailing if shared else np.column_stack([np.repeat(prefixes, count, axis=0), trailing])
+    keys = np.column_stack([np.repeat(prefixes, count, axis=0), trailing])
     words = keys.view("<u4").reshape(len(keys), -1, 2)
     two_words = words[:, :, 1, None] > 0
-    pool = np.random.SeedSequence(seed, spawn_key=shared).pool[None]
-    # Four hashmix steps per entropy word, and the seed counts as at least four words.
-    steps = 4 * (max(4, _n_words(seed)) + sum(map(_n_words, shared)))
+    pool = np.random.SeedSequence(seed).pool[None]
+    # Four hashmix steps per entropy word (SeedSequence splits the seed into uint32 words),
+    # and the seed counts as at least four words.
+    steps = 4 * max(4, -(-seed.bit_length() // 32))
     const = np.full((1, 1), _INIT_A * pow(_MULT_A, steps, 1 << 32) % (1 << 32), np.uint32)
     for column, high in enumerate(two_words.any(axis=0)[:, 0]):
         for half in (0, 1) if high else (0,):

@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import time
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -145,6 +146,17 @@ def _binomial_tail(t, q):
     return sum(math.comb(t, j) * q**j * (1 - q) ** (t - j) for j in range(math.ceil(t / 2), t + 1))
 
 
+class BatchMessages(NamedTuple):
+    key_message: np.ndarray
+    m_prime: np.ndarray
+
+
+def batch_rows(cells, rows: RowStreams) -> BatchMessages:
+    """The key-messages and decoded messages of one run_batch pass, `rows` the streams of every purpose."""
+    _, m, (_, record, _) = run_batch(cells, (rows,) * 5)
+    return BatchMessages(m, record.m_prime)
+
+
 def test_criterion_5_repetition_decoding():
     # Exhaustive: every error pattern with < ceil(t/2) flips decodes right;
     # exact ties erase.
@@ -181,7 +193,7 @@ def test_criterion_5_repetition_decoding():
                 np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(int(p * 1000), t)))
                 for seed in range(runs)
             )
-            batch = run_batch([(config, LinkSettings(noise, noise), runs)], rows)
+            batch = batch_rows([(config, LinkSettings(noise, noise), runs)], rows)
             errors = int((batch.m_prime != batch.key_message).sum())
             total = runs * n_blocks_per_run
             rate = errors / total

@@ -10,6 +10,7 @@ it was chosen to cover, so a pin cannot silently stop covering it.
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from twoway_qkd import (
@@ -86,11 +87,40 @@ def v3_even_t_with_ties():
     return result
 
 
+def v2_explicit_rng_noise_and_eve():
+    """One explicit Generator drives every draw: a, b, m, both legs' noise, Eve, measurement."""
+    result = run_session(
+        RunConfig(n_bits=10, repetition=3, variant="V2", basis_pool=POOL_3, tag_length=3, seed=107),
+        NoiseModel(p_bitflip=0.1, p_both=0.05),
+        NoiseModel(p_phaseflip=0.1),
+        EveStrategy.substitute((0.0, math.pi / 8), legs=(FORWARD, BACKWARD)),
+        rng=np.random.default_rng(108),
+    )
+    table = [row.split() for row in rows(result.transcript_text())]
+    assert any(row[3] != "I" for row in table) and any(row[6] != "I" for row in table)
+    assert all(row[4] == row[7] == "E" for row in table)
+    return result
+
+
+def v3_given_key_message():
+    """The caller's key-message, not a drawn one, goes into Bob's encoding."""
+    m = [0, 1, 1, 0, 1, 0, 1, 0]
+    result = run_session(
+        RunConfig(n_bits=8, repetition=3, variant="V3", basis_pool=POOL_2, tag_length=2, seed=109),
+        NoiseModel(p_bitflip=0.1),
+        key_message=m,
+    )
+    assert result.key_message.tolist() == m
+    return result
+
+
 TRANSCRIPT_PINS = [
     (v1_twelve_angles_eve_both_legs, "c4d756172178a75a7e0ea16d81810a3c39705aa7ebc08c1b84084983c17ffa10"),
     (v2_t4_over_120_qubits, "0b90c563dbf962e443cc5c1d75442d38e2d7ca0717c4bedebd183c48b2210dcb"),
     (v2_all_erasures, "c7b606ca8024cb8af1d736bd9ea25434d5d64333ddd54f193146801b8b81c860"),
     (v3_even_t_with_ties, "8a0d6f9ba027c3a072816485152057e038d26772033578c3b5e40f0fe8976234"),
+    (v2_explicit_rng_noise_and_eve, "90576c7978f62c63d50fa0d3af833eaeb66a00f95dd27f66006fae9560f4fc0c"),
+    (v3_given_key_message, "63862a52dd6916850df6bf024fa7b62bd5dcac115d328d30c945e1c8fe76c437"),
 ]
 
 STAR_FRAMES_PIN = "751299dcce476dc01db864372a88d01dbb8158c05e65ff90aa6cd966d9496411"

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 from dataclasses import replace
 from unittest import mock
@@ -21,7 +23,7 @@ from twoway_qkd import (
 )
 from twoway_qkd import network, protocol
 from twoway_qkd.network import FRAME_DTYPE, FRAME_SIZE, TO_HUB, TO_LEAF, _register_frames
-from twoway_qkd.protocol import _round_trip, _session_result, alice_prepare, bob_build_key_message
+from twoway_qkd.protocol import _session_result, _transit, alice_prepare, bob_build_key_message, derive, settle
 from twoway_qkd.qubit import QubitRegister
 
 POOL = (Basis(0.0), Basis(math.pi / 4))
@@ -237,10 +239,13 @@ def spawned_rng(seed, key):
 
 def reference_leaf(config, seed, link_id, link, key_message, record_frames):
     """One leaf as the star ran it leaf by leaf: its own streams, one
-    round trip, then frames through the one-frame codec."""
+    round trip phase by phase, then frames through the one-frame codec."""
     prep_rng, *streams = (spawned_rng(seed, (link_id, purpose)) for purpose in range(5))
     prep = alice_prepare(config, prep_rng)
-    result = _session_result(config, prep, key_message, _round_trip(config, prep, key_message, link, streams))
+    transit = _transit(config, prep, key_message, link, streams)
+    record = derive(config, transit[-1], prep.a)
+    passed = (transit, record, settle(config, record, key_message))
+    result = _session_result(config, prep, key_message, passed)
     frames = b""
     if record_frames:
         frames = b"".join(
@@ -379,6 +384,17 @@ def test_topology_keeps_a_read_only_copy_of_its_links():
         topology.links["leaf0"] = "oops"
     assert star_bytes(run_star_session(topology, config)) == before
     assert replace(topology, hub="alice").links == topology.links
+
+
+def test_topology_survives_deepcopy_and_pickle():
+    links = {"leaf1": LinkSettings(NoiseModel(p_bitflip=0.3), eve=EveStrategy.substitute((0.0, math.pi / 4)))}
+    topology = make_topology(3, links)
+    config = RunConfig(n_bits=16, basis_pool=POOL, tag_length=4, seed=44)
+    for twin in (copy.deepcopy(topology), pickle.loads(pickle.dumps(topology))):
+        assert twin == topology
+        with pytest.raises(TypeError):
+            twin.links["leaf0"] = LinkSettings()
+        assert star_bytes(run_star_session(twin, config)) == star_bytes(run_star_session(topology, config))
 
 
 def test_eve_pool_and_legs_given_as_lists():

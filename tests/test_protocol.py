@@ -1,6 +1,7 @@
 import itertools
 import math
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from twoway_qkd import (
     AllErasuresError,
     Basis,
     EveStrategy,
+    ExperimentConfig,
     NoiseModel,
     RunConfig,
     alice_measure,
@@ -19,9 +21,11 @@ from twoway_qkd import (
     encode_bit,
     majority,
     resolve_erasures,
+    run_experiment,
     run_session,
     verify_tag,
 )
+from twoway_qkd import harness, network, protocol
 from twoway_qkd.network import Topology, run_star_session
 from twoway_qkd.protocol import LinkSettings, _resolve, _row_halves, derive, run_batch
 from twoway_qkd.qubit import ZX, RowStreams, _row_seed_words
@@ -487,6 +491,24 @@ links = st.builds(
 )
 
 
+class BatchRows(NamedTuple):
+    """The per-row outcomes of one run_batch pass that the tests below compare."""
+
+    key_message: np.ndarray
+    m_prime: np.ndarray
+    ties: np.ndarray | None  # V2's p or V3's ties, None for V1
+    agreement: np.ndarray
+    all_erasures: np.ndarray
+    tag_mismatch: np.ndarray
+
+
+def batch_rows(cells, rows: RowStreams) -> BatchRows:
+    """run_batch over `cells`, with `rows` as the streams of every purpose (as the sweep runs it)."""
+    _, m, (_, record, (_, all_erasures, tag_mismatch, agreement)) = run_batch(cells, (rows,) * 5)
+    ties = record.ties if record.p is None else record.p
+    return BatchRows(m, record.m_prime, ties, agreement, all_erasures, tag_mismatch)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from(["V1", "V2", "V3"]),
@@ -504,7 +526,7 @@ def test_run_batch_rows_match_run_session(variant, t, n_bits, pool_size, tag_len
         tag_length=min(tag_length, n_bits), seed=seed,
     )
     ahead = -(-sum(_row_halves(config, link)) // 2)
-    batch = run_batch([(config, link, rows)], RowStreams([np.random.PCG64([seed, r]) for r in range(rows)], ahead))
+    batch = batch_rows([(config, link, rows)], RowStreams([np.random.PCG64([seed, r]) for r in range(rows)], ahead))
     for r in range(rows):
         result = run_session(
             config, link.noise_forward, link.noise_backward, link.eve, rng=np.random.default_rng([seed, r])
@@ -543,7 +565,7 @@ def test_row_halves_are_the_words_each_pass_reads(variant, t, n_bits, pool_size,
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(RowStreams, "from_seed_words", recording)
-        run_batch([(config, link, rows)], RowStreams.from_seed_words(
+        batch_rows([(config, link, rows)], RowStreams.from_seed_words(
             _row_seed_words(seed, (0,), 0, rows), -(-sum(_row_halves(config, link)) // 2)))
         leaves = tuple(f"leaf{k}" for k in range(rows))
         run_star_session(Topology(leaves=leaves, links=dict.fromkeys(leaves, link)), config)
@@ -575,11 +597,11 @@ def test_a_pass_of_cells_gives_each_cell_its_own_rows(variant, t, n_bits, link, 
         specs.append((config, LinkSettings(*noise, link.eve), rows))
     words = _row_seed_words(seed, (0,), 0, sum(rows for *_, rows in cells))
     ahead = -(-sum(_row_halves(base, link)) // 2)
-    fused = run_batch(specs, RowStreams.from_seed_words(words, ahead))
+    fused = batch_rows(specs, RowStreams.from_seed_words(words, ahead))
     start = 0
     for spec in specs:
         span = slice(start, start + spec[2])
-        alone = run_batch([spec], RowStreams.from_seed_words(words[span], ahead))
+        alone = batch_rows([spec], RowStreams.from_seed_words(words[span], ahead))
         for got, want in zip(fused, alone):
             assert (got is None) == (want is None)
             assert got is None or np.array_equal(got[span], want)
@@ -590,4 +612,34 @@ def test_a_pass_rejects_cells_that_draw_noise_differently():
     config = RunConfig(n_bits=4)
     cells = [(config, LinkSettings(NoiseModel(p_bitflip=0.1)), 2), (config, LinkSettings(), 2)]
     with pytest.raises(ValueError, match="noise"):
-        run_batch(cells, RowStreams.from_seed_words(_row_seed_words(0, (0,), 0, 4)))
+        batch_rows(cells, RowStreams.from_seed_words(_row_seed_words(0, (0,), 0, 4)))
+
+
+def test_every_entry_point_runs_its_passes_through_run_batch():
+    # run_batch wrapped wherever a caller looks it up; each pass records its cells' row counts.
+    passes = []
+
+    def recording(cells, *args):
+        passes.append([count for *_, count in cells])
+        return run_batch(cells, *args)
+
+    eve = EveStrategy.intercept_resend((0.0, math.pi / 4))
+    levels = {"leaf3": 0.1, "leaf7": 0.2, "leaf8": 0.2}
+    links = {leaf: LinkSettings(NoiseModel(p_bitflip=p), eve=eve) for leaf, p in levels.items()}
+    topology = Topology(leaves=tuple(f"leaf{i}" for i in range(10)), links=links)
+    sweep = ExperimentConfig.from_dict({"n_bits": 8, "repetitions": 4, "sweep": {"p_bitflip": [0.0, 0.1, 0.2]}})
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocol, "BATCH_QUBITS", 64)
+        for module in (protocol, network, harness):
+            patch.setattr(module, "run_batch", recording, raising=False)
+        run_session(RunConfig(n_bits=16), NoiseModel(p_bitflip=0.1))
+        assert passes == [[1]]
+        passes.clear()
+        # 16 qubits a leaf, so passes of four leaves: seven clean leaves, then three tapped ones
+        # whose consecutive equal links (leaf7 and leaf8) make one cell.
+        run_star_session(topology, RunConfig(n_bits=16))
+        assert passes == [[4], [3], [1, 2]]
+        passes.clear()
+        # 32 qubits a cell: the noiseless cell alone, then the two noisy cells in one pass.
+        run_experiment(sweep)
+        assert passes == [[4], [4, 4]]
