@@ -197,9 +197,9 @@ class ExperimentConfig:
         path = Path(path)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
-        try:
+        try:  # bytes that are not UTF-8, an int past Python's digit limit and deep nesting fail here too
             data = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         return cls.from_dict(data)
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .channel import (BACKWARD, FORWARD, INTERCEPT_RESEND, EveObservation, EveStrategy, NoiseModel, RowNoise,
                       perturb_register, eve_tap_register)
-from .qubit import PAULI_TAGS, Basis, QubitRegister, Rng, XZ, _row_seed_words, _SeedWords, check_fields, checked
+from .qubit import PAULI_TAGS, Basis, QubitRegister, Rng, XZ, _row_seed_words, _SeedWords, check_fields
 
 V1 = "V1"
 V2 = "V2"
@@ -67,17 +67,15 @@ def _key_rng(seed: int) -> Rng:
 
 @dataclass(frozen=True)
 class LinkSettings:
-    """Channel conditions on one link: a star's hub-leaf link or a two-party session."""
+    """Channel conditions on one link: a star's hub-leaf link or a two-party session.
+    Configuration only: run_batch hands _transit a pass's per-row noise (RowNoise) itself."""
 
-    noise_forward: NoiseModel | RowNoise = NoiseModel()
-    noise_backward: NoiseModel | RowNoise = NoiseModel()
+    noise_forward: NoiseModel = NoiseModel()
+    noise_backward: NoiseModel = NoiseModel()
     eve: EveStrategy = EveStrategy.absent()
 
     def __post_init__(self) -> None:
-        noise = (NoiseModel, RowNoise)  # a RowNoise is a pass's (_pass_link), one model per row
-        checked("noise_forward", self.noise_forward, noise)
-        checked("noise_backward", self.noise_backward, noise)
-        checked("eve", self.eve, EveStrategy)
+        check_fields(self, noise_forward=NoiseModel, noise_backward=NoiseModel, eve=EveStrategy)
 
 
 def _link_words(seed: int, links) -> np.ndarray:
@@ -108,14 +106,6 @@ def _pass_groups(pairs) -> list[list[int]]:
                np.array(eve.basis_pool).tobytes(), eve.legs, noise)
         groups.setdefault(key, []).append(index)
     return list(groups.values())
-
-
-def _pass_link(links, counts) -> LinkSettings:
-    """A pass's settings: each leg's noise the model every row shares, or at each row's link's
-    levels (RowNoise) where the models differ; the first link's Eve."""
-    legs = [[link.noise_forward for link in links], [link.noise_backward for link in links]]
-    noise = [models[0] if models.count(models[0]) == len(models) else RowNoise(models, counts) for models in legs]
-    return LinkSettings(*noise, links[0].eve)
 
 
 class AllErasuresError(ValueError):
@@ -490,36 +480,35 @@ class SessionResult:
         return _render_rows("\n".join([*lines, ""]).encode(), cells, [basis, code], True)
 
 
-def _transit(config: RunConfig, prep: PreparationRecord, m: np.ndarray, link: LinkSettings, streams) -> tuple:
+def _leg(register: QubitRegister, noise, eve: EveStrategy, leg: str, noise_rng, eve_rng) -> tuple:
+    """One channel crossing, either leg: channel noise first, then Eve's tap
+    if she taps `leg`. Returns (register, noise codes, tap or None)."""
+    register, codes = perturb_register(register, noise, noise_rng)
+    tap = None
+    if eve.attacks(leg):
+        register, tap = eve_tap_register(register, eve, eve_rng)
+    return register, codes, tap
+
+
+def _transit(config: RunConfig, prep: PreparationRecord, m: np.ndarray, noise, eve: EveStrategy, streams) -> tuple:
     """Phase II and Alice's measurement, for run_batch's one session or batch of rows.
     Returns (forward noise codes, forward Eve observation, register delivered
     to Bob, Bob's op mask, backward noise codes, backward Eve observation,
     register delivered to Alice, c).
 
-    Per leg, channel noise is applied first and Eve's tap second. The four
-    streams are purposes 1-4 of _link_words; they are separate so that each
-    link draws from its own, and a session driven by one explicit generator
-    passes that generator four times. Noise streams are drawn from only for
-    non-trivial noise, Eve's only if she taps (else they may be None).
+    noise is the (forward, backward) pair of legs, each a NoiseModel or a
+    pass's RowNoise; each leg crosses through _leg. The four streams are
+    purposes 1-4 of _link_words; they are separate so that each link draws
+    from its own, and a session driven by one explicit generator passes that
+    generator four times. Noise streams are drawn from only for non-trivial
+    noise, Eve's only if she taps (else they may be None).
     """
-    eve = link.eve
     forward_rng, eve_rng, backward_rng, measure_rng = streams
-
-    reg, fwd_codes = perturb_register(prep.register, link.noise_forward, forward_rng)
-    eve_fwd = None
-    if eve.attacks(FORWARD):
-        reg, eve_fwd = eve_tap_register(reg, eve, eve_rng)
-    delivered_to_bob = reg
-
-    reg, bob_ops = bob_encode(config, m, reg)
-
-    reg, bwd_codes = perturb_register(reg, link.noise_backward, backward_rng)
-    eve_bwd = None
-    if eve.attacks(BACKWARD):
-        reg, eve_bwd = eve_tap_register(reg, eve, eve_rng)
-
-    c = alice_measure(reg, prep, config, measure_rng)
-    return fwd_codes, eve_fwd, delivered_to_bob, bob_ops, bwd_codes, eve_bwd, reg, c
+    to_bob, fwd_codes, eve_fwd = _leg(prep.register, noise[0], eve, FORWARD, forward_rng, eve_rng)
+    reg, bob_ops = bob_encode(config, m, to_bob)
+    to_alice, bwd_codes, eve_bwd = _leg(reg, noise[1], eve, BACKWARD, backward_rng, eve_rng)
+    c = alice_measure(to_alice, prep, config, measure_rng)
+    return fwd_codes, eve_fwd, to_bob, bob_ops, bwd_codes, eve_bwd, to_alice, c
 
 
 def _row_tap(tap: EveObservation | None, row) -> EveObservation | None:
@@ -602,7 +591,8 @@ def run_batch(cells, streams, m=None) -> tuple:
     streams[0] right after preparation, each cell's tag in place. So row r
     draws exactly what run_session(config, link.noise_forward,
     link.noise_backward, link.eve, rng=Generator over its stream) draws under
-    its cell's settings, in the same order.
+    its cell's settings, in the same order. _transit gets the pass's two noise
+    legs and the group's Eve as they are, not wrapped in a LinkSettings.
     """
     configs, links, counts = zip(*cells)
     if len(cells) > 1 and len(_pass_groups(zip(configs, links))) > 1:
@@ -616,7 +606,11 @@ def run_batch(cells, streams, m=None) -> tuple:
         m = bob_build_key_message(config, streams[0])
         for cell_config, span in retagged:
             m[span, config.message_length - cell_config.tag_length :] = cell_config.resolved_tag_bits()
-    transit = _transit(config, prep, m, _pass_link(links, counts), streams[1:])
+    # Each leg's noise is the model every row shares, or at each row's link's levels (RowNoise)
+    # where the models differ; Eve is the group's one strategy.
+    legs = zip(*((link.noise_forward, link.noise_backward) for link in links))
+    noise = [models[0] if models.count(models[0]) == len(models) else RowNoise(models, counts) for models in legs]
+    transit = _transit(config, prep, m, noise, links[0].eve, streams[1:])
     record = derive(config, transit[-1], prep.a)
     bob_final, all_erasures, tag_mismatch, agreement = settle(config, record, m)
     for cell_config, span in retagged:

@@ -308,6 +308,13 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     no_n = tmp_path / "incomplete.json"
     no_n.write_text("{}")
     assert main(["run", "--config", str(no_n)]) == 1
+    # Bytes that are not UTF-8, a seed past Python's int digit limit, a sweep nested past the recursion limit.
+    for raw in (b'{"n_bits": 4, "seed": 0}\xff', b'{"n_bits": 4, "seed": ' + b"9" * 5000 + b"}",
+                b'{"n_bits": 4, "sweep": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"):
+        bad.write_bytes(raw)
+        capsys.readouterr()
+        assert main(["run", "--config", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("config error: config file is not valid JSON")
 
 
 @pytest.mark.parametrize(

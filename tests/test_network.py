@@ -242,7 +242,7 @@ def reference_leaf(config, seed, link_id, link, key_message, record_frames):
     round trip phase by phase, then frames through the one-frame codec."""
     prep_rng, *streams = (spawned_rng(seed, (link_id, purpose)) for purpose in range(5))
     prep = alice_prepare(config, prep_rng)
-    transit = _transit(config, prep, key_message, link, streams)
+    transit = _transit(config, prep, key_message, (link.noise_forward, link.noise_backward), link.eve, streams)
     record = derive(config, transit[-1], prep.a)
     passed = (transit, record, settle(config, record, key_message))
     result = _session_result(config, prep, key_message, passed)

@@ -26,6 +26,7 @@ from twoway_qkd import (
     verify_tag,
 )
 from twoway_qkd import harness, network, protocol
+from twoway_qkd.channel import RowNoise
 from twoway_qkd.network import Topology, run_star_session
 from twoway_qkd.protocol import LinkSettings, _resolve, _row_halves, derive, run_batch
 from twoway_qkd.qubit import ZX, RowStreams, _row_seed_words
@@ -73,7 +74,8 @@ def test_run_config_validation():
     config = RunConfig(n_bits=np.int64(4), repetition=np.int32(2), tag_length=np.int16(1), seed=np.uint8(1))
     assert [type(value) for value in (config.n_bits, config.repetition, config.tag_length, config.seed)] == [int] * 4
     # Link fields must be a NoiseModel or an EveStrategy, checked where the link is built.
-    for field, value in [("noise_forward", "x"), ("noise_backward", 0.1), ("eve", None)]:
+    for field, value in [("noise_forward", "x"), ("noise_backward", 0.1), ("eve", None),
+                         ("noise_forward", RowNoise([NoiseModel()], 1)), ("noise_backward", RowNoise([NoiseModel()], 1))]:
         with pytest.raises(ValueError, match=field):
             LinkSettings(**{field: value})
     with pytest.raises(ValueError, match="noise_forward"):
