@@ -22,6 +22,7 @@ from .qubit import (
     ANGLE,
     PAULI_TAGS,
     Basis,
+    ConfigError,
     KrausChannel,
     PauliWord,
     PureState,
@@ -54,9 +55,9 @@ class NoiseModel:
         check_fields(self, p_bitflip=float, p_phaseflip=float, p_both=float)
         for name, p in (("p_bitflip", self.p_bitflip), ("p_phaseflip", self.p_phaseflip), ("p_both", self.p_both)):
             if not 0.0 <= p <= 1.0:  # written so that NaN fails too
-                raise ValueError(f"{name} must lie in [0,1], got {p!r}")
+                raise ConfigError(f"{name} must lie in [0,1], got {p!r}")
         if (total := sum((self.p_bitflip, self.p_phaseflip, self.p_both))) > 1.0 + 1e-15:
-            raise ValueError(f"probabilities sum to {total} > 1")
+            raise ConfigError(f"p_bitflip + p_phaseflip + p_both: probabilities sum to {total} > 1")
 
     @property
     def p_identity(self) -> float:
@@ -134,18 +135,16 @@ class EveStrategy:
 
     def __post_init__(self) -> None:
         # Stored hashable whatever iterables were given: protocol._pass_groups keys on the legs.
-        if (pool := checked("basis_pool", self.basis_pool, [ANGLE])) is not self.basis_pool:
-            object.__setattr__(self, "basis_pool", pool)
+        check_fields(self, basis_pool=[ANGLE], kind=str)
         if type(self.legs) is not frozenset:  # a set's members are checked as a subset below
             legs = self.legs if isinstance(self.legs, set) else checked("legs", self.legs, [str])
             object.__setattr__(self, "legs", frozenset(legs))
-        object.__setattr__(self, "kind", checked("kind", self.kind, str))
         if self.kind not in (ABSENT, INTERCEPT_RESEND, SUBSTITUTE):
-            raise ValueError(f"unknown Eve strategy {self.kind!r}")
+            raise ConfigError(f"kind: unknown Eve strategy {self.kind!r}")
         if self.kind != ABSENT and not self.basis_pool:
-            raise ValueError("active Eve strategy needs a non-empty basis pool")
+            raise ConfigError("basis_pool: active Eve strategy needs a non-empty basis pool")
         if not self.legs <= {FORWARD, BACKWARD}:
-            raise ValueError(f"legs: must be a subset of {{forward, backward}}, got {set(self.legs)}")
+            raise ConfigError(f"legs: must be a subset of {{forward, backward}}, got {set(self.legs)}")
 
     @classmethod
     def absent(cls) -> "EveStrategy":

@@ -29,7 +29,9 @@ Config schema::
 
 Only n_bits is required. A key outside this schema, or a value of the wrong
 JSON type, is a ConfigError naming the field: each value goes through
-qubit.checked, the check every config type applies to its own fields.
+qubit.checked, the check every config type applies to its own fields. Every
+config type raises ConfigError itself, for a bad type and a bad range alike,
+so this module only prefixes the section or sweep cell a value came from.
 
 All reported rates are simulator-derived; the protocol's source material
 contains no numerical experiments to compare against.
@@ -47,7 +49,7 @@ import numpy as np
 
 from .channel import ABSENT, EveStrategy, NoiseModel
 from .protocol import V2, LinkSettings, RunConfig, _pass_groups, _passes, _row_halves, run_batch
-from .qubit import ANGLE, Basis, RowStreams, _row_seed_words, check_fields, checked
+from .qubit import ANGLE, Basis, ConfigError, RowStreams, _row_seed_words, check_fields, checked
 
 CONFIG_FILENAME = "config_resolved.json"
 CSV_FILENAME = "results.csv"
@@ -60,10 +62,6 @@ _CSV_COLUMNS = (
 )
 
 
-class ConfigError(ValueError):
-    """Invalid experiment configuration; the message names the field."""
-
-
 # The keys to_dict writes, plus output_dir, which it leaves out.
 CONFIG_KEYS = (
     "variant", "n_bits", "repetition", "basis_pool", "tag_length", "tag_bits", "seed",
@@ -73,17 +71,9 @@ CONFIG_KEYS = (
 SWEEP_AXES = {"p_bitflip": float, "repetition": int, "eve": str, "tag_length": int}
 
 
-def _typed(name: str, value, kind):
-    """qubit.checked(name, value, kind), its ValueError re-raised as a ConfigError with the same message."""
-    try:
-        return checked(name, value, kind)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _object(name: str, value, keys) -> dict:
     """A JSON object whose keys all lie in `keys`."""
-    value = _typed(name, value, dict)
+    value = checked(name, value, dict)
     unknown = set(value) - set(keys)
     if unknown:
         raise ConfigError(f"{name}: unknown keys {sorted(unknown)}")
@@ -91,8 +81,8 @@ def _object(name: str, value, keys) -> dict:
 
 
 def _build(name: str, factory, *args, **fields):
-    """factory(*args, **fields), with a ValueError turned into a ConfigError
-    that names the config section."""
+    """factory(*args, **fields), the config section `name` prefixed to the message of
+    a ValueError it raises (a ConfigError, from every config type)."""
     try:
         return factory(*args, **fields)
     except ValueError as exc:
@@ -113,16 +103,13 @@ class ExperimentConfig:
     output_format: str = "tabular"
 
     def __post_init__(self) -> None:
-        try:
-            check_fields(self, run=RunConfig, repetitions=int, noise=NoiseModel, eve=EveStrategy, output_dir=(str, Path))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        check_fields(self, run=RunConfig, repetitions=int, noise=NoiseModel, eve=EveStrategy, output_dir=(str, Path))
         if self.repetitions < 1:
             raise ConfigError("repetitions: must be >= 1")
-        if _typed("format", self.output_format, str) not in ("tabular", "structured"):
+        if checked("format", self.output_format, str) not in ("tabular", "structured"):
             raise ConfigError("format: must be 'tabular' or 'structured'")
         for name, axis in self.sweep_axes.items():
-            axis = _typed(f"sweep.{name}", axis, [SWEEP_AXES[name]])
+            axis = checked(f"sweep.{name}", axis, [SWEEP_AXES[name]])
             if not axis:
                 raise ConfigError(f"sweep.{name}: must list at least one value")
             object.__setattr__(self, f"sweep_{name}", axis)
@@ -174,13 +161,13 @@ class ExperimentConfig:
         # RunConfig checks its own fields and holds their defaults; Basis takes checked angles.
         keys = ("n_bits", "repetition", "variant", "tag_length", "seed", "tag_bits")
         given = {key: data[key] for key in keys if key in data}
-        pool = tuple(map(Basis, _typed("basis_pool", data.get("basis_pool", [0.0]), [ANGLE])))
+        pool = tuple(map(Basis, checked("basis_pool", data.get("basis_pool", [0.0]), [ANGLE])))
         run = _build("run parameters", RunConfig, basis_pool=pool, **given)
         noise_d = _object("noise", data.get("noise", {}), ("p_bitflip", "p_phaseflip", "p_both"))
-        noise = _build("noise", NoiseModel, **{k: _typed(f"noise.{k}", v, float) for k, v in noise_d.items()})
+        noise = _build("noise", NoiseModel, **{k: checked(f"noise.{k}", v, float) for k, v in noise_d.items()})
         eve_kinds = {"kind": str, "basis_pool": [ANGLE], "legs": [str]}
         eve_d = _object("eve", data.get("eve", {}), eve_kinds)
-        eve = _build("eve", EveStrategy, **{k: _typed(f"eve.{k}", v, eve_kinds[k]) for k, v in eve_d.items()})
+        eve = _build("eve", EveStrategy, **{k: checked(f"eve.{k}", v, eve_kinds[k]) for k, v in eve_d.items()})
         sweep = _object("sweep", data.get("sweep", {}), SWEEP_AXES)
         return cls(
             run=run,
@@ -188,7 +175,7 @@ class ExperimentConfig:
             noise=noise,
             eve=eve,
             **{f"sweep_{name}": axis for name, axis in sweep.items()},
-            output_dir=_typed("output_dir", data.get("output_dir", "results"), str),
+            output_dir=checked("output_dir", data.get("output_dir", "results"), str),
             output_format=data.get("format", "tabular"),
         )
 

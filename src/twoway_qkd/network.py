@@ -34,7 +34,7 @@ from .protocol import (
     bob_build_key_message,
     run_batch,
 )
-from .qubit import QubitRegister, RowStreams, check_fields, checked
+from .qubit import ConfigError, QubitRegister, RowStreams, check_fields, checked
 
 TO_HUB = 0
 TO_LEAF = 1
@@ -100,16 +100,16 @@ class Topology:
         for leaf, link in self.links.items():
             checked(f"links[{leaf!r}]", link, LinkSettings)
         if not self.leaves:
-            raise ValueError("topology needs at least one leaf")
+            raise ConfigError("leaves: topology needs at least one leaf")
         if len(set(self.leaves)) != len(self.leaves):
-            raise ValueError("leaf identifiers must be unique")
+            raise ConfigError("leaves: leaf identifiers must be unique")
         if self.hub in self.leaves:
-            raise ValueError("hub cannot also be a leaf")
+            raise ConfigError("hub cannot also be a leaf")
         unknown = set(self.links) - set(self.leaves)
         if unknown:
-            raise ValueError(f"link settings for unknown leaves: {sorted(unknown)}")
+            raise ConfigError(f"links: link settings for unknown leaves: {sorted(unknown)}")
         if len(self.leaves) >= 1 << 16:
-            raise ValueError("at most 65535 leaves (16-bit link ids)")
+            raise ConfigError("at most 65535 leaves (16-bit link ids)")
 
     def link_settings(self, leaf: str) -> LinkSettings:
         return self.links.get(leaf, _CLEAN_LINK)
@@ -178,7 +178,7 @@ def run_star_session(
     per_leaf_pools = per_leaf_pools or {}
     unknown = set(per_leaf_pools) - set(topology.leaves)
     if unknown:
-        raise ValueError(f"basis pools for unknown leaves: {sorted(unknown)}")
+        raise ConfigError(f"per_leaf_pools: basis pools for unknown leaves: {sorted(unknown)}")
 
     key_message = bob_build_key_message(config, _key_rng(config.seed))
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .channel import (BACKWARD, FORWARD, INTERCEPT_RESEND, EveObservation, EveStrategy, NoiseModel, RowNoise,
                       perturb_register, eve_tap_register)
-from .qubit import PAULI_TAGS, Basis, QubitRegister, Rng, XZ, _row_seed_words, _SeedWords, check_fields
+from .qubit import PAULI_TAGS, Basis, ConfigError, QubitRegister, Rng, XZ, _row_seed_words, _SeedWords, check_fields
 
 V1 = "V1"
 V2 = "V2"
@@ -215,28 +215,28 @@ class RunConfig:
     def __post_init__(self) -> None:
         check_fields(self, n_bits=int, repetition=int, variant=str, basis_pool=[Basis], tag_length=int, seed=int)
         if self.n_bits < 1:
-            raise ValueError("n_bits must be >= 1")
+            raise ConfigError("n_bits must be >= 1")
         if self.repetition < 1:
-            raise ValueError("repetition must be >= 1")
+            raise ConfigError("repetition must be >= 1")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
+            raise ConfigError(f"variant must be one of {VARIANTS}")
         if not self.basis_pool:
-            raise ValueError("basis pool must be non-empty")
+            raise ConfigError("basis_pool: must be non-empty")
         angles = [b.theta for b in self.basis_pool]
         # Angles equal mod pi give the same basis up to sign; sin(x - y) is expanded so x - y cannot overflow.
         sines = [(math.sin(x), math.cos(x)) for x in angles]
         if any(abs(sx * cy - cx * sy) <= 1e-12 for i, (sx, cx) in enumerate(sines) for sy, cy in sines[i + 1 :]):
-            raise ValueError(f"basis_pool angles must be pairwise distinct modulo pi: {angles}")
+            raise ConfigError(f"basis_pool angles must be pairwise distinct modulo pi: {angles}")
         if not 0 <= self.tag_length <= self.message_length:
-            raise ValueError("tag_length must lie in [0, message length]")
+            raise ConfigError("tag_length must lie in [0, message length]")
         if self.tag_bits is not None:
             check_fields(self, tag_bits=[int])
             if len(self.tag_bits) != self.tag_length:
-                raise ValueError("tag_bits length must equal tag_length")
+                raise ConfigError("tag_bits length must equal tag_length")
             if any(bit not in (0, 1) for bit in self.tag_bits):
-                raise ValueError(f"tag_bits entries must be 0 or 1: {list(self.tag_bits)}")
+                raise ConfigError(f"tag_bits entries must be 0 or 1: {list(self.tag_bits)}")
 
     @property
     def qubit_count(self) -> int:

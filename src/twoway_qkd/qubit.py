@@ -32,8 +32,12 @@ _EXPECTED = {int: "an integer", float: "a number", ANGLE: "a finite number", str
 _UNORDERED = (str, dict, set, frozenset)  # not lists: a str iterates letters, a dict keys, a set in hash order
 
 
+class ConfigError(ValueError):
+    """Invalid configuration value; the message names the field."""
+
+
 def checked(name: str, value, kind):
-    """What field `name` stores for `value`, or ValueError("<name>: expected ..., got ...").
+    """What field `name` stores for `value`, or ConfigError("<name>: expected ..., got ...").
 
     int takes any Integral and stores an int; float and ANGLE (also finite) take any Real
     and store a float; a bool is never a number. str takes a str, any other class (or tuple
@@ -62,7 +66,7 @@ def checked(name: str, value, kind):
                 return float(value) if kind is ANGLE else kind(value)
     classes = kind if type(kind) is tuple else (kind,)
     expected = "a list" if type(kind) is list else _EXPECTED.get(kind) or " or ".join(c.__name__ for c in classes)
-    raise ValueError(f"{name}: expected {expected}, got {value!r}")
+    raise ConfigError(f"{name}: expected {expected}, got {value!r}")
 
 
 def check_fields(config, **kinds) -> None:
@@ -335,10 +339,10 @@ class PureState:
             raise ValueError("phase must be unit modulus")
         return PureState(self.amp0 * phase, self.amp1 * phase)
 
-    def equals_up_to_phase(self, other: "PureState", atol: float = ATOL_EXACT) -> bool:
+    def equals_up_to_phase(self, other: "PureState") -> bool:
         # |<a|b>| = 1 iff the states coincide up to a global phase.
         ip = np.conj(self.vector()) @ other.vector()
-        return abs(abs(ip) - 1.0) <= atol
+        return abs(abs(ip) - 1.0) <= ATOL_EXACT
 
 
 @dataclass(frozen=True)
@@ -365,8 +369,8 @@ class DensityMatrix:
             return NotImplemented
         return np.array_equal(self.entries, other.entries)
 
-    def is_pure(self, atol: float = ATOL_EXACT) -> bool:
-        return np.allclose(self.entries @ self.entries, self.entries, atol=atol, rtol=0)
+    def is_pure(self) -> bool:
+        return np.allclose(self.entries @ self.entries, self.entries, atol=ATOL_EXACT, rtol=0)
 
 
 class KrausChannel:
@@ -376,23 +380,22 @@ class KrausChannel:
     coefficients in the operator basis (I, X, Z, XZ).
     """
 
-    def __init__(self, operators, atol: float = ATOL_CHANNEL):
+    def __init__(self, operators):
         self.operators = [np.asarray(op, dtype=complex) for op in operators]
         if not self.operators:
             raise ChannelCompletenessError("channel needs at least one operator")
         for op in self.operators:
             if op.shape != (2, 2):
                 raise ChannelCompletenessError("Kraus operators must be 2x2")
-        self.atol = atol
         self.require_complete()
 
     @classmethod
-    def from_pauli_coefficients(cls, coefficients, atol: float = ATOL_CHANNEL) -> "KrausChannel":
+    def from_pauli_coefficients(cls, coefficients) -> "KrausChannel":
         """Build E_j = s0*I + s1*X + s2*Z + s3*XZ from rows (s0, s1, s2, s3)."""
         ops = []
         for s0, s1, s2, s3 in coefficients:
             ops.append(s0 * _I + s1 * _X + s2 * _Z + s3 * PAULI_MATRICES["XZ"])
-        return cls(ops, atol=atol)
+        return cls(ops)
 
     def pauli_coefficients(self) -> list[tuple[complex, complex, complex, complex]]:
         """Decompose each operator over (I, X, Z, XZ); the basis spans all of C^{2x2}."""
@@ -405,7 +408,7 @@ class KrausChannel:
 
     def require_complete(self) -> None:
         total = sum(op.conj().T @ op for op in self.operators)
-        if not np.allclose(total, _I, atol=self.atol, rtol=0):
+        if not np.allclose(total, _I, atol=ATOL_CHANNEL, rtol=0):
             raise ChannelCompletenessError(
                 f"sum E_j^dag E_j deviates from I by {np.abs(total - _I).max():.3g}"
             )

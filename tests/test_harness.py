@@ -12,8 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twoway_qkd import (Basis, ConfigError, EveStrategy, ExperimentConfig, NoiseModel, RunConfig, emit_results, protocol,
-                        run_experiment, run_session)
+from twoway_qkd import (Basis, ConfigError, EveStrategy, ExperimentConfig, LinkSettings, NoiseModel, RunConfig, Topology,
+                        emit_results, protocol, run_experiment, run_session)
 from twoway_qkd.cli import main
 from twoway_qkd.harness import (
     CONFIG_FILENAME,
@@ -354,6 +354,10 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, override, field):
         ({"sweep": {"repetition": [3], "eve": []}}, "sweep.eve"),
         ({"sweep": {"repetition": []}}, "sweep.repetition"),
         ({"sweep": {"tag_length": []}}, "sweep.tag_length"),
+        ({"basis_pool": []}, "basis_pool"),
+        ({"eve": {"kind": "x", "basis_pool": [0.1]}}, "kind"),
+        ({"eve": {"kind": "substitute"}}, "basis_pool"),
+        ({"noise": {"p_bitflip": 0.6, "p_phaseflip": 0.6}}, "p_phaseflip"),
     ],
 )
 def test_cli_rejects_malformed_json_fields(tmp_path, capsys, override, field):
@@ -363,6 +367,32 @@ def test_cli_rejects_malformed_json_fields(tmp_path, capsys, override, field):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "config_type, fields, field",
+    [
+        (Basis, {"theta": "0.5"}, "theta"),
+        (Basis, {"theta": float("inf")}, "theta"),
+        (RunConfig, {"n_bits": 4.5}, "n_bits"),
+        (RunConfig, {"n_bits": 4, "basis_pool": ()}, "basis_pool"),
+        (NoiseModel, {"p_both": "0.1"}, "p_both"),
+        (NoiseModel, {"p_bitflip": 1.5}, "p_bitflip"),
+        (EveStrategy, {"kind": None}, "kind"),
+        (EveStrategy, {"kind": "x"}, "kind"),
+        (LinkSettings, {"eve": "absent"}, "eve"),
+        # LinkSettings holds no number of its own (a leg's range is its NoiseModel's): two types.
+        (LinkSettings, {"noise_backward": {"p_phaseflip": 0.1}}, "noise_backward"),
+        (Topology, {"leaves": "ab"}, "leaves"),
+        (Topology, {"leaves": ()}, "leaves"),
+        (ExperimentConfig, {"run": RunConfig(n_bits=4), "repetitions": "2"}, "repetitions"),
+        (ExperimentConfig, {"run": RunConfig(n_bits=4), "repetitions": 0}, "repetitions"),
+    ],
+)
+def test_every_config_type_raises_config_error(config_type, fields, field):
+    with pytest.raises(ConfigError) as excinfo:
+        config_type(**fields)
+    assert field in str(excinfo.value)
 
 
 def test_cli_sweep_requires_axes(tmp_path, capsys):
