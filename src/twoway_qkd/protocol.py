@@ -100,11 +100,14 @@ def _pass_groups(pairs) -> list[list[int]]:
     same variant, n_bits, repetition and pool; Eve's kind, pool and legs; noise drawn or not on
     each leg. Angles key by their bytes, as state tables do: -0.0 and 0.0 compare equal, encode apart."""
     groups: dict[tuple, list[int]] = {}
+    # A key is built once per pair of objects. The memo keeps each pair alive, so no id is reused.
+    keys: dict[tuple[int, int], tuple] = {}
     for index, (config, link) in enumerate(pairs):
-        eve, noise = link.eve, (link.noise_forward.is_trivial(), link.noise_backward.is_trivial())
-        key = (config.variant, config.n_bits, config.repetition, config.pool_angles.tobytes(), eve.kind,
-               np.array(eve.basis_pool).tobytes(), eve.legs, noise)
-        groups.setdefault(key, []).append(index)
+        if (ids := (id(config), id(link))) not in keys:
+            eve, noise = link.eve, (link.noise_forward.is_trivial(), link.noise_backward.is_trivial())
+            keys[ids] = ((config.variant, config.n_bits, config.repetition, config.pool_angles.tobytes(), eve.kind,
+                          np.array(eve.basis_pool).tobytes(), eve.legs, noise), config, link)
+        groups.setdefault(keys[ids][0], []).append(index)
     return list(groups.values())
 
 

@@ -1,7 +1,9 @@
 import copy
+import itertools
 import math
 import pickle
 import re
+import weakref
 from dataclasses import replace
 from unittest import mock
 
@@ -196,14 +198,83 @@ def test_link_independence_under_corruption():
         assert corrupted.outcomes[leaf].frames_bytes() == baseline.outcomes[leaf].frames_bytes()
 
 
+# A 32-bit tag that Eve's substitution on leaf1 fails; the other four leaves pass.
+TAG_CONFIG = RunConfig(n_bits=32, basis_pool=POOL, tag_length=32, seed=13)
+TAMPERED = {"leaf1": LinkSettings(eve=EveStrategy.substitute((0.0, math.pi / 4)))}
+
+
 def test_tag_failure_isolates_one_leaf():
-    config = RunConfig(n_bits=32, basis_pool=POOL, tag_length=32, seed=13)
-    links = {"leaf1": LinkSettings(eve=EveStrategy.substitute((0.0, math.pi / 4)))}
-    result = run_star_session(make_topology(5, links), config)
+    result = run_star_session(make_topology(5, TAMPERED), TAG_CONFIG)
     assert not result.outcomes["leaf1"].result.accepted
     for leaf in ("leaf0", "leaf2", "leaf3", "leaf4"):
         assert result.outcomes[leaf].result.accepted
     assert set(result.accepted_leaves) == {"leaf0", "leaf2", "leaf3", "leaf4"}
+
+
+def test_a_star_builds_no_result_that_nobody_reads():
+    star = run_star_session(make_topology(5, TAMPERED), TAG_CONFIG)
+    accepted = star.accepted_leaves
+    for outcome in star.outcomes.values():
+        outcome.frames_bytes()
+    assert all("result" not in vars(outcome) for outcome in star.outcomes.values())
+    assert accepted == [leaf for leaf, o in star.outcomes.items() if o.result.accepted]
+    assert accepted == ["leaf0", "leaf2", "leaf3", "leaf4"]
+    assert all("result" in vars(outcome) for outcome in star.outcomes.values())
+
+
+def test_lazy_leaves_survive_pickle_and_deepcopy():
+    want = star_bytes(run_star_session(make_topology(5, TAMPERED), TAG_CONFIG))
+    copies = (copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value)))
+    for read_first in (False, True):
+        star = run_star_session(make_topology(5, TAMPERED), TAG_CONFIG)
+        if read_first:
+            for outcome in star.outcomes.values():
+                outcome.result
+        for twin_of in copies:
+            twin = twin_of(star)
+            assert star_bytes(twin) == want
+            assert twin.accepted_leaves == ["leaf0", "leaf2", "leaf3", "leaf4"]
+            leaf = twin_of(star.outcomes["leaf1"])
+            assert (leaf.leaf, leaf.link_id) == ("leaf1", 1)
+            assert (leaf.result.transcript_text(), leaf.frames_bytes()) == want["leaf1"]
+            assert not leaf.result.accepted
+        assert star_bytes(star) == want
+
+
+def test_a_pickled_leaf_holds_its_result_not_its_pass():
+    # A leaf's source points into its whole pass; its pickle must hold only its own result.
+    config = RunConfig(n_bits=256, basis_pool=POOL, tag_length=8, seed=7)
+    tapped = LinkSettings(eve=EveStrategy.intercept_resend((0.0, math.pi / 4), legs=("forward", "backward")))
+    wide = run_star_session(make_topology(50, {f"leaf{i}": tapped for i in range(5, 50, 10)}), config)
+    lone = run_star_session(make_topology(1), config).outcomes["leaf0"]
+    lone.result
+    sizes = [len(pickle.dumps(leaf)) for leaf in (wide.outcomes["leaf0"], lone)]
+    assert sizes[0] <= 2 * sizes[1]
+
+
+def test_pass_groups_survive_id_reuse():
+    # Fresh temporaries per item. CPython may give a new object the id of one already freed; the
+    # recycling id below does so every time, so a key memoized by id alone would be stale.
+    # -0.0 and 0.0 angles key apart.
+    specs = [(zero, legs) for zero in (0.0, -0.0) for legs in (("forward",), ("backward",))] * 3
+
+    def pairs():
+        for zero, legs in specs:
+            yield (RunConfig(n_bits=8, basis_pool=(Basis(zero), Basis(math.pi / 4))),
+                   LinkSettings(eve=EveStrategy.intercept_resend((zero, 0.5), legs=legs)))
+
+    numbers, freed, live = itertools.count(), [], {}
+
+    def recycling_id(obj):
+        if id(obj) not in live:
+            live[id(obj)] = freed.pop() if freed else next(numbers)
+            weakref.finalize(obj, lambda key=id(obj): freed.append(live.pop(key)))
+        return live[id(obj)]
+
+    want = [[0, 4, 8], [1, 5, 9], [2, 6, 10], [3, 7, 11]]
+    assert protocol._pass_groups(list(pairs())) == protocol._pass_groups(pairs()) == want
+    with mock.patch.object(protocol, "id", recycling_id, create=True):
+        assert protocol._pass_groups(pairs()) == want
 
 
 def test_noise_on_one_link_does_not_move_other_links():
@@ -262,6 +333,7 @@ def assert_star_matches_reference(topology, config, pools, seed, record_frames):
     key_message = bob_build_key_message(config, spawned_rng(seed, (1 << 16, 0)))
     assert np.array_equal(star.key_message, key_message)
     assert list(star.outcomes) == list(topology.leaves)
+    references = {}
     for link_id, leaf in enumerate(topology.leaves):
         leaf_config = replace(config, basis_pool=tuple(pools[leaf])) if leaf in pools else config
         want, frames = reference_leaf(leaf_config, seed, link_id, topology.link_settings(leaf), key_message, record_frames)
@@ -284,6 +356,8 @@ def assert_star_matches_reference(topology, config, pools, seed, record_frames):
                 assert [type(x) for x in got_tap.basis_angles + got_tap.outcomes] == [
                     type(x) for x in want_tap.basis_angles + want_tap.outcomes
                 ]
+        references[leaf] = want
+    assert star.accepted_leaves == [leaf for leaf in topology.leaves if references[leaf].accepted]
     return star
 
 
