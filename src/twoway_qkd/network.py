@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import partial
 from itertools import groupby
 from types import MappingProxyType
 
@@ -120,19 +120,31 @@ class Topology:
         return Topology, (self.hub, self.leaves, dict(self.links))
 
 
+class _BuiltOnRead:
+    """A field that takes a functools.partial for its value, called on first read and then kept."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)  # so that the dataclass field has no default
+        if isinstance(value := obj.__dict__[self.name], partial):
+            value = obj.__dict__[self.name] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class LeafOutcome:
-    """One leaf's share of a star round. result is built from the pass's arrays
-    on first read; a pickle or copy holds it built, not the pass it reads from."""
+    """One leaf's share of a star round; a star run builds result on first read, a pickle holds it built."""
 
     leaf: str
     link_id: int
+    result: SessionResult = _BuiltOnRead()
     frame_array: np.ndarray  # FRAME_DTYPE records: to-hub frames, then to-leaf
-    _source: tuple = field(default=(), repr=False, compare=False)  # _session_result's arguments
-
-    @cached_property
-    def result(self) -> SessionResult:
-        return _session_result(*self._source)
 
     @property
     def frames(self) -> tuple[WireFrame, ...]:
@@ -144,18 +156,17 @@ class LeafOutcome:
         return self.frame_array.tobytes()
 
     def __reduce__(self):
-        return LeafOutcome, (self.leaf, self.link_id, self.frame_array), {"result": self.result}
+        return LeafOutcome, (self.leaf, self.link_id, self.result, self.frame_array)
 
 
 @dataclass(frozen=True)
 class StarSessionResult:
     key_message: np.ndarray
     outcomes: dict  # leaf name -> LeafOutcome
-    _accepted: tuple = field(repr=False, compare=False)  # one bool per outcome, in order
 
     @property
     def accepted_leaves(self) -> list[str]:
-        return [name for name, accepted in zip(self.outcomes, self._accepted) if accepted]
+        return [name for name, o in self.outcomes.items() if o.result.accepted]
 
 
 def _register_frames(link_id, direction, register: QubitRegister, frames: np.ndarray | None = None) -> np.ndarray:
@@ -200,7 +211,7 @@ def run_star_session(
     links = [topology.link_settings(leaf) for leaf in leaves]
     # A row of (to-hub, to-leaf) frames per leaf, a pass's consecutive; (L, 0, Q) if unrecorded.
     frames = np.empty((len(leaves), 2 * record_frames, config.qubit_count), FRAME_DTYPE)
-    outcomes, accepted, start = [None] * len(leaves), [None] * len(leaves), 0
+    outcomes, start = [None] * len(leaves), 0
     for group in _pass_groups(zip(configs, links)):
         halves = _row_halves(configs[group[0]], links[group[0]])
         for rows in _passes(len(group), config.qubit_count):
@@ -214,9 +225,7 @@ def run_star_session(
             if record_frames:
                 _register_frames(ids, TO_HUB, passed[0][2], block[:, TO_HUB])
                 _register_frames(ids, TO_LEAF, passed[0][6], block[:, TO_LEAF])
-            verdict = (~passed[2][1] & ~passed[2][2]).tolist()  # neither all_erasures nor tag_mismatch
             for row, link_id in enumerate(ids):
-                source = (configs[link_id], prep, m, passed, row)
-                outcomes[link_id] = LeafOutcome(leaves[link_id], link_id, block[row].reshape(-1), source)
-                accepted[link_id] = verdict[row]
-    return StarSessionResult(key_message, {o.leaf: o for o in outcomes}, tuple(accepted))
+                result = partial(_session_result, configs[link_id], prep, m, passed, row)
+                outcomes[link_id] = LeafOutcome(leaves[link_id], link_id, result, block[row].reshape(-1))
+    return StarSessionResult(key_message=key_message, outcomes={o.leaf: o for o in outcomes})

@@ -100,8 +100,7 @@ def _pass_groups(pairs) -> list[list[int]]:
     same variant, n_bits, repetition and pool; Eve's kind, pool and legs; noise drawn or not on
     each leg. Angles key by their bytes, as state tables do: -0.0 and 0.0 compare equal, encode apart."""
     groups: dict[tuple, list[int]] = {}
-    # A key is built once per pair of objects. The memo keeps each pair alive, so no id is reused.
-    keys: dict[tuple[int, int], tuple] = {}
+    keys: dict[tuple[int, int], tuple] = {}  # one key per pair of objects, kept alive so no id is reused
     for index, (config, link) in enumerate(pairs):
         if (ids := (id(config), id(link))) not in keys:
             eve, noise = link.eve, (link.noise_forward.is_trivial(), link.noise_backward.is_trivial())

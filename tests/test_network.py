@@ -1,10 +1,8 @@
 import copy
-import itertools
 import math
 import pickle
 import re
-import weakref
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 from unittest import mock
 
 import numpy as np
@@ -24,7 +22,7 @@ from twoway_qkd import (
     run_star_session,
 )
 from twoway_qkd import network, protocol
-from twoway_qkd.network import FRAME_DTYPE, FRAME_SIZE, TO_HUB, TO_LEAF, _register_frames
+from twoway_qkd.network import FRAME_DTYPE, FRAME_SIZE, TO_HUB, TO_LEAF, LeafOutcome, _register_frames
 from twoway_qkd.protocol import _session_result, _transit, alice_prepare, bob_build_key_message, derive, settle
 from twoway_qkd.qubit import QubitRegister
 
@@ -212,14 +210,15 @@ def test_tag_failure_isolates_one_leaf():
 
 
 def test_a_star_builds_no_result_that_nobody_reads():
-    star = run_star_session(make_topology(5, TAMPERED), TAG_CONFIG)
-    accepted = star.accepted_leaves
-    for outcome in star.outcomes.values():
-        outcome.frames_bytes()
-    assert all("result" not in vars(outcome) for outcome in star.outcomes.values())
-    assert accepted == [leaf for leaf, o in star.outcomes.items() if o.result.accepted]
-    assert accepted == ["leaf0", "leaf2", "leaf3", "leaf4"]
-    assert all("result" in vars(outcome) for outcome in star.outcomes.values())
+    with mock.patch.object(network, "_session_result", wraps=_session_result) as build:
+        star = run_star_session(make_topology(5, TAMPERED), TAG_CONFIG)
+        for outcome in star.outcomes.values():
+            outcome.frames_bytes()
+        assert build.call_count == 0
+        assert star.accepted_leaves == ["leaf0", "leaf2", "leaf3", "leaf4"]
+        assert build.call_count == 5
+        assert star.accepted_leaves == [leaf for leaf, o in star.outcomes.items() if o.result.accepted]
+        assert build.call_count == 5
 
 
 def test_lazy_leaves_survive_pickle_and_deepcopy():
@@ -238,11 +237,29 @@ def test_lazy_leaves_survive_pickle_and_deepcopy():
             assert (leaf.leaf, leaf.link_id) == ("leaf1", 1)
             assert (leaf.result.transcript_text(), leaf.frames_bytes()) == want["leaf1"]
             assert not leaf.result.accepted
+            renamed = replace(twin_of(star.outcomes["leaf2"]), leaf="other")
+            assert (renamed.leaf, renamed.link_id) == ("other", 2)
+            assert (renamed.result.transcript_text(), renamed.frames_bytes()) == want["leaf2"]
         assert star_bytes(star) == want
 
 
+def test_a_lazy_leaf_keeps_the_fields_of_an_eager_one():
+    # result is the third field, positionally and in fields(), asdict() and ==.
+    star = run_star_session(make_topology(2), TAG_CONFIG)
+    lazy, built = star.outcomes["leaf0"], star.outcomes["leaf1"]
+    assert [f.name for f in fields(LeafOutcome)] == ["leaf", "link_id", "result", "frame_array"]
+    eager = LeafOutcome(built.leaf, built.link_id, built.result, built.frame_array)
+    assert eager.result is built.result and eager.frame_array is built.frame_array
+    assert replace(lazy, leaf="other").result is lazy.result
+    assert list(asdict(lazy)) == ["leaf", "link_id", "result", "frame_array"]
+    assert asdict(lazy)["result"]["accepted"] is True
+    assert replace(lazy) == lazy
+    with pytest.raises(FrozenInstanceError):
+        lazy.result = built.result
+
+
 def test_a_pickled_leaf_holds_its_result_not_its_pass():
-    # A leaf's source points into its whole pass; its pickle must hold only its own result.
+    # A lazy leaf points into its whole pass; its pickle must hold only its own result.
     config = RunConfig(n_bits=256, basis_pool=POOL, tag_length=8, seed=7)
     tapped = LinkSettings(eve=EveStrategy.intercept_resend((0.0, math.pi / 4), legs=("forward", "backward")))
     wide = run_star_session(make_topology(50, {f"leaf{i}": tapped for i in range(5, 50, 10)}), config)
@@ -252,10 +269,8 @@ def test_a_pickled_leaf_holds_its_result_not_its_pass():
     assert sizes[0] <= 2 * sizes[1]
 
 
-def test_pass_groups_survive_id_reuse():
-    # Fresh temporaries per item. CPython may give a new object the id of one already freed; the
-    # recycling id below does so every time, so a key memoized by id alone would be stale.
-    # -0.0 and 0.0 angles key apart.
+def test_pass_groups_key_fresh_temporaries_like_a_list():
+    # A generator builds new settings objects per item; -0.0 and 0.0 angles key apart.
     specs = [(zero, legs) for zero in (0.0, -0.0) for legs in (("forward",), ("backward",))] * 3
 
     def pairs():
@@ -263,18 +278,8 @@ def test_pass_groups_survive_id_reuse():
             yield (RunConfig(n_bits=8, basis_pool=(Basis(zero), Basis(math.pi / 4))),
                    LinkSettings(eve=EveStrategy.intercept_resend((zero, 0.5), legs=legs)))
 
-    numbers, freed, live = itertools.count(), [], {}
-
-    def recycling_id(obj):
-        if id(obj) not in live:
-            live[id(obj)] = freed.pop() if freed else next(numbers)
-            weakref.finalize(obj, lambda key=id(obj): freed.append(live.pop(key)))
-        return live[id(obj)]
-
     want = [[0, 4, 8], [1, 5, 9], [2, 6, 10], [3, 7, 11]]
     assert protocol._pass_groups(list(pairs())) == protocol._pass_groups(pairs()) == want
-    with mock.patch.object(protocol, "id", recycling_id, create=True):
-        assert protocol._pass_groups(pairs()) == want
 
 
 def test_noise_on_one_link_does_not_move_other_links():
