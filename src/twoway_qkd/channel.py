@@ -82,7 +82,7 @@ def _pauli_codes(u: np.ndarray, edges: np.ndarray) -> np.ndarray:
     edges[k] is one threshold, or a (rows, 1) column of them for rows of u."""
     codes = (u >= edges[0]).view(np.int8)
     for edge in edges[1:]:
-        codes += u >= edge
+        codes += (u >= edge).view(np.int8)
     return codes
 
 

@@ -26,6 +26,7 @@ from .protocol import (
     LinkSettings,
     RunConfig,
     SessionResult,
+    _Record,
     _key_rng,
     _link_words,
     _pass_groups,
@@ -137,8 +138,8 @@ class _BuiltOnRead:
         obj.__dict__[self.name] = value
 
 
-@dataclass(frozen=True)
-class LeafOutcome:
+@dataclass(frozen=True, eq=False)
+class LeafOutcome(_Record):
     """One leaf's share of a star round; a star run builds result on first read, a pickle holds it built."""
 
     leaf: str
@@ -159,8 +160,8 @@ class LeafOutcome:
         return LeafOutcome, (self.leaf, self.link_id, self.result, self.frame_array)
 
 
-@dataclass(frozen=True)
-class StarSessionResult:
+@dataclass(frozen=True, eq=False)
+class StarSessionResult(_Record):
     key_message: np.ndarray
     outcomes: dict  # leaf name -> LeafOutcome
 

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .channel import (BACKWARD, FORWARD, INTERCEPT_RESEND, EveObservation, EveStrategy, NoiseModel, RowNoise,
                       perturb_register, eve_tap_register)
-from .qubit import PAULI_TAGS, Basis, ConfigError, QubitRegister, Rng, XZ, _row_seed_words, _SeedWords, check_fields
+from .qubit import PAULI_TAGS, Basis, ConfigError, QubitRegister, Rng, _row_seed_words, _SeedWords, check_fields
 
 V1 = "V1"
 V2 = "V2"
@@ -264,8 +264,27 @@ class RunConfig:
         return tag
 
 
-@dataclass(frozen=True)
-class PreparationRecord:
+def _same(x, y) -> bool:
+    if isinstance(x, QubitRegister) and isinstance(y, QubitRegister):
+        return np.array_equal(x.amp0, y.amp0) and np.array_equal(x.amp1, y.amp1)
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return np.array_equal(x, y)
+    return bool(x == y)
+
+
+class _Record:
+    """Base of the result records. Its == compares arrays by value, registers by their amplitudes
+    and other fields (records included) with ==; a dataclass's generated == raises on arrays.
+    Each record is a dataclass with eq=False, which keeps this ==."""
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(_same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
+@dataclass(frozen=True, eq=False)
+class PreparationRecord(_Record):
     """Alice's phase-I output: bits a, basis indices b, encoded qubits."""
 
     a: np.ndarray
@@ -307,7 +326,7 @@ def bob_encode(config: RunConfig, m, register: QubitRegister) -> tuple[QubitRegi
         ops = np.tile(m, config.repetition)
     if ops.shape[-1] != len(register):
         raise ValueError(f"key-message covers {ops.shape[-1]} qubits, register holds {len(register)}")
-    return register.apply_pauli(XZ, mask=ops == 1), ops
+    return register.apply_pauli_codes(ops * np.uint8(3)), ops  # 3: XZ's Pauli code
 
 
 def alice_measure(register: QubitRegister, prep: PreparationRecord, config: RunConfig, rng: Rng) -> np.ndarray:
@@ -326,13 +345,21 @@ def majority(M, t: int, n_bits: int, variant: str) -> tuple[np.ndarray, np.ndarr
     strings (leading axes) decodes row by row.
     """
     M = as_bit_rows(M)
+    for name, value in (("t", t), ("n_bits", n_bits)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    if variant not in (V2, V3):
+        raise ValueError(f"variant must be {V2} or {V3} to majority-decode, got {variant!r}")
     if M.shape[-1] != t * n_bits:
         raise ValueError("string length must equal t*N")
-    if variant == V2:
-        counts = M.reshape(*M.shape[:-1], n_bits, t).sum(axis=-1)
-    else:
-        counts = M.reshape(*M.shape[:-1], t, n_bits).sum(axis=-2)
-    return (2 * counts > t).astype(np.uint8), (2 * counts == t).astype(np.uint8)
+    # copies[..., k] is copy k of every bit; counts add them up in the narrowest dtype that holds t.
+    lead = M.shape[:-1]
+    copies = M.reshape(*lead, n_bits, t) if variant == V2 else M.reshape(*lead, t, n_bits).swapaxes(-1, -2)
+    counts = copies[..., 0].astype(np.min_scalar_type(t))
+    for k in range(1, t):
+        counts += copies[..., k]
+    half, odd = divmod(t, 2)  # an odd t never ties
+    return (counts > half).view(np.uint8), ((counts == half) & (odd == 0)).view(np.uint8)
 
 
 def _resolve(bits, p) -> tuple[np.ndarray, np.ndarray]:
@@ -377,8 +404,8 @@ def verify_tag(derived, config: RunConfig):
     return (derived[..., length - config.tag_length :] == config.resolved_tag_bits()).all(axis=-1)
 
 
-@dataclass(frozen=True)
-class DerivationRecord:
+@dataclass(frozen=True, eq=False)
+class DerivationRecord(_Record):
     """Alice's phase-III output, everything derived from (c, a)."""
 
     c: np.ndarray
@@ -421,8 +448,8 @@ def settle(config: RunConfig, record: DerivationRecord, m) -> tuple:
     return bob_final, all_erasures, tag_mismatch, ~all_erasures & (alice_final == bob_final).all(axis=-1)
 
 
-@dataclass(frozen=True)
-class SessionResult:
+@dataclass(frozen=True, eq=False)
+class SessionResult(_Record):
     """Everything one round trip produced, enough for bit-exact replay checks."""
 
     config: RunConfig

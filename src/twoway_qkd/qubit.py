@@ -564,7 +564,7 @@ class QubitRegister:
         thetas, index = _as_pool(thetas, index)
         table = _pool_table(thetas.tobytes())
         codes = np.asarray(bits, dtype=table.dtype) * len(thetas) + np.asarray(index).astype(table.dtype)
-        return cls._of(table, codes << 3)
+        return cls._of(table, codes * 8)  # * 8, not << 3: numpy shifts 8-bit integers several times slower
 
     def __len__(self) -> int:
         return self.codes.shape[-1]
@@ -577,9 +577,9 @@ class QubitRegister:
         return PureState(complex(amp0), complex(amp1))
 
     def _apply(self, words) -> "QubitRegister":
-        # One gather: each code's signed swap followed by its Pauli word.
+        # One gather: each code's signed swap followed by its Pauli word (words * 8, as in encode).
         index = self.codes & 7
-        index |= np.asarray(words, dtype=self.codes.dtype) << 3
+        index |= np.multiply(words, 8, dtype=self.codes.dtype, casting="unsafe")
         return QubitRegister._of(self.table, self.codes + _DELTA.astype(self.codes.dtype).take(index))
 
     def apply_pauli(self, op: PauliWord, mask: np.ndarray | None = None) -> "QubitRegister":
@@ -608,4 +608,4 @@ class QubitRegister:
     def measure(self, thetas: np.ndarray, rng: Rng, index: np.ndarray | None = None) -> np.ndarray:
         """Measure every qubit in its own basis; returns a uint8 bit array."""
         p1 = self.probability_of_one(thetas, index)
-        return (rng.random(len(self)) < p1).astype(np.uint8)
+        return (rng.random(len(self)) < p1).view(np.uint8)

@@ -258,6 +258,27 @@ def test_a_lazy_leaf_keeps_the_fields_of_an_eager_one():
         lazy.result = built.result
 
 
+def test_result_records_compare_by_value():
+    # Two independent runs of one (config, seed) are equal, where the generated == raised on their
+    # arrays; another seed is not. Registers compare by their amplitudes, not by their tables.
+    eve = EveStrategy.intercept_resend((0.0, math.pi / 4), legs=("forward", "backward"))
+    link = LinkSettings(NoiseModel(p_bitflip=0.1), NoiseModel(p_both=0.1), eve)
+    config = RunConfig(n_bits=8, repetition=3, variant="V2", basis_pool=POOL, tag_length=4)
+    seeds = (5, 5, 6)
+    sessions = [run_session(replace(config, seed=seed), link.noise_forward, link.noise_backward, eve) for seed in seeds]
+    stars = [run_star_session(make_topology(3, {"leaf1": link}), replace(config, seed=seed)) for seed in seeds]
+    leaves = [star.outcomes["leaf1"] for star in stars]
+    preps = [session.prep for session in sessions]
+    for first, twin, other in [sessions, stars, leaves, preps, [session.derivation for session in sessions]]:
+        assert first == twin and not first != twin
+        assert first != other and not first == other
+        assert first != "text" and first != None  # noqa: E711
+    prep = preps[0]
+    assert prep == replace(prep, register=QubitRegister(prep.register.amp0, prep.register.amp1))
+    assert prep != replace(prep, register=prep.register.apply_pauli_codes(np.full(len(prep.a), 1, np.int8)))
+    assert prep != replace(prep, a=prep.a[:-1])
+
+
 def test_a_pickled_leaf_holds_its_result_not_its_pass():
     # A lazy leaf points into its whole pass; its pickle must hold only its own result.
     config = RunConfig(n_bits=256, basis_pool=POOL, tag_length=8, seed=7)

@@ -241,6 +241,52 @@ def test_repetition_correction_brute_force(t):
                 assert p[0] == 0 and m_prime[0] == 1 - bit
 
 
+def test_majority_rejects_empty_blocks_and_unknown_variants():
+    # Without the checks, t=0 decoded five all-tie bits from nothing and "V4" decoded as V3.
+    with pytest.raises(ValueError, match="t must be >= 1"):
+        majority([], 0, 5, "V2")
+    with pytest.raises(ValueError, match="n_bits must be >= 1"):
+        majority([], 3, 0, "V3")
+    for variant in ("V4", "V1"):
+        with pytest.raises(ValueError, match="variant"):
+            majority([1, 0, 1], 3, 1, variant)
+
+
+def _majority_by_sum(M, t, n_bits, variant):
+    """The sum-over-the-short-axis decoder majority replaced, kept as its oracle."""
+    if variant == "V2":
+        counts = M.reshape(*M.shape[:-1], n_bits, t).sum(axis=-1)
+    else:
+        counts = M.reshape(*M.shape[:-1], t, n_bits).sum(axis=-2)
+    return (2 * counts > t).astype(np.uint8), (2 * counts == t).astype(np.uint8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["V2", "V3"]),
+    st.sampled_from([*range(1, 10), 255, 256, 257]),
+    st.integers(1, 5),
+    st.lists(st.integers(1, 3), max_size=2),
+    st.integers(0, 2**32),
+)
+def test_majority_matches_the_sum_decoder(variant, t, n_bits, batch, seed):
+    # Each bit's count of ones is drawn with ties, all-ones and all-zeros blocks likely;
+    # t = 255, 256 and 257 straddle the uint8/uint16 count boundary.
+    rng = np.random.default_rng(seed)
+    shape = (*batch, n_bits)
+    counts = np.where(rng.random(shape) < 0.5, rng.choice([0, t // 2, t - t // 2, t], shape),
+                      rng.integers(0, t + 1, shape))
+    copies = (np.arange(t) < counts[..., None]).astype(np.uint8)  # (..., n_bits, t): copies in block order
+    copies = rng.permuted(copies, axis=-1)
+    M = copies.reshape(*batch, -1) if variant == "V2" else copies.swapaxes(-1, -2).reshape(*batch, -1)
+    m_prime, ties = majority(M, t, n_bits, variant)
+    want_m, want_ties = _majority_by_sum(M, t, n_bits, variant)
+    assert m_prime.dtype == ties.dtype == np.uint8
+    assert m_prime.shape == ties.shape == shape
+    assert np.array_equal(m_prime, want_m) and np.array_equal(ties, want_ties)
+    assert np.array_equal(m_prime, 2 * counts > t) and np.array_equal(ties, 2 * counts == t)
+
+
 def test_resolve_no_erasures_is_identity():
     m_prime = np.array([1, 0, 1], dtype=np.uint8)
     assert np.array_equal(resolve_erasures(m_prime, np.zeros(3, dtype=np.uint8)), m_prime)

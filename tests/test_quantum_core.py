@@ -27,7 +27,7 @@ from twoway_qkd import (
     measure_in_basis,
     to_density,
 )
-from twoway_qkd.channel import RowNoise
+from twoway_qkd.channel import RowNoise, _pauli_codes
 from twoway_qkd.qubit import PAULI_CODES, PAULI_TAGS, RowStreams
 
 angles = st.floats(min_value=-4 * math.pi, max_value=4 * math.pi, allow_nan=False)
@@ -456,6 +456,30 @@ def test_row_noise_thresholds_each_row_at_its_own_model():
     one_each = RowNoise(models, 1).sample_codes(u.shape[1], _FixedDraws(u[: len(models)]))
     for row, model in enumerate(models):
         assert np.array_equal(one_each[row], model.sample_codes(u.shape[1], _FixedDraws(u[row])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(probabilities, probabilities, probabilities).filter(lambda p: sum(p) <= 1.0), min_size=1,
+             max_size=4),
+    st.integers(0, 2**32),
+)
+def test_pauli_codes_count_edges_like_searchsorted(levels, seed):
+    # Scalar edges (a NoiseModel) and RowNoise's (3, rows, 1) columns, on draws that hit every edge.
+    models = [NoiseModel(*p) for p in levels]
+    edges = [np.cumsum([m.p_identity, m.p_bitflip, m.p_phaseflip]) for m in models]
+    u = np.concatenate([np.random.default_rng(seed).random(100), *edges, *(np.nextafter(e, 0.0) for e in edges),
+                        *(np.nextafter(e, 1.0) for e in edges), [0.0, np.nextafter(1.0, 0.0)]])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    for row_edges in edges:
+        codes = _pauli_codes(u, row_edges)
+        assert codes.dtype == np.int8
+        assert np.array_equal(codes, np.searchsorted(row_edges, u, side="right"))
+    rows = np.tile(u, (len(models), 1))
+    codes = _pauli_codes(rows, RowNoise(models, 1).edges)
+    assert codes.dtype == np.int8 and codes.shape == rows.shape
+    for row, row_edges in enumerate(edges):
+        assert np.array_equal(codes[row], np.searchsorted(row_edges, u, side="right"))
 
 
 # One draw as the protocol makes it: ("uint8", n) is integers(0, 2, n, uint8);
