@@ -1,6 +1,7 @@
 """Transit-channel effects: stochastic Pauli noise and eavesdropper taps.
 
-Noise is a stochastic unraveling of the induced Kraus channel: exactly one
+Noise is a stochastic unraveling of the induced Kraus channel
+(reference.kraus_channel): exactly one
 of {I, X, Z, XZ} is applied per qubit per traversal, sampled at the
 configured probabilities. The qubit crosses the channel twice (out and
 back), so a session applies the model independently on each leg.
@@ -18,22 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qubit import (
-    ANGLE,
-    PAULI_TAGS,
-    Basis,
-    ConfigError,
-    KrausChannel,
-    PauliWord,
-    PureState,
-    QubitRegister,
-    Rng,
-    apply_pauli,
-    check_fields,
-    checked,
-    encode_bit,
-    measure_in_basis,
-)
+from .qubit import ANGLE, ConfigError, QubitRegister, Rng, check_fields, checked
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -66,12 +52,6 @@ class NoiseModel:
     def is_trivial(self) -> bool:
         return self.p_bitflip == self.p_phaseflip == self.p_both == 0.0
 
-    def kraus_channel(self) -> KrausChannel:
-        """The averaged channel {sqrt(p_j) * P_j} this model unravels: row j of the
-        diagonal holds the coefficients of operator j over (I, X, Z, XZ)."""
-        probabilities = [self.p_identity, self.p_bitflip, self.p_phaseflip, self.p_both]
-        return KrausChannel.from_pauli_coefficients(np.diag(np.sqrt(probabilities)))
-
     def sample_codes(self, n: int, rng: Rng) -> np.ndarray:
         """Draw one Pauli code per qubit: 0=I, 1=X, 2=Z, 3=XZ."""
         return _pauli_codes(rng.random(n), np.cumsum([self.p_identity, self.p_bitflip, self.p_phaseflip]))
@@ -102,19 +82,10 @@ class RowNoise:
         return _pauli_codes(rng.random(n), self.edges)
 
 
-def perturb(state: PureState, noise: NoiseModel, rng: Rng) -> PureState:
-    """Apply one sampled Pauli error to a single in-transit qubit."""
-    code = int(noise.sample_codes(1, rng)[0])
-    tag = PAULI_TAGS[code]
-    if tag == "I":
-        return state
-    return apply_pauli(state, PauliWord(tag))
-
-
 def perturb_register(
     register: QubitRegister, noise: NoiseModel | RowNoise, rng: Rng
 ) -> tuple[QubitRegister, np.ndarray]:
-    """Vectorized perturb over a whole qubit string; returns the sampled codes."""
+    """Vectorized reference.perturb over a whole qubit string; returns the sampled codes."""
     if noise.is_trivial():
         return register, np.zeros(register.codes.shape, dtype=np.int8)
     codes = noise.sample_codes(len(register), rng)
@@ -172,23 +143,6 @@ class EveObservation:
 
     basis_angles: tuple[float, ...] = ()
     outcomes: tuple[int, ...] = ()
-
-
-def eve_tap(
-    state: PureState, strategy: EveStrategy, rng: Rng
-) -> tuple[PureState, EveObservation]:
-    """Tap one in-transit qubit. Eve sees only the state value."""
-    if strategy.kind == ABSENT:
-        return state, EveObservation()
-    pool = strategy.basis_pool
-    theta = pool[int(rng.integers(len(pool)))]
-    basis = Basis(theta)
-    if strategy.kind == INTERCEPT_RESEND:
-        outcome = measure_in_basis(state, basis, rng)
-        return encode_bit(outcome, basis), EveObservation((theta,), (outcome,))
-    # Substitute: a fresh qubit, independent of the intercepted one.
-    fresh = int(rng.integers(2))
-    return encode_bit(fresh, basis), EveObservation((theta,), ())
 
 
 def eve_tap_register(

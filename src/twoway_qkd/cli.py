@@ -18,7 +18,6 @@ from pathlib import Path
 from dataclasses import replace
 
 from .harness import CONFIG_FILENAME, ConfigError, ExperimentConfig, emit_results, run_experiment
-from .invariants import run_invariant_checks
 
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
@@ -87,7 +86,9 @@ def main(argv=None) -> int:
             config = ExperimentConfig.from_json_file(stored)
             config = replace(config, output_dir=args.output_dir)
             return _execute(config)
-        # verify
+        # verify; imported here because invariants imports the scalar reference, which no run needs
+        from .invariants import run_invariant_checks
+
         failures = 0
         for name, ok in run_invariant_checks():
             sys.stdout.write(f"{'PASS' if ok else 'FAIL'}  {name}\n")

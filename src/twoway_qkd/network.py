@@ -14,7 +14,6 @@ identical transcripts.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import groupby
@@ -46,11 +45,10 @@ TO_LEAF = 1
 #   direction   uint8   (0 = to-hub, 1 = to-leaf)
 #   sequence    uint64
 #   amplitudes  4 x float64 (re0, im0, re1, im1)
-# FRAME_DTYPE is the same layout as a packed numpy record, used to build and
-# store a whole register's frames at once; WireFrame is the one-frame codec.
-_FRAME_STRUCT = struct.Struct("<HBQdddd")
-FRAME_SIZE = _FRAME_STRUCT.size
+# FRAME_DTYPE is this layout as a packed numpy record: star runs build and store
+# a whole register's frames with it, and WireFrame packs one frame with it.
 FRAME_DTYPE = np.dtype([("link_id", "<u2"), ("direction", "u1"), ("sequence", "<u8"), ("amplitudes", "<f8", (4,))])
+FRAME_SIZE = FRAME_DTYPE.itemsize
 NORM_TOLERANCE = 1e-9
 _CLEAN_LINK = LinkSettings()  # a link the topology lists no settings for
 
@@ -66,6 +64,7 @@ class WireFrame:
     amp1: complex
 
     def __post_init__(self) -> None:
+        check_fields(self, link_id=int, direction=int, sequence=int)  # a record field would truncate a float
         if not 0 <= self.link_id < 1 << 16:
             raise ValueError("link_id must fit in 16 bits")
         if self.direction not in (TO_HUB, TO_LEAF):
@@ -77,16 +76,14 @@ class WireFrame:
             raise ValueError("payload must be a normalized state")
 
     def pack(self) -> bytes:
-        return _FRAME_STRUCT.pack(
-            self.link_id, self.direction, self.sequence,
-            self.amp0.real, self.amp0.imag, self.amp1.real, self.amp1.imag,
-        )
+        amplitudes = (self.amp0.real, self.amp0.imag, self.amp1.real, self.amp1.imag)
+        return np.array((self.link_id, self.direction, self.sequence, amplitudes), FRAME_DTYPE).tobytes()
 
     @classmethod
     def unpack(cls, data: bytes) -> "WireFrame":
         if len(data) != FRAME_SIZE:
             raise ValueError(f"a wire frame is {FRAME_SIZE} bytes, not {len(data)}")
-        link_id, direction, sequence, re0, im0, re1, im1 = _FRAME_STRUCT.unpack(data)
+        link_id, direction, sequence, (re0, im0, re1, im1) = np.frombuffer(data, FRAME_DTYPE)[0].tolist()
         return cls(link_id, direction, sequence, complex(re0, im0), complex(re1, im1))
 
 

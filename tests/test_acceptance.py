@@ -16,10 +16,8 @@ import pytest
 
 from twoway_qkd import (
     Basis,
-    ChannelCompletenessError,
     EveStrategy,
     ExperimentConfig,
-    KrausChannel,
     LinkSettings,
     NoiseModel,
     RunConfig,
@@ -28,22 +26,27 @@ from twoway_qkd import (
     XZ,
     Z,
     ZX,
-    apply_channel,
-    apply_pauli,
-    born_probability,
-    encode_bit,
-    flip_probability,
     majority,
     resolve_erasures,
     run_experiment,
     run_session,
     run_star_session,
-    to_density,
 )
 from twoway_qkd.cli import main as cli_main
 from twoway_qkd.harness import CONFIG_FILENAME, CSV_FILENAME, SUMMARY_FILENAME
 from twoway_qkd.protocol import AllErasuresError, derive, run_batch
-from twoway_qkd.qubit import PAULI_MATRICES, QubitRegister, RowStreams
+from twoway_qkd.qubit import QubitRegister, RowStreams
+from twoway_qkd.reference import (
+    PAULI_MATRICES,
+    ChannelCompletenessError,
+    KrausChannel,
+    apply_channel,
+    apply_pauli,
+    born_probability,
+    encode_bit,
+    flip_probability,
+    to_density,
+)
 
 
 def report(number, text):
@@ -137,7 +140,7 @@ def _visible_flip_rate(p, theta):
         for e1, p1 in ((eye, 1 - p), (x, p)):
             for e2, p2 in ((eye, 1 - p), (x, p)):
                 v = e2 @ u @ e1 @ encode_bit(0, basis).vector()
-                wrong = basis.state(1 - m).vector()
+                wrong = encode_bit(1 - m, basis).vector()
                 total += 0.5 * p1 * p2 * abs(np.conj(wrong) @ v) ** 2
     return total
 
@@ -257,14 +260,14 @@ def _eve_disturbance_oracle(party_pool, eve_pool):
         for theta_e in eve_pool:
             basis_e = Basis(theta_e)
             projectors = KrausChannel(
-                [np.outer(basis_e.state(i).vector(), basis_e.state(i).vector().conj()) for i in (0, 1)]
+                [np.outer(encode_bit(i, basis_e).vector(), encode_bit(i, basis_e).vector().conj()) for i in (0, 1)]
             )
             for a in (0, 1):
                 rho = apply_channel(to_density(encode_bit(a, basis_a)), projectors)
                 for m in (0, 1):
                     u = PAULI_MATRICES["XZ"] if m else PAULI_MATRICES["I"]
                     rho_back = u @ rho.entries @ u.conj().T
-                    wrong = basis_a.state(1 - (a ^ m)).vector()
+                    wrong = encode_bit(1 - (a ^ m), basis_a).vector()
                     total += float(np.real(np.conj(wrong) @ rho_back @ wrong))
                     count += 1
     return total / count

@@ -2,9 +2,13 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import twoway_qkd
 from twoway_qkd import (Basis, ConfigError, EveStrategy, ExperimentConfig, LinkSettings, NoiseModel, RunConfig, Topology,
                         emit_results, protocol, run_experiment, run_session)
 from twoway_qkd.cli import main
@@ -586,6 +591,39 @@ def test_cli_verify_passes(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+# Runs in a fresh interpreter, so that no other test's imports are in sys.modules.
+_IMPORT_BOUNDARY = """
+import contextlib, io, json, sys
+import twoway_qkd
+import twoway_qkd.cli
+
+def loaded():
+    return [name for name in ("twoway_qkd.reference", "twoway_qkd.invariants") if name in sys.modules]
+
+with contextlib.redirect_stdout(io.StringIO()):
+    run = twoway_qkd.cli.main(["run", "--config", sys.argv[1], "--output-dir", sys.argv[2]])
+after_run = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    verify = twoway_qkd.cli.main(["verify"])
+print(json.dumps([run, after_run, verify, loaded()]))
+"""
+
+
+def test_run_path_imports_no_reference(tmp_path):
+    """`run` imports neither the scalar reference nor the invariant suite; `verify` imports both."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**BASE, "repetitions": 2}))
+    src = str(Path(twoway_qkd.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_BOUNDARY, str(cfg_path), str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    run, after_run, verify, after_verify = json.loads(done.stdout)
+    assert run == 0 and after_run == []
+    assert verify == 0 and after_verify == ["twoway_qkd.reference", "twoway_qkd.invariants"]
 
 
 def test_unwritable_output_path(tmp_path):

@@ -73,6 +73,10 @@ def test_wireframe_validation():
         WireFrame(0, TO_HUB, -1, 1.0, 0.0)
     with pytest.raises(ValueError):
         WireFrame(0, TO_HUB, 0, 1.0, 1.0)
+    # A frame field of FRAME_DTYPE would truncate a float.
+    for fields in ((1.5, TO_HUB, 0), (0, 1.0, 0), (0, TO_HUB, 2.5)):
+        with pytest.raises(ValueError, match="expected an integer"):
+            WireFrame(*fields, 1.0, 0.0)
     # Data that is not one frame long: short and long.
     frame = WireFrame(0, TO_HUB, 0, 1.0, 0.0).pack()
     for data in (frame[:-1], frame + b"\0"):

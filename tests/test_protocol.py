@@ -18,7 +18,6 @@ from twoway_qkd import (
     alice_measure,
     alice_prepare,
     bob_encode,
-    encode_bit,
     majority,
     resolve_erasures,
     run_experiment,
@@ -30,6 +29,7 @@ from twoway_qkd.channel import RowNoise
 from twoway_qkd.network import Topology, run_star_session
 from twoway_qkd.protocol import LinkSettings, _resolve, _row_halves, derive, run_batch
 from twoway_qkd.qubit import ZX, RowStreams, _row_seed_words
+from twoway_qkd.reference import encode_bit, register_state
 
 POOL = (Basis(0.0), Basis(math.pi / 8), Basis(math.pi / 4))
 
@@ -101,7 +101,7 @@ def test_prepare_encodes_bits_in_chosen_bases():
     assert len(prep.a) == len(prep.b) == 12
     for k in range(12):
         expected = encode_bit(int(prep.a[k]), POOL[int(prep.b[k])])
-        assert prep.register.state(k) == expected
+        assert register_state(prep.register, k) == expected
 
 
 def test_prepare_is_deterministic():
@@ -116,7 +116,7 @@ def test_prepare_is_deterministic():
 def test_single_qubit_prepare():
     config = RunConfig(n_bits=1, basis_pool=(Basis(0.0),), seed=0)
     prep = alice_prepare(config, np.random.default_rng(0))
-    assert prep.register.state(0) == encode_bit(int(prep.a[0]), Basis(0.0))
+    assert register_state(prep.register, 0) == encode_bit(int(prep.a[0]), Basis(0.0))
 
 
 def test_encode_v1_zero_message_is_identity():

@@ -5,30 +5,24 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from twoway_qkd import (
-    XZ,
-    ZX,
-    Basis,
+from twoway_qkd import XZ, ZX, Basis, I, NoiseModel, PauliWord, QubitRegister, X, Z
+from twoway_qkd.channel import RowNoise, _pauli_codes
+from twoway_qkd.qubit import PAULI_CODES, PAULI_TAGS, RowStreams
+from twoway_qkd.reference import (
+    PAULI_MATRICES,
     ChannelCompletenessError,
     DensityMatrix,
-    I,
     KrausChannel,
-    NoiseModel,
-    PauliWord,
     PureState,
-    QubitRegister,
-    X,
-    Z,
     apply_channel,
     apply_pauli,
     born_probability,
     encode_bit,
     flip_probability,
     measure_in_basis,
+    register_state,
     to_density,
 )
-from twoway_qkd.channel import RowNoise, _pauli_codes
-from twoway_qkd.qubit import PAULI_CODES, PAULI_TAGS, RowStreams
 
 angles = st.floats(min_value=-4 * math.pi, max_value=4 * math.pi, allow_nan=False)
 bits = st.sampled_from([0, 1])
@@ -78,7 +72,7 @@ def test_zx_equals_xz_up_to_phase(theta, i):
 @given(angles)
 def test_basis_states_orthonormal(theta):
     basis = Basis(theta)
-    s0, s1 = basis.state(0), basis.state(1)
+    s0, s1 = encode_bit(0, basis), encode_bit(1, basis)
     assert abs(np.conj(s0.vector()) @ s1.vector()) < 1e-12
     for s in (s0, s1):
         assert abs(np.linalg.norm(s.vector()) - 1.0) < 1e-12
@@ -179,7 +173,7 @@ def test_identity_channel_is_noop():
 
 def test_bitflip_channel_quarter():
     p = 0.25
-    channel = KrausChannel([math.sqrt(1 - p) * np.eye(2), math.sqrt(p) * X.matrix])
+    channel = KrausChannel([math.sqrt(1 - p) * np.eye(2), math.sqrt(p) * PAULI_MATRICES["X"]])
     out = apply_channel(to_density(PureState(1.0, 0.0)), channel)
     assert np.allclose(out.entries, np.diag([0.75, 0.25]), atol=1e-12)
 
@@ -234,7 +228,7 @@ def test_register_agrees_with_scalar_path(pairs, meas_theta):
     thetas = np.array([t for _, t in pairs])
     reg = QubitRegister.encode(bits_arr, thetas)
     for k, (b, t) in enumerate(pairs):
-        assert reg.state(k) == encode_bit(b, Basis(t))
+        assert register_state(reg, k) == encode_bit(b, Basis(t))
     flipped = reg.apply_pauli(XZ)
     p1 = flipped.probability_of_one(np.full(len(pairs), meas_theta))
     for k, (b, t) in enumerate(pairs):
@@ -596,3 +590,7 @@ def test_row_streams_read_ahead_keeps_lemire_redraws(ahead):
 def test_pure_state_rejects_unnormalized():
     with pytest.raises(ValueError):
         PureState(1.0, 1.0)
+    with pytest.raises(ValueError):
+        PureState(complex("nan"), 0)
+    with pytest.raises(ValueError):
+        PureState(1, 0).phase_shifted(complex("nan"))
