@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qubit import ANGLE, ConfigError, QubitRegister, Rng, check_fields, checked
+from .qubit import ANGLE, ConfigError, QubitRegister, Rng, _Record, check_fields, checked
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -133,23 +133,23 @@ class EveStrategy:
         return self.kind != ABSENT and leg in self.legs
 
 
-@dataclass(frozen=True)
-class EveObservation:
-    """Eve-side record only: her basis choices and her measurement outcomes.
+@dataclass(frozen=True, eq=False)
+class EveObservation(_Record):
+    """Eve-side record only, arrays shaped like the tapped register's codes: her basis
+    angles (float64) and intercept-resend outcomes (uint8; a substitute tap records ()).
 
     Deliberately has no slot for the legitimate parties' bases, bits, or
     key-message; the tap interface never sees them.
     """
 
-    basis_angles: tuple[float, ...] = ()
-    outcomes: tuple[int, ...] = ()
+    basis_angles: np.ndarray = ()
+    outcomes: np.ndarray = ()
 
 
 def eve_tap_register(
     register: QubitRegister, strategy: EveStrategy, rng: Rng
 ) -> tuple[QubitRegister, EveObservation]:
-    """Vectorized tap over a whole qubit string on one leg. On a batched
-    register the observation holds one row array per run."""
+    """Vectorized tap over a whole qubit string on one leg, batched or not."""
     if strategy.kind == ABSENT:
         return register, EveObservation()
     n = len(register)
@@ -158,6 +158,6 @@ def eve_tap_register(
     if strategy.kind == INTERCEPT_RESEND:
         outcomes = register.measure(pool, rng, index)
         resent = QubitRegister.encode(outcomes, pool, index)
-        return resent, EveObservation(tuple(pool[index]), tuple(outcomes))
+        return resent, EveObservation(pool[index], outcomes)
     fresh = rng.integers(2, size=n).astype(np.uint8)
-    return QubitRegister.encode(fresh, pool, index), EveObservation(tuple(pool[index]), ())
+    return QubitRegister.encode(fresh, pool, index), EveObservation(pool[index], ())

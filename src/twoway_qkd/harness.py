@@ -294,11 +294,11 @@ def run_experiment(config: ExperimentConfig) -> RunStatistics:
             for rows in _passes(n, run_config.qubit_count):
                 count = rows.stop - rows.start
                 words = _row_seed_words(config.run.seed, np.array(ids)[:, None], rows.start, count)
-                _, m, (_, record, (_, _, tag_mismatch, agreement)) = run_batch(
-                    [(*settings[i], count) for i in ids], (RowStreams.from_seed_words(words, ahead),) * 5)
-                qbers = np.mean(record.m_prime != m, axis=-1)
-                erasures = np.mean(record.p, axis=-1) if run_config.variant == V2 else np.zeros_like(qbers)
-                outcomes = np.stack([qbers, erasures, agreement, tag_mismatch]).reshape(4, len(ids), count)
+                streams = (RowStreams.from_seed_words(words, ahead),) * 5
+                passed = run_batch([(*settings[i], count) for i in ids], streams)
+                qbers = np.mean(passed.derivation.m_prime != passed.key_message, axis=-1)
+                erasures = np.mean(passed.derivation.p, axis=-1) if run_config.variant == V2 else np.zeros_like(qbers)
+                outcomes = np.stack([qbers, erasures, passed.agreement, passed.tag_mismatch]).reshape(4, -1, count)
                 sums[:, ids] = np.cumsum(np.concatenate([sums[:, ids, None], outcomes], axis=2), axis=2)[:, :, -1]
     stats = []
     for params, (run_config, _), totals in zip(cells, settings, sums.T.tolist()):

@@ -25,7 +25,6 @@ from .protocol import (
     LinkSettings,
     RunConfig,
     SessionResult,
-    _Record,
     _key_rng,
     _link_words,
     _pass_groups,
@@ -35,7 +34,7 @@ from .protocol import (
     bob_build_key_message,
     run_batch,
 )
-from .qubit import ConfigError, QubitRegister, RowStreams, check_fields, checked
+from .qubit import ConfigError, QubitRegister, RowStreams, _Record, check_fields, checked
 
 TO_HUB = 0
 TO_LEAF = 1
@@ -196,7 +195,7 @@ def run_star_session(
     every link's qubits; each leaf prepares, measures, and derives with its
     own streams. A tag failure on one link aborts only that leaf.
     """
-    per_leaf_pools = per_leaf_pools or {}
+    per_leaf_pools = checked("per_leaf_pools", {} if per_leaf_pools is None else per_leaf_pools, dict)
     unknown = set(per_leaf_pools) - set(topology.leaves)
     if unknown:
         raise ConfigError(f"per_leaf_pools: basis pools for unknown leaves: {sorted(unknown)}")
@@ -204,7 +203,7 @@ def run_star_session(
     key_message = bob_build_key_message(config, _key_rng(config.seed))
 
     leaves = topology.leaves
-    configs = [replace(config, basis_pool=tuple(per_leaf_pools[leaf])) if leaf in per_leaf_pools else config
+    configs = [replace(config, basis_pool=per_leaf_pools[leaf]) if leaf in per_leaf_pools else config
                for leaf in leaves]
     links = [topology.link_settings(leaf) for leaf in leaves]
     # A row of (to-hub, to-leaf) frames per leaf, a pass's consecutive; (L, 0, Q) if unrecorded.
@@ -218,12 +217,12 @@ def run_star_session(
                        for row, count in zip(_link_words(config.seed, ids), halves)]
             cells = [(*settings, len(list(run))) for settings, run in groupby((configs[i], links[i]) for i in ids)]
             m = np.broadcast_to(key_message, (len(ids), len(key_message)))
-            prep, m, passed = run_batch(cells, streams, m)
+            passed = run_batch(cells, streams, m)
             block, start = frames[start : start + len(ids)], start + len(ids)
             if record_frames:
-                _register_frames(ids, TO_HUB, passed[0][2], block[:, TO_HUB])
-                _register_frames(ids, TO_LEAF, passed[0][6], block[:, TO_LEAF])
+                _register_frames(ids, TO_HUB, passed.delivered_to_bob, block[:, TO_HUB])
+                _register_frames(ids, TO_LEAF, passed.delivered_to_alice, block[:, TO_LEAF])
             for row, link_id in enumerate(ids):
-                result = partial(_session_result, configs[link_id], prep, m, passed, row)
+                result = partial(_session_result, configs[link_id], passed, row)
                 outcomes[link_id] = LeafOutcome(leaves[link_id], link_id, result, block[row].reshape(-1))
     return StarSessionResult(key_message=key_message, outcomes={o.leaf: o for o in outcomes})

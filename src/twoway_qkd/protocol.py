@@ -22,13 +22,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .channel import (BACKWARD, FORWARD, INTERCEPT_RESEND, EveObservation, EveStrategy, NoiseModel, RowNoise,
                       perturb_register, eve_tap_register)
-from .qubit import PAULI_TAGS, Basis, ConfigError, QubitRegister, Rng, _row_seed_words, _SeedWords, check_fields
+from .qubit import (PAULI_TAGS, Basis, ConfigError, QubitRegister, Rng, _Record, _row_seed_words, _SeedWords,
+                    check_fields)
 
 V1 = "V1"
 V2 = "V2"
@@ -68,7 +70,7 @@ def _key_rng(seed: int) -> Rng:
 @dataclass(frozen=True)
 class LinkSettings:
     """Channel conditions on one link: a star's hub-leaf link or a two-party session.
-    Configuration only: run_batch hands _transit a pass's per-row noise (RowNoise) itself."""
+    Configuration only: run_batch hands _leg a pass's per-row noise (RowNoise) itself."""
 
     noise_forward: NoiseModel = NoiseModel()
     noise_backward: NoiseModel = NoiseModel()
@@ -116,11 +118,14 @@ class AllErasuresError(ValueError):
 
 def as_bit_rows(values) -> np.ndarray:
     """Coerce to a uint8 0/1 array of shape (..., n): one bit string, or a
-    batch of them along leading axes; rejects anything else."""
-    arr = np.asarray(values, dtype=np.uint8)
+    batch of them along leading axes. Bool, integer and float entries must be
+    exactly 0 or 1, checked before the cast; anything else is a ValueError."""
+    arr = np.asarray(values)
     if arr.ndim == 0:
         raise ValueError("bit string must have at least one dimension")
-    if arr.size and arr.max() > 1:
+    if arr.dtype != np.uint8 and arr.dtype.kind in "biuf" and ((arr == 0) | (arr == 1)).all():
+        arr = arr.astype(np.uint8)
+    if arr.dtype != np.uint8 or arr.size and arr.max() > 1:  # uint8, the run path's bits: one scan
         raise ValueError("bit string entries must be 0 or 1")
     return arr
 
@@ -262,25 +267,6 @@ class RunConfig:
             tag = _DEFAULT_TAGS[self.tag_length] = ((np.arange(self.tag_length) + 1) % 2).astype(np.uint8)
             tag.flags.writeable = False
         return tag
-
-
-def _same(x, y) -> bool:
-    if isinstance(x, QubitRegister) and isinstance(y, QubitRegister):
-        return np.array_equal(x.amp0, y.amp0) and np.array_equal(x.amp1, y.amp1)
-    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
-        return np.array_equal(x, y)
-    return bool(x == y)
-
-
-class _Record:
-    """Base of the result records. Its == compares arrays by value, registers by their amplitudes
-    and other fields (records included) with ==; a dataclass's generated == raises on arrays.
-    Each record is a dataclass with eq=False, which keeps this ==."""
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(_same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -519,61 +505,50 @@ def _leg(register: QubitRegister, noise, eve: EveStrategy, leg: str, noise_rng, 
     return register, codes, tap
 
 
-def _transit(config: RunConfig, prep: PreparationRecord, m: np.ndarray, noise, eve: EveStrategy, streams) -> tuple:
-    """Phase II and Alice's measurement, for run_batch's one session or batch of rows.
-    Returns (forward noise codes, forward Eve observation, register delivered
-    to Bob, Bob's op mask, backward noise codes, backward Eve observation,
-    register delivered to Alice, c).
+class Pass(NamedTuple):
+    """What one run_batch pass produced, one leading row per session (none in a
+    one-row pass of Generators): the fields a SessionResult holds, settle's
+    all_erasures and tag_mismatch flags in place of its abort reason."""
 
-    noise is the (forward, backward) pair of legs, each a NoiseModel or a
-    pass's RowNoise; each leg crosses through _leg. The four streams are
-    purposes 1-4 of _link_words; they are separate so that each link draws
-    from its own, and a session driven by one explicit generator passes that
-    generator four times. Noise streams are drawn from only for non-trivial
-    noise, Eve's only if she taps (else they may be None).
-    """
-    forward_rng, eve_rng, backward_rng, measure_rng = streams
-    to_bob, fwd_codes, eve_fwd = _leg(prep.register, noise[0], eve, FORWARD, forward_rng, eve_rng)
-    reg, bob_ops = bob_encode(config, m, to_bob)
-    to_alice, bwd_codes, eve_bwd = _leg(reg, noise[1], eve, BACKWARD, backward_rng, eve_rng)
-    c = alice_measure(to_alice, prep, config, measure_rng)
-    return fwd_codes, eve_fwd, to_bob, bob_ops, bwd_codes, eve_bwd, to_alice, c
-
-
-def _row_tap(tap: EveObservation | None, row) -> EveObservation | None:
-    """Row `row` of a batched tap (a row array per field); a session's tap (row=...) as it is."""
-    if tap is None or row is ...:
-        return tap
-    return EveObservation(*(tuple(field[row]) if field else () for field in (tap.basis_angles, tap.outcomes)))
+    prep: PreparationRecord
+    key_message: np.ndarray
+    derivation: DerivationRecord
+    bob_final: np.ndarray
+    all_erasures: np.ndarray
+    tag_mismatch: np.ndarray
+    agreement: np.ndarray
+    noise_codes_forward: np.ndarray
+    noise_codes_backward: np.ndarray
+    eve_forward: EveObservation | None
+    eve_backward: EveObservation | None
+    delivered_to_bob: QubitRegister
+    delivered_to_alice: QubitRegister
+    bob_ops: np.ndarray
 
 
-def _session_result(config: RunConfig, prep: PreparationRecord, m: np.ndarray, passed: tuple, row=...) -> SessionResult:
+def _row(value, row):
+    """Row `row` of a pass field (row=...: all of it): an array indexed, a register's .row, a
+    record field by field; anything else (None, a substitute tap's no outcomes) as it is."""
+    if isinstance(value, np.ndarray):
+        return value[row]
+    if isinstance(value, QubitRegister):
+        return value.row(row)
+    if isinstance(value, _Record):
+        return type(value)(*(_row(getattr(value, f.name), row) for f in fields(value)))
+    return value
+
+
+def _session_result(config: RunConfig, passed: Pass, row=...) -> SessionResult:
     """The SessionResult of a run_batch pass's one session (row=...) or of
     row `row` of a batch, under that session's config, from views of the
-    pass's arrays. C and Bob's final string are None if every block erased."""
-    (fwd_codes, eve_fwd, to_bob, bob_ops, bwd_codes, eve_bwd, to_alice, c), record, verdict = passed
-    bob_final, all_erasures, tag_mismatch, agreement = (flags[row] for flags in verdict)
+    pass's arrays. C and both final strings are None if every block erased."""
+    values = {name: _row(value, row) for name, value in passed._asdict().items()}
+    all_erasures, tag_mismatch = values.pop("all_erasures"), values.pop("tag_mismatch")
     abort_reason = "all_erasures" if all_erasures else "tag_mismatch" if tag_mismatch else None
-    alice_final = None if all_erasures else record.C[row]
-    p, ties = (None if bits is None else bits[row] for bits in (record.p, record.ties))
-    return SessionResult(
-        config=config,
-        prep=PreparationRecord(prep.a[row], prep.b[row], prep.register.row(row)),
-        key_message=m[row],
-        derivation=DerivationRecord(c[row], record.M[row], record.m_prime[row], p, alice_final, ties),
-        accepted=abort_reason is None,
-        abort_reason=abort_reason,
-        agreement=bool(agreement),
-        bob_final=None if all_erasures else bob_final,
-        alice_final=alice_final,
-        noise_codes_forward=fwd_codes[row],
-        noise_codes_backward=bwd_codes[row],
-        eve_forward=_row_tap(eve_fwd, row),
-        eve_backward=_row_tap(eve_bwd, row),
-        delivered_to_bob=to_bob.row(row),
-        delivered_to_alice=to_alice.row(row),
-        bob_ops=bob_ops[row],
-    )
+    if all_erasures:
+        values.update(bob_final=None, derivation=replace(values["derivation"], C=None))
+    values.update(accepted=abort_reason is None, abort_reason=abort_reason, agreement=bool(values["agreement"]))
+    return SessionResult(config=config, alice_final=values["derivation"].C, **values)
 
 
 def run_session(
@@ -602,26 +577,28 @@ def run_session(
             m = bob_build_key_message(config, _generator(words[5]))
     else:
         streams = (rng,) * 5
-    prep, m, passed = run_batch([(config, link, 1)], streams, m)
-    return _session_result(config, prep, m, passed)
+    return _session_result(config, run_batch([(config, link, 1)], streams, m))
 
 
-def run_batch(cells, streams, m=None) -> tuple:
-    """The sessions of one pass: (Alice's preparation, the key-messages,
-    (_transit's arrays, derivation record, settle's verdict)), one row per
-    session. Each cell (config, link, count) holds the next `count` rows. The
-    cells must draw alike (one protocol._pass_groups group): they may differ
-    in tag and noise levels; a pass of one cell is the plain case, and a
-    one-row cell of Generators gives one-dimensional arrays.
+def run_batch(cells, streams, m=None) -> Pass:
+    """The sessions of one pass, one Pass row per session. Each cell (config,
+    link, count) holds the next `count` rows. The cells must draw alike (one
+    protocol._pass_groups group): they may differ in tag and noise levels; a
+    pass of one cell is the plain case, and a one-row cell of Generators gives
+    one-dimensional arrays.
 
     streams are purposes 0-4 of _link_words, one row each per session (a
-    RowStreams, or a Generator for one session); a caller with one source
-    passes it five times. Without m, the key-messages are drawn from
-    streams[0] right after preparation, each cell's tag in place. So row r
-    draws exactly what run_session(config, link.noise_forward,
+    RowStreams, or a Generator for one session); they are separate so that
+    each link draws from its own, and a caller with one source passes it five
+    times. Without m, the key-messages are drawn from streams[0] right after
+    preparation, each cell's tag in place. Both legs cross through _leg,
+    forward on purposes 1 (noise) and 2 (Eve), backward on 3 and 2, around
+    Bob's encoding; Alice measures on purpose 4. Noise streams are drawn from
+    only for non-trivial noise, Eve's only if she taps (else they may be None).
+    So row r draws exactly what run_session(config, link.noise_forward,
     link.noise_backward, link.eve, rng=Generator over its stream) draws under
-    its cell's settings, in the same order. _transit gets the pass's two noise
-    legs and the group's Eve as they are, not wrapped in a LinkSettings.
+    its cell's settings, in the same order. _leg gets the pass's noise per leg
+    and the group's Eve as they are, not wrapped in a LinkSettings.
     """
     configs, links, counts = zip(*cells)
     if len(cells) > 1 and len(_pass_groups(zip(configs, links))) > 1:
@@ -639,9 +616,13 @@ def run_batch(cells, streams, m=None) -> tuple:
     # where the models differ; Eve is the group's one strategy.
     legs = zip(*((link.noise_forward, link.noise_backward) for link in links))
     noise = [models[0] if models.count(models[0]) == len(models) else RowNoise(models, counts) for models in legs]
-    transit = _transit(config, prep, m, noise, links[0].eve, streams[1:])
-    record = derive(config, transit[-1], prep.a)
+    eve = links[0].eve
+    to_bob, fwd_codes, eve_fwd = _leg(prep.register, noise[0], eve, FORWARD, streams[1], streams[2])
+    encoded, bob_ops = bob_encode(config, m, to_bob)
+    to_alice, bwd_codes, eve_bwd = _leg(encoded, noise[1], eve, BACKWARD, streams[3], streams[2])
+    record = derive(config, alice_measure(to_alice, prep, config, streams[4]), prep.a)
     bob_final, all_erasures, tag_mismatch, agreement = settle(config, record, m)
     for cell_config, span in retagged:
         tag_mismatch[span] = ~all_erasures[span] & ~verify_tag(record.m_prime[span], cell_config)
-    return prep, m, (transit, record, (bob_final, all_erasures, tag_mismatch, agreement))
+    return Pass(prep, m, record, bob_final, all_erasures, tag_mismatch, agreement, fwd_codes, bwd_codes,
+                eve_fwd, eve_bwd, to_bob, to_alice, bob_ops)

@@ -1,6 +1,6 @@
 """Qubit strings on the run path: encoding bases, Pauli words, and the
-vectorized QubitRegister, with the config field checks and the row streams
-every layer above draws from.
+vectorized QubitRegister, with the config field checks, the row streams
+every layer above draws from, and the value == of the result records.
 
 An encoding basis is parameterized by one real angle theta, so every basis
 pair {|psi_0>, |psi_1>} is orthonormal by construction. A QubitRegister
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -419,3 +419,22 @@ class QubitRegister:
         """Measure every qubit in its own basis; returns a uint8 bit array."""
         p1 = self.probability_of_one(thetas, index)
         return (rng.random(len(self)) < p1).view(np.uint8)
+
+
+def _same(x, y) -> bool:
+    if isinstance(x, QubitRegister) and isinstance(y, QubitRegister):
+        return np.array_equal(x.amp0, y.amp0) and np.array_equal(x.amp1, y.amp1)
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return np.array_equal(x, y)
+    return bool(x == y)
+
+
+class _Record:
+    """Base of the result records. Its == compares arrays by value, registers by their amplitudes
+    and other fields (records included) with ==; a dataclass's generated == raises on arrays.
+    Each record is a dataclass with eq=False, which keeps this ==."""
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(_same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))

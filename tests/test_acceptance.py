@@ -156,8 +156,8 @@ class BatchMessages(NamedTuple):
 
 def batch_rows(cells, rows: RowStreams) -> BatchMessages:
     """The key-messages and decoded messages of one run_batch pass, `rows` the streams of every purpose."""
-    _, m, (_, record, _) = run_batch(cells, (rows,) * 5)
-    return BatchMessages(m, record.m_prime)
+    passed = run_batch(cells, (rows,) * 5)
+    return BatchMessages(passed.key_message, passed.derivation.m_prime)
 
 
 def test_criterion_5_repetition_decoding():

@@ -23,8 +23,8 @@ from twoway_qkd import (
 )
 from twoway_qkd import network, protocol
 from twoway_qkd.network import FRAME_DTYPE, FRAME_SIZE, TO_HUB, TO_LEAF, LeafOutcome, _register_frames
-from twoway_qkd.protocol import _session_result, _transit, alice_prepare, bob_build_key_message, derive, settle
-from twoway_qkd.qubit import QubitRegister
+from twoway_qkd.protocol import _session_result, bob_build_key_message, run_batch
+from twoway_qkd.qubit import ConfigError, QubitRegister
 
 POOL = (Basis(0.0), Basis(math.pi / 4))
 
@@ -135,6 +135,11 @@ def test_per_leaf_pools_for_unknown_leaves_are_rejected():
     # A pool of plain angles is a config error, not an AttributeError deep in a leaf.
     with pytest.raises(ValueError, match="basis_pool"):
         run_star_session(Topology(leaves=("alice", "celine")), config, per_leaf_pools={"alice": [0.1, 0.2]})
+    # The pools go through the one field check: not a dict, no pool, or a set in hash order.
+    for pools, field in ((["alice"], "per_leaf_pools"), ({"alice": 0.5}, "basis_pool"),
+                         ({"alice": None}, "basis_pool"), ({"alice": {Basis(0.0), Basis(0.5)}}, "basis_pool")):
+        with pytest.raises(ConfigError, match=field):
+            run_star_session(Topology(leaves=("alice", "celine")), config, per_leaf_pools=pools)
 
 
 def test_frames_are_recorded_per_link_and_direction():
@@ -273,14 +278,42 @@ def test_result_records_compare_by_value():
     stars = [run_star_session(make_topology(3, {"leaf1": link}), replace(config, seed=seed)) for seed in seeds]
     leaves = [star.outcomes["leaf1"] for star in stars]
     preps = [session.prep for session in sessions]
-    for first, twin, other in [sessions, stars, leaves, preps, [session.derivation for session in sessions]]:
+    taps = [session.eve_backward for session in sessions]
+    for first, twin, other in [sessions, stars, leaves, preps, [session.derivation for session in sessions], taps]:
         assert first == twin and not first != twin
         assert first != other and not first == other
         assert first != "text" and first != None  # noqa: E711
+    flipped = taps[0].outcomes.copy()
+    flipped[0] ^= 1
+    assert taps[0] != replace(taps[0], outcomes=flipped)
     prep = preps[0]
     assert prep == replace(prep, register=QubitRegister(prep.register.amp0, prep.register.amp1))
     assert prep != replace(prep, register=prep.register.apply_pauli_codes(np.full(len(prep.a), 1, np.int8)))
     assert prep != replace(prep, a=prep.a[:-1])
+
+
+def test_eve_taps_are_arrays_and_a_leaf_taps_its_row_of_the_pass():
+    eve = EveStrategy.intercept_resend((0.0, math.pi / 4), legs=("forward", "backward"))
+    config = RunConfig(n_bits=8, repetition=3, basis_pool=POOL, seed=5)
+    session = run_session(config, eve=eve)
+    for tap in (session.eve_forward, session.eve_backward):
+        assert tap.basis_angles.dtype == np.float64 and tap.outcomes.dtype == np.uint8
+        assert tap.basis_angles.shape == tap.outcomes.shape == session.delivered_to_bob.codes.shape == (24,)
+    passes = []
+
+    def recording(*args):
+        passes.append(protocol.run_batch(*args))
+        return passes[-1]
+
+    with mock.patch.object(network, "run_batch", recording):
+        star = run_star_session(make_topology(3, {f"leaf{i}": LinkSettings(eve=eve) for i in range(3)}), config)
+    (passed,) = passes
+    for row, outcome in enumerate(star.outcomes.values()):
+        for tap, whole in ((outcome.result.eve_forward, passed.eve_forward),
+                           (outcome.result.eve_backward, passed.eve_backward)):
+            for got, rows in ((tap.basis_angles, whole.basis_angles), (tap.outcomes, whole.outcomes)):
+                assert rows.shape == (3, 24)
+                assert np.shares_memory(got, rows) and np.array_equal(got, rows[row])
 
 
 def test_a_pickled_leaf_holds_its_result_not_its_pass():
@@ -340,13 +373,9 @@ def spawned_rng(seed, key):
 
 def reference_leaf(config, seed, link_id, link, key_message, record_frames):
     """One leaf as the star ran it leaf by leaf: its own streams, one
-    round trip phase by phase, then frames through the one-frame codec."""
-    prep_rng, *streams = (spawned_rng(seed, (link_id, purpose)) for purpose in range(5))
-    prep = alice_prepare(config, prep_rng)
-    transit = _transit(config, prep, key_message, (link.noise_forward, link.noise_backward), link.eve, streams)
-    record = derive(config, transit[-1], prep.a)
-    passed = (transit, record, settle(config, record, key_message))
-    result = _session_result(config, prep, key_message, passed)
+    round trip as a one-row pass, then frames through the one-frame codec."""
+    streams = [spawned_rng(seed, (link_id, purpose)) for purpose in range(5)]
+    result = _session_result(config, run_batch([(config, link, 1)], streams, key_message))
     frames = b""
     if record_frames:
         frames = b"".join(
@@ -383,9 +412,11 @@ def assert_star_matches_reference(topology, config, pools, seed, record_frames):
         for got_tap, want_tap in ((got.eve_forward, want.eve_forward), (got.eve_backward, want.eve_backward)):
             assert got_tap == want_tap
             if want_tap is not None:
-                assert [type(x) for x in got_tap.basis_angles + got_tap.outcomes] == [
-                    type(x) for x in want_tap.basis_angles + want_tap.outcomes
-                ]
+                assert got_tap.basis_angles.dtype == np.float64 and got_tap.basis_angles.shape == got.bob_ops.shape
+                if topology.link_settings(leaf).eve.kind == "substitute":
+                    assert got_tap.outcomes == ()
+                else:
+                    assert got_tap.outcomes.dtype == np.uint8 and got_tap.outcomes.shape == got.bob_ops.shape
         references[leaf] = want
     assert star.accepted_leaves == [leaf for leaf in topology.leaves if references[leaf].accepted]
     return star

@@ -351,6 +351,28 @@ def test_verify_tag():
     assert verify_tag(np.zeros(8, dtype=np.uint8), RunConfig(n_bits=8, tag_length=0))
 
 
+@pytest.mark.parametrize("values", [[1.5, 0], [0.5, 1], ["1", "0"], [-1, 0], [1j, 0], [2, 0], [np.nan, 1],
+                                    np.array([0, 256]), [None, 1]])
+def test_bit_strings_are_checked_before_the_cast(values):
+    # Anything but an exact 0 or 1 is a ValueError, never truncated or wrapped into a bit.
+    config = RunConfig(n_bits=2, tag_length=2)
+    with pytest.raises(ValueError, match="0 or 1"):
+        resolve_erasures(values, [0, 0])
+    with pytest.raises(ValueError, match="0 or 1"):
+        verify_tag(values, config)
+    with pytest.raises(ValueError, match="0 or 1"):
+        run_session(config, key_message=values)
+
+
+@pytest.mark.parametrize("values", [[True, False], [1, 0], [1.0, -0.0], np.array([1, 0], np.int8)])
+def test_bool_int_and_float_bits_are_accepted(values):
+    config = RunConfig(n_bits=2, tag_length=2)  # the default tag is 1, 0
+    assert resolve_erasures(values, [0, 0]).tolist() == [1, 0]
+    assert verify_tag(values, config)
+    result = run_session(config, key_message=values)
+    assert result.key_message.dtype == np.uint8 and result.key_message.tolist() == [1, 0] and result.accepted
+
+
 def test_honest_noiseless_sessions_always_accept():
     config = RunConfig(n_bits=16, variant="V1", basis_pool=POOL, tag_length=8, seed=1)
     for seed in range(20):
@@ -552,9 +574,11 @@ class BatchRows(NamedTuple):
 
 def batch_rows(cells, rows: RowStreams) -> BatchRows:
     """run_batch over `cells`, with `rows` as the streams of every purpose (as the sweep runs it)."""
-    _, m, (_, record, (_, all_erasures, tag_mismatch, agreement)) = run_batch(cells, (rows,) * 5)
+    passed = run_batch(cells, (rows,) * 5)
+    record = passed.derivation
     ties = record.ties if record.p is None else record.p
-    return BatchRows(m, record.m_prime, ties, agreement, all_erasures, tag_mismatch)
+    flags = (passed.agreement, passed.all_erasures, passed.tag_mismatch)
+    return BatchRows(passed.key_message, record.m_prime, ties, *flags)
 
 
 @settings(max_examples=40, deadline=None)
