@@ -138,12 +138,8 @@ def as_bits(values) -> np.ndarray:
     return arr
 
 
-def bits_to_text(bits) -> str:
-    return (as_bits(bits) + ord("0")).tobytes().decode("ascii")
-
-
 # Transcript cells are pre-rendered fixed-width byte strings ("S" items) with NUL
-# pad bytes at the end, dropped on output. _DIGITS holds "0000" to "9999".
+# pad bytes at the end, which the next row overwrites. _DIGITS holds "0000" to "9999".
 _DIGITS = (np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")).copy().view("S4").ravel()
 
 
@@ -164,36 +160,66 @@ def _write_index(rows: np.ndarray, first: int, width: int) -> None:
         row = stop
 
 
-def _render_rows(head: bytes, table: np.ndarray, codes, numbered: bool) -> str:
-    """head, then text row r for each entry of the code arrays: r in decimal
-    (when numbered), then the cell table[codes[0][r], codes[1][r], ...], pad
-    bytes dropped. Rows are split into runs of equal index width, then 2**16-row
-    chunks; each chunk is gathered as full-width items and compacted into one
-    output buffer, which is decoded once."""
-    n, padded = len(codes[0]), (table.view(np.uint8) == 0).any()
+def _write_rows(out: np.ndarray, end: int, table: np.ndarray, codes, numbered: bool) -> int:
+    """Write row r for each entry of the code arrays into out from byte `end` on,
+    and return where the rows end. A row is r in decimal (when numbered), then
+    the cell table[codes[0][r], codes[1][r], ...] without its pad. Rows go in
+    runs of equal index width, then 2**16-row chunks gathered as full-width
+    items, placed by a cumsum of row lengths. Each item is written whole, in
+    segments no wider than the shortest row and last segment first, so no
+    assignment writes a byte twice and each pad byte is overwritten or lies past the end."""
+    n, lengths = len(codes[0]), np.char.str_len(table.ravel()).astype(np.intp)
     widest = len(str(n - 1)) if numbered else 0
     items = np.zeros(table.size, f"S{widest + table.itemsize}")
     _cells(items, widest, table.itemsize)[:] = table.ravel()
-    out = np.empty(len(head) + n * items.itemsize, np.uint8)
-    out[: len(head)] = np.frombuffer(head, np.uint8)
-    start, end = 0, len(head)
+    start, offsets = 0, np.empty(min(n, 1 << 16) + 1, np.intp)
     while start < n:
         width = len(str(start)) if numbered else 0
         run_stop = min(n, 10**width) if numbered else n
-        run_items = _cells(items, widest - width, width + table.itemsize)
+        full, short = width + table.itemsize, width + lengths.min()
+        run_items, run_lengths = _cells(items, widest - width, full), lengths + width
+        # Views of out whose item i is bytes [lo + i, lo + i + wide), for item bytes [lo, lo + wide).
+        segments = [(np.ndarray(len(out) - full + 1, f"S{min(short, full - lo)}", out, lo, (1,)), lo)
+                    for lo in range(0, full, short)][::-1]
         for first in range(start, run_stop, 1 << 16):
             chunk, index = slice(first, min(run_stop, first + (1 << 16))), 0
             for c, size in zip(codes, table.shape):
                 index = index * size + c[chunk]
-            rows = run_items.take(index)
+            # Rows of one length sit at a fixed stride and are gathered straight into place
+            # (mode="clip": with out=, take's default mode buffers the result first).
+            flat = np.ndarray(len(index), f"S{full}", out, end) if short == full else None
+            rows = run_items.take(index, out=flat, mode="clip")
             if numbered:
                 _write_index(rows, first, width)
-            text = rows.view(np.uint8)
-            if padded:
-                text = text[text != 0]
-            out[end : end + len(text)] = text
-            end += len(text)
+            if flat is not None:
+                end += rows.nbytes
+                continue
+            at = offsets[: len(index) + 1]
+            run_lengths.take(index, out=at[1:], mode="clip")
+            at[0] = end
+            np.cumsum(at, out=at)
+            for view, lo in segments:
+                view[at[:-1]] = _cells(rows, lo, view.itemsize)
+            end = int(at[-1])
         start = run_stop
+    return end
+
+
+def _render(pieces) -> str:
+    """Join pieces in one preallocated byte buffer, decoded to text once: a str
+    as it is, a uint8 0/1 array as "0"/"1" bytes, None as nothing, and a
+    (table, codes, numbered) triple as the rows _write_rows writes."""
+    pieces = [p.encode() if isinstance(p, str) else p for p in pieces if p is not None]
+    size = sum(len(p[1][0]) * (p[0].itemsize + p[2] * len(str(len(p[1][0])))) if isinstance(p, tuple) else len(p)
+               for p in pieces)
+    out, end = np.empty(size, np.uint8), 0
+    for piece in pieces:
+        if isinstance(piece, tuple):
+            end = _write_rows(out, end, *piece)
+        elif isinstance(piece, bytes):
+            out[end : (end := end + len(piece))] = np.frombuffer(piece, np.uint8)
+        else:
+            np.add(piece, ord("0"), out=out[end : (end := end + len(piece))])
     return str(out[:end].data, "ascii")
 
 
@@ -457,31 +483,8 @@ class SessionResult(_Record):
 
     def transcript_text(self) -> str:
         """Structured-text session transcript; stable across replays."""
-        cfg = self.config
-        d = self.derivation
+        cfg, d = self.config, self.derivation
         basis, pool = self.prep.b, range(len(cfg.basis_pool))
-        lines = [
-            "# twoway-qkd session transcript v1",
-            f"variant={cfg.variant}",
-            f"n_bits={cfg.n_bits}",
-            f"repetition={cfg.repetition}",
-            f"seed={cfg.seed}",
-            "basis_pool=" + ",".join(repr(b.theta) for b in cfg.basis_pool),
-            f"tag_length={cfg.tag_length}",
-            "tag_bits=" + bits_to_text(cfg.resolved_tag_bits()),
-            f"accepted={int(self.accepted)}",
-            "abort_reason=" + (self.abort_reason or ""),
-            "a=" + bits_to_text(self.prep.a),
-            _render_rows(b"b=", np.array([b"%d," % k for k in pool]), [basis], False)[:-1],
-            "m=" + bits_to_text(self.key_message),
-            "c=" + bits_to_text(d.c),
-            "M=" + bits_to_text(d.M),
-            "m_prime=" + bits_to_text(d.m_prime),
-            "p=" + (bits_to_text(d.p) if d.p is not None else ""),
-            "C=" + (bits_to_text(d.C) if d.C is not None else ""),
-            "ties=" + (bits_to_text(d.ties) if d.ties is not None else ""),
-            "columns=index basis_index sent_bit noise_fwd eve_fwd bob_op noise_bwd eve_bwd measured_bit",
-        ]
         # The columns after basis_index take 2*5*2*5*2 = 200 values, each rendered once;
         # a row's cell is its basis index's cell followed by one of those.
         fwd_eve, bwd_eve = ("E" if tap is not None else "-" for tap in (self.eve_forward, self.eve_backward))
@@ -492,7 +495,19 @@ class SessionResult(_Record):
         cells = np.char.add(np.array([b" %d" % k for k in pool])[:, None], tails)
         sent, fwd, bwd = self.prep.a, self.noise_codes_forward, self.noise_codes_backward
         code = (((sent * 5 + fwd) * 2 + self.bob_ops) * 5 + bwd) * 2 + d.c
-        return _render_rows("\n".join([*lines, ""]).encode(), cells, [basis, code], True)
+        return _render([
+            "# twoway-qkd session transcript v1\n",
+            f"variant={cfg.variant}\nn_bits={cfg.n_bits}\nrepetition={cfg.repetition}\nseed={cfg.seed}\n",
+            "basis_pool=" + ",".join(repr(b.theta) for b in cfg.basis_pool) + "\n",
+            f"tag_length={cfg.tag_length}\ntag_bits=", cfg.resolved_tag_bits(),
+            f"\naccepted={int(self.accepted)}\nabort_reason={self.abort_reason or ''}\na=", self.prep.a,
+            # The b= line's first index, then ",k" cells (no trailing comma to drop).
+            f"\nb={basis[0]}", (np.array([b",%d" % k for k in pool]), [basis[1:]], False),
+            "\nm=", self.key_message, "\nc=", d.c, "\nM=", d.M, "\nm_prime=", d.m_prime,
+            "\np=", d.p, "\nC=", d.C, "\nties=", d.ties,
+            "\ncolumns=index basis_index sent_bit noise_fwd eve_fwd bob_op noise_bwd eve_bwd measured_bit\n",
+            (cells, [basis, code], True),
+        ])
 
 
 def _leg(register: QubitRegister, noise, eve: EveStrategy, leg: str, noise_rng, eve_rng) -> tuple:

@@ -421,20 +421,55 @@ def test_transcript_contains_per_qubit_records_and_strings():
 
 
 def reference_transcript_rows(result) -> list[str]:
-    """The per-qubit rows and the b= line, formatted one qubit at a time."""
+    """Every transcript line (the 20 header lines, then the per-qubit rows),
+    formatted one value and one qubit at a time."""
+    config, d = result.config, result.derivation
     tags = {0: "I", 1: "X", 2: "Z", 3: "XZ", 4: "ZX"}
     fwd_eve = "E" if result.eve_forward is not None else "-"
     bwd_eve = "E" if result.eve_backward is not None else "-"
-    rows = ["b=" + ",".join(str(int(x)) for x in result.prep.b)]
+
+    def bits(values) -> str:
+        return "" if values is None else "".join(str(int(x)) for x in values)
+
+    tag = config.tag_bits if config.tag_bits is not None else [(k + 1) % 2 for k in range(config.tag_length)]
+    rows = [
+        "# twoway-qkd session transcript v1",
+        f"variant={config.variant}",
+        f"n_bits={config.n_bits}",
+        f"repetition={config.repetition}",
+        f"seed={config.seed}",
+        "basis_pool=" + ",".join(repr(b.theta) for b in config.basis_pool),
+        f"tag_length={config.tag_length}",
+        "tag_bits=" + bits(tag),
+        f"accepted={int(result.accepted)}",
+        "abort_reason=" + (result.abort_reason or ""),
+        "a=" + bits(result.prep.a),
+        "b=" + ",".join(str(int(x)) for x in result.prep.b),
+        "m=" + bits(result.key_message),
+        "c=" + bits(d.c),
+        "M=" + bits(d.M),
+        "m_prime=" + bits(d.m_prime),
+        "p=" + bits(d.p),
+        "C=" + bits(d.C),
+        "ties=" + bits(d.ties),
+        "columns=index basis_index sent_bit noise_fwd eve_fwd bob_op noise_bwd eve_bwd measured_bit",
+    ]
     for k in range(len(result.prep.a)):
         rows.append(
             f"{k} {int(result.prep.b[k])} {int(result.prep.a[k])} "
             f"{tags[int(result.noise_codes_forward[k])]} {fwd_eve} "
             f"{'XZ' if result.bob_ops[k] else 'I'} "
             f"{tags[int(result.noise_codes_backward[k])]} {bwd_eve} "
-            f"{int(result.derivation.c[k])}"
+            f"{int(d.c[k])}"
         )
     return rows
+
+
+def assert_transcript_matches_the_per_qubit_formatter(result) -> None:
+    text, expected = result.transcript_text(), reference_transcript_rows(result)
+    lines = text.splitlines()
+    assert [lines[11]] + lines[20:] == [expected[11]] + expected[20:]
+    assert text == "\n".join(expected) + "\n"
 
 
 @settings(max_examples=40, deadline=None)
@@ -445,15 +480,18 @@ def reference_transcript_rows(result) -> list[str]:
     st.integers(1, 13),
     st.integers(0, 2**31 - 1),
     st.sets(st.sampled_from(["forward", "backward"])),
+    st.data(),
 )
-def test_transcript_rows_match_the_per_qubit_formatter(variant, t, n_bits, pool_size, seed, legs):
+def test_transcript_rows_match_the_per_qubit_formatter(variant, t, n_bits, pool_size, seed, legs, data):
     pool = tuple(Basis(k * math.pi / 13) for k in range(pool_size))
     config = RunConfig(n_bits=n_bits, repetition=t, variant=variant, basis_pool=pool, seed=seed)
+    tag_length = data.draw(st.integers(0, config.message_length), label="tag_length")
+    tag_bits = data.draw(st.none() | st.lists(st.integers(0, 1), min_size=tag_length, max_size=tag_length).map(tuple),
+                         label="tag_bits")
+    config = replace(config, tag_length=tag_length, tag_bits=tag_bits)
     noise = NoiseModel(p_bitflip=0.1, p_phaseflip=0.1, p_both=0.1)
     eve = EveStrategy.intercept_resend((0.0, math.pi / 4), legs=legs) if legs else EveStrategy.absent()
-    result = run_session(config, noise, noise, eve)
-    lines = result.transcript_text().splitlines()
-    assert [lines[11]] + lines[20:] == reference_transcript_rows(result)
+    assert_transcript_matches_the_per_qubit_formatter(run_session(config, noise, noise, eve))
 
 
 @pytest.mark.parametrize(
@@ -469,14 +507,21 @@ def test_transcript_rows_match_the_per_qubit_formatter(variant, t, n_bits, pool_
             ),
             "backward",
         ),
+        # A 1,001-angle pool: the b= line's cells run from ",0" to ",1000", so a
+        # pad (3 bytes) is longer than the shortest cell (2 bytes).
+        (
+            RunConfig(n_bits=4_000, seed=5, basis_pool=tuple(Basis(k * math.pi / 1001) for k in range(1001))),
+            "forward",
+        ),
     ],
 )
 def test_long_transcript_rows_match_the_per_qubit_formatter(config, leg):
     noise = NoiseModel(p_bitflip=0.1, p_phaseflip=0.1, p_both=0.1)
     eve = EveStrategy.intercept_resend((0.0, math.pi / 4), legs=(leg,))
     result = run_session(config, noise, noise, eve)
-    lines = result.transcript_text().splitlines()
-    assert [lines[11]] + lines[20:] == reference_transcript_rows(result)
+    if len(config.basis_pool) > 1000:
+        assert 1000 in result.prep.b and 0 in result.prep.b
+    assert_transcript_matches_the_per_qubit_formatter(result)
 
 
 def test_zx_encoding_is_observationally_identical_to_xz():
