@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass, fields, replace
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -566,6 +568,38 @@ def _session_result(config: RunConfig, passed: Pass, row=...) -> SessionResult:
     return SessionResult(config=config, alice_final=values["derivation"].C, **values)
 
 
+class _DrawAhead:
+    """Draws each stream's one random(n) on a worker thread, in order, one in flight into a buffer allocated
+    here as the last is taken. Holds no stand-in (which calls take), so no reference cycle keeps a buffer."""
+
+    def __init__(self, streams, n: int):
+        self.queue, self.n = [stream for stream in streams if stream is not None], n  # in the order drawn
+        self._start()
+
+    @staticmethod
+    def _fill(stream: Rng, out: np.ndarray, failed: list) -> None:
+        try:
+            stream.random(out=out)
+        except BaseException as error:  # raised again on the caller's thread, by take
+            failed.append(error)
+
+    def _start(self) -> None:
+        self.out, self.failed = np.empty(self.n), []
+        self.thread = threading.Thread(target=self._fill, args=(self.queue[0], self.out, self.failed))
+        self.thread.start()
+
+    def take(self, stream: Rng, n: int) -> np.ndarray:
+        if not self.queue or stream is not self.queue.pop(0) or n != self.n:
+            raise RuntimeError("a stream drawn ahead must be read by one random(n), in the order drawn")
+        self.thread.join()
+        if self.failed:
+            raise self.failed[0]
+        out, self.out = self.out, None
+        if self.queue:
+            self._start()
+        return out
+
+
 def run_session(
     config: RunConfig,
     noise_forward: NoiseModel | None = None,
@@ -580,19 +614,26 @@ def run_session(
     With no explicit source, random streams follow the link-0 seed-splitting
     scheme, so this is bit-identical to a one-leaf star session. An explicit
     rng is consumed sequentially in the fixed order (a, b, m, forward leg,
-    backward leg, measurement).
+    backward leg, measurement). From BATCH_QUBITS qubits on, a worker thread draws purposes 1, 3, 4
+    (each leg's noise, the measurement) ahead (_DrawAhead), each stream whole, once, in order: same bytes.
     """
     link = LinkSettings(noise_forward or NoiseModel(), noise_backward or NoiseModel(), eve or EveStrategy.absent())
     m = None if key_message is None else as_bits(key_message)
+    streams, ahead = (rng,) * 5, None
     if rng is None:
         # Rows 0-4 seed link 0's purposes; row 5 is spawn key (1 << 16, 0), the hub's HUB_SPAWN_KEY.
         words = _row_seed_words(config.seed, [[0], HUB_SPAWN_KEY[:1]], 0, 5)
         streams = [_generator(row) if count else None for row, count in zip(words[:5], _row_halves(config, link))]
         if m is None:
             m = bob_build_key_message(config, _generator(words[5]))
-    else:
-        streams = (rng,) * 5
-    return _session_result(config, run_batch([(config, link, 1)], streams, m))
+        if config.qubit_count >= BATCH_QUBITS:
+            ahead = _DrawAhead([streams[1], streams[3], streams[4]], config.qubit_count)
+            streams = [SimpleNamespace(random=lambda n, s=s: ahead.take(s, n)) if s in ahead.queue else s for s in streams]
+    try:
+        return _session_result(config, run_batch([(config, link, 1)], streams, m))
+    finally:
+        if ahead is not None:  # no worker outlives the session
+            ahead.thread.join()
 
 
 def run_batch(cells, streams, m=None) -> Pass:
@@ -612,8 +653,7 @@ def run_batch(cells, streams, m=None) -> Pass:
     only for non-trivial noise, Eve's only if she taps (else they may be None).
     So row r draws exactly what run_session(config, link.noise_forward,
     link.noise_backward, link.eve, rng=Generator over its stream) draws under
-    its cell's settings, in the same order. _leg gets the pass's noise per leg
-    and the group's Eve as they are, not wrapped in a LinkSettings.
+    its cell's settings, in the same order.
     """
     configs, links, counts = zip(*cells)
     if len(cells) > 1 and len(_pass_groups(zip(configs, links))) > 1:

@@ -626,6 +626,37 @@ def test_run_path_imports_no_reference(tmp_path):
     assert verify == 0 and after_verify == ["twoway_qkd.reference", "twoway_qkd.invariants"]
 
 
+# Runs in a fresh interpreter too: `run`, then a session that draws ahead on a worker thread.
+_THREAD_IMPORTS = """
+import contextlib, io, json, sys
+import twoway_qkd
+import twoway_qkd.cli
+
+def loaded():
+    return [name for name in ("concurrent.futures", "logging") if name in sys.modules]
+
+with contextlib.redirect_stdout(io.StringIO()):
+    run = twoway_qkd.cli.main(["run", "--config", sys.argv[1], "--output-dir", sys.argv[2]])
+after_run = loaded()
+twoway_qkd.run_session(twoway_qkd.RunConfig(n_bits=twoway_qkd.protocol.BATCH_QUBITS), twoway_qkd.NoiseModel(0.1))
+print(json.dumps([run, after_run, loaded()]))
+"""
+
+
+def test_run_path_imports_no_logging(tmp_path):
+    """Neither `run` nor a session that draws ahead imports concurrent.futures or logging:
+    the worker is a bare threading.Thread, and those imports would add milliseconds to start-up."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**BASE, "repetitions": 2}))
+    src = str(Path(twoway_qkd.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _THREAD_IMPORTS, str(cfg_path), str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [0, [], []]
+
+
 def test_unwritable_output_path(tmp_path):
     target = tmp_path / "file"
     target.write_text("occupied")

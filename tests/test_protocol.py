@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -27,7 +29,8 @@ from twoway_qkd import (
 from twoway_qkd import harness, network, protocol
 from twoway_qkd.channel import RowNoise
 from twoway_qkd.network import Topology, run_star_session
-from twoway_qkd.protocol import LinkSettings, _resolve, _row_halves, derive, run_batch
+from twoway_qkd.protocol import (BATCH_QUBITS, HUB_SPAWN_KEY, LinkSettings, _generator, _resolve, _row_halves,
+                                 _session_result, bob_build_key_message, derive, run_batch)
 from twoway_qkd.qubit import ZX, RowStreams, _row_seed_words
 from twoway_qkd.reference import encode_bit, register_state
 
@@ -408,6 +411,98 @@ def test_session_replay_is_bit_exact():
     r1 = run_session(config, noise, noise, eve)
     r2 = run_session(config, noise, noise, eve)
     assert r1.transcript_text() == r2.transcript_text()
+
+
+NOISE = NoiseModel(p_bitflip=0.02, p_phaseflip=0.01, p_both=0.005)
+SERIAL_CASES = {
+    "noise on both legs": (dict(variant="V1", basis_pool=POOL, tag_length=8, seed=3), LinkSettings(NOISE, NOISE)),
+    "noise backward only": (dict(variant="V1", basis_pool=POOL[:2], seed=4), LinkSettings(noise_backward=NOISE)),
+    "intercept-resend on both legs": (
+        dict(variant="V1", basis_pool=POOL[:2], tag_length=16, seed=5),
+        LinkSettings(eve=EveStrategy.intercept_resend((0.0, math.pi / 4), legs=("forward", "backward"))),
+    ),
+}
+
+
+@pytest.mark.parametrize("qubits", [BATCH_QUBITS - 1, BATCH_QUBITS])
+@pytest.mark.parametrize("case", SERIAL_CASES)
+def test_sessions_that_draw_ahead_match_a_serial_pass(case, qubits):
+    # From BATCH_QUBITS qubits on, run_session draws its noise and measurement uniforms on a
+    # worker thread; a run_batch pass over plain Generators on the same seed words draws them in line.
+    fields, link = SERIAL_CASES[case]
+    config = RunConfig(n_bits=qubits, **fields)
+    words = _row_seed_words(config.seed, [[0], HUB_SPAWN_KEY[:1]], 0, 5)
+    m = bob_build_key_message(config, _generator(words[5]))
+    serial = _session_result(config, run_batch([(config, link, 1)], [_generator(row) for row in words[:5]], m))
+    result = run_session(config, link.noise_forward, link.noise_backward, link.eve)
+    assert result == serial
+    assert result.transcript_text() == serial.transcript_text()
+
+
+def test_sessions_that_draw_ahead_on_several_threads_keep_their_bytes():
+    # Three callers on two cores, each with its own worker, switching threads every 10 us.
+    fields, link = SERIAL_CASES["noise on both legs"]
+    config = RunConfig(n_bits=BATCH_QUBITS, **fields)
+    want = run_session(config, NOISE, NOISE).transcript_text()
+    got = []
+    callers = [threading.Thread(target=lambda: got.extend(run_session(config, NOISE, NOISE).transcript_text()
+                                                          for _ in range(2))) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert got == [want] * 6
+
+
+class Failing(np.random.Generator):
+    """A Generator whose random() fails, as a worker's draw might."""
+
+    def random(self, *args, **kwargs):
+        raise FloatingPointError("no uniforms today")
+
+
+def test_no_worker_outlives_a_session():
+    config, before = RunConfig(n_bits=BATCH_QUBITS), threading.active_count()
+    run_session(config, NOISE, NOISE)
+    assert threading.active_count() == before
+    # bob_encode rejects the key-message after the forward leg, with the backward draw in flight.
+    with pytest.raises(ValueError, match="key-message covers"):
+        run_session(config, NOISE, NOISE, key_message=np.zeros(BATCH_QUBITS - 1, np.uint8))
+    assert threading.active_count() == before
+    # A worker's exception is raised again on the calling thread (an unhandled one in the worker
+    # would be a PytestUnhandledThreadExceptionWarning, an error under this suite's filterwarnings).
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocol, "_generator", lambda words: Failing(np.random.PCG64(words)))
+        with pytest.raises(FloatingPointError, match="no uniforms today"):
+            run_session(config, NOISE, NOISE)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("draw, error", [
+    (lambda streams: streams[4].random(BATCH_QUBITS), RuntimeError),  # the measurement before the forward noise
+    (lambda streams: streams[1].random(BATCH_QUBITS - 1), RuntimeError),
+    (lambda streams: [streams[1].random(BATCH_QUBITS) for _ in range(2)], RuntimeError),
+    (lambda streams: streams[1].random(BATCH_QUBITS, dtype=np.float32), TypeError),
+    (lambda streams: streams[1].integers(2, size=BATCH_QUBITS), AttributeError),
+])
+def test_a_stream_drawn_ahead_takes_only_its_one_draw(draw, error):
+    # A change to run_batch's draws on purposes 1, 3 or 4 fails loudly instead of changing bytes.
+    def changed(cells, streams, m=None):
+        draw(streams)
+        raise AssertionError("the stand-in took a draw it was not made for")
+
+    before = threading.active_count()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocol, "run_batch", changed)
+        with pytest.raises(error):
+            run_session(RunConfig(n_bits=BATCH_QUBITS), NOISE, NOISE)
+    assert threading.active_count() == before
 
 
 def test_transcript_contains_per_qubit_records_and_strings():
