@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import threading
 from dataclasses import dataclass, fields, replace
 from types import SimpleNamespace
@@ -51,6 +52,7 @@ HUB_SPAWN_KEY = (1 << 16, 0)
 # 64-qubit V1 cell with Eve on both legs peaks near 60 MiB at 2**16 and
 # 360 MiB at 2**20, and runs no faster with the wider chunks.
 BATCH_QUBITS = 1 << 16
+DRAW_AHEAD_QUBITS = 1 << 18  # run_session draws ahead from here on with a second core (crossover: BENCH_26.json)
 
 
 def _passes(rows: int, qubit_count: int) -> list[slice]:
@@ -569,35 +571,32 @@ def _session_result(config: RunConfig, passed: Pass, row=...) -> SessionResult:
 
 
 class _DrawAhead:
-    """Draws each stream's one random(n) on a worker thread, in order, one in flight into a buffer allocated
-    here as the last is taken. Holds no stand-in (which calls take), so no reference cycle keeps a buffer."""
+    """Each stream's one random(n), drawn in order on worker threads, one in flight; holds no stand-in: no cycle."""
 
     def __init__(self, streams, n: int):
-        self.queue, self.n = [stream for stream in streams if stream is not None], n  # in the order drawn
-        self._start()
+        self.queue, self.n, self.out, self.failed = [stream for stream in streams if stream is not None], n, None, None
+        self._advance()
 
-    @staticmethod
-    def _fill(stream: Rng, out: np.ndarray, failed: list) -> None:
+    def _fill(self, stream: Rng, out: np.ndarray) -> None:
         try:
             stream.random(out=out)
         except BaseException as error:  # raised again on the caller's thread, by take
-            failed.append(error)
+            self.failed = error
 
-    def _start(self) -> None:
-        self.out, self.failed = np.empty(self.n), []
-        self.thread = threading.Thread(target=self._fill, args=(self.queue[0], self.out, self.failed))
-        self.thread.start()
+    def _advance(self) -> np.ndarray | None:
+        out, self.out = self.out, np.empty(self.n) if self.queue else None  # the next draw starts as one is taken
+        if self.queue:
+            self.thread = threading.Thread(target=self._fill, args=(self.queue[0], self.out))  # holds self till done
+            self.thread.start()
+        return out
 
     def take(self, stream: Rng, n: int) -> np.ndarray:
         if not self.queue or stream is not self.queue.pop(0) or n != self.n:
             raise RuntimeError("a stream drawn ahead must be read by one random(n), in the order drawn")
         self.thread.join()
-        if self.failed:
-            raise self.failed[0]
-        out, self.out = self.out, None
-        if self.queue:
-            self._start()
-        return out
+        if self.failed is not None:
+            raise self.failed
+        return self._advance()
 
 
 def run_session(
@@ -614,8 +613,8 @@ def run_session(
     With no explicit source, random streams follow the link-0 seed-splitting
     scheme, so this is bit-identical to a one-leaf star session. An explicit
     rng is consumed sequentially in the fixed order (a, b, m, forward leg,
-    backward leg, measurement). From BATCH_QUBITS qubits on, a worker thread draws purposes 1, 3, 4
-    (each leg's noise, the measurement) ahead (_DrawAhead), each stream whole, once, in order: same bytes.
+    backward leg, measurement). From DRAW_AHEAD_QUBITS qubits on, given 2+ cores in os.sched_getaffinity, a worker
+    thread draws purposes 1, 3, 4 (legs' noise, measurement) ahead (_DrawAhead), each once, in order: same bytes.
     """
     link = LinkSettings(noise_forward or NoiseModel(), noise_backward or NoiseModel(), eve or EveStrategy.absent())
     m = None if key_message is None else as_bits(key_message)
@@ -626,7 +625,7 @@ def run_session(
         streams = [_generator(row) if count else None for row, count in zip(words[:5], _row_halves(config, link))]
         if m is None:
             m = bob_build_key_message(config, _generator(words[5]))
-        if config.qubit_count >= BATCH_QUBITS:
+        if config.qubit_count >= DRAW_AHEAD_QUBITS and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
             ahead = _DrawAhead([streams[1], streams[3], streams[4]], config.qubit_count)
             streams = [SimpleNamespace(random=lambda n, s=s: ahead.take(s, n)) if s in ahead.queue else s for s in streams]
     try:
@@ -653,7 +652,8 @@ def run_batch(cells, streams, m=None) -> Pass:
     only for non-trivial noise, Eve's only if she taps (else they may be None).
     So row r draws exactly what run_session(config, link.noise_forward,
     link.noise_backward, link.eve, rng=Generator over its stream) draws under
-    its cell's settings, in the same order.
+    its cell's settings, in the same order. _leg gets the pass's noise per leg
+    and the group's Eve as they are, not wrapped in a LinkSettings.
     """
     configs, links, counts = zip(*cells)
     if len(cells) > 1 and len(_pass_groups(zip(configs, links))) > 1:

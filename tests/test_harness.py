@@ -628,7 +628,7 @@ def test_run_path_imports_no_reference(tmp_path):
 
 # Runs in a fresh interpreter too: `run`, then a session that draws ahead on a worker thread.
 _THREAD_IMPORTS = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 import twoway_qkd
 import twoway_qkd.cli
 
@@ -638,7 +638,8 @@ def loaded():
 with contextlib.redirect_stdout(io.StringIO()):
     run = twoway_qkd.cli.main(["run", "--config", sys.argv[1], "--output-dir", sys.argv[2]])
 after_run = loaded()
-twoway_qkd.run_session(twoway_qkd.RunConfig(n_bits=twoway_qkd.protocol.BATCH_QUBITS), twoway_qkd.NoiseModel(0.1))
+os.sched_getaffinity = lambda pid: {0, 1}  # a session draws ahead only with a second usable core
+twoway_qkd.run_session(twoway_qkd.RunConfig(n_bits=twoway_qkd.protocol.DRAW_AHEAD_QUBITS), twoway_qkd.NoiseModel(0.1))
 print(json.dumps([run, after_run, loaded()]))
 """
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import sys
 import threading
 from dataclasses import replace
@@ -29,7 +30,7 @@ from twoway_qkd import (
 from twoway_qkd import harness, network, protocol
 from twoway_qkd.channel import RowNoise
 from twoway_qkd.network import Topology, run_star_session
-from twoway_qkd.protocol import (BATCH_QUBITS, HUB_SPAWN_KEY, LinkSettings, _generator, _resolve, _row_halves,
+from twoway_qkd.protocol import (DRAW_AHEAD_QUBITS, HUB_SPAWN_KEY, LinkSettings, _generator, _resolve, _row_halves,
                                  _session_result, bob_build_key_message, derive, run_batch)
 from twoway_qkd.qubit import ZX, RowStreams, _row_seed_words
 from twoway_qkd.reference import encode_bit, register_state
@@ -424,10 +425,17 @@ SERIAL_CASES = {
 }
 
 
-@pytest.mark.parametrize("qubits", [BATCH_QUBITS - 1, BATCH_QUBITS])
+@pytest.fixture
+def two_cores(monkeypatch):
+    """Sessions draw ahead only with a second usable core; these tests need one on any machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.mark.parametrize("qubits", [DRAW_AHEAD_QUBITS - 1, DRAW_AHEAD_QUBITS])
 @pytest.mark.parametrize("case", SERIAL_CASES)
+@pytest.mark.usefixtures("two_cores")
 def test_sessions_that_draw_ahead_match_a_serial_pass(case, qubits):
-    # From BATCH_QUBITS qubits on, run_session draws its noise and measurement uniforms on a
+    # From DRAW_AHEAD_QUBITS qubits on, run_session draws its noise and measurement uniforms on a
     # worker thread; a run_batch pass over plain Generators on the same seed words draws them in line.
     fields, link = SERIAL_CASES[case]
     config = RunConfig(n_bits=qubits, **fields)
@@ -439,10 +447,11 @@ def test_sessions_that_draw_ahead_match_a_serial_pass(case, qubits):
     assert result.transcript_text() == serial.transcript_text()
 
 
+@pytest.mark.usefixtures("two_cores")
 def test_sessions_that_draw_ahead_on_several_threads_keep_their_bytes():
     # Three callers on two cores, each with its own worker, switching threads every 10 us.
     fields, link = SERIAL_CASES["noise on both legs"]
-    config = RunConfig(n_bits=BATCH_QUBITS, **fields)
+    config = RunConfig(n_bits=DRAW_AHEAD_QUBITS, **fields)
     want = run_session(config, NOISE, NOISE).transcript_text()
     got = []
     callers = [threading.Thread(target=lambda: got.extend(run_session(config, NOISE, NOISE).transcript_text()
@@ -467,13 +476,23 @@ class Failing(np.random.Generator):
         raise FloatingPointError("no uniforms today")
 
 
+@pytest.mark.parametrize("cores, qubits", [({0}, DRAW_AHEAD_QUBITS), ({0, 1}, DRAW_AHEAD_QUBITS - 1)])
+def test_small_sessions_and_one_core_draw_in_line(cores, qubits, monkeypatch):
+    # Below the measured crossover a worker's start-up costs more than the overlap saves; on one
+    # usable core nothing overlaps (BENCH_26.json "crossover"). _DrawAhead, if called, would raise.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
+    monkeypatch.setattr(protocol, "_DrawAhead", None)
+    assert run_session(RunConfig(n_bits=qubits), NOISE, NOISE).accepted
+
+
+@pytest.mark.usefixtures("two_cores")
 def test_no_worker_outlives_a_session():
-    config, before = RunConfig(n_bits=BATCH_QUBITS), threading.active_count()
+    config, before = RunConfig(n_bits=DRAW_AHEAD_QUBITS), threading.active_count()
     run_session(config, NOISE, NOISE)
     assert threading.active_count() == before
     # bob_encode rejects the key-message after the forward leg, with the backward draw in flight.
     with pytest.raises(ValueError, match="key-message covers"):
-        run_session(config, NOISE, NOISE, key_message=np.zeros(BATCH_QUBITS - 1, np.uint8))
+        run_session(config, NOISE, NOISE, key_message=np.zeros(DRAW_AHEAD_QUBITS - 1, np.uint8))
     assert threading.active_count() == before
     # A worker's exception is raised again on the calling thread (an unhandled one in the worker
     # would be a PytestUnhandledThreadExceptionWarning, an error under this suite's filterwarnings).
@@ -485,12 +504,13 @@ def test_no_worker_outlives_a_session():
 
 
 @pytest.mark.parametrize("draw, error", [
-    (lambda streams: streams[4].random(BATCH_QUBITS), RuntimeError),  # the measurement before the forward noise
-    (lambda streams: streams[1].random(BATCH_QUBITS - 1), RuntimeError),
-    (lambda streams: [streams[1].random(BATCH_QUBITS) for _ in range(2)], RuntimeError),
-    (lambda streams: streams[1].random(BATCH_QUBITS, dtype=np.float32), TypeError),
-    (lambda streams: streams[1].integers(2, size=BATCH_QUBITS), AttributeError),
+    (lambda streams: streams[4].random(DRAW_AHEAD_QUBITS), RuntimeError),  # the measurement before the forward noise
+    (lambda streams: streams[1].random(DRAW_AHEAD_QUBITS - 1), RuntimeError),
+    (lambda streams: [streams[1].random(DRAW_AHEAD_QUBITS) for _ in range(2)], RuntimeError),
+    (lambda streams: streams[1].random(DRAW_AHEAD_QUBITS, dtype=np.float32), TypeError),
+    (lambda streams: streams[1].integers(2, size=DRAW_AHEAD_QUBITS), AttributeError),
 ])
+@pytest.mark.usefixtures("two_cores")
 def test_a_stream_drawn_ahead_takes_only_its_one_draw(draw, error):
     # A change to run_batch's draws on purposes 1, 3 or 4 fails loudly instead of changing bytes.
     def changed(cells, streams, m=None):
@@ -501,7 +521,7 @@ def test_a_stream_drawn_ahead_takes_only_its_one_draw(draw, error):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(protocol, "run_batch", changed)
         with pytest.raises(error):
-            run_session(RunConfig(n_bits=BATCH_QUBITS), NOISE, NOISE)
+            run_session(RunConfig(n_bits=DRAW_AHEAD_QUBITS), NOISE, NOISE)
     assert threading.active_count() == before
 
 
