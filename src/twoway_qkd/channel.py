@@ -96,8 +96,10 @@ def perturb_register(
 class EveStrategy:
     """What Eve does to qubits in transit.
 
-    basis_pool is her own measurement/emission pool (angles); a single-entry
-    pool is the fixed-angle policy. legs selects which traversals she taps.
+    kind defaults to absent. basis_pool is her own measurement/emission pool
+    (angles), required by an active kind; a single-entry pool is the
+    fixed-angle policy. legs selects which traversals she taps: an active
+    kind given none taps the forward leg, and stores {"forward"}.
     """
 
     kind: str = ABSENT
@@ -116,17 +118,19 @@ class EveStrategy:
             raise ConfigError("basis_pool: active Eve strategy needs a non-empty basis pool")
         if not self.legs <= {FORWARD, BACKWARD}:
             raise ConfigError(f"legs: must be a subset of {{forward, backward}}, got {set(self.legs)}")
+        if self.kind != ABSENT and not self.legs:
+            object.__setattr__(self, "legs", frozenset({FORWARD}))
 
     @classmethod
     def absent(cls) -> "EveStrategy":
         return cls()
 
     @classmethod
-    def intercept_resend(cls, basis_pool, legs=frozenset({FORWARD})) -> "EveStrategy":
+    def intercept_resend(cls, basis_pool, legs=frozenset()) -> "EveStrategy":
         return cls(INTERCEPT_RESEND, basis_pool, legs)
 
     @classmethod
-    def substitute(cls, basis_pool, legs=frozenset({FORWARD})) -> "EveStrategy":
+    def substitute(cls, basis_pool, legs=frozenset()) -> "EveStrategy":
         return cls(SUBSTITUTE, basis_pool, legs)
 
     def attacks(self, leg: str) -> bool:

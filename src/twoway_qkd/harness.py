@@ -7,31 +7,38 @@ the fixed order (p_bitflip, repetition, eve, tag_length); one output row
 per cell, cells in product (lexicographic) order. Identical configs produce
 byte-identical artifacts.
 
-Config schema::
+Config schema, each default after its key::
 
     {
-      "variant": "V1" | "V2" | "V3",
-      "n_bits": int,                 # message length N
-      "repetition": int,             # repetition factor t
-      "basis_pool": [float, ...],    # basis angles in radians
-      "tag_length": int,
-      "tag_bits": [0/1, ...] | null, # null = default alternating sequence
-      "seed": int,
-      "repetitions": int,            # runs per sweep cell
-      "noise": {"p_bitflip": f, "p_phaseflip": f, "p_both": f},
-      "eve": {"kind": "absent" | "intercept_resend" | "substitute",
-              "basis_pool": [float, ...], "legs": ["forward", "backward"]},
+      "variant": "V1" | "V2" | "V3",            # "V1"
+      "n_bits": int,                            # message length N; required
+      "repetition": int,                        # repetition factor t; 1
+      "basis_pool": [float, ...],               # basis angles in radians; [0.0]
+      "tag_length": int,                        # 0
+      "tag_bits": [0/1, ...] | null,            # null: the alternating 1,0,1,...
+      "seed": int,                              # 0
+      "repetitions": int,                       # runs per sweep cell; 1
+      "noise": {"p_bitflip": f, "p_phaseflip": f, "p_both": f},   # each 0.0
+      "eve": {"kind": "absent" | "intercept_resend" | "substitute",   # "absent"
+              "basis_pool": [float, ...],       # []; an active kind needs one
+              "legs": ["forward", "backward"]}, # []; an active kind: ["forward"]
       "sweep": {"p_bitflip": [...], "repetition": [...],
-                "eve": [...], "tag_length": [...]},   # each axis optional
-      "output_dir": str,
-      "format": "tabular" | "structured"
+                "eve": [...], "tag_length": [...]},   # {}; each axis optional
+      "output_dir": str,                        # "results"; never written back
+      "format": "tabular" | "structured"        # "tabular"
     }
 
-Only n_bits is required. A key outside this schema, or a value of the wrong
-JSON type, is a ConfigError naming the field: each value goes through
-qubit.checked, the check every config type applies to its own fields. Every
-config type raises ConfigError itself, for a bad type and a bad range alike,
-so this module only prefixes the section or sweep cell a value came from.
+The dataclasses hold these defaults; from_dict passes only the keys given.
+Eve's are resolved once, when the config is built: an active kind given no
+legs taps the forward leg (EveStrategy), and an absent Eve under a swept
+active kind takes the run's pool and the forward leg where it names none
+(ExperimentConfig). So config_resolved.json names the pool and legs that ran.
+A key outside this schema, or a value of the wrong JSON type, is a
+ConfigError naming the field: each value goes through qubit.checked, the
+check every config type applies to its own fields. Every config type raises
+ConfigError itself, for a bad type and a bad range alike, so this module
+only prefixes the section, or the sweep axis and index, a value came from.
+Every sweep cell is built, and so checked, with the config.
 
 All reported rates are simulator-derived; the protocol's source material
 contains no numerical experiments to compare against.
@@ -47,7 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ABSENT, EveStrategy, NoiseModel
+from .channel import ABSENT, FORWARD, EveStrategy, NoiseModel
 from .protocol import V2, LinkSettings, RunConfig, _pass_groups, _passes, _row_halves, run_batch
 from .qubit import ANGLE, Basis, ConfigError, RowStreams, _row_seed_words, check_fields, checked
 
@@ -81,8 +88,8 @@ def _object(name: str, value, keys) -> dict:
 
 
 def _build(name: str, factory, *args, **fields):
-    """factory(*args, **fields), the config section `name` prefixed to the message of
-    a ValueError it raises (a ConfigError, from every config type)."""
+    """factory(*args, **fields), the config section or sweep value `name` prefixed to the
+    message of a ValueError it raises (a ConfigError, from every config type)."""
     try:
         return factory(*args, **fields)
     except ValueError as exc:
@@ -113,6 +120,10 @@ class ExperimentConfig:
             if not axis:
                 raise ConfigError(f"sweep.{name}: must list at least one value")
             object.__setattr__(self, f"sweep_{name}", axis)
+        if set(self.sweep_eve or ()) - {ABSENT}:  # a swept active kind taps with the run's pool, forward, by default
+            pool = self.eve.basis_pool or tuple(b.theta for b in self.run.basis_pool)
+            object.__setattr__(self, "eve", replace(self.eve, basis_pool=pool, legs=self.eve.legs or {FORWARD}))
+        object.__setattr__(self, "_settings", self._cell_settings())
 
     @property
     def sweep_axes(self) -> dict:
@@ -130,6 +141,23 @@ class ExperimentConfig:
         fixed = (self.noise.p_bitflip, self.run.repetition, self.eve.kind, self.run.tag_length)
         axes = {**{name: (value,) for name, value in zip(SWEEP_AXES, fixed)}, **self.sweep_axes}
         return [dict(zip(axes, values)) for values in itertools.product(*axes.values())]
+
+    def _cell_settings(self) -> list[tuple[RunConfig, LinkSettings]]:
+        """Each cell's RunConfig and LinkSettings, in cell order. Cells at equal values share
+        one object, built and checked once; a value that fails its check is a ConfigError
+        naming the sweep axis and index it came from."""
+        cells, swept, runs, links = self.cells(), self.sweep_axes, {}, {}
+        at = lambda cell, *axes: ", ".join(f"sweep.{a}[{swept[a].index(cell[a])}]" for a in axes if a in swept)
+        for cell in cells:
+            p_bitflip, repetition, kind, tag_length = cell.values()
+            if (repetition, tag_length) not in runs:
+                tag_bits = None if self.run.tag_bits is None else self.run.tag_bits[:tag_length]
+                runs[repetition, tag_length] = _build(at(cell, "repetition", "tag_length"), replace, self.run,
+                                                      repetition=repetition, tag_length=tag_length, tag_bits=tag_bits)
+            if (p_bitflip, kind) not in links:
+                noise = _build(at(cell, "p_bitflip"), replace, self.noise, p_bitflip=p_bitflip)
+                links[p_bitflip, kind] = LinkSettings(noise, noise, _build(at(cell, "eve"), replace, self.eve, kind=kind))
+        return [(runs[c["repetition"], c["tag_length"]], links[c["p_bitflip"], c["eve"]]) for c in cells]
 
     def to_dict(self) -> dict:
         return {
@@ -158,26 +186,22 @@ class ExperimentConfig:
         data = _object("config", data, CONFIG_KEYS)
         if "n_bits" not in data:
             raise ConfigError("n_bits: missing required field")
-        # RunConfig checks its own fields and holds their defaults; Basis takes checked angles.
+        # Only the keys given are passed: each config type checks its own fields and holds their defaults.
         keys = ("n_bits", "repetition", "variant", "tag_length", "seed", "tag_bits")
-        given = {key: data[key] for key in keys if key in data}
-        pool = tuple(map(Basis, checked("basis_pool", data.get("basis_pool", [0.0]), [ANGLE])))
-        run = _build("run parameters", RunConfig, basis_pool=pool, **given)
+        run = {key: data[key] for key in keys if key in data}
+        if "basis_pool" in data:
+            run["basis_pool"] = tuple(map(Basis, checked("basis_pool", data["basis_pool"], [ANGLE])))
+        run = _build("run parameters", RunConfig, **run)
         noise_d = _object("noise", data.get("noise", {}), ("p_bitflip", "p_phaseflip", "p_both"))
         noise = _build("noise", NoiseModel, **{k: checked(f"noise.{k}", v, float) for k, v in noise_d.items()})
         eve_kinds = {"kind": str, "basis_pool": [ANGLE], "legs": [str]}
         eve_d = _object("eve", data.get("eve", {}), eve_kinds)
         eve = _build("eve", EveStrategy, **{k: checked(f"eve.{k}", v, eve_kinds[k]) for k, v in eve_d.items()})
         sweep = _object("sweep", data.get("sweep", {}), SWEEP_AXES)
-        return cls(
-            run=run,
-            repetitions=data.get("repetitions", 1),
-            noise=noise,
-            eve=eve,
-            **{f"sweep_{name}": axis for name, axis in sweep.items()},
-            output_dir=checked("output_dir", data.get("output_dir", "results"), str),
-            output_format=data.get("format", "tabular"),
-        )
+        given = {key: data[key] for key in ("repetitions", "output_dir") if key in data}
+        if "format" in data:
+            given["output_format"] = data["format"]
+        return cls(run=run, noise=noise, eve=eve, **{f"sweep_{name}": axis for name, axis in sweep.items()}, **given)
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
@@ -237,36 +261,6 @@ class RunStatistics:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _cell_run_config(config: ExperimentConfig, params: dict) -> RunConfig:
-    return _build(
-        f"sweep cell {params}", replace, config.run,
-        repetition=params["repetition"],
-        tag_length=params["tag_length"],
-        tag_bits=None if config.run.tag_bits is None else tuple(config.run.tag_bits[: params["tag_length"]]),
-    )
-
-
-def _cell_eve(config: ExperimentConfig, kind: str) -> EveStrategy:
-    if kind == ABSENT:
-        return EveStrategy.absent()
-    pool = config.eve.basis_pool or tuple(b.theta for b in config.run.basis_pool)
-    legs = config.eve.legs or frozenset(["forward"])
-    return _build(f"sweep eve value {kind!r}", EveStrategy, kind=kind, basis_pool=pool, legs=legs)
-
-
-def _cell_settings(config: ExperimentConfig, cells: list[dict]) -> list[tuple[RunConfig, LinkSettings]]:
-    """Each cell's RunConfig and LinkSettings. Cells with equal values share
-    one object, built once: each build re-runs its checks."""
-    run_configs, links = {}, {}
-    for params in cells:
-        if (key := (params["repetition"], params["tag_length"])) not in run_configs:
-            run_configs[key] = _cell_run_config(config, params)
-        if (key := (params["p_bitflip"], params["eve"])) not in links:
-            noise = _build(f"sweep p_bitflip value {key[0]}", replace, config.noise, p_bitflip=key[0])
-            links[key] = LinkSettings(noise, noise, _cell_eve(config, key[1]))
-    return [(run_configs[p["repetition"], p["tag_length"]], links[p["p_bitflip"], p["eve"]]) for p in cells]
-
-
 def run_experiment(config: ExperimentConfig) -> RunStatistics:
     """Execute repetitions x sweep-grid sessions and aggregate per-cell rates.
 
@@ -279,8 +273,7 @@ def run_experiment(config: ExperimentConfig) -> RunStatistics:
     split (protocol._passes). One _row_seed_words call derives a pass's seed
     states, which seed its rows' read-ahead streams (RowStreams.from_seed_words).
     """
-    cells = config.cells()
-    settings = _cell_settings(config, cells)
+    cells, settings = config.cells(), config._settings
     n = config.repetitions
     # Per cell: the sums of qber, erasure share, agreement and detection. They
     # add one repetition at a time, in repetition order, as np.cumsum does (np.sum

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import twoway_qkd
 from twoway_qkd import (Basis, ConfigError, EveStrategy, ExperimentConfig, LinkSettings, NoiseModel, RunConfig, Topology,
-                        emit_results, protocol, run_experiment, run_session)
+                        emit_results, protocol, run_experiment, run_session, run_star_session)
 from twoway_qkd.cli import main
 from twoway_qkd.harness import (
     CONFIG_FILENAME,
@@ -27,8 +28,6 @@ from twoway_qkd.harness import (
     SWEEP_AXES,
     CellStats,
     _binomial_se,
-    _cell_eve,
-    _cell_run_config,
 )
 from twoway_qkd.protocol import HUB_SPAWN_KEY, VARIANTS, _key_rng
 from twoway_qkd.qubit import RowStreams, _row_seed_words, _SeedWords
@@ -80,6 +79,12 @@ def test_config_errors_name_the_field():
         ({"sweep_tag_length": (0, True)}, "sweep.tag_length[1]"),
         ({"sweep_p_bitflip": ("0.1",)}, "sweep.p_bitflip[0]"),
         ({"sweep_eve": (None,)}, "sweep.eve[0]"),
+        # A sweep value its cell's config type rejects fails here too, not in run_experiment.
+        ({"sweep_eve": ("absent", "mitm")}, "sweep.eve[1]"),
+        ({"sweep_repetition": (0,)}, "sweep.repetition[0]"),
+        ({"sweep_p_bitflip": (2.0,)}, "sweep.p_bitflip[0]"),
+        ({"sweep_tag_length": (99,)}, "sweep.tag_length[0]"),
+        ({"run": RunConfig(n_bits=4, tag_length=1, tag_bits=(1,)), "sweep_tag_length": (2,)}, "sweep.tag_length[0]"),
     ],
 )
 def test_experiment_config_checks_field_types(fields, field):
@@ -151,12 +156,17 @@ def test_rates_are_probabilities_with_sample_counts():
 def reference_cells(config: ExperimentConfig) -> tuple[CellStats, ...]:
     """The per-session loop run_experiment replaced, kept as its oracle:
     one run_session per repetition, driven by the generator of spawn key
-    (cell index, repetition index)."""
+    (cell index, repetition index). A cell's Eve taps with the configured pool, or
+    else the run's, on the configured legs, or else the forward leg."""
     cells = []
     for cell_index, params in enumerate(config.cells()):
-        run_config = _cell_run_config(config, params)
+        tag_bits = None if config.run.tag_bits is None else config.run.tag_bits[: params["tag_length"]]
+        run_config = replace(config.run, repetition=params["repetition"], tag_length=params["tag_length"],
+                             tag_bits=tag_bits)
         noise = replace(config.noise, p_bitflip=float(params["p_bitflip"]))
-        eve = _cell_eve(config, params["eve"])
+        pool = config.eve.basis_pool or tuple(b.theta for b in config.run.basis_pool)
+        eve = EveStrategy.absent() if params["eve"] == "absent" else EveStrategy(
+            params["eve"], pool, config.eve.legs or frozenset({"forward"}))
         qber_sum = 0.0
         agreements = 0
         detections = 0
@@ -207,9 +217,9 @@ def experiment_dicts(draw):
             "p_both": draw(st.sampled_from([0.0, 0.1])),
         },
         "eve": {
-            "kind": draw(st.sampled_from(["absent", "intercept_resend", "substitute"])),
-            "basis_pool": draw(st.sampled_from([pool, [0.0, math.pi / 8]])),
-            "legs": draw(st.sampled_from([["forward"], ["backward"], ["forward", "backward"]])),
+            "kind": (kind := draw(st.sampled_from(["absent", "intercept_resend", "substitute"]))),
+            "basis_pool": draw(st.sampled_from([pool, [0.0, math.pi / 8]] + [[]] * (kind == "absent"))),
+            "legs": draw(st.sampled_from([[], ["forward"], ["backward"], ["forward", "backward"]])),
         },
         # Cells that draw alike share passes: several p_bitflip or tag_length values, alone or crossed.
         "sweep": draw(st.sampled_from([
@@ -264,6 +274,111 @@ def test_substitute_eve_acceptance_drops_with_tag_length():
     assert all(a <= b + 1e-12 for a, b in zip(acceptance[1:], acceptance))
     assert acceptance[0] == 1.0
     assert acceptance[-1] < 0.05
+
+
+@pytest.mark.parametrize("kind", ["intercept_resend", "substitute"])
+def test_an_eve_given_no_legs_taps_the_forward_leg(kind):
+    pool = (0.0, math.pi / 4)
+    data = {**BASE, "n_bits": 32, "tag_length": 8, "seed": 1, "repetitions": 200}
+    explicit = ExperimentConfig.from_dict({**data, "eve": {"kind": kind, "basis_pool": pool, "legs": ["forward"]}})
+    factory = getattr(EveStrategy, kind)
+    assert EveStrategy(kind, pool) == factory(pool) == explicit.eve
+    configs = [ExperimentConfig.from_dict({**data, "eve": {"kind": kind, "basis_pool": pool, **legs}})
+               for legs in ({}, {"legs": []})]
+    configs += [replace(explicit, eve=eve) for eve in (EveStrategy(kind, pool), EveStrategy(kind, pool, ()), factory(pool))]
+    # An absent Eve with no pool under a swept active kind: the run's pool, on the forward leg.
+    swept = ExperimentConfig.from_dict({**data, "eve": {"legs": []}, "sweep": {"eve": [kind]}})
+    assert swept.eve == EveStrategy("absent", pool, ("forward",))
+    stats = run_experiment(explicit)
+    assert stats.cells[0].qber > 0.2 and stats.cells[0].detection_rate > 0.8
+    assert run_experiment(swept).csv_text() == stats.csv_text()
+    for config in configs:
+        assert config == explicit and config.eve.legs == {"forward"}
+        assert run_experiment(config).csv_text() == stats.csv_text()
+        session = run_session(config.run, eve=config.eve)
+        leaf = run_star_session(Topology(leaves=("a",), links={"a": LinkSettings(eve=config.eve)}), config.run)
+        for result in (session, leaf.outcomes["a"].result):
+            assert result.eve_forward is not None and result.eve_backward is None
+
+
+# config_resolved.json as written before Eve's defaults were resolved when the config is
+# built (legs [] ran on the forward leg; an empty pool under a swept kind ran with the run's
+# pool), and the sha256 of the results.csv it was written with.
+LEGACY_CONFIGS = [
+    ("""{
+  "basis_pool": [
+    0.0,
+    0.7853981633974483
+  ],
+  "eve": {
+    "basis_pool": [
+      0.0,
+      0.7853981633974483
+    ],
+    "kind": "intercept_resend",
+    "legs": []
+  },
+  "format": "tabular",
+  "n_bits": 32,
+  "noise": {
+    "p_bitflip": 0.0,
+    "p_both": 0.0,
+    "p_phaseflip": 0.0
+  },
+  "repetition": 1,
+  "repetitions": 200,
+  "seed": 1,
+  "sweep": {},
+  "tag_bits": null,
+  "tag_length": 8,
+  "variant": "V1"
+}
+""", "d148934b910affb69b8d1c141f98b4644972d17948fd6cc329d12449bb01c566"),
+    ("""{
+  "basis_pool": [
+    0.0,
+    0.39269908169872414,
+    0.7853981633974483
+  ],
+  "eve": {
+    "basis_pool": [],
+    "kind": "absent",
+    "legs": []
+  },
+  "format": "tabular",
+  "n_bits": 16,
+  "noise": {
+    "p_bitflip": 0.0,
+    "p_both": 0.0,
+    "p_phaseflip": 0.0
+  },
+  "repetition": 1,
+  "repetitions": 100,
+  "seed": 3,
+  "sweep": {
+    "eve": [
+      "absent",
+      "intercept_resend",
+      "substitute"
+    ]
+  },
+  "tag_bits": null,
+  "tag_length": 4,
+  "variant": "V1"
+}
+""", "299bbfa108f29458c17bcf82b6b46d72035e977df7b341ea9c64d2949fbf44f8"),
+]
+
+
+@pytest.mark.parametrize("text, csv_sha256", LEGACY_CONFIGS, ids=["no_legs", "no_pool_swept_kind"])
+def test_a_legacy_config_with_eve_defaults_replays_to_its_numbers(tmp_path, capsys, text, csv_sha256):
+    (tmp_path / "old").mkdir()
+    (tmp_path / "old" / CONFIG_FILENAME).write_text(text)
+    assert main(["replay", "--input-dir", str(tmp_path / "old"), "--output-dir", str(tmp_path / "new")]) == 0
+    assert hashlib.sha256((tmp_path / "new" / CSV_FILENAME).read_bytes()).hexdigest() == csv_sha256
+    old, new = json.loads(text), json.loads((tmp_path / "new" / CONFIG_FILENAME).read_text())
+    assert new["eve"] == {**old["eve"], "basis_pool": old["basis_pool"], "legs": ["forward"]}
+    assert {**new, "eve": None} == {**old, "eve": None}
 
 
 def test_cli_run_and_replay(tmp_path, capsys):
@@ -363,9 +478,16 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, override, field):
         ({"eve": {"kind": "x", "basis_pool": [0.1]}}, "kind"),
         ({"eve": {"kind": "substitute"}}, "basis_pool"),
         ({"noise": {"p_bitflip": 0.6, "p_phaseflip": 0.6}}, "p_phaseflip"),
+        ({"sweep": {"eve": ["mitm"]}}, "sweep.eve[0]"),
+        ({"sweep": {"repetition": [0]}}, "sweep.repetition[0]"),
+        ({"sweep": {"p_bitflip": [2.0]}}, "sweep.p_bitflip[0]"),
+        ({"sweep": {"tag_length": [99]}}, "sweep.tag_length[0]"),
+        ({"tag_length": 1, "tag_bits": [1], "sweep": {"tag_length": [2]}}, "sweep.tag_length[0]"),
     ],
 )
 def test_cli_rejects_malformed_json_fields(tmp_path, capsys, override, field):
+    with pytest.raises(ConfigError, match=re.escape(field)):  # when the config is built
+        ExperimentConfig.from_dict({**BASE, **override})
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**BASE, **override}))
     assert main(["run", "--config", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 1
@@ -537,6 +659,7 @@ def test_respelled_config_replays_byte_for_byte(spec):
     # numpy scalars and ints in float fields are stored as the Python values from_dict gives.
     config = build_config(spec)
     replayed = ExperimentConfig.from_dict(config.to_dict())
+    assert replace(replayed, output_dir=config.output_dir) == config  # output_dir is not written
     assert config.json_text() == replayed.json_text()
     stats, replayed_stats = run_experiment(config), run_experiment(replayed)
     assert stats.csv_text() == replayed_stats.csv_text()
