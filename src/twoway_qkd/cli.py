@@ -17,14 +17,14 @@ from pathlib import Path
 
 from dataclasses import replace
 
-from .harness import CONFIG_FILENAME, ConfigError, ExperimentConfig, emit_results, run_experiment
+from .harness import CONFIG_FILENAME, FORMATS, ConfigError, ExperimentConfig, _build, emit_results, run_experiment
 
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--output-dir", default=None, help="override the config output directory")
     parser.add_argument(
-        "--format", choices=("tabular", "structured"), default=None,
+        "--format", choices=FORMATS, default=None,
         help="which artifact to echo to stdout",
     )
 
@@ -51,10 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
     if args.seed is not None:
-        try:
-            config = replace(config, run=replace(config.run, seed=args.seed))
-        except ValueError as exc:
-            raise ConfigError(f"--seed: {exc}") from exc
+        config = replace(config, run=_build("--seed: ", replace, config.run, seed=args.seed))
     if args.output_dir is not None:
         config = replace(config, output_dir=args.output_dir)
     if args.format is not None:

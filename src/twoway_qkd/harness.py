@@ -35,10 +35,10 @@ active kind takes the run's pool and the forward leg where it names none
 (ExperimentConfig). So config_resolved.json names the pool and legs that ran.
 A key outside this schema, or a value of the wrong JSON type, is a
 ConfigError naming the field: each value goes through qubit.checked, the
-check every config type applies to its own fields. Every config type raises
-ConfigError itself, for a bad type and a bad range alike, so this module
-only prefixes the section, or the sweep axis and index, a value came from.
-Every sweep cell is built, and so checked, with the config.
+check every config type applies to its own fields. The keys, defaults and
+checks are the types' own, for a bad type and a bad range alike; this module
+only prefixes where a value came from ("noise.", "eve.", "run parameters: ",
+"sweep.<axis>[<i>]: "). Every sweep cell is built, and so checked, with it.
 
 All reported rates are simulator-derived; the protocol's source material
 contains no numerical experiments to compare against.
@@ -62,18 +62,11 @@ CONFIG_FILENAME = "config_resolved.json"
 CSV_FILENAME = "results.csv"
 SUMMARY_FILENAME = "summary.json"
 
-_CSV_COLUMNS = (
-    "p_bitflip", "repetition", "eve", "tag_length", "runs",
-    "qber", "qber_se", "agreement_rate", "agreement_se",
-    "detection_rate", "detection_se", "erasure_rate", "erasure_se",
-)
+FORMATS = ("tabular", "structured")
 
-
-# The keys to_dict writes, plus output_dir, which it leaves out.
-CONFIG_KEYS = (
-    "variant", "n_bits", "repetition", "basis_pool", "tag_length", "tag_bits", "seed",
-    "repetitions", "noise", "eve", "sweep", "format", "output_dir",
-)
+# The keys to_dict writes (RunConfig's fields at the top level), plus output_dir, which it leaves out.
+_RUN_KEYS = tuple(f.name for f in fields(RunConfig))
+CONFIG_KEYS = (*_RUN_KEYS, "repetitions", "noise", "eve", "sweep", "format", "output_dir")
 # Sweep axes and the JSON type of their values, in the fixed axis order.
 SWEEP_AXES = {"p_bitflip": float, "repetition": int, "eve": str, "tag_length": int}
 
@@ -87,13 +80,13 @@ def _object(name: str, value, keys) -> dict:
     return value
 
 
-def _build(name: str, factory, *args, **fields):
-    """factory(*args, **fields), the config section or sweep value `name` prefixed to the
+def _build(prefix: str, factory, *args, **fields):
+    """factory(*args, **fields), `prefix` (where the values came from) put before the
     message of a ValueError it raises (a ConfigError, from every config type)."""
     try:
         return factory(*args, **fields)
     except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -113,8 +106,8 @@ class ExperimentConfig:
         check_fields(self, run=RunConfig, repetitions=int, noise=NoiseModel, eve=EveStrategy, output_dir=(str, Path))
         if self.repetitions < 1:
             raise ConfigError("repetitions: must be >= 1")
-        if checked("format", self.output_format, str) not in ("tabular", "structured"):
-            raise ConfigError("format: must be 'tabular' or 'structured'")
+        if checked("format", self.output_format, str) not in FORMATS:
+            raise ConfigError(f"format: must be {' or '.join(map(repr, FORMATS))}")
         for name, axis in self.sweep_axes.items():
             axis = checked(f"sweep.{name}", axis, [SWEEP_AXES[name]])
             if not axis:
@@ -147,7 +140,7 @@ class ExperimentConfig:
         one object, built and checked once; a value that fails its check is a ConfigError
         naming the sweep axis and index it came from."""
         cells, swept, runs, links = self.cells(), self.sweep_axes, {}, {}
-        at = lambda cell, *axes: ", ".join(f"sweep.{a}[{swept[a].index(cell[a])}]" for a in axes if a in swept)
+        at = lambda cell, *axes: ", ".join(f"sweep.{a}[{swept[a].index(cell[a])}]" for a in axes if a in swept) + ": "
         for cell in cells:
             p_bitflip, repetition, kind, tag_length = cell.values()
             if (repetition, tag_length) not in runs:
@@ -161,20 +154,12 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return {
-            "variant": self.run.variant,
-            "n_bits": self.run.n_bits,
-            "repetition": self.run.repetition,
+            **asdict(self.run),  # basis_pool and tag_bits are spelled for JSON below
             "basis_pool": [b.theta for b in self.run.basis_pool],
-            "tag_length": self.run.tag_length,
             "tag_bits": list(self.run.tag_bits) if self.run.tag_bits is not None else None,
-            "seed": self.run.seed,
             "repetitions": self.repetitions,
             "noise": asdict(self.noise),
-            "eve": {
-                "kind": self.eve.kind,
-                "basis_pool": list(self.eve.basis_pool),
-                "legs": sorted(self.eve.legs),
-            },
+            "eve": {**asdict(self.eve), "legs": sorted(self.eve.legs)},
             "sweep": {name: list(axis) for name, axis in self.sweep_axes.items()},
             # output_dir is deliberately not persisted: replayed artifacts
             # must be byte-identical regardless of where they are written.
@@ -187,16 +172,12 @@ class ExperimentConfig:
         if "n_bits" not in data:
             raise ConfigError("n_bits: missing required field")
         # Only the keys given are passed: each config type checks its own fields and holds their defaults.
-        keys = ("n_bits", "repetition", "variant", "tag_length", "seed", "tag_bits")
-        run = {key: data[key] for key in keys if key in data}
-        if "basis_pool" in data:
-            run["basis_pool"] = tuple(map(Basis, checked("basis_pool", data["basis_pool"], [ANGLE])))
-        run = _build("run parameters", RunConfig, **run)
-        noise_d = _object("noise", data.get("noise", {}), ("p_bitflip", "p_phaseflip", "p_both"))
-        noise = _build("noise", NoiseModel, **{k: checked(f"noise.{k}", v, float) for k, v in noise_d.items()})
-        eve_kinds = {"kind": str, "basis_pool": [ANGLE], "legs": [str]}
-        eve_d = _object("eve", data.get("eve", {}), eve_kinds)
-        eve = _build("eve", EveStrategy, **{k: checked(f"eve.{k}", v, eve_kinds[k]) for k, v in eve_d.items()})
+        run = {key: data[key] for key in _RUN_KEYS if key in data}
+        if "basis_pool" in run:  # JSON angles become Basis objects
+            run["basis_pool"] = tuple(map(Basis, checked("basis_pool", run["basis_pool"], [ANGLE])))
+        run = _build("run parameters: ", RunConfig, **run)
+        noise, eve = (_build(f"{name}.", kind, **_object(name, data.get(name, {}), {f.name for f in fields(kind)}))
+                      for name, kind in (("noise", NoiseModel), ("eve", EveStrategy)))
         sweep = _object("sweep", data.get("sweep", {}), SWEEP_AXES)
         given = {key: data[key] for key in ("repetitions", "output_dir") if key in data}
         if "format" in data:
@@ -246,10 +227,11 @@ class RunStatistics:
     cells: tuple[CellStats, ...]
 
     def csv_text(self) -> str:
-        lines = [",".join(_CSV_COLUMNS)]
-        for cell in self.cells:
-            row = cell.to_dict()
-            lines.append(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in _CSV_COLUMNS))
+        """A header of the first row's keys (the sweep axes, then the stats fields), one line per cell."""
+        rows = [cell.to_dict() for cell in self.cells]
+        lines = [",".join(rows[0])]
+        for row in rows:
+            lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row.values()))
         return "\n".join(lines) + "\n"
 
     def summary_json_text(self) -> str:

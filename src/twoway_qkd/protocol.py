@@ -616,7 +616,8 @@ def run_session(
     backward leg, measurement). From DRAW_AHEAD_QUBITS qubits on, given 2+ cores in os.sched_getaffinity, a worker
     thread draws purposes 1, 3, 4 (legs' noise, measurement) ahead (_DrawAhead), each once, in order: same bytes.
     """
-    link = LinkSettings(noise_forward or NoiseModel(), noise_backward or NoiseModel(), eve or EveStrategy.absent())
+    given = {"noise_forward": noise_forward, "noise_backward": noise_backward, "eve": eve}
+    link = LinkSettings(**{name: value for name, value in given.items() if value is not None})  # None: its default
     m = None if key_message is None else as_bits(key_message)
     streams, ahead = (rng,) * 5, None
     if rng is None:

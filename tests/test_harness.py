@@ -8,7 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -23,6 +23,7 @@ from twoway_qkd import (Basis, ConfigError, EveStrategy, ExperimentConfig, LinkS
 from twoway_qkd.cli import main
 from twoway_qkd.harness import (
     CONFIG_FILENAME,
+    CONFIG_KEYS,
     CSV_FILENAME,
     SUMMARY_FILENAME,
     SWEEP_AXES,
@@ -49,6 +50,17 @@ def test_config_roundtrip_through_dict():
     config = make_config(sweep={"p_bitflip": [0.0, 0.1]}, tag_length=4)
     rebuilt = ExperimentConfig.from_dict(config.to_dict())
     assert rebuilt.to_dict() == config.to_dict()
+
+
+def test_the_schema_is_the_config_types_own():
+    # Every section set: to_dict writes CONFIG_KEYS but output_dir, and the results.csv
+    # header is the sweep axes, then every CellStats field but params.
+    config = make_config(tag_length=2, tag_bits=[0, 1], noise={"p_bitflip": 0.1}, repetitions=1,
+                         eve={"kind": "substitute", "basis_pool": [0.3]}, sweep={"p_bitflip": [0.0, 0.1]},
+                         format="structured", output_dir="elsewhere")
+    assert set(config.to_dict()) | {"output_dir"} == set(CONFIG_KEYS)
+    header = run_experiment(config).csv_text().splitlines()[0]
+    assert header == ",".join([*SWEEP_AXES, *(f.name for f in fields(CellStats) if f.name != "params")])
 
 
 def test_config_errors_name_the_field():
@@ -475,7 +487,7 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, override, field):
         ({"sweep": {"repetition": []}}, "sweep.repetition"),
         ({"sweep": {"tag_length": []}}, "sweep.tag_length"),
         ({"basis_pool": []}, "basis_pool"),
-        ({"eve": {"kind": "x", "basis_pool": [0.1]}}, "kind"),
+        ({"eve": {"kind": "x", "basis_pool": [0.1]}}, "eve.kind"),
         ({"eve": {"kind": "substitute"}}, "basis_pool"),
         ({"noise": {"p_bitflip": 0.6, "p_phaseflip": 0.6}}, "p_phaseflip"),
         ({"sweep": {"eve": ["mitm"]}}, "sweep.eve[0]"),
@@ -483,6 +495,10 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, override, field):
         ({"sweep": {"p_bitflip": [2.0]}}, "sweep.p_bitflip[0]"),
         ({"sweep": {"tag_length": [99]}}, "sweep.tag_length[0]"),
         ({"tag_length": 1, "tag_bits": [1], "sweep": {"tag_length": [2]}}, "sweep.tag_length[0]"),
+        # A section's range checks name the field as its type checks do: section.field.
+        ({"noise": {"p_bitflip": 2.0}}, "noise.p_bitflip"),
+        ({"noise": {"p_bitflip": 0.6, "p_phaseflip": 0.6}}, "noise.p_bitflip + p_phaseflip"),
+        ({"eve": {"kind": "substitute"}}, "eve.basis_pool"),
     ],
 )
 def test_cli_rejects_malformed_json_fields(tmp_path, capsys, override, field):
