@@ -50,6 +50,7 @@ import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +70,24 @@ _RUN_KEYS = tuple(f.name for f in fields(RunConfig))
 CONFIG_KEYS = (*_RUN_KEYS, "repetitions", "noise", "eve", "sweep", "format", "output_dir")
 # Sweep axes and the JSON type of their values, in the fixed axis order.
 SWEEP_AXES = {"p_bitflip": float, "repetition": int, "eve": str, "tag_length": int}
+
+# json.dumps's spelling of each scalar type a config or cell holds (the config types store exact types).
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, type(None): lambda _: "null",
+            float: lambda value: _NON_FINITE.get(text := repr(value), text)}
+
+
+def _json(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True) for a value of dicts, lists, tuples and
+    _SCALARS, each line after the first starting with `indent` (a newline, then spaces)."""
+    kind, inner = type(value), indent + "  "
+    if kind is dict:
+        brackets, items = "{}", [f"{encode_basestring_ascii(key)}: {_json(value[key], inner)}" for key in sorted(value)]
+    elif kind is list or kind is tuple:
+        brackets, items = "[]", [_json(item, inner) for item in value]
+    else:
+        return _SCALARS[kind](value)
+    return brackets[0] + inner + f",{inner}".join(items) + indent + brackets[1] if items else brackets
 
 
 def _object(name: str, value, keys) -> dict:
@@ -196,7 +215,7 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     def json_text(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return _json(self.to_dict()) + "\n"
 
 
 def _binomial_se(rate: float, n: int) -> float:
@@ -221,26 +240,41 @@ class CellStats:
         return {**self.params, **{f.name: getattr(self, f.name) for f in fields(self) if f.name != "params"}}
 
 
+# summary.json around its cell objects and its nested config, keys in sorted order.
+_SUMMARY = ('{\n  "cells": [\n    %s\n  ],\n  "config": %s,\n'
+            '  "note": "all rates are simulator-derived Monte Carlo estimates"\n}\n')
+
+
 @dataclass(frozen=True)
 class RunStatistics:
     config: ExperimentConfig
     cells: tuple[CellStats, ...]
 
+    def texts(self) -> dict[str, str]:
+        """Each artifact's text by file name, in one pass. results.csv is a header of the first row's
+        keys (the sweep axes, then the stats fields) and one line per cell; each JSON file is the text
+        of json.dumps(indent=2, sort_keys=True) plus a newline. Each cell value is spelled once."""
+        config = self.config.json_text()
+        columns = list(self.cells[0].to_dict())
+        keys = sorted((name, i) for i, name in enumerate(columns))  # a cell object's keys, in sorted order
+        keys = [(i, f"\n      {encode_basestring_ascii(name)}: ") for name, i in keys]
+        lines, objects = [",".join(columns)], []
+        for cell in self.cells:
+            values = cell.to_dict().values()
+            spelled = [repr(v) if type(v) is float else str(v) for v in values]
+            lines.append(",".join(spelled))
+            spelled = [encode_basestring_ascii(v) if type(v) is str else _NON_FINITE.get(s, s)
+                       for v, s in zip(values, spelled)]
+            objects.append("{" + ",".join([prefix + spelled[i] for i, prefix in keys]) + "\n    }")
+        nested = config[:-1].replace("\n", "\n  ")  # strings are escaped, so every newline starts a line
+        summary = _SUMMARY % (",\n    ".join(objects), nested)
+        return {CONFIG_FILENAME: config, CSV_FILENAME: "\n".join(lines) + "\n", SUMMARY_FILENAME: summary}
+
     def csv_text(self) -> str:
-        """A header of the first row's keys (the sweep axes, then the stats fields), one line per cell."""
-        rows = [cell.to_dict() for cell in self.cells]
-        lines = [",".join(rows[0])]
-        for row in rows:
-            lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row.values()))
-        return "\n".join(lines) + "\n"
+        return self.texts()[CSV_FILENAME]
 
     def summary_json_text(self) -> str:
-        payload = {
-            "config": self.config.to_dict(),
-            "cells": [cell.to_dict() for cell in self.cells],
-            "note": "all rates are simulator-derived Monte Carlo estimates",
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return self.texts()[SUMMARY_FILENAME]
 
 
 def run_experiment(config: ExperimentConfig) -> RunStatistics:
@@ -293,13 +327,9 @@ def emit_results(stats: RunStatistics, output_dir) -> list[Path]:
     try:
         out.mkdir(parents=True, exist_ok=True)
         written = []
-        for name, text in (
-            (CONFIG_FILENAME, stats.config.json_text()),
-            (CSV_FILENAME, stats.csv_text()),
-            (SUMMARY_FILENAME, stats.summary_json_text()),
-        ):
+        for name, text in stats.texts().items():  # ASCII bytes, whatever the locale
             path = out / name
-            path.write_text(text)
+            path.write_bytes(text.encode("ascii"))
             written.append(path)
     except OSError as exc:
         raise ConfigError(f"output_dir: cannot write to {out}: {exc}") from exc

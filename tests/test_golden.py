@@ -21,6 +21,7 @@ from twoway_qkd import (
     NoiseModel,
     RunConfig,
     Topology,
+    emit_results,
     run_experiment,
     run_session,
     run_star_session,
@@ -229,31 +230,35 @@ def check_covers(name: str, cells) -> None:
         assert any(0 < c.erasure_rate < 1 for c in cells)
 
 
-# (results.csv, summary.json) sha256 per case.
+# (results.csv, summary.json, config_resolved.json) sha256 per case, of the files emit_results writes.
 EXPERIMENT_PINS = {
     "v3_even_and_odd_t_phase_noise": (
         "594b9df34ea3d33bdaabdac2b58790b6afe93d380cd9ad9b08ff0542c82dacc2",
         "9e1564388ebd37250bd0d9caa68639e7a4dc187cc0b7a401ae41254a6b765bd2",
+        "c7fe81e0922722e2eb074621f13bcfed4fa2d041a27d4d867e57ff4788fa4db3",
     ),
     "v2_one_block_even_t_aborts": (
         "29c44bd7f9abce749cd2f586d7d90151c7912e898d7626d2db203b978bb42ad2",
         "a6709acddb17da3015d04627ae98936facb9625a07833c198796b5a083e02d77",
+        "373206e066b44dc4cd03651d6c364f45b78e4571f9381347c13f78dedadf6aba",
     ),
     "v1_eve_backward_leg": (
         "a8f985735e73d5ccea454f31b6b2485f6c5df98fb511ae41cce22bd668ced2c3",
         "1d12547ed2a4e36b5fc20a48dcb36e81b2459368ede3741e305e5de2d1a3c64b",
+        "e2b7fb7cce6ea1f2c68095a7b1d22436aa5aef46b81afb219c6b0d3716677fee",
     ),
     "v2_even_t_eve_both_legs": (
         "521577ffce00172f89e221635b64370aec134325a1b0480702dad5069c240f52",
         "2b7f489a77daf2612f3332e3c02036a340d3f2f0dae52a18bb8d4bfab03a9c01",
+        "a25b32c329cd420352eff6b23f3bc7363e845a91276b6341df235f99c3acfe64",
     ),
 }
 
 
 @pytest.mark.parametrize("name", EXPERIMENT_PINS)
-def test_experiment_artifact_digests(name):
+def test_experiment_artifact_digests(name, tmp_path):
     stats = run_experiment(ExperimentConfig.from_dict(EXPERIMENT_CASES[name]))
     check_covers(name, stats.cells)
-    csv_pin, summary_pin = EXPERIMENT_PINS[name]
-    assert sha256(stats.csv_text().encode("ascii")) == csv_pin
-    assert sha256(stats.summary_json_text().encode("ascii")) == summary_pin
+    emit_results(stats, tmp_path)
+    names = ("results.csv", "summary.json", "config_resolved.json")
+    assert tuple(sha256((tmp_path / name).read_bytes()) for name in names) == EXPERIMENT_PINS[name]

@@ -28,7 +28,9 @@ from twoway_qkd.harness import (
     SUMMARY_FILENAME,
     SWEEP_AXES,
     CellStats,
+    RunStatistics,
     _binomial_se,
+    _json,
 )
 from twoway_qkd.protocol import HUB_SPAWN_KEY, VARIANTS, _key_rng
 from twoway_qkd.qubit import RowStreams, _row_seed_words, _SeedWords
@@ -680,6 +682,63 @@ def test_respelled_config_replays_byte_for_byte(spec):
     stats, replayed_stats = run_experiment(config), run_experiment(replayed)
     assert stats.csv_text() == replayed_stats.csv_text()
     assert stats.summary_json_text() == replayed_stats.summary_json_text()
+
+
+def oracle_texts(stats) -> dict:
+    """Each artifact's text as json.dumps and the CSV formatter the one-pass emitter replaced
+    spell it: the emitter's oracle."""
+    config, rows = stats.config.to_dict(), [cell.to_dict() for cell in stats.cells]
+    lines = [",".join(rows[0])] + [",".join(repr(v) if isinstance(v, float) else str(v) for v in row.values())
+                                   for row in rows]
+    summary = {"config": config, "cells": rows, "note": "all rates are simulator-derived Monte Carlo estimates"}
+    return {CONFIG_FILENAME: json.dumps(config, indent=2, sort_keys=True) + "\n", CSV_FILENAME: "\n".join(lines) + "\n",
+            SUMMARY_FILENAME: json.dumps(summary, indent=2, sort_keys=True) + "\n"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(experiment_dicts().map(ExperimentConfig.from_dict), respelled_specs().map(build_config)))
+def test_artifacts_are_the_bytes_json_dumps_writes(config):
+    stats = run_experiment(config)
+    expected = oracle_texts(stats)
+    assert config.json_text() == expected[CONFIG_FILENAME]
+    assert stats.csv_text() == expected[CSV_FILENAME]
+    assert stats.summary_json_text() == expected[SUMMARY_FILENAME]
+    # emit_results writes those texts as ASCII bytes, building none with json.dumps and writing none as text.
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(json, "dumps", side_effect=AssertionError), \
+            mock.patch.object(Path, "write_text", side_effect=AssertionError):
+        written = emit_results(stats, tmp)
+        assert [path.name for path in written] == [CONFIG_FILENAME, CSV_FILENAME, SUMMARY_FILENAME]
+        assert {path.name: path.read_bytes() for path in written} == {
+            name: text.encode("ascii") for name, text in expected.items()}
+
+
+# Cell values at the edges of their spellings: float extremes and non-finite values (JSON NaN and
+# Infinity, CSV nan and inf), ints past 2**63, and strings that need escapes.
+EDGE_VALUES = [-0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf, 2**63, -(2**64) - 1, 10**30,
+               'a"b', "back\\slash", "\x00\x1f\n\t", "\u00e9", "\u2028", "\U0001f600", ""]
+cell_values = st.sampled_from(EDGE_VALUES) | st.floats() | st.integers() | st.text(max_size=6)
+STAT_FIELDS = [f.name for f in fields(CellStats) if f.name != "params"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(max_size=6).filter(lambda key: key not in STAT_FIELDS), max_size=5, unique=True),
+       st.integers(1, 3), st.data())
+def test_cell_emitter_spells_each_value_as_json_dumps_and_the_csv_formatter_do(keys, n_cells, data):
+    cells = tuple(CellStats(params={key: data.draw(cell_values) for key in keys},
+                            **{name: data.draw(cell_values) for name in STAT_FIELDS}) for _ in range(n_cells))
+    stats = RunStatistics(make_config(), cells)  # no sweep, null tag_bits
+    expected = oracle_texts(stats)
+    assert stats.texts() == expected
+    assert '"sweep": {}' in expected[CONFIG_FILENAME] and '"tag_bits": null' in expected[CONFIG_FILENAME]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(st.none() | cell_values, lambda children: st.lists(children, max_size=3)
+                    | st.lists(children, max_size=3).map(tuple) | st.dictionaries(st.text(max_size=6), children, max_size=3),
+                    max_leaves=8))
+def test_config_emitter_is_json_dumps(value):
+    # The config's emitter, on nested values of every type a config holds, empty containers and the edge values.
+    assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 # Values of the wrong type for each kind of field; "list" is a tuple field's container,
