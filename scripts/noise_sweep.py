@@ -7,6 +7,7 @@ Usage: python3 scripts/noise_sweep.py [output_dir]
 
 import math
 import sys
+from pathlib import Path
 
 from twoway_qkd import ExperimentConfig, emit_results, run_experiment
 
@@ -29,8 +30,8 @@ def main() -> None:
         }
     )
     stats = run_experiment(config)
-    emit_results(stats, output_dir)
-    print(stats.csv_text(), end="")
+    written = emit_results(stats, output_dir)
+    print(written[Path(output_dir, "results.csv")], end="")
     print(f"# artifacts written to {output_dir}", file=sys.stderr)
 
 

@@ -17,7 +17,8 @@ from pathlib import Path
 
 from dataclasses import replace
 
-from .harness import CONFIG_FILENAME, FORMATS, ConfigError, ExperimentConfig, _build, emit_results, run_experiment
+from .harness import (CONFIG_FILENAME, CSV_FILENAME, FORMATS, SUMMARY_FILENAME, ConfigError, ExperimentConfig, _build,
+                      emit_results, run_experiment)
 
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
@@ -62,10 +63,8 @@ def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> Expe
 def _execute(config: ExperimentConfig) -> int:
     stats = run_experiment(config)
     written = emit_results(stats, config.output_dir)
-    if config.output_format == "tabular":
-        sys.stdout.write(stats.csv_text())
-    else:
-        sys.stdout.write(stats.summary_json_text())
+    echoed = CSV_FILENAME if config.output_format == "tabular" else SUMMARY_FILENAME
+    sys.stdout.write(written[Path(config.output_dir, echoed)])
     sys.stderr.write("wrote: " + ", ".join(str(p) for p in written) + "\n")
     return 0
 

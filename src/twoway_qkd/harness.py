@@ -49,7 +49,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -65,8 +65,10 @@ SUMMARY_FILENAME = "summary.json"
 
 FORMATS = ("tabular", "structured")
 
+# Each config type's field names, read shallowly by to_dict (dataclasses.asdict would deep-copy every field).
+_FIELD_NAMES = {kind: tuple(f.name for f in fields(kind)) for kind in (RunConfig, NoiseModel, EveStrategy)}
 # The keys to_dict writes (RunConfig's fields at the top level), plus output_dir, which it leaves out.
-_RUN_KEYS = tuple(f.name for f in fields(RunConfig))
+_RUN_KEYS = _FIELD_NAMES[RunConfig]
 CONFIG_KEYS = (*_RUN_KEYS, "repetitions", "noise", "eve", "sweep", "format", "output_dir")
 # Sweep axes and the JSON type of their values, in the fixed axis order.
 SWEEP_AXES = {"p_bitflip": float, "repetition": int, "eve": str, "tag_length": int}
@@ -88,6 +90,11 @@ def _json(value, indent: str = "\n") -> str:
     else:
         return _SCALARS[kind](value)
     return brackets[0] + inner + f",{inner}".join(items) + indent + brackets[1] if items else brackets
+
+
+def _fields_dict(value) -> dict:
+    """A config type's fields by name, the values themselves."""
+    return {name: getattr(value, name) for name in _FIELD_NAMES[type(value)]}
 
 
 def _object(name: str, value, keys) -> dict:
@@ -173,12 +180,12 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return {
-            **asdict(self.run),  # basis_pool and tag_bits are spelled for JSON below
+            **_fields_dict(self.run),  # basis_pool and tag_bits are spelled for JSON below
             "basis_pool": [b.theta for b in self.run.basis_pool],
             "tag_bits": list(self.run.tag_bits) if self.run.tag_bits is not None else None,
             "repetitions": self.repetitions,
-            "noise": asdict(self.noise),
-            "eve": {**asdict(self.eve), "legs": sorted(self.eve.legs)},
+            "noise": _fields_dict(self.noise),
+            "eve": {**_fields_dict(self.eve), "legs": sorted(self.eve.legs)},
             "sweep": {name: list(axis) for name, axis in self.sweep_axes.items()},
             # output_dir is deliberately not persisted: replayed artifacts
             # must be byte-identical regardless of where they are written.
@@ -195,7 +202,7 @@ class ExperimentConfig:
         if "basis_pool" in run:  # JSON angles become Basis objects
             run["basis_pool"] = tuple(map(Basis, checked("basis_pool", run["basis_pool"], [ANGLE])))
         run = _build("run parameters: ", RunConfig, **run)
-        noise, eve = (_build(f"{name}.", kind, **_object(name, data.get(name, {}), {f.name for f in fields(kind)}))
+        noise, eve = (_build(f"{name}.", kind, **_object(name, data.get(name, {}), _FIELD_NAMES[kind]))
                       for name, kind in (("noise", NoiseModel), ("eve", EveStrategy)))
         sweep = _object("sweep", data.get("sweep", {}), SWEEP_AXES)
         given = {key: data[key] for key in ("repetitions", "output_dir") if key in data}
@@ -237,7 +244,10 @@ class CellStats:
 
     def to_dict(self) -> dict:
         """The cell's sweep parameters, then every other field by name."""
-        return {**self.params, **{f.name: getattr(self, f.name) for f in fields(self) if f.name != "params"}}
+        return {**self.params, **{name: getattr(self, name) for name in _STAT_FIELDS}}
+
+
+_STAT_FIELDS = tuple(f.name for f in fields(CellStats) if f.name != "params")
 
 
 # summary.json around its cell objects and its nested config, keys in sorted order.
@@ -321,16 +331,16 @@ def run_experiment(config: ExperimentConfig) -> RunStatistics:
     return RunStatistics(config=config, cells=tuple(stats))
 
 
-def emit_results(stats: RunStatistics, output_dir) -> list[Path]:
-    """Write config_resolved.json, results.csv, and summary.json."""
+def emit_results(stats: RunStatistics, output_dir) -> dict[Path, str]:
+    """Write config_resolved.json, results.csv, and summary.json; return each path with the text written there."""
     out = Path(output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        written = []
+        written = {}
         for name, text in stats.texts().items():  # ASCII bytes, whatever the locale
             path = out / name
             path.write_bytes(text.encode("ascii"))
-            written.append(path)
+            written[path] = text
     except OSError as exc:
         raise ConfigError(f"output_dir: cannot write to {out}: {exc}") from exc
     return written

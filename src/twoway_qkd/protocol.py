@@ -22,10 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-import threading
 from dataclasses import dataclass, fields, replace
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -52,7 +49,6 @@ HUB_SPAWN_KEY = (1 << 16, 0)
 # 64-qubit V1 cell with Eve on both legs peaks near 60 MiB at 2**16 and
 # 360 MiB at 2**20, and runs no faster with the wider chunks.
 BATCH_QUBITS = 1 << 16
-DRAW_AHEAD_QUBITS = 1 << 18  # run_session draws ahead from here on with a second core (crossover: BENCH_26.json)
 
 
 def _passes(rows: int, qubit_count: int) -> list[slice]:
@@ -570,35 +566,6 @@ def _session_result(config: RunConfig, passed: Pass, row=...) -> SessionResult:
     return SessionResult(config=config, alice_final=values["derivation"].C, **values)
 
 
-class _DrawAhead:
-    """Each stream's one random(n), drawn in order on worker threads, one in flight; holds no stand-in: no cycle."""
-
-    def __init__(self, streams, n: int):
-        self.queue, self.n, self.out, self.failed = [stream for stream in streams if stream is not None], n, None, None
-        self._advance()
-
-    def _fill(self, stream: Rng, out: np.ndarray) -> None:
-        try:
-            stream.random(out=out)
-        except BaseException as error:  # raised again on the caller's thread, by take
-            self.failed = error
-
-    def _advance(self) -> np.ndarray | None:
-        out, self.out = self.out, np.empty(self.n) if self.queue else None  # the next draw starts as one is taken
-        if self.queue:
-            self.thread = threading.Thread(target=self._fill, args=(self.queue[0], self.out))  # holds self till done
-            self.thread.start()
-        return out
-
-    def take(self, stream: Rng, n: int) -> np.ndarray:
-        if not self.queue or stream is not self.queue.pop(0) or n != self.n:
-            raise RuntimeError("a stream drawn ahead must be read by one random(n), in the order drawn")
-        self.thread.join()
-        if self.failed is not None:
-            raise self.failed
-        return self._advance()
-
-
 def run_session(
     config: RunConfig,
     noise_forward: NoiseModel | None = None,
@@ -613,27 +580,19 @@ def run_session(
     With no explicit source, random streams follow the link-0 seed-splitting
     scheme, so this is bit-identical to a one-leaf star session. An explicit
     rng is consumed sequentially in the fixed order (a, b, m, forward leg,
-    backward leg, measurement). From DRAW_AHEAD_QUBITS qubits on, given 2+ cores in os.sched_getaffinity, a worker
-    thread draws purposes 1, 3, 4 (legs' noise, measurement) ahead (_DrawAhead), each once, in order: same bytes.
+    backward leg, measurement).
     """
     given = {"noise_forward": noise_forward, "noise_backward": noise_backward, "eve": eve}
     link = LinkSettings(**{name: value for name, value in given.items() if value is not None})  # None: its default
     m = None if key_message is None else as_bits(key_message)
-    streams, ahead = (rng,) * 5, None
+    streams = (rng,) * 5
     if rng is None:
         # Rows 0-4 seed link 0's purposes; row 5 is spawn key (1 << 16, 0), the hub's HUB_SPAWN_KEY.
         words = _row_seed_words(config.seed, [[0], HUB_SPAWN_KEY[:1]], 0, 5)
         streams = [_generator(row) if count else None for row, count in zip(words[:5], _row_halves(config, link))]
         if m is None:
             m = bob_build_key_message(config, _generator(words[5]))
-        if config.qubit_count >= DRAW_AHEAD_QUBITS and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
-            ahead = _DrawAhead([streams[1], streams[3], streams[4]], config.qubit_count)
-            streams = [SimpleNamespace(random=lambda n, s=s: ahead.take(s, n)) if s in ahead.queue else s for s in streams]
-    try:
-        return _session_result(config, run_batch([(config, link, 1)], streams, m))
-    finally:
-        if ahead is not None:  # no worker outlives the session
-            ahead.thread.join()
+    return _session_result(config, run_batch([(config, link, 1)], streams, m))
 
 
 def run_batch(cells, streams, m=None) -> Pass:

@@ -416,6 +416,17 @@ def test_cli_structured_format(tmp_path, capsys):
     assert "cells" in payload and len(payload["cells"]) == 1
 
 
+@pytest.mark.parametrize("output_format, echoed", [("tabular", CSV_FILENAME), ("structured", SUMMARY_FILENAME)])
+def test_cli_builds_the_artifact_texts_once_and_echoes_the_file_written(tmp_path, capsys, output_format, echoed):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**BASE, "sweep": {"p_bitflip": [0.0, 0.1]}}))
+    with mock.patch.object(RunStatistics, "texts", autospec=True, side_effect=RunStatistics.texts) as texts:
+        assert main(["run", "--config", str(cfg_path), "--output-dir", str(tmp_path / "out"),
+                     "--format", output_format]) == 0
+    assert texts.call_count == 1
+    assert capsys.readouterr().out == (tmp_path / "out" / echoed).read_text()
+
+
 def test_cli_seed_override_changes_resolved_config(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(BASE))
@@ -708,6 +719,7 @@ def test_artifacts_are_the_bytes_json_dumps_writes(config):
             mock.patch.object(Path, "write_text", side_effect=AssertionError):
         written = emit_results(stats, tmp)
         assert [path.name for path in written] == [CONFIG_FILENAME, CSV_FILENAME, SUMMARY_FILENAME]
+        assert {path.name: text for path, text in written.items()} == expected
         assert {path.name: path.read_bytes() for path in written} == {
             name: text.encode("ascii") for name, text in expected.items()}
 
@@ -824,36 +836,29 @@ def test_run_path_imports_no_reference(tmp_path):
     assert verify == 0 and after_verify == ["twoway_qkd.reference", "twoway_qkd.invariants"]
 
 
-# Runs in a fresh interpreter too: `run`, then a session that draws ahead on a worker thread.
-_THREAD_IMPORTS = """
-import contextlib, io, json, os, sys
+# Runs in a fresh interpreter too.
+_LOGGING_IMPORTS = """
+import contextlib, io, json, sys
 import twoway_qkd
 import twoway_qkd.cli
 
-def loaded():
-    return [name for name in ("concurrent.futures", "logging") if name in sys.modules]
-
 with contextlib.redirect_stdout(io.StringIO()):
     run = twoway_qkd.cli.main(["run", "--config", sys.argv[1], "--output-dir", sys.argv[2]])
-after_run = loaded()
-os.sched_getaffinity = lambda pid: {0, 1}  # a session draws ahead only with a second usable core
-twoway_qkd.run_session(twoway_qkd.RunConfig(n_bits=twoway_qkd.protocol.DRAW_AHEAD_QUBITS), twoway_qkd.NoiseModel(0.1))
-print(json.dumps([run, after_run, loaded()]))
+print(json.dumps([run, [name for name in ("concurrent.futures", "logging") if name in sys.modules]]))
 """
 
 
 def test_run_path_imports_no_logging(tmp_path):
-    """Neither `run` nor a session that draws ahead imports concurrent.futures or logging:
-    the worker is a bare threading.Thread, and those imports would add milliseconds to start-up."""
+    """`run` imports neither concurrent.futures nor logging: they would add milliseconds to start-up."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**BASE, "repetitions": 2}))
     src = str(Path(twoway_qkd.__file__).resolve().parents[1])
     done = subprocess.run(
-        [sys.executable, "-c", _THREAD_IMPORTS, str(cfg_path), str(tmp_path / "out")],
+        [sys.executable, "-c", _LOGGING_IMPORTS, str(cfg_path), str(tmp_path / "out")],
         capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [0, [], []]
+    assert json.loads(done.stdout) == [0, []]
 
 
 def test_unwritable_output_path(tmp_path):

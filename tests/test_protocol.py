@@ -1,6 +1,5 @@
 import itertools
 import math
-import os
 import sys
 import threading
 from dataclasses import replace
@@ -30,7 +29,7 @@ from twoway_qkd import (
 from twoway_qkd import harness, network, protocol
 from twoway_qkd.channel import RowNoise
 from twoway_qkd.network import Topology, run_star_session
-from twoway_qkd.protocol import (DRAW_AHEAD_QUBITS, HUB_SPAWN_KEY, LinkSettings, _generator, _resolve, _row_halves,
+from twoway_qkd.protocol import (HUB_SPAWN_KEY, LinkSettings, _generator, _resolve, _row_halves,
                                  _session_result, bob_build_key_message, derive, run_batch)
 from twoway_qkd.qubit import ZX, RowStreams, _row_seed_words
 from twoway_qkd.reference import encode_bit, register_state
@@ -425,18 +424,11 @@ SERIAL_CASES = {
 }
 
 
-@pytest.fixture
-def two_cores(monkeypatch):
-    """Sessions draw ahead only with a second usable core; these tests need one on any machine."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
-
-@pytest.mark.parametrize("qubits", [DRAW_AHEAD_QUBITS - 1, DRAW_AHEAD_QUBITS])
+@pytest.mark.parametrize("qubits", [2**18 - 1, 2**18])
 @pytest.mark.parametrize("case", SERIAL_CASES)
-@pytest.mark.usefixtures("two_cores")
-def test_sessions_that_draw_ahead_match_a_serial_pass(case, qubits):
-    # From DRAW_AHEAD_QUBITS qubits on, run_session draws its noise and measurement uniforms on a
-    # worker thread; a run_batch pass over plain Generators on the same seed words draws them in line.
+def test_sessions_on_their_own_streams_match_a_pass_over_generators(case, qubits):
+    # run_session seeds its own streams; a run_batch pass over plain Generators on the same seed words
+    # draws the same uniforms in the same order.
     fields, link = SERIAL_CASES[case]
     config = RunConfig(n_bits=qubits, **fields)
     words = _row_seed_words(config.seed, [[0], HUB_SPAWN_KEY[:1]], 0, 5)
@@ -447,11 +439,10 @@ def test_sessions_that_draw_ahead_match_a_serial_pass(case, qubits):
     assert result.transcript_text() == serial.transcript_text()
 
 
-@pytest.mark.usefixtures("two_cores")
-def test_sessions_that_draw_ahead_on_several_threads_keep_their_bytes():
-    # Three callers on two cores, each with its own worker, switching threads every 10 us.
+def test_sessions_on_several_threads_keep_their_bytes():
+    # Three callers share the module's tables (_pool_table, _DEFAULT_TAGS), switching threads every 10 us.
     fields, link = SERIAL_CASES["noise on both legs"]
-    config = RunConfig(n_bits=DRAW_AHEAD_QUBITS, **fields)
+    config = RunConfig(n_bits=2**18, **fields)
     want = run_session(config, NOISE, NOISE).transcript_text()
     got = []
     callers = [threading.Thread(target=lambda: got.extend(run_session(config, NOISE, NOISE).transcript_text()
@@ -467,62 +458,6 @@ def test_sessions_that_draw_ahead_on_several_threads_keep_their_bytes():
         sys.setswitchinterval(interval)
     assert not any(caller.is_alive() for caller in callers)
     assert got == [want] * 6
-
-
-class Failing(np.random.Generator):
-    """A Generator whose random() fails, as a worker's draw might."""
-
-    def random(self, *args, **kwargs):
-        raise FloatingPointError("no uniforms today")
-
-
-@pytest.mark.parametrize("cores, qubits", [({0}, DRAW_AHEAD_QUBITS), ({0, 1}, DRAW_AHEAD_QUBITS - 1)])
-def test_small_sessions_and_one_core_draw_in_line(cores, qubits, monkeypatch):
-    # Below the measured crossover a worker's start-up costs more than the overlap saves; on one
-    # usable core nothing overlaps (BENCH_26.json "crossover"). _DrawAhead, if called, would raise.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
-    monkeypatch.setattr(protocol, "_DrawAhead", None)
-    assert run_session(RunConfig(n_bits=qubits), NOISE, NOISE).accepted
-
-
-@pytest.mark.usefixtures("two_cores")
-def test_no_worker_outlives_a_session():
-    config, before = RunConfig(n_bits=DRAW_AHEAD_QUBITS), threading.active_count()
-    run_session(config, NOISE, NOISE)
-    assert threading.active_count() == before
-    # bob_encode rejects the key-message after the forward leg, with the backward draw in flight.
-    with pytest.raises(ValueError, match="key-message covers"):
-        run_session(config, NOISE, NOISE, key_message=np.zeros(DRAW_AHEAD_QUBITS - 1, np.uint8))
-    assert threading.active_count() == before
-    # A worker's exception is raised again on the calling thread (an unhandled one in the worker
-    # would be a PytestUnhandledThreadExceptionWarning, an error under this suite's filterwarnings).
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(protocol, "_generator", lambda words: Failing(np.random.PCG64(words)))
-        with pytest.raises(FloatingPointError, match="no uniforms today"):
-            run_session(config, NOISE, NOISE)
-    assert threading.active_count() == before
-
-
-@pytest.mark.parametrize("draw, error", [
-    (lambda streams: streams[4].random(DRAW_AHEAD_QUBITS), RuntimeError),  # the measurement before the forward noise
-    (lambda streams: streams[1].random(DRAW_AHEAD_QUBITS - 1), RuntimeError),
-    (lambda streams: [streams[1].random(DRAW_AHEAD_QUBITS) for _ in range(2)], RuntimeError),
-    (lambda streams: streams[1].random(DRAW_AHEAD_QUBITS, dtype=np.float32), TypeError),
-    (lambda streams: streams[1].integers(2, size=DRAW_AHEAD_QUBITS), AttributeError),
-])
-@pytest.mark.usefixtures("two_cores")
-def test_a_stream_drawn_ahead_takes_only_its_one_draw(draw, error):
-    # A change to run_batch's draws on purposes 1, 3 or 4 fails loudly instead of changing bytes.
-    def changed(cells, streams, m=None):
-        draw(streams)
-        raise AssertionError("the stand-in took a draw it was not made for")
-
-    before = threading.active_count()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(protocol, "run_batch", changed)
-        with pytest.raises(error):
-            run_session(RunConfig(n_bits=DRAW_AHEAD_QUBITS), NOISE, NOISE)
-    assert threading.active_count() == before
 
 
 def test_transcript_contains_per_qubit_records_and_strings():
