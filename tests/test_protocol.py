@@ -426,9 +426,10 @@ SERIAL_CASES = {
 
 @pytest.mark.parametrize("qubits", [2**18 - 1, 2**18])
 @pytest.mark.parametrize("case", SERIAL_CASES)
-def test_sessions_on_their_own_streams_match_a_pass_over_generators(case, qubits):
+def test_sessions_that_draw_ahead_match_a_serial_pass(case, qubits):
     # run_session seeds its own streams; a run_batch pass over plain Generators on the same seed words
-    # draws the same uniforms in the same order.
+    # draws the same uniforms in the same order. (The name dates from when bulk sessions drew their
+    # streams ahead on a worker thread; every session now draws on the calling thread.)
     fields, link = SERIAL_CASES[case]
     config = RunConfig(n_bits=qubits, **fields)
     words = _row_seed_words(config.seed, [[0], HUB_SPAWN_KEY[:1]], 0, 5)
