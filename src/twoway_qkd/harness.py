@@ -56,7 +56,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import ABSENT, FORWARD, EveStrategy, NoiseModel
-from .protocol import V2, LinkSettings, RunConfig, _pass_groups, _passes, _row_halves, run_batch
+from .protocol import ABORT_REASONS, V2, LinkSettings, RunConfig, _pass_groups, _passes, _row_halves, run_batch
 from .qubit import ANGLE, Basis, ConfigError, RowStreams, _row_seed_words, check_fields, checked
 
 CONFIG_FILENAME = "config_resolved.json"
@@ -72,6 +72,7 @@ _RUN_KEYS = _FIELD_NAMES[RunConfig]
 CONFIG_KEYS = (*_RUN_KEYS, "repetitions", "noise", "eve", "sweep", "format", "output_dir")
 # Sweep axes and the JSON type of their values, in the fixed axis order.
 SWEEP_AXES = {"p_bitflip": float, "repetition": int, "eve": str, "tag_length": int}
+_DETECTED = ABORT_REASONS.index("tag_mismatch")  # the abort code a sweep counts as a detection
 
 # json.dumps's spelling of each scalar type a config or cell holds (the config types store exact types).
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -317,7 +318,7 @@ def run_experiment(config: ExperimentConfig) -> RunStatistics:
                 passed = run_batch([(*settings[i], count) for i in ids], streams)
                 qbers = np.mean(passed.derivation.m_prime != passed.key_message, axis=-1)
                 erasures = np.mean(passed.derivation.p, axis=-1) if run_config.variant == V2 else np.zeros_like(qbers)
-                outcomes = np.stack([qbers, erasures, passed.agreement, passed.tag_mismatch]).reshape(4, -1, count)
+                outcomes = np.stack([qbers, erasures, passed.agreement, passed.abort == _DETECTED]).reshape(4, -1, count)
                 sums[:, ids] = np.cumsum(np.concatenate([sums[:, ids, None], outcomes], axis=2), axis=2)[:, :, -1]
     stats = []
     for params, (run_config, _), totals in zip(cells, settings, sums.T.tolist()):

@@ -160,10 +160,7 @@ class LeafOutcome(_Record):
 class StarSessionResult(_Record):
     key_message: np.ndarray
     outcomes: dict  # leaf name -> LeafOutcome
-
-    @property
-    def accepted_leaves(self) -> list[str]:
-        return [name for name, o in self.outcomes.items() if o.result.accepted]
+    accepted_leaves: list[str]  # in leaf order, from the passes' abort codes
 
 
 def _register_frames(link_id, direction, register: QubitRegister, frames: np.ndarray | None = None) -> np.ndarray:
@@ -208,7 +205,7 @@ def run_star_session(
     links = [topology.link_settings(leaf) for leaf in leaves]
     # A row of (to-hub, to-leaf) frames per leaf, a pass's consecutive; (L, 0, Q) if unrecorded.
     frames = np.empty((len(leaves), 2 * record_frames, config.qubit_count), FRAME_DTYPE)
-    outcomes, start = [None] * len(leaves), 0
+    outcomes, abort, start = [None] * len(leaves), np.empty(len(leaves), int), 0
     for group in _pass_groups(zip(configs, links)):
         halves = _row_halves(configs[group[0]], links[group[0]])
         for rows in _passes(len(group), config.qubit_count):
@@ -218,6 +215,7 @@ def run_star_session(
             cells = [(*settings, len(list(run))) for settings, run in groupby((configs[i], links[i]) for i in ids)]
             m = np.broadcast_to(key_message, (len(ids), len(key_message)))
             passed = run_batch(cells, streams, m)
+            abort[ids] = passed.abort
             block, start = frames[start : start + len(ids)], start + len(ids)
             if record_frames:
                 _register_frames(ids, TO_HUB, passed.delivered_to_bob, block[:, TO_HUB])
@@ -225,4 +223,5 @@ def run_star_session(
             for row, link_id in enumerate(ids):
                 result = partial(_session_result, configs[link_id], passed, row)
                 outcomes[link_id] = LeafOutcome(leaves[link_id], link_id, result, block[row].reshape(-1))
-    return StarSessionResult(key_message=key_message, outcomes={o.leaf: o for o in outcomes})
+    accepted = [leaves[i] for i in np.flatnonzero(abort == 0)]
+    return StarSessionResult(key_message=key_message, outcomes={o.leaf: o for o in outcomes}, accepted_leaves=accepted)

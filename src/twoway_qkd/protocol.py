@@ -36,6 +36,7 @@ V1 = "V1"
 V2 = "V2"
 V3 = "V3"
 VARIANTS = (V1, V2, V3)
+ABORT_REASONS = (None, "all_erasures", "tag_mismatch")  # a row's abort code is its reason's index: 0 accepts
 
 # Seed splitting: one independent stream per (link, purpose) from the master
 # seed, seeded with the words _row_seed_words derives for spawn key (link,
@@ -446,18 +447,20 @@ def derive(config: RunConfig, c, a) -> DerivationRecord:
     return DerivationRecord(c=c, M=M, m_prime=m_prime, p=ties, C=None if C.ndim == 1 and all_erased else C)
 
 
-def settle(config: RunConfig, record: DerivationRecord, m) -> tuple:
-    """Phase III's verdict, per row: (Bob's final string, all_erasures,
-    tag_mismatch, agreement). Bob's final string is his key-message m,
-    resolved with Alice's p in V2. A row aborts with all_erasures when p
-    leaves no pivot, else with tag_mismatch when Alice's decoded tag is
-    wrong; it agrees when it has a pivot and both final strings are equal."""
+def settle(cells, record: DerivationRecord, m) -> tuple:
+    """Phase III's verdict, per row of a pass's (config, rows) cells: (Bob's final
+    string, abort code, agreement). Bob's final string is his key-message m,
+    resolved with Alice's p in V2. A row aborts with all_erasures when p leaves
+    no pivot, else with tag_mismatch when Alice's decoded tag is not its cell's;
+    it agrees when it has a pivot and both final strings are equal."""
     bob_final, all_erasures = m, np.zeros(m.shape[:-1], bool)
-    if config.variant == V2:
+    if cells[0][0].variant == V2:
         bob_final, all_erasures = _resolve(m, record.p)
     alice_final = np.zeros_like(bob_final) if record.C is None else record.C
-    tag_mismatch = ~all_erasures & ~verify_tag(record.m_prime, config)
-    return bob_final, all_erasures, tag_mismatch, ~all_erasures & (alice_final == bob_final).all(axis=-1)
+    abort = np.empty(all_erasures.shape, int)
+    for config, rows in cells:  # codes index ABORT_REASONS
+        abort[rows] = np.where(all_erasures[rows], 1, np.where(verify_tag(record.m_prime[rows], config), 0, 2))
+    return bob_final, abort, ~all_erasures & (alice_final == bob_final).all(axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -523,14 +526,13 @@ def _leg(register: QubitRegister, noise, eve: EveStrategy, leg: str, noise_rng, 
 class Pass(NamedTuple):
     """What one run_batch pass produced, one leading row per session (none in a
     one-row pass of Generators): the fields a SessionResult holds, settle's
-    all_erasures and tag_mismatch flags in place of its abort reason."""
+    abort codes (see ABORT_REASONS) in place of its abort reason."""
 
     prep: PreparationRecord
     key_message: np.ndarray
     derivation: DerivationRecord
     bob_final: np.ndarray
-    all_erasures: np.ndarray
-    tag_mismatch: np.ndarray
+    abort: np.ndarray
     agreement: np.ndarray
     noise_codes_forward: np.ndarray
     noise_codes_backward: np.ndarray
@@ -558,9 +560,8 @@ def _session_result(config: RunConfig, passed: Pass, row=...) -> SessionResult:
     row `row` of a batch, under that session's config, from views of the
     pass's arrays. C and both final strings are None if every block erased."""
     values = {name: _row(value, row) for name, value in passed._asdict().items()}
-    all_erasures, tag_mismatch = values.pop("all_erasures"), values.pop("tag_mismatch")
-    abort_reason = "all_erasures" if all_erasures else "tag_mismatch" if tag_mismatch else None
-    if all_erasures:
+    abort_reason = ABORT_REASONS[values.pop("abort")]
+    if abort_reason == "all_erasures":
         values.update(bob_final=None, derivation=replace(values["derivation"], C=None))
     values.update(accepted=abort_reason is None, abort_reason=abort_reason, agreement=bool(values["agreement"]))
     return SessionResult(config=config, alice_final=values["derivation"].C, **values)
@@ -618,14 +619,14 @@ def run_batch(cells, streams, m=None) -> Pass:
     configs, links, counts = zip(*cells)
     if len(cells) > 1 and len(_pass_groups(zip(configs, links))) > 1:
         raise ValueError("the cells of one pass must draw alike: they may differ only in tag and noise levels")
-    spans = [slice(stop - count, stop) for stop, count in zip(itertools.accumulate(counts), counts)]
-    # The shortest tag serves the pass: every other cell's tag covers its positions, and is rewritten and rechecked.
+    # The shortest tag serves the pass: every cell's tag covers its positions, and is written into its rows.
     config = min(configs, key=lambda cell_config: cell_config.tag_length)
-    retagged = [(cell_config, span) for cell_config, span in zip(configs, spans) if cell_config is not config]
     prep = alice_prepare(config, streams[0])
+    stops = itertools.accumulate(counts)  # each cell's rows; a one-row pass of Generators has no row axis
+    rows = [...] if prep.a.ndim == 1 else [slice(stop - count, stop) for stop, count in zip(stops, counts)]
     if m is None:
         m = bob_build_key_message(config, streams[0])
-        for cell_config, span in retagged:
+        for cell_config, span in zip(configs, rows):
             m[span, config.message_length - cell_config.tag_length :] = cell_config.resolved_tag_bits()
     # Each leg's noise is the model every row shares, or at each row's link's levels (RowNoise)
     # where the models differ; Eve is the group's one strategy.
@@ -636,8 +637,6 @@ def run_batch(cells, streams, m=None) -> Pass:
     encoded, bob_ops = bob_encode(config, m, to_bob)
     to_alice, bwd_codes, eve_bwd = _leg(encoded, noise[1], eve, BACKWARD, streams[3], streams[2])
     record = derive(config, alice_measure(to_alice, prep, config, streams[4]), prep.a)
-    bob_final, all_erasures, tag_mismatch, agreement = settle(config, record, m)
-    for cell_config, span in retagged:
-        tag_mismatch[span] = ~all_erasures[span] & ~verify_tag(record.m_prime[span], cell_config)
-    return Pass(prep, m, record, bob_final, all_erasures, tag_mismatch, agreement, fwd_codes, bwd_codes,
+    bob_final, abort, agreement = settle(list(zip(configs, rows)), record, m)
+    return Pass(prep, m, record, bob_final, abort, agreement, fwd_codes, bwd_codes,
                 eve_fwd, eve_bwd, to_bob, to_alice, bob_ops)

@@ -29,7 +29,7 @@ from twoway_qkd import (
 from twoway_qkd import harness, network, protocol
 from twoway_qkd.channel import RowNoise
 from twoway_qkd.network import Topology, run_star_session
-from twoway_qkd.protocol import (HUB_SPAWN_KEY, LinkSettings, _generator, _resolve, _row_halves,
+from twoway_qkd.protocol import (ABORT_REASONS, HUB_SPAWN_KEY, LinkSettings, _generator, _resolve, _row_halves,
                                  _session_result, bob_build_key_message, derive, run_batch)
 from twoway_qkd.qubit import ZX, RowStreams, _row_seed_words
 from twoway_qkd.reference import encode_bit, register_state
@@ -673,7 +673,7 @@ def batch_rows(cells, rows: RowStreams) -> BatchRows:
     passed = run_batch(cells, (rows,) * 5)
     record = passed.derivation
     ties = record.ties if record.p is None else record.p
-    flags = (passed.agreement, passed.all_erasures, passed.tag_mismatch)
+    flags = (passed.agreement, passed.abort == 1, passed.abort == 2)
     return BatchRows(passed.key_message, record.m_prime, ties, *flags)
 
 
@@ -743,26 +743,33 @@ def test_row_halves_are_the_words_each_pass_reads(variant, t, n_bits, pool_size,
         assert streams.ahead.shape == (rows, streams.cursor)
 
 
+def pass_cells(base: RunConfig, link: LinkSettings, cells) -> list:
+    """run_batch cells from (p_bitflip, tag length, tag bit, rows) tuples: each noisy leg of `link`
+    at p_bitflip, the tag cut to the message, its bits all `tag bit` (None: the default)."""
+    specs = []
+    for p, tag_length, bit, rows in cells:
+        tag_length = min(tag_length, base.message_length)
+        config = replace(base, tag_length=tag_length, tag_bits=None if bit is None else (bit,) * tag_length)
+        noise = [model if model.is_trivial() else replace(model, p_bitflip=p)
+                 for model in (link.noise_forward, link.noise_backward)]
+        specs.append((config, LinkSettings(*noise, link.eve), rows))
+    return specs
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from(["V1", "V2", "V3"]),
     st.integers(1, 3),
     st.integers(1, 5),
     links,
-    # Per cell: p_bitflip on each noisy leg, tag length, whether the tag is explicit, and rows.
-    st.lists(st.tuples(st.sampled_from([0.0, 0.1, 0.3]), st.integers(0, 5), st.booleans(), st.integers(1, 4)),
-             min_size=2, max_size=4),
+    # Per cell: p_bitflip on each noisy leg, tag length, tag bits (None: the default), and rows.
+    st.lists(st.tuples(st.sampled_from([0.0, 0.1, 0.3]), st.integers(0, 5), st.sampled_from([None, 0, 1]),
+                       st.integers(1, 4)), min_size=2, max_size=4),
     st.integers(0, 2**31 - 1),
 )
 def test_a_pass_of_cells_gives_each_cell_its_own_rows(variant, t, n_bits, link, cells, seed):
     base = RunConfig(n_bits=n_bits, repetition=t, variant=variant, basis_pool=POOL[:2], seed=seed)
-    specs = []
-    for p, tag_length, explicit, rows in cells:
-        tag_length = min(tag_length, base.message_length)
-        config = replace(base, tag_length=tag_length, tag_bits=(0,) * tag_length if explicit else None)
-        noise = [model if model.is_trivial() else replace(model, p_bitflip=p)
-                 for model in (link.noise_forward, link.noise_backward)]
-        specs.append((config, LinkSettings(*noise, link.eve), rows))
+    specs = pass_cells(base, link, cells)
     words = _row_seed_words(seed, (0,), 0, sum(rows for *_, rows in cells))
     ahead = -(-sum(_row_halves(base, link)) // 2)
     fused = batch_rows(specs, RowStreams.from_seed_words(words, ahead))
@@ -774,6 +781,45 @@ def test_a_pass_of_cells_gives_each_cell_its_own_rows(variant, t, n_bits, link, 
             assert (got is None) == (want is None)
             assert got is None or np.array_equal(got[span], want)
         start = span.stop
+
+
+def expected_abort(config: RunConfig, record, row=...) -> int:
+    """The phase III verdict of row `row` of a pass, from the decoded record and its own cell's
+    tag: 1 (all_erasures) when V2 ties every block, else 2 (tag_mismatch) when the decoded
+    tag is not the cell's, else 0 (accepted)."""
+    if config.variant == "V2" and record.p[row].all():
+        return 1
+    decoded_tag = record.m_prime[row][config.message_length - config.tag_length :]
+    return 0 if np.array_equal(decoded_tag, config.resolved_tag_bits()) else 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["V1", "V2", "V3"]),
+    st.sampled_from([2, 3, 4]),
+    st.integers(1, 3),
+    links,
+    # Per cell: p_bitflip on each noisy leg, tag length, tag bits (None: the default), and rows.
+    st.lists(st.tuples(st.sampled_from([0.1, 0.3, 0.5]), st.integers(0, 4), st.sampled_from([None, 0, 1]),
+                       st.integers(1, 4)), min_size=2, max_size=4),
+    st.integers(0, 2**31 - 1),
+)
+def test_each_row_is_settled_against_its_own_cell(variant, t, n_bits, link, cells, seed):
+    # Few bits, even repetitions and heavy noise make all-tied rows and tag failures common.
+    base = RunConfig(n_bits=n_bits, repetition=t, variant=variant, basis_pool=POOL[:2], seed=seed)
+    specs = pass_cells(base, link, cells)
+    words = _row_seed_words(seed, (0,), 0, sum(rows for *_, rows in cells))
+    passed = run_batch(specs, (RowStreams.from_seed_words(words, -(-sum(_row_halves(base, link)) // 2)),) * 5)
+    configs = [config for config, _, rows in specs for _ in range(rows)]
+    want = [expected_abort(config, passed.derivation, r) for r, config in enumerate(configs)]
+    assert passed.abort.tolist() == want
+    for r, config in enumerate(configs):
+        assert _session_result(config, passed, r).abort_reason == ABORT_REASONS[want[r]]
+    # A one-row pass of Generators: one-dimensional arrays and a 0-d verdict.
+    config, cell_link, _ = specs[-1]
+    single = run_batch([(config, cell_link, 1)], (np.random.default_rng(seed),) * 5)
+    assert single.abort.shape == ()
+    assert single.abort == expected_abort(config, single.derivation)
 
 
 def test_a_pass_rejects_cells_that_draw_noise_differently():
