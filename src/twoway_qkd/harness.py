@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass, fields, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -226,8 +225,10 @@ class ExperimentConfig:
         return _json(self.to_dict()) + "\n"
 
 
-def _binomial_se(rate: float, n: int) -> float:
-    return math.sqrt(max(0.0, rate * (1.0 - rate)) / n) if n else 0.0
+def _binomial_se(rates: np.ndarray, trials: np.ndarray) -> np.ndarray:
+    """The binomial standard error of each rate over its trials (at least one): the IEEE
+    operations of math.sqrt(max(0.0, rate * (1.0 - rate)) / trials), element by element."""
+    return np.sqrt(np.maximum(0.0, rates * (1.0 - rates)) / trials)
 
 
 @dataclass(frozen=True)
@@ -309,6 +310,7 @@ def run_experiment(config: ExperimentConfig) -> RunStatistics:
     for group in _pass_groups(settings):
         run_config, link = settings[group[0]]
         ahead = -(-sum(_row_halves(run_config, link)) // 2)
+        length = run_config.message_length
         for members in _passes(len(group), n * run_config.qubit_count):
             ids = group[members]
             for rows in _passes(n, run_config.qubit_count):
@@ -316,20 +318,28 @@ def run_experiment(config: ExperimentConfig) -> RunStatistics:
                 words = _row_seed_words(config.run.seed, np.array(ids)[:, None], rows.start, count)
                 streams = (RowStreams.from_seed_words(words, ahead),) * 5
                 passed = run_batch([(*settings[i], count) for i in ids], streams)
-                qbers = np.mean(passed.derivation.m_prime != passed.key_message, axis=-1)
-                erasures = np.mean(passed.derivation.p, axis=-1) if run_config.variant == V2 else np.zeros_like(qbers)
-                outcomes = np.stack([qbers, erasures, passed.agreement, passed.abort == _DETECTED]).reshape(4, -1, count)
-                sums[:, ids] = np.cumsum(np.concatenate([sums[:, ids, None], outcomes], axis=2), axis=2)[:, :, -1]
-    stats = []
-    for params, (run_config, _), totals in zip(cells, settings, sums.T.tolist()):
-        qber, erasure, agreement, detection = (total / n for total in totals)
-        stats.append(CellStats(
-            params=params, runs=n, qber=qber, qber_se=_binomial_se(qber, n * run_config.message_length),
-            agreement_rate=agreement, agreement_se=_binomial_se(agreement, n),
-            detection_rate=detection, detection_se=_binomial_se(detection, n),
-            erasure_rate=erasure, erasure_se=_binomial_se(erasure, n * run_config.n_bits),
-        ))
-    return RunStatistics(config=config, cells=tuple(stats))
+                # Each cell's running sums, then its rows' four rates: np.mean's float sum and division.
+                block = np.zeros((4, len(ids), count + 1))
+                block[:, :, 0] = sums[:, ids]
+                rates = block[:, :, 1:]
+                errors = (passed.derivation.m_prime != passed.key_message).reshape(len(ids), count, length)
+                np.add.reduce(errors, axis=-1, dtype=float, out=rates[0])
+                if run_config.variant == V2:
+                    np.add.reduce(passed.derivation.p.reshape(errors.shape), axis=-1, dtype=float, out=rates[1])
+                rates[:2] /= length
+                rates[2] = passed.agreement.reshape(len(ids), count)
+                rates[3] = (passed.abort == _DETECTED).reshape(len(ids), count)
+                sums[:, ids] = np.cumsum(block, axis=2, out=block)[:, :, -1]
+    rates = sums / n
+    trials = np.array([(run_config.message_length, run_config.n_bits, 1, 1) for run_config, _ in settings]).T * n
+    stats = tuple(
+        CellStats(params=params, runs=n, qber=qber, qber_se=qber_se, agreement_rate=agreement,
+                  agreement_se=agreement_se, detection_rate=detection, detection_se=detection_se,
+                  erasure_rate=erasure, erasure_se=erasure_se)
+        for params, (qber, erasure, agreement, detection), (qber_se, erasure_se, agreement_se, detection_se)
+        in zip(cells, rates.T.tolist(), _binomial_se(rates, trials).T.tolist())
+    )
+    return RunStatistics(config=config, cells=stats)
 
 
 def emit_results(stats: RunStatistics, output_dir) -> dict[Path, str]:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -280,9 +281,16 @@ class RunConfig:
     def message_length(self) -> int:
         return self.qubit_count if self.variant == V1 else self.n_bits
 
-    @property
+    @cached_property
     def pool_angles(self) -> np.ndarray:
-        return np.array([b.theta for b in self.basis_pool])
+        """The pool's angles, built on first read and read-only (kept out of pickle and deepcopy)."""
+        angles = np.array([b.theta for b in self.basis_pool])
+        angles.flags.writeable = False
+        return angles
+
+    def __getstate__(self) -> dict:
+        # A cached pool_angles would come back writeable; the copy builds its own on first read.
+        return {name: value for name, value in self.__dict__.items() if name != "pool_angles"}
 
     def resolved_tag_bits(self) -> np.ndarray:
         """The pre-agreed check sequence; defaults to alternating 1,0,1,0...
@@ -457,9 +465,14 @@ def settle(cells, record: DerivationRecord, m) -> tuple:
     if cells[0][0].variant == V2:
         bob_final, all_erasures = _resolve(m, record.p)
     alice_final = np.zeros_like(bob_final) if record.C is None else record.C
-    abort = np.empty(all_erasures.shape, int)
-    for config, rows in cells:  # codes index ABORT_REASONS
-        abort[rows] = np.where(all_erasures[rows], 1, np.where(verify_tag(record.m_prime[rows], config), 0, 2))
+    # One comparison for the pass: the decoded tail as wide as the widest tag, against a copy
+    # of it with each cell's tag written right-aligned into the cell's rows.
+    width = max(config.tag_length for config, _ in cells)
+    decoded = record.m_prime[..., record.m_prime.shape[-1] - width :]
+    expected = decoded.copy()
+    for config, rows in cells:
+        expected[rows, width - config.tag_length :] = config.resolved_tag_bits()
+    abort = np.where(all_erasures, 1, 2 * (decoded != expected).any(axis=-1))  # codes index ABORT_REASONS
     return bob_final, abort, ~all_erasures & (alice_final == bob_final).all(axis=-1)
 
 
@@ -629,13 +642,14 @@ def run_batch(cells, streams, m=None) -> Pass:
         for cell_config, span in zip(configs, rows):
             m[span, config.message_length - cell_config.tag_length :] = cell_config.resolved_tag_bits()
     # Each leg's noise is the model every row shares, or at each row's link's levels (RowNoise)
-    # where the models differ; Eve is the group's one strategy.
-    legs = zip(*((link.noise_forward, link.noise_backward) for link in links))
-    noise = [models[0] if models.count(models[0]) == len(models) else RowNoise(models, counts) for models in legs]
+    # where the models differ, built once if both legs carry the same models; Eve is the group's one strategy.
+    forward, backward = zip(*((link.noise_forward, link.noise_backward) for link in links))
+    noise = [models[0] if models.count(models[0]) == len(models) else RowNoise(models, counts)
+             for models in ((forward,) if forward == backward else (forward, backward))]
     eve = links[0].eve
     to_bob, fwd_codes, eve_fwd = _leg(prep.register, noise[0], eve, FORWARD, streams[1], streams[2])
     encoded, bob_ops = bob_encode(config, m, to_bob)
-    to_alice, bwd_codes, eve_bwd = _leg(encoded, noise[1], eve, BACKWARD, streams[3], streams[2])
+    to_alice, bwd_codes, eve_bwd = _leg(encoded, noise[-1], eve, BACKWARD, streams[3], streams[2])
     record = derive(config, alice_measure(to_alice, prep, config, streams[4]), prep.a)
     bob_final, abort, agreement = settle(list(zip(configs, rows)), record, m)
     return Pass(prep, m, record, bob_final, abort, agreement, fwd_codes, bwd_codes,

@@ -107,7 +107,7 @@ class RowStreams:
     @classmethod
     def from_seed_words(cls, words: np.ndarray, ahead: int = 0) -> "RowStreams":
         """Rows over fresh PCG64 streams, row r seeded with the uint64 words[r] of _row_seed_words."""
-        return cls((np.random.PCG64(_SeedWords(row)) for row in words), ahead)
+        return cls(map(np.random.PCG64, map(_SeedWords, words)), ahead)
 
     def _words(self, count: int) -> np.ndarray:
         """The next `count` words of every row, (R, count) uint64."""
@@ -197,6 +197,14 @@ _MULT_A_POWERS = np.array([pow(_MULT_A, k, 1 << 32) for k in range(5)], np.uint3
 _STATE_HASH = np.array([_INIT_B * pow(_MULT_B, k, 1 << 32) % (1 << 32) for k in range(9)], np.uint32)
 
 
+@lru_cache(maxsize=16)
+def _seed_pool(seed: int) -> np.ndarray:
+    """SeedSequence(seed)'s pool, read-only: a seed is mixed once, whatever the number of passes."""
+    pool = np.random.SeedSequence(seed).pool
+    pool.flags.writeable = False
+    return pool
+
+
 def _row_seed_words(seed: int, prefixes, start: int, count: int) -> np.ndarray:
     """(P * count, 4) uint64 for P spawn-key prefixes (one key, or a (P, K)
     array): row p * count + r is the PCG64 seed state SeedSequence(seed,
@@ -212,7 +220,7 @@ def _row_seed_words(seed: int, prefixes, start: int, count: int) -> np.ndarray:
     keys = np.column_stack([np.repeat(prefixes, count, axis=0), trailing])
     words = keys.view("<u4").reshape(len(keys), -1, 2)
     two_words = words[:, :, 1, None] > 0
-    pool = np.random.SeedSequence(seed).pool[None]
+    pool = _seed_pool(seed)[None]
     # Four hashmix steps per entropy word (SeedSequence splits the seed into uint32 words),
     # and the seed counts as at least four words.
     steps = 4 * max(4, -(-seed.bit_length() // 32))

@@ -29,7 +29,6 @@ from twoway_qkd.harness import (
     SWEEP_AXES,
     CellStats,
     RunStatistics,
-    _binomial_se,
     _json,
 )
 from twoway_qkd.protocol import HUB_SPAWN_KEY, VARIANTS, _key_rng
@@ -167,6 +166,11 @@ def test_rates_are_probabilities_with_sample_counts():
             assert 0.0 <= rate <= 1.0
 
 
+def binomial_se(rate: float, n: int) -> float:
+    """One rate's binomial standard error over n trials, in scalar arithmetic."""
+    return math.sqrt(max(0.0, rate * (1.0 - rate)) / n)
+
+
 def reference_cells(config: ExperimentConfig) -> tuple[CellStats, ...]:
     """The per-session loop run_experiment replaced, kept as its oracle:
     one run_session per repetition, driven by the generator of spawn key
@@ -200,13 +204,13 @@ def reference_cells(config: ExperimentConfig) -> tuple[CellStats, ...]:
                 params=params,
                 runs=n,
                 qber=qber,
-                qber_se=_binomial_se(qber, n * run_config.message_length),
+                qber_se=binomial_se(qber, n * run_config.message_length),
                 agreement_rate=agreements / n,
-                agreement_se=_binomial_se(agreements / n, n),
+                agreement_se=binomial_se(agreements / n, n),
                 detection_rate=detections / n,
-                detection_se=_binomial_se(detections / n, n),
+                detection_se=binomial_se(detections / n, n),
                 erasure_rate=erasure_sum / n,
-                erasure_se=_binomial_se(erasure_sum / n, n * run_config.n_bits),
+                erasure_se=binomial_se(erasure_sum / n, n * run_config.n_bits),
             )
         )
     return tuple(cells)

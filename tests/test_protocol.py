@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import sys
 import threading
 from dataclasses import replace
@@ -96,6 +98,25 @@ def test_default_tag_is_built_once_and_read_only():
         tag[0] = 0
     assert config.resolved_tag_bits().tolist() == [1, 0, 1, 0, 1, 0, 1]
     assert RunConfig(n_bits=4).resolved_tag_bits().shape == (0,)
+
+
+def test_pool_angles_are_built_once_per_config_and_read_only():
+    config = RunConfig(n_bits=8, basis_pool=POOL[:2], tag_length=3, seed=11)
+    angles = config.pool_angles
+    assert angles.tolist() == [0.0, math.pi / 8] and config.pool_angles is angles
+    with pytest.raises(ValueError):
+        angles[0] = 1.0
+    # A replaced pool is the new config's own, read after the old one was cached.
+    assert replace(config, basis_pool=POOL[1:]).pool_angles.tolist() == [math.pi / 8, math.pi / 4]
+    assert config.pool_angles.tolist() == [0.0, math.pi / 8]
+    # Copies leave the cached array behind and build their own, read-only too.
+    transcript = run_session(config, NoiseModel(p_bitflip=0.2)).transcript_text()
+    for copied in (pickle.loads(pickle.dumps(config)), copy.deepcopy(config), copy.copy(config)):
+        assert "pool_angles" not in vars(copied) and copied == config
+        assert np.array_equal(copied.pool_angles, angles)
+        with pytest.raises(ValueError):
+            copied.pool_angles[0] = 1.0
+        assert run_session(copied, NoiseModel(p_bitflip=0.2)).transcript_text() == transcript
 
 
 def test_prepare_encodes_bits_in_chosen_bases():
@@ -744,12 +765,15 @@ def test_row_halves_are_the_words_each_pass_reads(variant, t, n_bits, pool_size,
 
 
 def pass_cells(base: RunConfig, link: LinkSettings, cells) -> list:
-    """run_batch cells from (p_bitflip, tag length, tag bit, rows) tuples: each noisy leg of `link`
-    at p_bitflip, the tag cut to the message, its bits all `tag bit` (None: the default)."""
+    """run_batch cells from (p_bitflip, tag length, tag bits, rows) tuples: each noisy leg of `link`
+    at p_bitflip, the tag cut to the message, its bits None (the default), all 0, all 1, or the
+    first tag-length bits of a tuple."""
     specs = []
-    for p, tag_length, bit, rows in cells:
+    for p, tag_length, bits, rows in cells:
         tag_length = min(tag_length, base.message_length)
-        config = replace(base, tag_length=tag_length, tag_bits=None if bit is None else (bit,) * tag_length)
+        if bits is not None:
+            bits = (bits,) * tag_length if bits in (0, 1) else bits[:tag_length]
+        config = replace(base, tag_length=tag_length, tag_bits=bits)
         noise = [model if model.is_trivial() else replace(model, p_bitflip=p)
                  for model in (link.noise_forward, link.noise_backward)]
         specs.append((config, LinkSettings(*noise, link.eve), rows))
@@ -793,19 +817,31 @@ def expected_abort(config: RunConfig, record, row=...) -> int:
     return 0 if np.array_equal(decoded_tag, config.resolved_tag_bits()) else 2
 
 
+# A tag length that pass_cells cuts to the whole message, and a tag tuple as long as any message below.
+WHOLE_MESSAGE = 12
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(["V1", "V2", "V3"]),
     st.sampled_from([2, 3, 4]),
     st.integers(1, 3),
     links,
-    # Per cell: p_bitflip on each noisy leg, tag length, tag bits (None: the default), and rows.
-    st.lists(st.tuples(st.sampled_from([0.1, 0.3, 0.5]), st.integers(0, 4), st.sampled_from([None, 0, 1]),
+    # Per cell: p_bitflip on each noisy leg, tag length, tag bits (None: the default; 0 or 1: all
+    # of them; or any bits), and rows.
+    st.lists(st.tuples(st.sampled_from([0.1, 0.3, 0.5]), st.sampled_from([0, 1, 2, 3, 4, WHOLE_MESSAGE]),
+                       st.one_of(st.sampled_from([None, 0, 1]),
+                                 st.tuples(*[st.integers(0, 1)] * WHOLE_MESSAGE)),
                        st.integers(1, 4)), min_size=2, max_size=4),
+    st.booleans(),
     st.integers(0, 2**31 - 1),
 )
-def test_each_row_is_settled_against_its_own_cell(variant, t, n_bits, link, cells, seed):
+def test_each_row_is_settled_against_its_own_cell(variant, t, n_bits, link, cells, extremes, seed):
     # Few bits, even repetitions and heavy noise make all-tied rows and tag failures common.
+    # With `extremes`, the pass mixes a cell with no tag and one whose tag spans the whole message,
+    # so every tag is compared within the widest tail.
+    if extremes:
+        cells = [(*cells[0][:1], 0, *cells[0][2:]), *cells[1:-1], (*cells[-1][:1], WHOLE_MESSAGE, *cells[-1][2:])]
     base = RunConfig(n_bits=n_bits, repetition=t, variant=variant, basis_pool=POOL[:2], seed=seed)
     specs = pass_cells(base, link, cells)
     words = _row_seed_words(seed, (0,), 0, sum(rows for *_, rows in cells))
