@@ -35,7 +35,6 @@ from .protocol import (
     majority,
     resolve_erasures,
     run_session,
-    verify_tag,
 )
 from .qubit import XZ, ZX, Basis, I, PauliWord, QubitRegister, X, Z
 

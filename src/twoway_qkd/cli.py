@@ -4,9 +4,9 @@ Subcommands:
   run     execute an experiment config and write artifacts
   sweep   same as run but requires at least one sweep axis in the config
   replay  re-run from a stored config_resolved.json; byte-identical output
-  verify  run the built-in invariant suite
+  verify  check this install's bytes against pinned digests: a session, a star, a sweep
 
-Exit codes: 0 success, 1 config error, 2 invariant-suite failure.
+Exit codes: 0 success, 1 config error, 2 a verify check's bytes differ from its pin.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay_p.add_argument("--input-dir", required=True, help="directory holding config_resolved.json")
     replay_p.add_argument("--output-dir", required=True, help="where to write the replayed artifacts")
 
-    sub.add_parser("verify", help="run the built-in invariant suite")
+    sub.add_parser("verify", help="check this install's bytes against pinned digests")
     return parser
 
 
@@ -82,7 +82,7 @@ def main(argv=None) -> int:
             config = ExperimentConfig.from_json_file(stored)
             config = replace(config, output_dir=args.output_dir)
             return _execute(config)
-        # verify; imported here because invariants imports the scalar reference, which no run needs
+        # verify; imported here, so that no run loads the verify cases
         from .invariants import run_invariant_checks
 
         failures = 0

@@ -1,133 +1,78 @@
-"""Fast built-in invariant suite backing the `verify` CLI subcommand.
+"""The checks behind `twoway-qkd verify`: does this install give the pinned bytes?
 
-These are quick smoke versions of the core contracts; the full suite with
-the heavy Monte Carlo checks lives in the pytest tree.
+Each check runs one small case that tests/test_golden.py pins too, and
+compares the sha256 of its output with a copy of that pin. A session's bytes
+depend on numpy's Generator methods, which NEP 19 lets change; a star's and a
+sweep's depend only on PCG64 and SeedSequence, which NEP 19 keeps stable. So a
+session FAIL next to a star and a sweep PASS points at numpy, not at the
+simulator.
 """
 
 from __future__ import annotations
 
-import itertools
+import hashlib
+import math
+from typing import Callable, NamedTuple
 
-import numpy as np
-
-from .channel import NoiseModel
-from .protocol import V2, V3, RunConfig, majority, resolve_erasures, run_session
-from .qubit import XZ, ZX, Basis, X, Z
-from .reference import (
-    KrausChannel,
-    apply_channel,
-    apply_pauli,
-    born_probability,
-    encode_bit,
-    flip_probability,
-    kraus_channel,
-    to_density,
-)
+from .channel import BACKWARD, EveStrategy, NoiseModel
+from .harness import CONFIG_FILENAME, CSV_FILENAME, SUMMARY_FILENAME, ExperimentConfig, run_experiment
+from .network import LinkSettings, Topology, run_star_session
+from .protocol import RunConfig, run_session
+from .qubit import Basis
 
 
-def _check_orthonormality() -> bool:
-    for theta in np.linspace(0.0, 2 * np.pi, 101):
-        basis = Basis(float(theta))
-        s0, s1 = encode_bit(0, basis), encode_bit(1, basis)
-        ip = np.conj(s0.vector()) @ s1.vector()
-        if abs(ip) >= 1e-12:
-            return False
-    return True
+class Check(NamedTuple):
+    name: str  # the tests/test_golden.py case it copies
+    depends_on: str  # what its bytes depend on besides the simulator
+    build: Callable[[], tuple[bytes, ...]]
+    pins: tuple[str, ...]  # sha256 of each of build()'s outputs
 
 
-def _check_deterministic_flip() -> bool:
-    rng = np.random.default_rng(1)
-    for _ in range(100):
-        basis = Basis(float(rng.uniform(0, 2 * np.pi)))
-        for i in (0, 1):
-            for op in (XZ, ZX):
-                flipped = apply_pauli(encode_bit(i, basis), op)
-                if abs(born_probability(flipped, basis, 1 - i) - 1.0) > 1e-12:
-                    return False
-    return True
+def _session() -> tuple[bytes, ...]:
+    """V2 with even t (4 tied blocks resolved) over 120 qubits, on Generator streams."""
+    pool = (Basis(0.0), Basis(math.pi / 8), Basis(math.pi / 4))
+    result = run_session(
+        RunConfig(n_bits=30, repetition=4, variant="V2", basis_pool=pool, tag_length=4, seed=102),
+        NoiseModel(p_bitflip=0.1, p_phaseflip=0.05, p_both=0.02),
+        NoiseModel(p_bitflip=0.05),
+    )
+    return (result.transcript_text().encode("ascii"),)
 
 
-def _check_flip_law() -> bool:
-    for theta in np.linspace(0.0, np.pi, 181):
-        basis = Basis(float(theta))
-        c2, s2 = np.cos(theta) ** 2, np.sin(theta) ** 2
-        if abs(flip_probability(basis, X) - (c2 - s2) ** 2) > 1e-12:
-            return False
-        if abs(flip_probability(basis, Z) - (2 * np.sin(theta) * np.cos(theta)) ** 2) > 1e-12:
-            return False
-    return True
+def _star() -> tuple[bytes, ...]:
+    """The wire frames of a V1 star with Eve on one link's backward leg, on per-link streams."""
+    tapped = LinkSettings(NoiseModel(p_bitflip=0.1), NoiseModel(p_both=0.1),
+                          EveStrategy.intercept_resend((0.0, math.pi / 4), legs=(BACKWARD,)))
+    topology = Topology(leaves=("leaf0", "leaf1", "leaf2"), links={"leaf1": tapped})
+    config = RunConfig(n_bits=16, variant="V1", basis_pool=(Basis(0.0), Basis(math.pi / 4)), tag_length=4, seed=105)
+    result = run_star_session(topology, config, record_frames=True)
+    return (b"".join(outcome.frames_bytes() for outcome in result.outcomes.values()),)
 
 
-def _check_channel_laws() -> bool:
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        model = NoiseModel(*(rng.dirichlet(np.ones(4))[:3]))
-        channel = kraus_channel(model)
-        state = encode_bit(int(rng.integers(2)), Basis(float(rng.uniform(0, np.pi))))
-        rho = apply_channel(to_density(state), channel)
-        if abs(np.trace(rho.entries) - 1.0) > 1e-10:
-            return False
-    try:
-        KrausChannel([np.eye(2) * 0.5])
-    except ValueError:
-        return True
-    return False
-
-
-def _check_v1_exactness() -> bool:
-    pool = tuple(Basis(t) for t in (0.0, np.pi / 8, np.pi / 4))
-    for seed in range(50):
-        config = RunConfig(n_bits=32, variant="V1", basis_pool=pool, seed=seed)
-        result = run_session(config)
-        if not np.array_equal(result.derivation.m_prime, result.key_message):
-            return False
-    return True
-
-
-def _check_repetition_and_erasures() -> bool:
-    for t in (2, 3):
-        for n in (1, 2, 3):
-            for m_bits in itertools.product((0, 1), repeat=n):
-                m = np.array(m_bits, dtype=np.uint8)
-                m_prime, p = majority(np.repeat(m, t), t, n, V2)
-                if p.any() or not np.array_equal(m_prime, m):
-                    return False
-    for n in (2, 3):
-        for m_bits in itertools.product((0, 1), repeat=n):
-            for p_bits in itertools.product((0, 1), repeat=n):
-                if all(p_bits):
-                    continue
-                m = np.array(m_bits, dtype=np.uint8)
-                p = np.array(p_bits, dtype=np.uint8)
-                m_prime = m.copy()
-                m_prime[p == 1] = 0
-                if not np.array_equal(resolve_erasures(m_prime, p), resolve_erasures(m, p)):
-                    return False
-    return True
-
-
-def _check_v3_majority() -> bool:
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        t, n = int(rng.integers(1, 4)), int(rng.integers(1, 5))
-        M = rng.integers(0, 2, size=t * n, dtype=np.uint8)
-        m, _ = majority(M, t, n, V3)
-        expected = [int(sum(M[r * n + k] for r in range(t)) * 2 > t) for k in range(n)]
-        if not np.array_equal(m, np.array(expected, dtype=np.uint8)):
-            return False
-    return True
+def _sweep() -> tuple[bytes, ...]:
+    """A V3 sweep's three artifacts, on per-(cell, repetition) streams; no file is written."""
+    texts = run_experiment(ExperimentConfig.from_dict({
+        "variant": "V3", "n_bits": 6, "basis_pool": [0.0, math.pi / 8, math.pi / 4],
+        "tag_length": 2, "seed": 31, "repetitions": 30,
+        "noise": {"p_phaseflip": 0.05, "p_both": 0.05},
+        "sweep": {"p_bitflip": [0.0, 0.1], "repetition": [2, 3]},
+    })).texts()
+    return tuple(texts[name].encode("ascii") for name in (CSV_FILENAME, SUMMARY_FILENAME, CONFIG_FILENAME))
 
 
 CHECKS = (
-    ("basis orthonormality", _check_orthonormality),
-    ("deterministic XZ/ZX flip", _check_deterministic_flip),
-    ("analytic flip law", _check_flip_law),
-    ("kraus channel laws", _check_channel_laws),
-    ("pseudo-code 1 exactness", _check_v1_exactness),
-    ("repetition decode + erasure consistency", _check_repetition_and_erasures),
-    ("copy-majority decode", _check_v3_majority),
+    Check("v2_t4_over_120_qubits", "numpy Generator methods", _session,
+          ("0b90c563dbf962e443cc5c1d75442d38e2d7ca0717c4bedebd183c48b2210dcb",)),
+    Check("three_leaf_star", "PCG64 and SeedSequence only", _star,
+          ("751299dcce476dc01db864372a88d01dbb8158c05e65ff90aa6cd966d9496411",)),
+    Check("v3_even_and_odd_t_phase_noise", "PCG64 and SeedSequence only", _sweep,
+          ("594b9df34ea3d33bdaabdac2b58790b6afe93d380cd9ad9b08ff0542c82dacc2",
+           "9e1564388ebd37250bd0d9caa68639e7a4dc187cc0b7a401ae41254a6b765bd2",
+           "c7fe81e0922722e2eb074621f13bcfed4fa2d041a27d4d867e57ff4788fa4db3")),
 )
 
 
 def run_invariant_checks() -> list[tuple[str, bool]]:
-    return [(name, bool(fn())) for name, fn in CHECKS]
+    """(name, ok) per check; the name says what its bytes depend on."""
+    return [(f"{check.name} (bytes depend on {check.depends_on})",
+             tuple(hashlib.sha256(data).hexdigest() for data in check.build()) == check.pins) for check in CHECKS]

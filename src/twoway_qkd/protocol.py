@@ -414,17 +414,6 @@ def resolve_erasures(bits, p) -> np.ndarray:
     return C
 
 
-def verify_tag(derived, config: RunConfig):
-    """Accept iff the tag positions of the derived message match the agreed
-    sequence exactly. A reject signals suspected tampering, not an error.
-    Returns one numpy bool per row of derived."""
-    derived = as_bit_rows(derived)
-    length = derived.shape[-1]
-    if config.tag_length > length:
-        raise ValueError("tag longer than derived message")
-    return (derived[..., length - config.tag_length :] == config.resolved_tag_bits()).all(axis=-1)
-
-
 @dataclass(frozen=True, eq=False)
 class DerivationRecord(_Record):
     """Alice's phase-III output, everything derived from (c, a)."""

@@ -5,7 +5,7 @@ every layer above draws from, and the value == of the result records.
 An encoding basis is parameterized by one real angle theta, so every basis
 pair {|psi_0>, |psi_1>} is orthonormal by construction. A QubitRegister
 holds a whole qubit string; it must agree bit for bit with the scalar
-algebra in twoway_qkd.reference (tested), which no run imports.
+algebra in twoway_qkd.reference (tested), which only the tests import.
 """
 
 from __future__ import annotations

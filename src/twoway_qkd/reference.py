@@ -6,9 +6,9 @@ so every basis pair is orthonormal by construction. Amplitudes are kept
 exact; observable contracts (flips, measurement statistics) are defined up
 to global phase, which no measurement can see.
 
-The tests and the `verify` invariant suite check QubitRegister,
-perturb_register and eve_tap_register against these one-qubit forms, bit for
-bit. No module that `run`, `sweep` or `replay` imports imports this one.
+The tests check QubitRegister, perturb_register and eve_tap_register against
+these one-qubit forms, bit for bit. Only the tests import this module; no
+module in the package does.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ from twoway_qkd import (
     run_session,
     run_star_session,
 )
+from twoway_qkd import invariants
 from twoway_qkd.channel import BACKWARD, FORWARD
 
 POOL_2 = (Basis(0.0), Basis(math.pi / 4))
@@ -230,7 +231,8 @@ def check_covers(name: str, cells) -> None:
         assert any(0 < c.erasure_rate < 1 for c in cells)
 
 
-# (results.csv, summary.json, config_resolved.json) sha256 per case, of the files emit_results writes.
+ARTIFACTS = ("results.csv", "summary.json", "config_resolved.json")
+# The sha256 of each of ARTIFACTS per case, of the files emit_results writes.
 EXPERIMENT_PINS = {
     "v3_even_and_odd_t_phase_noise": (
         "594b9df34ea3d33bdaabdac2b58790b6afe93d380cd9ad9b08ff0542c82dacc2",
@@ -260,5 +262,25 @@ def test_experiment_artifact_digests(name, tmp_path):
     stats = run_experiment(ExperimentConfig.from_dict(EXPERIMENT_CASES[name]))
     check_covers(name, stats.cells)
     emit_results(stats, tmp_path)
-    names = ("results.csv", "summary.json", "config_resolved.json")
-    assert tuple(sha256((tmp_path / name).read_bytes()) for name in names) == EXPERIMENT_PINS[name]
+    assert tuple(sha256((tmp_path / name).read_bytes()) for name in ARTIFACTS) == EXPERIMENT_PINS[name]
+
+
+def golden(name: str, tmp_path) -> tuple[tuple[str, ...], tuple[bytes, ...]]:
+    """The pins and the bytes of the case above called name, in invariants.Check order."""
+    transcripts = {build.__name__: (build, pin) for build, pin in TRANSCRIPT_PINS}
+    if name in transcripts:
+        build, pin = transcripts[name]
+        return (pin,), (build().transcript_text().encode("ascii"),)
+    if name == "three_leaf_star":
+        outcomes = three_leaf_star(record_frames=True).outcomes.values()
+        return (STAR_FRAMES_PIN,), (b"".join(outcome.frames_bytes() for outcome in outcomes),)
+    emit_results(run_experiment(ExperimentConfig.from_dict(EXPERIMENT_CASES[name])), tmp_path)
+    return EXPERIMENT_PINS[name], tuple((tmp_path / name).read_bytes() for name in ARTIFACTS)
+
+
+@pytest.mark.parametrize("check", invariants.CHECKS, ids=[check.name for check in invariants.CHECKS])
+def test_verify_checks_copy_these_cases_and_pins(check, tmp_path):
+    """`twoway-qkd verify` keeps copies of some cases and pins above; neither copy may drift."""
+    pins, data = golden(check.name, tmp_path)
+    assert check.pins == pins
+    assert check.build() == data

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import twoway_qkd
 from twoway_qkd import (Basis, ConfigError, EveStrategy, ExperimentConfig, LinkSettings, NoiseModel, RunConfig, Topology,
-                        emit_results, protocol, run_experiment, run_session, run_star_session)
+                        emit_results, invariants, protocol, run_experiment, run_session, run_star_session)
 from twoway_qkd.cli import main
 from twoway_qkd.harness import (
     CONFIG_FILENAME,
@@ -803,8 +803,21 @@ def test_a_wrong_typed_field_is_an_error_naming_it(spec, field, data):
 
 def test_cli_verify_passes(capsys):
     assert main(["verify"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out and "FAIL" not in out
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(invariants.CHECKS) == 3
+    assert all(line.startswith("PASS  ") and "bytes depend on" in line for line in lines)
+
+
+def test_cli_verify_fails_on_a_wrong_pin(capsys, monkeypatch):
+    star = invariants.CHECKS[1]
+    assert star.name == "three_leaf_star"
+    wrong = star._replace(pins=("0" * 64,))
+    monkeypatch.setattr(invariants, "CHECKS", (invariants.CHECKS[0], wrong, invariants.CHECKS[2]))
+    assert main(["verify"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        ["PASS", "v2_t4_over_120_qubits"], ["FAIL", "three_leaf_star"], ["PASS", "v3_even_and_odd_t_phase_noise"]]
+    assert "PCG64 and SeedSequence" in lines[1]
 
 
 # Runs in a fresh interpreter, so that no other test's imports are in sys.modules.
@@ -826,7 +839,7 @@ print(json.dumps([run, after_run, verify, loaded()]))
 
 
 def test_run_path_imports_no_reference(tmp_path):
-    """`run` imports neither the scalar reference nor the invariant suite; `verify` imports both."""
+    """`run` imports neither the scalar reference nor the verify cases; `verify` imports only its cases."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**BASE, "repetitions": 2}))
     src = str(Path(twoway_qkd.__file__).resolve().parents[1])
@@ -837,7 +850,7 @@ def test_run_path_imports_no_reference(tmp_path):
     assert done.returncode == 0, done.stderr
     run, after_run, verify, after_verify = json.loads(done.stdout)
     assert run == 0 and after_run == []
-    assert verify == 0 and after_verify == ["twoway_qkd.reference", "twoway_qkd.invariants"]
+    assert verify == 0 and after_verify == ["twoway_qkd.invariants"]
 
 
 # Runs in a fresh interpreter too.

@@ -26,7 +26,6 @@ from twoway_qkd import (
     resolve_erasures,
     run_experiment,
     run_session,
-    verify_tag,
 )
 from twoway_qkd import harness, network, protocol
 from twoway_qkd.channel import RowNoise
@@ -364,17 +363,6 @@ def test_derive_v3_tie_flags():
     assert ties.tolist() == [1, 0]
 
 
-def test_verify_tag():
-    config = RunConfig(n_bits=8, tag_length=4, seed=0)
-    tag = config.resolved_tag_bits()
-    good = np.concatenate([np.array([1, 1, 0, 1], dtype=np.uint8), tag])
-    assert verify_tag(good, config)
-    bad = good.copy()
-    bad[-1] ^= 1
-    assert not verify_tag(bad, config)
-    assert verify_tag(np.zeros(8, dtype=np.uint8), RunConfig(n_bits=8, tag_length=0))
-
-
 @pytest.mark.parametrize("values", [[1.5, 0], [0.5, 1], ["1", "0"], [-1, 0], [1j, 0], [2, 0], [np.nan, 1],
                                     np.array([0, 256]), [None, 1]])
 def test_bit_strings_are_checked_before_the_cast(values):
@@ -383,8 +371,6 @@ def test_bit_strings_are_checked_before_the_cast(values):
     with pytest.raises(ValueError, match="0 or 1"):
         resolve_erasures(values, [0, 0])
     with pytest.raises(ValueError, match="0 or 1"):
-        verify_tag(values, config)
-    with pytest.raises(ValueError, match="0 or 1"):
         run_session(config, key_message=values)
 
 
@@ -392,7 +378,6 @@ def test_bit_strings_are_checked_before_the_cast(values):
 def test_bool_int_and_float_bits_are_accepted(values):
     config = RunConfig(n_bits=2, tag_length=2)  # the default tag is 1, 0
     assert resolve_erasures(values, [0, 0]).tolist() == [1, 0]
-    assert verify_tag(values, config)
     result = run_session(config, key_message=values)
     assert result.key_message.dtype == np.uint8 and result.key_message.tolist() == [1, 0] and result.accepted
 
