@@ -193,6 +193,7 @@ def run_star_session(
     own streams. A tag failure on one link aborts only that leaf.
     """
     per_leaf_pools = checked("per_leaf_pools", {} if per_leaf_pools is None else per_leaf_pools, dict)
+    record_frames = checked("record_frames", record_frames, bool)
     unknown = set(per_leaf_pools) - set(topology.leaves)
     if unknown:
         raise ConfigError(f"per_leaf_pools: basis pools for unknown leaves: {sorted(unknown)}")
@@ -200,8 +201,12 @@ def run_star_session(
     key_message = bob_build_key_message(config, _key_rng(config.seed))
 
     leaves = topology.leaves
-    configs = [replace(config, basis_pool=per_leaf_pools[leaf]) if leaf in per_leaf_pools else config
-               for leaf in leaves]
+    configs = []
+    for leaf in leaves:
+        try:
+            configs.append(replace(config, basis_pool=per_leaf_pools[leaf]) if leaf in per_leaf_pools else config)
+        except ConfigError as exc:
+            raise ConfigError(f"per_leaf_pools[{leaf}]: {exc}") from None
     links = [topology.link_settings(leaf) for leaf in leaves]
     # A row of (to-hub, to-leaf) frames per leaf, a pass's consecutive; (L, 0, Q) if unrecorded.
     frames = np.empty((len(leaves), 2 * record_frames, config.qubit_count), FRAME_DTYPE)

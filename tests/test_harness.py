@@ -827,7 +827,8 @@ import twoway_qkd
 import twoway_qkd.cli
 
 def loaded():
-    return [name for name in ("twoway_qkd.reference", "twoway_qkd.invariants") if name in sys.modules]
+    return [name for name in ("twoway_qkd.reference", "twoway_qkd.invariants", "twoway_qkd.network")
+            if name in sys.modules]
 
 with contextlib.redirect_stdout(io.StringIO()):
     run = twoway_qkd.cli.main(["run", "--config", sys.argv[1], "--output-dir", sys.argv[2]])
@@ -839,7 +840,8 @@ print(json.dumps([run, after_run, verify, loaded()]))
 
 
 def test_run_path_imports_no_reference(tmp_path):
-    """`run` imports neither the scalar reference nor the verify cases; `verify` imports only its cases."""
+    """`run` imports neither the scalar reference, the verify cases nor the star network; `verify` imports
+    its cases, and they run a star."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**BASE, "repetitions": 2}))
     src = str(Path(twoway_qkd.__file__).resolve().parents[1])
@@ -850,7 +852,67 @@ def test_run_path_imports_no_reference(tmp_path):
     assert done.returncode == 0, done.stderr
     run, after_run, verify, after_verify = json.loads(done.stdout)
     assert run == 0 and after_run == []
-    assert verify == 0 and after_verify == ["twoway_qkd.invariants"]
+    assert verify == 0 and after_verify == ["twoway_qkd.invariants", "twoway_qkd.network"]
+
+
+# The package's public names as the layer modules that define them export them.
+_EXPORTED = {
+    "channel": ("ABSENT", "BACKWARD", "FORWARD", "INTERCEPT_RESEND", "SUBSTITUTE", "EveObservation", "EveStrategy",
+                "NoiseModel"),
+    "harness": ("ExperimentConfig", "RunStatistics", "emit_results", "run_experiment"),
+    "network": ("StarSessionResult", "Topology", "WireFrame", "run_star_session"),
+    "protocol": ("AllErasuresError", "DerivationRecord", "LinkSettings", "PreparationRecord", "RunConfig",
+                 "SessionResult", "alice_measure", "alice_prepare", "bob_build_key_message", "bob_encode", "majority",
+                 "resolve_erasures", "run_session"),
+    "qubit": ("I", "X", "XZ", "Z", "ZX", "Basis", "ConfigError", "PauliWord", "QubitRegister"),
+}
+
+
+def test_the_package_names_are_the_defining_modules_objects():
+    names = {name for layer_names in _EXPORTED.values() for name in layer_names}
+    assert len(names) == 38 and set(twoway_qkd.__all__) == names | set(_EXPORTED)
+    assert names <= set(dir(twoway_qkd))
+    for layer, layer_names in _EXPORTED.items():
+        module = getattr(twoway_qkd, layer)
+        assert module.__name__ == f"twoway_qkd.{layer}"
+        for name in layer_names:
+            value = getattr(twoway_qkd, name)
+            assert value is getattr(module, name) and getattr(value, "__module__", module.__name__) == module.__name__
+    assert not hasattr(twoway_qkd, "PureState")
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        twoway_qkd.no_such_name
+    bound = {}
+    exec("from twoway_qkd import *", bound)
+    assert set(bound) - {"__builtins__"} == names | set(_EXPORTED)
+    assert bound["network"] is twoway_qkd.network and bound["run_session"] is protocol.run_session
+
+
+# Runs in a fresh interpreter: which layer modules each kind of run loads.
+_LAZY_LAYERS = """
+import json, math, sys
+import twoway_qkd
+
+def layers():
+    return sorted(name for name in sys.modules if name.startswith("twoway_qkd."))
+
+seen = [layers()]
+config = twoway_qkd.RunConfig(n_bits=4, basis_pool=(twoway_qkd.Basis(0.0), twoway_qkd.Basis(math.pi / 4)))
+twoway_qkd.run_session(config)
+seen.append(layers())
+twoway_qkd.run_star_session(twoway_qkd.Topology(leaves=("a", "b")), config)
+seen.append(layers())
+print(json.dumps(seen))
+"""
+
+
+def test_a_run_loads_only_the_layers_it_uses():
+    """`import twoway_qkd` loads no layer; a session loads qubit, channel and protocol; a star adds network."""
+    src = str(Path(twoway_qkd.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _LAZY_LAYERS], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    session = ["twoway_qkd.channel", "twoway_qkd.protocol", "twoway_qkd.qubit"]
+    assert json.loads(done.stdout) == [[], session, sorted([*session, "twoway_qkd.network"])]
 
 
 # Runs in a fresh interpreter too.

@@ -142,6 +142,18 @@ def test_per_leaf_pools_for_unknown_leaves_are_rejected():
             run_star_session(Topology(leaves=("alice", "celine")), config, per_leaf_pools=pools)
 
 
+def test_record_frames_and_a_leafs_pool_are_errors_naming_the_field():
+    """record_frames sizes the frames array, so a non-bool is refused (2 would give each leaf 16 frames for 4
+    qubits, half of them uninitialised); a bad per-leaf pool's error names the leaf whose pool it was."""
+    config = RunConfig(n_bits=4, basis_pool=POOL, seed=5)
+    topology = Topology(leaves=("alice", "celine"))
+    for flag in (2, "yes"):
+        with pytest.raises(ConfigError, match=f"^record_frames: expected bool, got {flag!r}$"):
+            run_star_session(topology, config, record_frames=flag)
+    with pytest.raises(ConfigError, match=re.escape("per_leaf_pools[celine]: basis_pool[0]: expected Basis, got 0.1")):
+        run_star_session(topology, config, per_leaf_pools={"celine": (0.1,)})
+
+
 def test_frames_are_recorded_per_link_and_direction():
     config = RunConfig(n_bits=4, basis_pool=POOL, seed=6)
     result = run_star_session(make_topology(3), config)
