@@ -55,7 +55,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import ABSENT, FORWARD, EveStrategy, NoiseModel
-from .protocol import ABORT_REASONS, V2, LinkSettings, RunConfig, _pass_groups, _passes, _row_halves, run_batch
+from .protocol import ABORT_REASONS, LinkSettings, RunConfig, _pass_groups, _passes, _row_halves, run_batch
 from .qubit import ANGLE, Basis, ConfigError, RowStreams, _row_seed_words, check_fields, checked
 
 CONFIG_FILENAME = "config_resolved.json"
@@ -300,17 +300,16 @@ def run_experiment(config: ExperimentConfig) -> RunStatistics:
     cell's rows together and in cell order, and a cell larger than that is
     split (protocol._passes). One _row_seed_words call derives a pass's seed
     states, which seed its rows' read-ahead streams (RowStreams.from_seed_words).
+    Each pass adds its rows' integer counts to its cells' totals, and each rate is
+    one count over its trials, so the rates cannot depend on how rows split into passes.
     """
     cells, settings = config.cells(), config._settings
     n = config.repetitions
-    # Per cell: the sums of qber, erasure share, agreement and detection. They
-    # add one repetition at a time, in repetition order, as np.cumsum does (np.sum
-    # adds pairwise and rounds differently): the bytes must not depend on the passes.
-    sums = np.zeros((4, len(cells)))
+    # Per cell: wrong key bits, V2 erased blocks, agreeing runs and detected runs.
+    counts = np.zeros((4, len(cells)), np.int64)
     for group in _pass_groups(settings):
         run_config, link = settings[group[0]]
         ahead = -(-sum(_row_halves(run_config, link)) // 2)
-        length = run_config.message_length
         for members in _passes(len(group), n * run_config.qubit_count):
             ids = group[members]
             for rows in _passes(n, run_config.qubit_count):
@@ -318,20 +317,13 @@ def run_experiment(config: ExperimentConfig) -> RunStatistics:
                 words = _row_seed_words(config.run.seed, np.array(ids)[:, None], rows.start, count)
                 streams = (RowStreams.from_seed_words(words, ahead),) * 5
                 passed = run_batch([(*settings[i], count) for i in ids], streams)
-                # Each cell's running sums, then its rows' four rates: np.mean's float sum and division.
-                block = np.zeros((4, len(ids), count + 1))
-                block[:, :, 0] = sums[:, ids]
-                rates = block[:, :, 1:]
-                errors = (passed.derivation.m_prime != passed.key_message).reshape(len(ids), count, length)
-                np.add.reduce(errors, axis=-1, dtype=float, out=rates[0])
-                if run_config.variant == V2:
-                    np.add.reduce(passed.derivation.p.reshape(errors.shape), axis=-1, dtype=float, out=rates[1])
-                rates[:2] /= length
-                rates[2] = passed.agreement.reshape(len(ids), count)
-                rates[3] = (passed.abort == _DETECTED).reshape(len(ids), count)
-                sums[:, ids] = np.cumsum(block, axis=2, out=block)[:, :, -1]
-    rates = sums / n
+                tallies = (passed.derivation.m_prime != passed.key_message, passed.derivation.p,
+                           passed.agreement, passed.abort == _DETECTED)
+                for k, tally in enumerate(tallies):
+                    if tally is not None:  # p, V2's erased blocks, is None in V1 and V3
+                        counts[k, ids] += tally.reshape(len(ids), -1).sum(axis=1, dtype=np.int64)
     trials = np.array([(run_config.message_length, run_config.n_bits, 1, 1) for run_config, _ in settings]).T * n
+    rates = counts / trials
     stats = tuple(
         CellStats(params=params, runs=n, qber=qber, qber_se=qber_se, agreement_rate=agreement,
                   agreement_se=agreement_se, detection_rate=detection, detection_se=detection_se,

@@ -66,8 +66,8 @@ CHECKS = (
     Check("three_leaf_star", "PCG64 and SeedSequence only", _star,
           ("751299dcce476dc01db864372a88d01dbb8158c05e65ff90aa6cd966d9496411",)),
     Check("v3_even_and_odd_t_phase_noise", "PCG64 and SeedSequence only", _sweep,
-          ("594b9df34ea3d33bdaabdac2b58790b6afe93d380cd9ad9b08ff0542c82dacc2",
-           "9e1564388ebd37250bd0d9caa68639e7a4dc187cc0b7a401ae41254a6b765bd2",
+          ("70103726178b948541b6947a2caa94abb2dbe959a867688449eaaf21b9350d5a",
+           "4ff2dc1c66c36d81cff40ab451d2ea145a7386d583871d02a3cd2a987cb50f11",
            "c7fe81e0922722e2eb074621f13bcfed4fa2d041a27d4d867e57ff4788fa4db3")),
 )
 

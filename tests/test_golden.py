@@ -216,7 +216,13 @@ EXPERIMENT_CASES = {
 
 
 def check_covers(name: str, cells) -> None:
-    """The feature each experiment case was chosen to cover."""
+    """The feature each experiment case was chosen to cover; and in every case,
+    each rate is an integer count over its trials, rounded once."""
+    n_bits, variant = EXPERIMENT_CASES[name]["n_bits"], EXPERIMENT_CASES[name]["variant"]
+    for c in cells:
+        length = c.params["repetition"] * n_bits if variant == "V1" else n_bits
+        rates = ((c.qber, length), (c.erasure_rate, n_bits), (c.agreement_rate, 1), (c.detection_rate, 1))
+        assert all(round(rate * c.runs * per_run) / (c.runs * per_run) == rate for rate, per_run in rates)
     if name == "v3_even_and_odd_t_phase_noise":
         assert {c.params["repetition"] for c in cells} == {2, 3}
         assert any(c.qber > 0 for c in cells if c.params["p_bitflip"] == 0.0)  # phase and p_both noise flip bits
@@ -235,8 +241,8 @@ ARTIFACTS = ("results.csv", "summary.json", "config_resolved.json")
 # The sha256 of each of ARTIFACTS per case, of the files emit_results writes.
 EXPERIMENT_PINS = {
     "v3_even_and_odd_t_phase_noise": (
-        "594b9df34ea3d33bdaabdac2b58790b6afe93d380cd9ad9b08ff0542c82dacc2",
-        "9e1564388ebd37250bd0d9caa68639e7a4dc187cc0b7a401ae41254a6b765bd2",
+        "70103726178b948541b6947a2caa94abb2dbe959a867688449eaaf21b9350d5a",
+        "4ff2dc1c66c36d81cff40ab451d2ea145a7386d583871d02a3cd2a987cb50f11",
         "c7fe81e0922722e2eb074621f13bcfed4fa2d041a27d4d867e57ff4788fa4db3",
     ),
     "v2_one_block_even_t_aborts": (
@@ -250,8 +256,8 @@ EXPERIMENT_PINS = {
         "e2b7fb7cce6ea1f2c68095a7b1d22436aa5aef46b81afb219c6b0d3716677fee",
     ),
     "v2_even_t_eve_both_legs": (
-        "521577ffce00172f89e221635b64370aec134325a1b0480702dad5069c240f52",
-        "2b7f489a77daf2612f3332e3c02036a340d3f2f0dae52a18bb8d4bfab03a9c01",
+        "d6e1ff1b26a0c2db4237cfe269f0a7356a8255bacccbdec7fbbd8ad497c370ce",
+        "2a68cc2789c7a1882ae18eb097b9fb2cf9657fc973bc689c17aa17d4e94fd8a7",
         "a25b32c329cd420352eff6b23f3bc7363e845a91276b6341df235f99c3acfe64",
     ),
 }

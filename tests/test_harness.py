@@ -174,7 +174,8 @@ def binomial_se(rate: float, n: int) -> float:
 def reference_cells(config: ExperimentConfig) -> tuple[CellStats, ...]:
     """The per-session loop run_experiment replaced, kept as its oracle:
     one run_session per repetition, driven by the generator of spawn key
-    (cell index, repetition index). A cell's Eve taps with the configured pool, or
+    (cell index, repetition index); each rate is a cell's integer count over
+    its trials, divided once. A cell's Eve taps with the configured pool, or
     else the run's, on the configured legs, or else the forward leg."""
     cells = []
     for cell_index, params in enumerate(config.cells()):
@@ -185,20 +186,18 @@ def reference_cells(config: ExperimentConfig) -> tuple[CellStats, ...]:
         pool = config.eve.basis_pool or tuple(b.theta for b in config.run.basis_pool)
         eve = EveStrategy.absent() if params["eve"] == "absent" else EveStrategy(
             params["eve"], pool, config.eve.legs or frozenset({"forward"}))
-        qber_sum = 0.0
-        agreements = 0
-        detections = 0
-        erasure_sum = 0.0
+        errors = erasures = agreements = detections = 0
         for rep in range(config.repetitions):
             rng = np.random.default_rng(np.random.SeedSequence(config.run.seed, spawn_key=(cell_index, rep)))
             result = run_session(run_config, noise, noise, eve, rng=rng)
-            qber_sum += float(np.mean(result.derivation.m_prime != result.key_message))
+            errors += int(np.count_nonzero(result.derivation.m_prime != result.key_message))
             agreements += int(result.agreement)
             detections += int(result.abort_reason == "tag_mismatch")
             if run_config.variant == "V2":
-                erasure_sum += float(np.mean(result.derivation.p))
+                erasures += int(np.count_nonzero(result.derivation.p))
         n = config.repetitions
-        qber = qber_sum / n
+        qber = errors / (n * run_config.message_length)
+        erasure = erasures / (n * run_config.n_bits)
         cells.append(
             CellStats(
                 params=params,
@@ -209,8 +208,8 @@ def reference_cells(config: ExperimentConfig) -> tuple[CellStats, ...]:
                 agreement_se=binomial_se(agreements / n, n),
                 detection_rate=detections / n,
                 detection_se=binomial_se(detections / n, n),
-                erasure_rate=erasure_sum / n,
-                erasure_se=binomial_se(erasure_sum / n, n * run_config.n_bits),
+                erasure_rate=erasure,
+                erasure_se=binomial_se(erasure, n * run_config.n_bits),
             )
         )
     return tuple(cells)

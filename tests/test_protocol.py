@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twoway_qkd import (
@@ -32,8 +32,10 @@ from twoway_qkd.channel import RowNoise
 from twoway_qkd.network import Topology, run_star_session
 from twoway_qkd.protocol import (ABORT_REASONS, HUB_SPAWN_KEY, LinkSettings, _generator, _resolve, _row_halves,
                                  _session_result, bob_build_key_message, derive, run_batch)
-from twoway_qkd.qubit import ZX, RowStreams, _row_seed_words
-from twoway_qkd.reference import encode_bit, register_state
+from twoway_qkd.qubit import XZ, ZX, PauliWord, RowStreams, _row_seed_words
+from twoway_qkd.reference import apply_pauli, born_probability, encode_bit, register_state
+
+from test_acceptance import _majority_oracle
 
 POOL = (Basis(0.0), Basis(math.pi / 8), Basis(math.pi / 4))
 
@@ -878,3 +880,119 @@ def test_every_entry_point_runs_its_passes_through_run_batch():
         # 32 qubits a cell: the noiseless cell alone, then the two noisy cells in one pass.
         run_experiment(sweep)
         assert passes == [[4], [4, 4]]
+
+
+class ScalarSession(NamedTuple):
+    """What scalar_session computes for one session, qubit by qubit."""
+
+    noise_forward: list[int]
+    noise_backward: list[int]
+    to_bob: list  # PureState per qubit
+    to_alice: list
+    c: list[int]
+    M: list[int]
+    m_prime: list[int]
+    p: list[int] | None  # V2's erased blocks
+    abort_reason: str | None
+    sure: list[bool]  # no measurement of the qubit drew a uniform within 1e-12 of its probability
+
+
+def scalar_session(config: RunConfig, link: LinkSettings, rng) -> ScalarSession:
+    """One session from twoway_qkd.reference alone: the same arrays drawn through the
+    same Generator calls, in run_batch's order (a, b, m, forward noise, forward Eve,
+    backward noise, backward Eve, measurement), then each qubit's state carried
+    through encode_bit, apply_pauli and born_probability, one qubit at a time."""
+    n, pool, eve = config.qubit_count, config.basis_pool, link.eve
+    a = rng.integers(0, 2, size=n, dtype=np.uint8).tolist()
+    b = rng.integers(0, len(pool), size=n, dtype=np.int64).tolist()
+    m = rng.integers(0, 2, size=config.message_length, dtype=np.uint8)
+    if config.tag_length:
+        m[config.message_length - config.tag_length :] = config.resolved_tag_bits()
+    m = m.tolist()
+    draws = []
+    for noise, leg in ((link.noise_forward, "forward"), (link.noise_backward, "backward")):
+        edges = list(itertools.accumulate((noise.p_identity, noise.p_bitflip, noise.p_phaseflip)))
+        codes = [0] * n if noise.is_trivial() else [sum(u >= e for e in edges) for u in rng.random(n).tolist()]
+        tap = None
+        if eve.attacks(leg):
+            angles = [eve.basis_pool[i] for i in rng.integers(len(eve.basis_pool), size=n).tolist()]
+            tap = angles, (rng.random(n) if eve.kind == "intercept_resend" else rng.integers(2, size=n)).tolist()
+        draws.append((codes, tap))
+    measured = rng.random(n).tolist()
+    ops = {"V1": m, "V2": [m[k // config.repetition] for k in range(n)], "V3": [m[k % config.n_bits] for k in range(n)]}
+
+    def outcome(state, basis, u, k):
+        p1 = born_probability(state, basis, 1)
+        sure[k] = sure[k] and abs(u - p1) >= 1e-12
+        return int(u < p1)
+
+    sure, delivered, c = [True] * n, ([], []), []
+    for k in range(n):
+        state = encode_bit(a[k], pool[b[k]])
+        for leg, (codes, tap) in enumerate(draws):
+            if leg:  # Bob's encoding, between the legs
+                state = apply_pauli(state, XZ) if ops[config.variant][k] else state
+            state = apply_pauli(state, PauliWord(("I", "X", "Z", "XZ")[codes[k]]))
+            if tap is not None:
+                basis, drawn = Basis(tap[0][k]), tap[1][k]
+                bit = outcome(state, basis, drawn, k) if eve.kind == "intercept_resend" else drawn
+                state = encode_bit(bit, basis)
+            delivered[leg].append(state)
+        c.append(outcome(state, pool[b[k]], measured[k], k))
+    M = [ck ^ ak for ck, ak in zip(c, a)]
+    t, n_bits, p, reason = config.repetition, config.n_bits, None, None
+    if config.variant == "V1":
+        m_prime = M
+    else:  # criterion 7's oracle reads copy r of bit s at r * N + s; V2 holds it at s * t + r
+        copies = M if config.variant == "V3" else [M[s * t + r] for r in range(t) for s in range(n_bits)]
+        m_prime = _majority_oracle(copies, t, n_bits)
+    if config.variant == "V2":
+        p = [int(2 * sum(M[s * t : (s + 1) * t]) == t) for s in range(n_bits)]
+        reason = "all_erasures" if all(p) else None
+    tag = config.resolved_tag_bits().tolist()
+    if reason is None and config.tag_length and m_prime[config.message_length - config.tag_length :] != tag:
+        reason = "tag_mismatch"
+    return ScalarSession(draws[0][0], draws[1][0], *delivered, c, M, m_prime, p, reason, sure)
+
+
+SCALAR_ANGLES = st.lists(st.sampled_from([0.0, math.pi / 8, math.pi / 4, 0.3]), min_size=1, max_size=3, unique=True)
+SCALAR_NOISE = st.sampled_from([NoiseModel(), NoiseModel(p_bitflip=0.2, p_phaseflip=0.1, p_both=0.1),
+                                NoiseModel(p_phaseflip=0.3), NoiseModel(p_both=0.25)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["V1", "V2", "V3"]),
+    st.integers(1, 4),
+    # Up to 192 qubits: from 144 on, a 3-angle pool's Born probabilities come from its table.
+    st.one_of(st.integers(1, 6), st.integers(36, 48)),
+    st.integers(0, 6),
+    SCALAR_ANGLES,
+    SCALAR_NOISE,
+    SCALAR_NOISE,
+    st.sampled_from(["absent", "intercept_resend", "substitute"]),
+    st.sets(st.sampled_from(["forward", "backward"])),
+    SCALAR_ANGLES,
+    st.integers(0, 2**31 - 1),
+)
+# 192 qubits, 3-angle pools and every Pauli on both legs: each Born probability is read from a table.
+@example("V1", 4, 48, 4, [0.0, math.pi / 8, math.pi / 4], *[NoiseModel(0.2, 0.1, 0.1)] * 2, "intercept_resend",
+         {"forward", "backward"}, [0.3, 0.0, math.pi / 8], 7)
+def test_run_session_matches_the_scalar_session(variant, t, n_bits, tag_length, pool, forward, backward,
+                                                eve_kind, legs, eve_pool, seed):
+    config = RunConfig(n_bits=n_bits, repetition=t, variant=variant, basis_pool=tuple(map(Basis, pool)),
+                       tag_length=min(tag_length, n_bits))
+    eve = EveStrategy(eve_kind, tuple(eve_pool), frozenset(legs)) if eve_kind != "absent" else EveStrategy()
+    want = scalar_session(config, LinkSettings(forward, backward, eve), np.random.default_rng(seed))
+    got = run_session(config, forward, backward, eve, rng=np.random.default_rng(seed))
+    assert got.noise_codes_forward.tolist() == want.noise_forward
+    assert got.noise_codes_backward.tolist() == want.noise_backward
+    for k in np.flatnonzero(want.sure):
+        assert register_state(got.delivered_to_bob, k).equals_up_to_phase(want.to_bob[k])
+        assert register_state(got.delivered_to_alice, k).equals_up_to_phase(want.to_alice[k])
+        assert got.derivation.c[k] == want.c[k]
+    if all(want.sure):
+        assert got.derivation.M.tolist() == want.M
+        assert got.derivation.m_prime.tolist() == want.m_prime
+        assert (got.derivation.p if want.p is None else got.derivation.p.tolist()) == want.p
+        assert got.abort_reason == want.abort_reason
