@@ -14,7 +14,7 @@ _EXPORTS = {
     "channel": ("ABSENT", "BACKWARD", "FORWARD", "INTERCEPT_RESEND", "SUBSTITUTE", "EveObservation", "EveStrategy",
                 "NoiseModel"),
     "harness": ("ExperimentConfig", "RunStatistics", "emit_results", "run_experiment"),
-    "network": ("StarSessionResult", "Topology", "WireFrame", "run_star_session"),
+    "network": ("StarSessionResult", "Topology", "run_star_session"),
     "protocol": ("AllErasuresError", "DerivationRecord", "LinkSettings", "PreparationRecord", "RunConfig",
                  "SessionResult", "alice_measure", "alice_prepare", "bob_build_key_message", "bob_encode", "majority",
                  "resolve_erasures", "run_session"),

@@ -259,6 +259,8 @@ _SUMMARY = ('{\n  "cells": [\n    %s\n  ],\n  "config": %s,\n'
 
 @dataclass(frozen=True)
 class RunStatistics:
+    """A sweep's per-cell rates. texts() renders its artifacts, one text per file name; emit_results writes them."""
+
     config: ExperimentConfig
     cells: tuple[CellStats, ...]
 
@@ -281,12 +283,6 @@ class RunStatistics:
         nested = config[:-1].replace("\n", "\n  ")  # strings are escaped, so every newline starts a line
         summary = _SUMMARY % (",\n    ".join(objects), nested)
         return {CONFIG_FILENAME: config, CSV_FILENAME: "\n".join(lines) + "\n", SUMMARY_FILENAME: summary}
-
-    def csv_text(self) -> str:
-        return self.texts()[CSV_FILENAME]
-
-    def summary_json_text(self) -> str:
-        return self.texts()[SUMMARY_FILENAME]
 
 
 def run_experiment(config: ExperimentConfig) -> RunStatistics:

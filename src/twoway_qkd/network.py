@@ -44,46 +44,12 @@ TO_LEAF = 1
 #   direction   uint8   (0 = to-hub, 1 = to-leaf)
 #   sequence    uint64
 #   amplitudes  4 x float64 (re0, im0, re1, im1)
-# FRAME_DTYPE is this layout as a packed numpy record: star runs build and store
-# a whole register's frames with it, and WireFrame packs one frame with it.
+# FRAME_DTYPE is this layout as a packed numpy record: a star run builds and
+# stores a whole register's frames with it, a leaf's frame_array holds them,
+# and frames_bytes() is that array's bytes.
 FRAME_DTYPE = np.dtype([("link_id", "<u2"), ("direction", "u1"), ("sequence", "<u8"), ("amplitudes", "<f8", (4,))])
-FRAME_SIZE = FRAME_DTYPE.itemsize
 NORM_TOLERANCE = 1e-9
 _CLEAN_LINK = LinkSettings()  # a link the topology lists no settings for
-
-
-@dataclass(frozen=True)
-class WireFrame:
-    """One qubit in transit on one link, as delivered to the receiver."""
-
-    link_id: int
-    direction: int
-    sequence: int
-    amp0: complex
-    amp1: complex
-
-    def __post_init__(self) -> None:
-        check_fields(self, link_id=int, direction=int, sequence=int)  # a record field would truncate a float
-        if not 0 <= self.link_id < 1 << 16:
-            raise ValueError("link_id must fit in 16 bits")
-        if self.direction not in (TO_HUB, TO_LEAF):
-            raise ValueError("direction must be 0 (to-hub) or 1 (to-leaf)")
-        if not 0 <= self.sequence < 1 << 64:
-            raise ValueError("sequence must fit in 64 bits")
-        norm = abs(self.amp0) ** 2 + abs(self.amp1) ** 2
-        if not abs(norm - 1.0) <= NORM_TOLERANCE:
-            raise ValueError("payload must be a normalized state")
-
-    def pack(self) -> bytes:
-        amplitudes = (self.amp0.real, self.amp0.imag, self.amp1.real, self.amp1.imag)
-        return np.array((self.link_id, self.direction, self.sequence, amplitudes), FRAME_DTYPE).tobytes()
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "WireFrame":
-        if len(data) != FRAME_SIZE:
-            raise ValueError(f"a wire frame is {FRAME_SIZE} bytes, not {len(data)}")
-        link_id, direction, sequence, (re0, im0, re1, im1) = np.frombuffer(data, FRAME_DTYPE)[0].tolist()
-        return cls(link_id, direction, sequence, complex(re0, im0), complex(re1, im1))
 
 
 @dataclass(frozen=True)
@@ -107,7 +73,7 @@ class Topology:
         if unknown:
             raise ConfigError(f"links: link settings for unknown leaves: {sorted(unknown)}")
         if len(self.leaves) >= 1 << 16:
-            raise ConfigError("at most 65535 leaves (16-bit link ids)")
+            raise ConfigError("leaves: at most 65535 leaves (16-bit link ids)")
 
     def link_settings(self, leaf: str) -> LinkSettings:
         return self.links.get(leaf, _CLEAN_LINK)
@@ -143,12 +109,6 @@ class LeafOutcome(_Record):
     result: SessionResult = _BuiltOnRead()
     frame_array: np.ndarray  # FRAME_DTYPE records: to-hub frames, then to-leaf
 
-    @property
-    def frames(self) -> tuple[WireFrame, ...]:
-        """The recorded frames, decoded on each access."""
-        data = self.frames_bytes()
-        return tuple(WireFrame.unpack(data[k : k + FRAME_SIZE]) for k in range(0, len(data), FRAME_SIZE))
-
     def frames_bytes(self) -> bytes:
         return self.frame_array.tobytes()
 
@@ -167,7 +127,7 @@ def _register_frames(link_id, direction, register: QubitRegister, frames: np.nda
     """FRAME_DTYPE records, sequence numbers from 0, into `frames` or a new
     array: (Q,) for one register, (R, Q) for rows with one link id each.
     Amplitudes come from a per-code (re0, im0, re1, im1) table, -0.0 kept.
-    Raises ValueError, as WireFrame does, if any payload is not normalized."""
+    Raises ValueError if any payload is not normalized."""
     amps, codes = register.table.amps, register.codes
     unnormalized = ~(np.abs(np.abs(amps[0]) ** 2 + np.abs(amps[1]) ** 2 - 1.0) <= NORM_TOLERANCE)
     if unnormalized.any() and unnormalized.take(codes).any():

@@ -149,6 +149,11 @@ def test_star_frames_digest():
     data = b"".join(outcome.frames_bytes() for outcome in result.outcomes.values())
     assert len(data) == 3 * 2 * 16 * 43
     assert sha256(data) == STAR_FRAMES_PIN
+    # The pin holds a -0.0 real part and a -0.0 imaginary part (columns re0, im0, re1, im1), so a
+    # rewrite that dropped either sign would move it.
+    amplitudes = np.concatenate([outcome.frame_array["amplitudes"] for outcome in result.outcomes.values()])
+    negative_zero = (amplitudes == 0) & np.signbit(amplitudes)
+    assert negative_zero[:, 0::2].any() and negative_zero[:, 1::2].any()
 
 
 def test_star_without_frames_packs_nothing():

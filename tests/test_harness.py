@@ -60,7 +60,7 @@ def test_the_schema_is_the_config_types_own():
                          eve={"kind": "substitute", "basis_pool": [0.3]}, sweep={"p_bitflip": [0.0, 0.1]},
                          format="structured", output_dir="elsewhere")
     assert set(config.to_dict()) | {"output_dir"} == set(CONFIG_KEYS)
-    header = run_experiment(config).csv_text().splitlines()[0]
+    header = run_experiment(config).texts()[CSV_FILENAME].splitlines()[0]
     assert header == ",".join([*SWEEP_AXES, *(f.name for f in fields(CellStats) if f.name != "params")])
 
 
@@ -109,7 +109,7 @@ def test_experiment_config_takes_numpy_integers_as_ints():
     config = ExperimentConfig(RunConfig(n_bits=4), repetitions=np.int64(3), sweep_repetition=(np.int64(2),))
     plain = ExperimentConfig(RunConfig(n_bits=4), repetitions=3, sweep_repetition=(2,))
     assert config.json_text() == plain.json_text()
-    assert run_experiment(config).csv_text() == run_experiment(plain).csv_text()
+    assert run_experiment(config).texts() == run_experiment(plain).texts()
     run = RunConfig(n_bits=np.int64(4), repetition=np.int32(2), tag_length=np.int8(1), seed=np.uint16(3),
                     tag_bits=(np.uint8(0),))
     plain = ExperimentConfig(RunConfig(n_bits=4, repetition=2, tag_length=1, seed=3, tag_bits=(0,)), repetitions=2)
@@ -146,7 +146,7 @@ def test_sweep_produces_rows_in_product_order():
     assert len(stats.cells) == 6
     order = [(c.params["p_bitflip"], c.params["repetition"]) for c in stats.cells]
     assert order == [(0.0, 1), (0.0, 2), (0.0, 3), (0.1, 1), (0.1, 2), (0.1, 3)]
-    csv = stats.csv_text().strip().splitlines()
+    csv = stats.texts()[CSV_FILENAME].strip().splitlines()
     assert len(csv) == 7  # header + 6 rows
 
 
@@ -265,8 +265,7 @@ def test_batched_experiment_matches_the_per_session_loop(data, batch_qubits):
 def test_experiment_is_deterministic():
     config = make_config(sweep={"p_bitflip": [0.0, 0.1]}, eve={"kind": "absent"})
     s1, s2 = run_experiment(config), run_experiment(config)
-    assert s1.csv_text() == s2.csv_text()
-    assert s1.summary_json_text() == s2.summary_json_text()
+    assert s1.texts() == s2.texts()
 
 
 def test_emit_and_replay_byte_identical(tmp_path):
@@ -308,10 +307,10 @@ def test_an_eve_given_no_legs_taps_the_forward_leg(kind):
     assert swept.eve == EveStrategy("absent", pool, ("forward",))
     stats = run_experiment(explicit)
     assert stats.cells[0].qber > 0.2 and stats.cells[0].detection_rate > 0.8
-    assert run_experiment(swept).csv_text() == stats.csv_text()
+    assert run_experiment(swept).texts()[CSV_FILENAME] == stats.texts()[CSV_FILENAME]
     for config in configs:
         assert config == explicit and config.eve.legs == {"forward"}
-        assert run_experiment(config).csv_text() == stats.csv_text()
+        assert run_experiment(config).texts()[CSV_FILENAME] == stats.texts()[CSV_FILENAME]
         session = run_session(config.run, eve=config.eve)
         leaf = run_star_session(Topology(leaves=("a",), links={"a": LinkSettings(eve=config.eve)}), config.run)
         for result in (session, leaf.outcomes["a"].result):
@@ -694,8 +693,7 @@ def test_respelled_config_replays_byte_for_byte(spec):
     assert replace(replayed, output_dir=config.output_dir) == config  # output_dir is not written
     assert config.json_text() == replayed.json_text()
     stats, replayed_stats = run_experiment(config), run_experiment(replayed)
-    assert stats.csv_text() == replayed_stats.csv_text()
-    assert stats.summary_json_text() == replayed_stats.summary_json_text()
+    assert stats.texts() == replayed_stats.texts()
 
 
 def oracle_texts(stats) -> dict:
@@ -715,8 +713,7 @@ def test_artifacts_are_the_bytes_json_dumps_writes(config):
     stats = run_experiment(config)
     expected = oracle_texts(stats)
     assert config.json_text() == expected[CONFIG_FILENAME]
-    assert stats.csv_text() == expected[CSV_FILENAME]
-    assert stats.summary_json_text() == expected[SUMMARY_FILENAME]
+    assert stats.texts() == expected
     # emit_results writes those texts as ASCII bytes, building none with json.dumps and writing none as text.
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(json, "dumps", side_effect=AssertionError), \
             mock.patch.object(Path, "write_text", side_effect=AssertionError):
@@ -859,7 +856,7 @@ _EXPORTED = {
     "channel": ("ABSENT", "BACKWARD", "FORWARD", "INTERCEPT_RESEND", "SUBSTITUTE", "EveObservation", "EveStrategy",
                 "NoiseModel"),
     "harness": ("ExperimentConfig", "RunStatistics", "emit_results", "run_experiment"),
-    "network": ("StarSessionResult", "Topology", "WireFrame", "run_star_session"),
+    "network": ("StarSessionResult", "Topology", "run_star_session"),
     "protocol": ("AllErasuresError", "DerivationRecord", "LinkSettings", "PreparationRecord", "RunConfig",
                  "SessionResult", "alice_measure", "alice_prepare", "bob_build_key_message", "bob_encode", "majority",
                  "resolve_erasures", "run_session"),
@@ -869,7 +866,7 @@ _EXPORTED = {
 
 def test_the_package_names_are_the_defining_modules_objects():
     names = {name for layer_names in _EXPORTED.values() for name in layer_names}
-    assert len(names) == 38 and set(twoway_qkd.__all__) == names | set(_EXPORTED)
+    assert len(names) == 37 and set(twoway_qkd.__all__) == names | set(_EXPORTED)
     assert names <= set(dir(twoway_qkd))
     for layer, layer_names in _EXPORTED.items():
         module = getattr(twoway_qkd, layer)

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import re
+import struct
 from dataclasses import FrozenInstanceError, asdict, fields, replace
 from unittest import mock
 
@@ -17,16 +18,24 @@ from twoway_qkd import (
     NoiseModel,
     RunConfig,
     Topology,
-    WireFrame,
     run_session,
     run_star_session,
 )
 from twoway_qkd import network, protocol
-from twoway_qkd.network import FRAME_DTYPE, FRAME_SIZE, TO_HUB, TO_LEAF, LeafOutcome, _register_frames
+from twoway_qkd.network import FRAME_DTYPE, TO_HUB, TO_LEAF, LeafOutcome, _register_frames
 from twoway_qkd.protocol import _session_result, bob_build_key_message, run_batch
 from twoway_qkd.qubit import ConfigError, QubitRegister
 
 POOL = (Basis(0.0), Basis(math.pi / 4))
+# The README's wire layout, written apart from FRAME_DTYPE: link id, direction, sequence, re0, im0, re1, im1.
+WIRE = struct.Struct("<HBQdddd")
+
+
+def packed_frames(link_id, direction, register):
+    """A register's frames as WIRE packs them, one per qubit, sequence numbers from 0."""
+    amplitudes = zip(register.amp0.tolist(), register.amp1.tolist())
+    return b"".join(WIRE.pack(link_id, direction, k, a0.real, a0.imag, a1.real, a1.imag)
+                    for k, (a0, a1) in enumerate(amplitudes))
 
 
 def make_topology(n_leaves, links=None):
@@ -38,8 +47,8 @@ def test_topology_validation():
         Topology(leaves=())
     with pytest.raises(ValueError):
         Topology(leaves=("a", "a"))
-    with pytest.raises(ValueError):
-        Topology(hub="a", leaves=("a", "b"))
+    with pytest.raises(ConfigError, match="^hub cannot also be a leaf$"):
+        Topology(hub="a", leaves=("b", "a"))
     with pytest.raises(ValueError):
         Topology(leaves=("a",), links={"b": LinkSettings()})
     with pytest.raises(ValueError, match="'a'"):
@@ -55,33 +64,11 @@ def test_topology_validation():
         with pytest.raises(ValueError, match=rf"^{re.escape(name)}:"):
             Topology(**fields)
     assert Topology(leaves=["a", "b"]).leaves == ("a", "b")
-
-
-def test_wireframe_pack_unpack_roundtrip():
-    frame = WireFrame(7, TO_LEAF, 12345, complex(0.6, 0.0), complex(0.0, 0.8))
-    data = frame.pack()
-    assert len(data) == FRAME_SIZE == 43
-    assert WireFrame.unpack(data) == frame
-
-
-def test_wireframe_validation():
-    with pytest.raises(ValueError):
-        WireFrame(1 << 16, TO_HUB, 0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        WireFrame(0, 2, 0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        WireFrame(0, TO_HUB, -1, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        WireFrame(0, TO_HUB, 0, 1.0, 1.0)
-    # A frame field of FRAME_DTYPE would truncate a float.
-    for fields in ((1.5, TO_HUB, 0), (0, 1.0, 0), (0, TO_HUB, 2.5)):
-        with pytest.raises(ValueError, match="expected an integer"):
-            WireFrame(*fields, 1.0, 0.0)
-    # Data that is not one frame long: short and long.
-    frame = WireFrame(0, TO_HUB, 0, 1.0, 0.0).pack()
-    for data in (frame[:-1], frame + b"\0"):
-        with pytest.raises(ValueError):
-            WireFrame.unpack(data)
+    # A frame's link id is a uint16 and nothing but Topology bounds it: 65,535 leaves build, 65,536 do not.
+    names = tuple(f"leaf{i}" for i in range(1 << 16))
+    assert len(Topology(leaves=names[:-1]).leaves) == (1 << 16) - 1
+    with pytest.raises(ConfigError, match=r"^leaves: at most 65535 leaves \(16-bit link ids\)$"):
+        Topology(leaves=names)
 
 
 def test_two_leaves_noiseless_both_derive_m():
@@ -158,43 +145,30 @@ def test_frames_are_recorded_per_link_and_direction():
     config = RunConfig(n_bits=4, basis_pool=POOL, seed=6)
     result = run_star_session(make_topology(3), config)
     for outcome in result.outcomes.values():
-        frames = outcome.frames
-        assert len(frames) == 8  # 4 qubits x 2 directions
-        to_hub = [f for f in frames if f.direction == TO_HUB]
-        sequences = [f.sequence for f in to_hub]
-        assert sequences == sorted(sequences)
-        assert all(f.link_id == outcome.link_id for f in frames)
-        for f in frames:
-            assert WireFrame.unpack(f.pack()) == f
+        frames = outcome.frame_array
+        assert frames.dtype == FRAME_DTYPE and frames.shape == (8,)  # 4 qubits x 2 directions
+        assert (frames["link_id"] == outcome.link_id).all()
+        assert frames["direction"].tolist() == [TO_HUB] * 4 + [TO_LEAF] * 4
+        assert frames["sequence"].tolist() == [0, 1, 2, 3] * 2
+        # The fields read from frame_array are the ones WIRE reads from frames_bytes().
+        fields_read = [(link_id, direction, k, *amplitudes) for link_id, direction, k, amplitudes in frames.tolist()]
+        assert fields_read == list(WIRE.iter_unpack(outcome.frames_bytes()))
 
 
 def test_frame_array_matches_the_per_frame_codec():
-    assert FRAME_DTYPE.itemsize == FRAME_SIZE
+    assert FRAME_DTYPE.itemsize == WIRE.size == 43
     links = {"leaf1": LinkSettings(NoiseModel(p_both=0.3), NoiseModel(p_phaseflip=0.3),
                                    EveStrategy.intercept_resend((0.0, math.pi / 4), legs=("backward",)))}
     result = run_star_session(make_topology(3, links), RunConfig(n_bits=12, basis_pool=POOL, seed=23))
     for outcome in result.outcomes.values():
-        expected = tuple(
-            WireFrame(outcome.link_id, direction, k, complex(register.amp0[k]), complex(register.amp1[k]))
-            for direction, register in (
-                (TO_HUB, outcome.result.delivered_to_bob),
-                (TO_LEAF, outcome.result.delivered_to_alice),
-            )
-            for k in range(len(register))
-        )
-        data = outcome.frames_bytes()
-        assert data == b"".join(frame.pack() for frame in expected)
-        assert outcome.frames == expected
-        assert [WireFrame.unpack(data[k : k + FRAME_SIZE]) for k in range(0, len(data), FRAME_SIZE)] == list(
-            outcome.frames
-        )
+        registers = ((TO_HUB, outcome.result.delivered_to_bob), (TO_LEAF, outcome.result.delivered_to_alice))
+        expected = b"".join(packed_frames(outcome.link_id, direction, register) for direction, register in registers)
+        assert outcome.frames_bytes() == outcome.frame_array.tobytes() == expected
 
 
 def test_recording_an_unnormalized_register_raises():
     amp0 = np.array([1.0, math.sqrt(1.0 + 1e-6)])
     register = QubitRegister(amp0, np.zeros(2))
-    with pytest.raises(ValueError, match="normalized"):
-        WireFrame(0, TO_HUB, 1, complex(amp0[1]), 0j)
     with pytest.raises(ValueError, match="normalized"):
         _register_frames(0, TO_HUB, register)
     with pytest.raises(ValueError, match="normalized"):
@@ -385,16 +359,13 @@ def spawned_rng(seed, key):
 
 def reference_leaf(config, seed, link_id, link, key_message, record_frames):
     """One leaf as the star ran it leaf by leaf: its own streams, one
-    round trip as a one-row pass, then frames through the one-frame codec."""
+    round trip as a one-row pass, then each register's frames packed by WIRE."""
     streams = [spawned_rng(seed, (link_id, purpose)) for purpose in range(5)]
     result = _session_result(config, run_batch([(config, link, 1)], streams, key_message))
     frames = b""
     if record_frames:
-        frames = b"".join(
-            WireFrame(link_id, direction, k, complex(register.amp0[k]), complex(register.amp1[k])).pack()
-            for direction, register in ((TO_HUB, result.delivered_to_bob), (TO_LEAF, result.delivered_to_alice))
-            for k in range(len(register))
-        )
+        frames = packed_frames(link_id, TO_HUB, result.delivered_to_bob) + packed_frames(
+            link_id, TO_LEAF, result.delivered_to_alice)
     return result, frames
 
 

@@ -897,28 +897,32 @@ class ScalarSession(NamedTuple):
     sure: list[bool]  # no measurement of the qubit drew a uniform within 1e-12 of its probability
 
 
-def scalar_session(config: RunConfig, link: LinkSettings, rng) -> ScalarSession:
+def scalar_session(config: RunConfig, link: LinkSettings, streams) -> ScalarSession:
     """One session from twoway_qkd.reference alone: the same arrays drawn through the
     same Generator calls, in run_batch's order (a, b, m, forward noise, forward Eve,
     backward noise, backward Eve, measurement), then each qubit's state carried
-    through encode_bit, apply_pauli and born_probability, one qubit at a time."""
+    through encode_bit, apply_pauli and born_probability, one qubit at a time.
+    streams are six Generators: purposes 0-4 (preparation, forward noise, Eve,
+    backward noise, measurement), then the key-message's; one Generator six times
+    is run_session's rng=."""
     n, pool, eve = config.qubit_count, config.basis_pool, link.eve
-    a = rng.integers(0, 2, size=n, dtype=np.uint8).tolist()
-    b = rng.integers(0, len(pool), size=n, dtype=np.int64).tolist()
-    m = rng.integers(0, 2, size=config.message_length, dtype=np.uint8)
+    a = streams[0].integers(0, 2, size=n, dtype=np.uint8).tolist()
+    b = streams[0].integers(0, len(pool), size=n, dtype=np.int64).tolist()
+    m = streams[5].integers(0, 2, size=config.message_length, dtype=np.uint8)
     if config.tag_length:
         m[config.message_length - config.tag_length :] = config.resolved_tag_bits()
     m = m.tolist()
-    draws = []
-    for noise, leg in ((link.noise_forward, "forward"), (link.noise_backward, "backward")):
+    draws, eve_rng = [], streams[2]
+    for noise, leg, rng in ((link.noise_forward, "forward", streams[1]), (link.noise_backward, "backward", streams[3])):
         edges = list(itertools.accumulate((noise.p_identity, noise.p_bitflip, noise.p_phaseflip)))
         codes = [0] * n if noise.is_trivial() else [sum(u >= e for e in edges) for u in rng.random(n).tolist()]
         tap = None
         if eve.attacks(leg):
-            angles = [eve.basis_pool[i] for i in rng.integers(len(eve.basis_pool), size=n).tolist()]
-            tap = angles, (rng.random(n) if eve.kind == "intercept_resend" else rng.integers(2, size=n)).tolist()
+            angles = [eve.basis_pool[i] for i in eve_rng.integers(len(eve.basis_pool), size=n).tolist()]
+            resent = eve_rng.random(n) if eve.kind == "intercept_resend" else eve_rng.integers(2, size=n)
+            tap = angles, resent.tolist()
         draws.append((codes, tap))
-    measured = rng.random(n).tolist()
+    measured = streams[4].random(n).tolist()
     ops = {"V1": m, "V2": [m[k // config.repetition] for k in range(n)], "V3": [m[k % config.n_bits] for k in range(n)]}
 
     def outcome(state, basis, u, k):
@@ -960,31 +964,28 @@ SCALAR_NOISE = st.sampled_from([NoiseModel(), NoiseModel(p_bitflip=0.2, p_phasef
                                 NoiseModel(p_phaseflip=0.3), NoiseModel(p_both=0.25)])
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    st.sampled_from(["V1", "V2", "V3"]),
-    st.integers(1, 4),
+@st.composite
+def scalar_cases(draw):
+    """A (config, link) of any variant, pool, noise on each leg, and Eve kind, pool and legs."""
+    variant, t = draw(st.sampled_from(["V1", "V2", "V3"])), draw(st.integers(1, 4))
     # Up to 192 qubits: from 144 on, a 3-angle pool's Born probabilities come from its table.
-    st.one_of(st.integers(1, 6), st.integers(36, 48)),
-    st.integers(0, 6),
-    SCALAR_ANGLES,
-    SCALAR_NOISE,
-    SCALAR_NOISE,
-    st.sampled_from(["absent", "intercept_resend", "substitute"]),
-    st.sets(st.sampled_from(["forward", "backward"])),
-    SCALAR_ANGLES,
-    st.integers(0, 2**31 - 1),
-)
+    n_bits = draw(st.one_of(st.integers(1, 6), st.integers(36, 48)))
+    config = RunConfig(n_bits=n_bits, repetition=t, variant=variant, basis_pool=tuple(map(Basis, draw(SCALAR_ANGLES))),
+                       tag_length=min(draw(st.integers(0, 6)), n_bits))
+    forward, backward = draw(SCALAR_NOISE), draw(SCALAR_NOISE)
+    eve_kind, legs = draw(st.sampled_from(["absent", "intercept_resend", "substitute"])), draw(
+        st.sets(st.sampled_from(["forward", "backward"])))
+    eve = EveStrategy(eve_kind, tuple(draw(SCALAR_ANGLES)), frozenset(legs)) if eve_kind != "absent" else EveStrategy()
+    return config, LinkSettings(forward, backward, eve)
+
+
 # 192 qubits, 3-angle pools and every Pauli on both legs: each Born probability is read from a table.
-@example("V1", 4, 48, 4, [0.0, math.pi / 8, math.pi / 4], *[NoiseModel(0.2, 0.1, 0.1)] * 2, "intercept_resend",
-         {"forward", "backward"}, [0.3, 0.0, math.pi / 8], 7)
-def test_run_session_matches_the_scalar_session(variant, t, n_bits, tag_length, pool, forward, backward,
-                                                eve_kind, legs, eve_pool, seed):
-    config = RunConfig(n_bits=n_bits, repetition=t, variant=variant, basis_pool=tuple(map(Basis, pool)),
-                       tag_length=min(tag_length, n_bits))
-    eve = EveStrategy(eve_kind, tuple(eve_pool), frozenset(legs)) if eve_kind != "absent" else EveStrategy()
-    want = scalar_session(config, LinkSettings(forward, backward, eve), np.random.default_rng(seed))
-    got = run_session(config, forward, backward, eve, rng=np.random.default_rng(seed))
+TABLE_CASE = (RunConfig(n_bits=48, repetition=4, basis_pool=POOL, tag_length=4),
+              LinkSettings(*[NoiseModel(0.2, 0.1, 0.1)] * 2,
+                           EveStrategy("intercept_resend", (0.3, 0.0, math.pi / 8), frozenset({"forward", "backward"}))))
+
+
+def assert_matches_the_scalar_session(got, want: ScalarSession):
     assert got.noise_codes_forward.tolist() == want.noise_forward
     assert got.noise_codes_backward.tolist() == want.noise_backward
     for k in np.flatnonzero(want.sure):
@@ -996,3 +997,26 @@ def test_run_session_matches_the_scalar_session(variant, t, n_bits, tag_length, 
         assert got.derivation.m_prime.tolist() == want.m_prime
         assert (got.derivation.p if want.p is None else got.derivation.p.tolist()) == want.p
         assert got.abort_reason == want.abort_reason
+
+
+@settings(max_examples=150, deadline=None)
+@given(scalar_cases(), st.integers(0, 2**31 - 1))
+@example(TABLE_CASE, 7)
+def test_run_session_matches_the_scalar_session(case, seed):
+    config, link = case
+    want = scalar_session(config, link, (np.random.default_rng(seed),) * 6)
+    got = run_session(config, link.noise_forward, link.noise_backward, link.eve, rng=np.random.default_rng(seed))
+    assert_matches_the_scalar_session(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scalar_cases(), st.integers(0, 2**63 - 1))
+@example(TABLE_CASE, 7)
+def test_seeded_run_session_matches_the_scalar_session(case, seed):
+    # run_session on its own seed draws each purpose from its own stream: rows 0-4 of these words are
+    # link 0's purposes, row 5 the hub's key-message. A leg that read another purpose's stream fails here.
+    config, link = case
+    words = _row_seed_words(seed, [[0], HUB_SPAWN_KEY[:1]], 0, 5)
+    want = scalar_session(config, link, [_generator(row) for row in words])
+    got = run_session(replace(config, seed=seed), link.noise_forward, link.noise_backward, link.eve)
+    assert_matches_the_scalar_session(got, want)
