@@ -55,7 +55,8 @@ from pathlib import Path
 import numpy as np
 
 from .channel import ABSENT, FORWARD, EveStrategy, NoiseModel
-from .protocol import ABORT_REASONS, LinkSettings, RunConfig, _pass_groups, _passes, _row_halves, run_batch
+from .protocol import (ABORT_REASONS, LinkSettings, RunConfig, _batches, _pass_groups, _passes, _row_halves,
+                       run_batch)
 from .qubit import ANGLE, Basis, ConfigError, RowStreams, _row_seed_words, check_fields, checked
 
 CONFIG_FILENAME = "config_resolved.json"
@@ -294,30 +295,38 @@ def run_experiment(config: ExperimentConfig) -> RunStatistics:
     whose rows draw alike (protocol._pass_groups) share run_batch passes: a
     pass holds as many whole cells as fit in BATCH_QUBITS qubit slots, each
     cell's rows together and in cell order, and a cell larger than that is
-    split (protocol._passes). One _row_seed_words call derives a pass's seed
-    states, which seed its rows' read-ahead streams (RowStreams.from_seed_words).
+    split (protocol._passes). One _row_seed_words call derives the seed states of as
+    many consecutive passes as fit in BATCH_QUBITS rows (protocol._batches; one call
+    up to BATCH_QUBITS sessions), which seed each pass's read-ahead streams (RowStreams.from_seed_words).
     Each pass adds its rows' integer counts to its cells' totals, and each rate is
     one count over its trials, so the rates cannot depend on how rows split into passes.
     """
     cells, settings = config.cells(), config._settings
     n = config.repetitions
-    # Per cell: wrong key bits, V2 erased blocks, agreeing runs and detected runs.
-    counts = np.zeros((4, len(cells)), np.int64)
+    plan = []  # every pass in run order: its cells, their first row and row count, the words a row reads ahead
     for group in _pass_groups(settings):
         run_config, link = settings[group[0]]
         ahead = -(-sum(_row_halves(run_config, link)) // 2)
         for members in _passes(len(group), n * run_config.qubit_count):
-            ids = group[members]
-            for rows in _passes(n, run_config.qubit_count):
-                count = rows.stop - rows.start
-                words = _row_seed_words(config.run.seed, np.array(ids)[:, None], rows.start, count)
-                streams = (RowStreams.from_seed_words(words, ahead),) * 5
-                passed = run_batch([(*settings[i], count) for i in ids], streams)
-                tallies = (passed.derivation.m_prime != passed.key_message, passed.derivation.p,
-                           passed.agreement, passed.abort == _DETECTED)
-                for k, tally in enumerate(tallies):
-                    if tally is not None:  # p, V2's erased blocks, is None in V1 and V3
-                        counts[k, ids] += tally.reshape(len(ids), -1).sum(axis=1, dtype=np.int64)
+            plan += [(group[members], rows.start, rows.stop - rows.start, ahead)
+                     for rows in _passes(n, run_config.qubit_count)]
+    # Per cell: wrong key bits, V2 erased blocks, agreeing runs and detected runs.
+    counts = np.zeros((4, len(cells)), np.int64)
+    for batch in _batches([len(ids) * count for ids, _, count, _ in plan]):
+        # Spawn key (i, r) of row r of cell i, each pass's cells in turn: segment j holds
+        # span[j] rows of cell[j], first[j] on, from row offset[j] of the batch on.
+        cell, first, span = np.array([(i, start, count) for ids, start, count, _ in plan[batch] for i in ids]).T
+        offset = np.cumsum(span) - span
+        trailing = np.arange(span.sum()) - np.repeat(offset - first, span)
+        words, at = _row_seed_words(config.run.seed, np.column_stack([np.repeat(cell, span), trailing])), 0
+        for ids, _, count, ahead in plan[batch]:
+            streams = (RowStreams.from_seed_words(words[at : (at := at + len(ids) * count)], ahead),) * 5
+            passed = run_batch([(*settings[i], count) for i in ids], streams)
+            tallies = (passed.derivation.m_prime != passed.key_message, passed.derivation.p,
+                       passed.agreement, passed.abort == _DETECTED)
+            for k, tally in enumerate(tallies):
+                if tally is not None:  # p, V2's erased blocks, is None in V1 and V3
+                    counts[k, ids] += tally.reshape(len(ids), -1).sum(axis=1, dtype=np.int64)
     trials = np.array([(run_config.message_length, run_config.n_bits, 1, 1) for run_config, _ in settings]).T * n
     rates = counts / trials
     stats = tuple(

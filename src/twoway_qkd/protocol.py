@@ -30,7 +30,7 @@ import numpy as np
 
 from .channel import (BACKWARD, FORWARD, INTERCEPT_RESEND, EveObservation, EveStrategy, NoiseModel, RowNoise,
                       perturb_register, eve_tap_register)
-from .qubit import (PAULI_TAGS, Basis, ConfigError, QubitRegister, Rng, _Record, _row_seed_words, _SeedWords,
+from .qubit import (PAULI_TAGS, Basis, ConfigError, QubitRegister, Rng, _Record, _row_seed_words, _SeedRows,
                     check_fields)
 
 V1 = "V1"
@@ -59,14 +59,25 @@ def _passes(rows: int, qubit_count: int) -> list[slice]:
     return [slice(start, min(rows, start + step)) for start in range(0, rows, step)]
 
 
+def _batches(sizes) -> list[slice]:
+    """Consecutive slices of items of these sizes (each within BATCH_QUBITS), as many a slice as fit in it."""
+    slices, start, total = [], 0, 0
+    for stop, size in enumerate(sizes):
+        if total + size > BATCH_QUBITS:
+            slices.append(slice(start, stop))
+            start, total = stop, 0
+        total += size
+    return [*slices, slice(start, len(sizes))]
+
+
 def _generator(words: np.ndarray) -> Rng:
     """A Generator over the PCG64 stream that four uint64 seed words seed."""
-    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
+    return np.random.Generator(np.random.PCG64(_SeedRows(words)))
 
 
 def _key_rng(seed: int) -> Rng:
     """The hub's key-message stream, spawn key HUB_SPAWN_KEY."""
-    return _generator(_row_seed_words(seed, HUB_SPAWN_KEY[:1], HUB_SPAWN_KEY[1], 1)[0])
+    return _generator(_row_seed_words(seed, HUB_SPAWN_KEY))
 
 
 @dataclass(frozen=True)
@@ -81,10 +92,16 @@ class LinkSettings:
     def __post_init__(self) -> None:
         check_fields(self, noise_forward=NoiseModel, noise_backward=NoiseModel, eve=EveStrategy)
 
+    @cached_property
+    def draw_key(self) -> tuple:
+        """The link's part of _pass_groups' key: Eve's kind, pool bytes and legs; each leg's noise trivial or not."""
+        eve, noise = self.eve, (self.noise_forward, self.noise_backward)
+        return eve.kind, np.array(eve.basis_pool).tobytes(), eve.legs, *(model.is_trivial() for model in noise)
+
 
 def _link_words(seed: int, links) -> np.ndarray:
     """The seed words of purposes 0-4 of links `links`: (5, len(links), 4) uint64, one row per link."""
-    return _row_seed_words(seed, np.asarray(links)[:, None], 0, 5).reshape(-1, 5, 4).transpose(1, 0, 2)
+    return _row_seed_words(seed, np.stack(np.broadcast_arrays(links, np.arange(5)[:, None]), axis=-1))
 
 
 def _row_halves(config: RunConfig, link: LinkSettings) -> list:
@@ -100,17 +117,12 @@ def _row_halves(config: RunConfig, link: LinkSettings) -> list:
 
 
 def _pass_groups(pairs) -> list[list[int]]:
-    """The indices of (config, link) pairs whose rows draw alike, and so may share passes: the
-    same variant, n_bits, repetition and pool; Eve's kind, pool and legs; noise drawn or not on
-    each leg. Angles key by their bytes, as state tables do: -0.0 and 0.0 compare equal, encode apart."""
+    """The indices of (config, link) pairs whose rows draw alike (equal draw_keys), and so may share passes:
+    the same variant, n_bits, repetition and pool; Eve's kind, pool and legs; noise drawn or not on each
+    leg. Angles key by their bytes, as state tables do: -0.0 and 0.0 compare equal, encode apart."""
     groups: dict[tuple, list[int]] = {}
-    keys: dict[tuple[int, int], tuple] = {}  # one key per pair of objects, kept alive so no id is reused
     for index, (config, link) in enumerate(pairs):
-        if (ids := (id(config), id(link))) not in keys:
-            eve, noise = link.eve, (link.noise_forward.is_trivial(), link.noise_backward.is_trivial())
-            keys[ids] = ((config.variant, config.n_bits, config.repetition, config.pool_angles.tobytes(), eve.kind,
-                          np.array(eve.basis_pool).tobytes(), eve.legs, noise), config, link)
-        groups.setdefault(keys[ids][0], []).append(index)
+        groups.setdefault((config.draw_key, link.draw_key), []).append(index)
     return list(groups.values())
 
 
@@ -287,6 +299,11 @@ class RunConfig:
         angles = np.array([b.theta for b in self.basis_pool])
         angles.flags.writeable = False
         return angles
+
+    @cached_property
+    def draw_key(self) -> tuple:
+        """The config's part of _pass_groups' key: variant, n_bits, repetition and pool bytes."""
+        return self.variant, self.n_bits, self.repetition, self.pool_angles.tobytes()
 
     def __getstate__(self) -> dict:
         # A cached pool_angles would come back writeable; the copy builds its own on first read.
@@ -590,8 +607,8 @@ def run_session(
     m = None if key_message is None else as_bits(key_message)
     streams = (rng,) * 5
     if rng is None:
-        # Rows 0-4 seed link 0's purposes; row 5 is spawn key (1 << 16, 0), the hub's HUB_SPAWN_KEY.
-        words = _row_seed_words(config.seed, [[0], HUB_SPAWN_KEY[:1]], 0, 5)
+        # Rows 0-4 seed link 0's purposes; row 5 is the hub's key-message, HUB_SPAWN_KEY.
+        words = _row_seed_words(config.seed, [*((0, purpose) for purpose in range(5)), HUB_SPAWN_KEY])
         streams = [_generator(row) if count else None for row, count in zip(words[:5], _row_halves(config, link))]
         if m is None:
             m = bob_build_key_message(config, _generator(words[5]))

@@ -80,7 +80,9 @@ class RowStreams:
     stream r returns, so it sees exactly the draws a one-session run makes.
     Stands in for a Generator wherever a batched register (leading run axis)
     is drawn for. Rows are fresh bit generators (random_raw, no spare half
-    held) that RowStreams owns: it never reads or writes their state.
+    held) that RowStreams owns: it never reads or writes their state. A pass
+    builds its rows with from_seed_words: one _SeedRows hands each row's PCG64
+    its words of _row_seed_words, in row order.
 
     Each row reads the `ahead` words its pass draws (protocol._row_halves) in one random_raw
     call when built. Draws take them through one cursor all rows share and top up from each
@@ -106,8 +108,13 @@ class RowStreams:
 
     @classmethod
     def from_seed_words(cls, words: np.ndarray, ahead: int = 0) -> "RowStreams":
-        """Rows over fresh PCG64 streams, row r seeded with the uint64 words[r] of _row_seed_words."""
-        return cls(map(np.random.PCG64, map(_SeedWords, words)), ahead)
+        """Rows over fresh PCG64 streams, row r seeded with the uint64 words[r] of _row_seed_words,
+        all from one _SeedRows; a ValueError unless each PCG64 took exactly one row."""
+        seeds = _SeedRows(words)
+        bits = [np.random.PCG64(seeds) for _ in range(len(words))]
+        if next(seeds.rows, None) is not None:
+            raise ValueError(f"{len(words)} PCG64 streams left a seed row unused")
+        return cls(bits, ahead)
 
     def _words(self, count: int) -> np.ndarray:
         """The next `count` words of every row, (R, count) uint64."""
@@ -205,20 +212,19 @@ def _seed_pool(seed: int) -> np.ndarray:
     return pool
 
 
-def _row_seed_words(seed: int, prefixes, start: int, count: int) -> np.ndarray:
-    """(P * count, 4) uint64 for P spawn-key prefixes (one key, or a (P, K)
-    array): row p * count + r is the PCG64 seed state SeedSequence(seed,
-    spawn_key=(*prefixes[p], start + r)).generate_state(4, np.uint64).
+def _row_seed_words(seed: int, keys) -> np.ndarray:
+    """The PCG64 seed state of each spawn key along the last axis of `keys` (non-negative
+    integers, shape (..., K)): words[...] = SeedSequence(seed, spawn_key=tuple(keys[...]))
+    .generate_state(4, np.uint64), a uint64 array of shape (..., 4).
 
     Key words follow the seed's, padded to four words as the pool is, so all
     rows share SeedSequence(seed)'s pool and mix their key words into it (a
     value from 2**32 on is two words, low first: each row keeps its own hash
     constant) in uint32 arithmetic that wraps as SeedSequence's does.
     """
-    prefixes = np.array(prefixes, "<u8", ndmin=2)
-    trailing = np.tile(np.arange(start, start + count, dtype="<u8"), len(prefixes))[:, None]
-    keys = np.column_stack([np.repeat(prefixes, count, axis=0), trailing])
-    words = keys.view("<u4").reshape(len(keys), -1, 2)
+    keys = np.asarray(keys, "<u8")
+    lead = keys.shape[:-1]
+    words = np.ascontiguousarray(keys.reshape(-1, keys.shape[-1])).view("<u4").reshape(-1, keys.shape[-1], 2)
     two_words = words[:, :, 1, None] > 0
     pool = _seed_pool(seed)[None]
     # Four hashmix steps per entropy word (SeedSequence splits the seed into uint32 words),
@@ -237,20 +243,25 @@ def _row_seed_words(seed: int, prefixes, start: int, count: int) -> np.ndarray:
             pool, const = mixed, hashes[:, 4:]
     state = (np.concatenate([pool, pool], axis=1) ^ _STATE_HASH[:8]) * _STATE_HASH[1:]
     state ^= state >> 16
-    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False).reshape(*lead, 4)
 
 
-class _SeedWords(np.random.bit_generator.ISeedSequence):
-    """Hands PCG64 the four uint64 seed words _row_seed_words computed for a
-    row, in place of the SeedSequence that would generate the same words."""
+class _SeedRows(np.random.bit_generator.ISeedSequence):
+    """Hands each PCG64 built from it the next row of the (R, 4) uint64 seed words of _row_seed_words, in
+    place of the SeedSequence that would generate them; a ValueError for any other request or past row R."""
 
-    __slots__ = ("words",)
+    __slots__ = ("rows",)
 
     def __init__(self, words: np.ndarray):
-        self.words = words
+        # PCG64 reads its four words from the memory of the array it gets: rows must be contiguous.
+        self.rows = iter(np.ascontiguousarray(words, np.uint64).reshape(-1, 4))
 
     def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-        return self.words
+        if n_words != 4 or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
+            raise ValueError(f"seed rows hold four uint64 words, not {n_words} {np.dtype(dtype)}")
+        if (row := next(self.rows, None)) is None:
+            raise ValueError("every seed row is taken")
+        return row
 
 
 # Integer codes for vectorized Pauli bookkeeping (transcripts, noise draws).

@@ -32,7 +32,7 @@ from twoway_qkd.harness import (
     _json,
 )
 from twoway_qkd.protocol import HUB_SPAWN_KEY, VARIANTS, _key_rng
-from twoway_qkd.qubit import RowStreams, _row_seed_words, _SeedWords
+from twoway_qkd.qubit import RowStreams, _row_seed_words, _SeedRows
 
 BASE = {
     "variant": "V1",
@@ -944,22 +944,43 @@ def test_unwritable_output_path(tmp_path):
         emit_results(run_experiment(config), target / "sub")
 
 
+def test_seed_rows_hand_each_pcg64_one_row_of_four_uint64_words():
+    words = _row_seed_words(3, [(0, 0), (0, 1)])
+    seeds = _SeedRows(words)
+    with pytest.raises(ValueError, match="four uint64 words, not 2 uint32"):
+        seeds.generate_state(2, np.uint32)
+    first, second = np.random.PCG64(seeds), np.random.PCG64(seeds)
+    with pytest.raises(ValueError, match="every seed row is taken"):
+        np.random.PCG64(seeds)  # one more than the rows
+    for bits, key in zip((first, second), [(0, 0), (0, 1)]):
+        assert bits.state == np.random.PCG64(np.random.SeedSequence(3, spawn_key=key)).state
+    # from_seed_words builds one PCG64 a row, and each must take exactly its row.
+    real = np.random.PCG64
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.random, "PCG64", lambda seeds: real(0))  # takes no row
+        with pytest.raises(ValueError, match="left a seed row unused"):
+            RowStreams.from_seed_words(words)
+        patch.setattr(np.random, "PCG64", lambda seeds: real(seeds) and real(seeds))  # takes two rows
+        with pytest.raises(ValueError, match="every seed row is taken"):
+            RowStreams.from_seed_words(words)
+
+
 @pytest.mark.parametrize("seed", [0, 2**32, 2**130 + 3])
 @pytest.mark.parametrize("cell", [3, 2**32 + 5])
 def test_row_seed_words_match_seed_sequence(seed, cell):
     # Rows on both sides of 2**32, where a row index grows from one uint32 word to two.
     for start, count in [(0, 3), (2**32 - 2, 4)]:
-        words = _row_seed_words(seed, (cell,), start, count)
+        words = _row_seed_words(seed, [(cell, start + r) for r in range(count)])
         assert words.dtype == np.uint64 and words.shape == (count, 4)
         for r in range(count):
             spawned = np.random.SeedSequence(seed, spawn_key=(cell, start + r))
             assert np.array_equal(words[r], spawned.generate_state(4, np.uint64))
             # A PCG64 seeded from the words is the stream the SeedSequence would seed.
-            assert np.array_equal(np.random.PCG64(_SeedWords(words[r])).random_raw(3), np.random.PCG64(spawned).random_raw(3))
+            assert np.array_equal(np.random.PCG64(_SeedRows(words[r])).random_raw(3), np.random.PCG64(spawned).random_raw(3))
     # Two-word keys (link, purpose), as a star derives them: rows of prefixes,
     # each with purposes 0-4; the cell as a link mixes one- and two-word prefixes.
     links = [0, 1, 65535, cell]
-    words = _row_seed_words(seed, np.array(links)[:, None], 0, 5)
+    words = _row_seed_words(seed, [(link, purpose) for link in links for purpose in range(5)])
     assert words.dtype == np.uint64 and words.shape == (5 * len(links), 4)
     streams = RowStreams.from_seed_words(words)
     uniforms, bits = streams.random(3), streams.integers(0, 2, size=9, dtype=np.uint8)
@@ -977,8 +998,8 @@ def test_row_seed_words_match_seed_sequence(seed, cell):
     # The hub's key-message stream, spawn key HUB_SPAWN_KEY = (1 << 16, 0).
     assert HUB_SPAWN_KEY == (1 << 16, 0)
     spawned = np.random.SeedSequence(seed, spawn_key=HUB_SPAWN_KEY)
-    words = _row_seed_words(seed, HUB_SPAWN_KEY[:1], HUB_SPAWN_KEY[1], 1)
-    assert np.array_equal(words[0], spawned.generate_state(4, np.uint64))
+    words = _row_seed_words(seed, HUB_SPAWN_KEY)
+    assert np.array_equal(words, spawned.generate_state(4, np.uint64))
     hub, reference = _key_rng(seed), np.random.default_rng(spawned)
     assert np.array_equal(hub.integers(0, 2, size=9, dtype=np.uint8), reference.integers(0, 2, size=9, dtype=np.uint8))
     assert np.array_equal(hub.random(3), reference.random(3))

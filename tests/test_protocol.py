@@ -38,6 +38,13 @@ from twoway_qkd.reference import apply_pauli, born_probability, encode_bit, regi
 from test_acceptance import _majority_oracle
 
 POOL = (Basis(0.0), Basis(math.pi / 8), Basis(math.pi / 4))
+# Spawn keys of a session's streams: link 0's purposes 0-4, then the hub's key-message.
+SESSION_KEYS = [(0, purpose) for purpose in range(5)] + [HUB_SPAWN_KEY]
+
+
+def cell_words(seed: int, rows: int) -> np.ndarray:
+    """The seed words of sweep cell 0's first `rows` repetitions, spawn keys (0, r)."""
+    return _row_seed_words(seed, [(0, r) for r in range(rows)])
 
 
 def test_run_config_validation():
@@ -440,7 +447,7 @@ def test_sessions_that_draw_ahead_match_a_serial_pass(case, qubits):
     # streams ahead on a worker thread; every session now draws on the calling thread.)
     fields, link = SERIAL_CASES[case]
     config = RunConfig(n_bits=qubits, **fields)
-    words = _row_seed_words(config.seed, [[0], HUB_SPAWN_KEY[:1]], 0, 5)
+    words = _row_seed_words(config.seed, SESSION_KEYS)
     m = bob_build_key_message(config, _generator(words[5]))
     serial = _session_result(config, run_batch([(config, link, 1)], [_generator(row) for row in words[:5]], m))
     result = run_session(config, link.noise_forward, link.noise_backward, link.eve)
@@ -742,7 +749,7 @@ def test_row_halves_are_the_words_each_pass_reads(variant, t, n_bits, pool_size,
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(RowStreams, "from_seed_words", recording)
         batch_rows([(config, link, rows)], RowStreams.from_seed_words(
-            _row_seed_words(seed, (0,), 0, rows), -(-sum(_row_halves(config, link)) // 2)))
+            cell_words(seed, rows), -(-sum(_row_halves(config, link)) // 2)))
         leaves = tuple(f"leaf{k}" for k in range(rows))
         run_star_session(Topology(leaves=leaves, links=dict.fromkeys(leaves, link)), config)
     # The batch's stream, then the star's prepare, measure and any noise or Eve streams.
@@ -781,7 +788,7 @@ def pass_cells(base: RunConfig, link: LinkSettings, cells) -> list:
 def test_a_pass_of_cells_gives_each_cell_its_own_rows(variant, t, n_bits, link, cells, seed):
     base = RunConfig(n_bits=n_bits, repetition=t, variant=variant, basis_pool=POOL[:2], seed=seed)
     specs = pass_cells(base, link, cells)
-    words = _row_seed_words(seed, (0,), 0, sum(rows for *_, rows in cells))
+    words = cell_words(seed, sum(rows for *_, rows in cells))
     ahead = -(-sum(_row_halves(base, link)) // 2)
     fused = batch_rows(specs, RowStreams.from_seed_words(words, ahead))
     start = 0
@@ -831,7 +838,7 @@ def test_each_row_is_settled_against_its_own_cell(variant, t, n_bits, link, cell
         cells = [(*cells[0][:1], 0, *cells[0][2:]), *cells[1:-1], (*cells[-1][:1], WHOLE_MESSAGE, *cells[-1][2:])]
     base = RunConfig(n_bits=n_bits, repetition=t, variant=variant, basis_pool=POOL[:2], seed=seed)
     specs = pass_cells(base, link, cells)
-    words = _row_seed_words(seed, (0,), 0, sum(rows for *_, rows in cells))
+    words = cell_words(seed, sum(rows for *_, rows in cells))
     passed = run_batch(specs, (RowStreams.from_seed_words(words, -(-sum(_row_halves(base, link)) // 2)),) * 5)
     configs = [config for config, _, rows in specs for _ in range(rows)]
     want = [expected_abort(config, passed.derivation, r) for r, config in enumerate(configs)]
@@ -845,11 +852,36 @@ def test_each_row_is_settled_against_its_own_cell(variant, t, n_bits, link, cell
     assert single.abort == expected_abort(config, single.derivation)
 
 
-def test_a_pass_rejects_cells_that_draw_noise_differently():
-    config = RunConfig(n_bits=4)
-    cells = [(config, LinkSettings(NoiseModel(p_bitflip=0.1)), 2), (config, LinkSettings(), 2)]
-    with pytest.raises(ValueError, match="noise"):
-        batch_rows(cells, RowStreams.from_seed_words(_row_seed_words(0, (0,), 0, 4)))
+# One (config, link) for each part of the key _pass_groups groups by: each differs from DRAW_BASE in
+# that part alone. A pool of -0.0 encodes apart from one of 0.0, though the two compare equal.
+DRAW_BASE = (RunConfig(n_bits=4, repetition=2, variant="V2", basis_pool=(Basis(0.0), Basis(math.pi / 4))),
+             LinkSettings(NoiseModel(p_bitflip=0.1), NoiseModel(p_bitflip=0.1),
+                          EveStrategy.intercept_resend((0.0, math.pi / 4))))
+DRAW_CHANGES = {
+    "variant": ({"variant": "V3"}, {}),
+    "n_bits": ({"n_bits": 5}, {}),
+    "repetition": ({"repetition": 3}, {}),
+    "pool_bytes": ({"basis_pool": (Basis(-0.0), Basis(math.pi / 4))}, {}),
+    "eve_kind": ({}, {"eve": EveStrategy.substitute((0.0, math.pi / 4))}),
+    "eve_pool": ({}, {"eve": EveStrategy.intercept_resend((-0.0, math.pi / 4))}),
+    "eve_legs": ({}, {"eve": EveStrategy.intercept_resend((0.0, math.pi / 4), {"forward", "backward"})}),
+    "noise_forward": ({}, {"noise_forward": NoiseModel()}),
+    "noise_backward": ({}, {"noise_backward": NoiseModel()}),
+}
+
+
+@pytest.mark.parametrize("part", DRAW_CHANGES)
+def test_a_pass_rejects_cells_that_draw_differently(part):
+    config, link = DRAW_BASE
+    config_change, link_change = DRAW_CHANGES[part]
+    other = (replace(config, **config_change), replace(link, **link_change))
+    assert other != DRAW_BASE or part in ("pool_bytes", "eve_pool")  # -0.0 == 0.0
+    streams = RowStreams.from_seed_words(cell_words(0, 4))
+    with pytest.raises(ValueError, match="draw alike"):
+        batch_rows([(*DRAW_BASE, 2), (*other, 2)], streams)
+    # Cells that differ in tag and noise levels alone share the pass.
+    alike = (replace(config, tag_length=2), replace(link, noise_forward=NoiseModel(p_bitflip=0.2)))
+    batch_rows([(*DRAW_BASE, 2), (*alike, 2)], streams)
 
 
 def test_every_entry_point_runs_its_passes_through_run_batch():
@@ -880,6 +912,90 @@ def test_every_entry_point_runs_its_passes_through_run_batch():
         # 32 qubits a cell: the noiseless cell alone, then the two noisy cells in one pass.
         run_experiment(sweep)
         assert passes == [[4], [4, 4]]
+
+
+# Sweeps shaped as the benchmark's: both scripts' grids at 20 repetitions (360 sessions each).
+BENCH_SWEEPS = [
+    {"variant": "V2", "n_bits": 16, "repetition": 3, "basis_pool": [0.0, math.pi / 8, math.pi / 4], "tag_length": 8,
+     "seed": 20260823, "repetitions": 20,
+     "sweep": {"p_bitflip": [0.0, 0.01, 0.02, 0.05, 0.1, 0.2], "repetition": [3, 5, 7]}},
+    {"variant": "V1", "n_bits": 64, "basis_pool": [0.0, math.pi / 4], "seed": 7, "repetitions": 20,
+     "eve": {"kind": "intercept_resend", "basis_pool": [0.0, math.pi / 4], "legs": ["forward"]},
+     "sweep": {"eve": ["absent", "intercept_resend", "substitute"], "tag_length": [0, 4, 8, 16, 32, 64]}},
+]
+
+
+def seed_word_plan(config: ExperimentConfig) -> tuple[list, list, list]:
+    """Run a sweep, recording each _row_seed_words call (keys, words), the words of each
+    RowStreams built, and the cells of each run_batch pass."""
+    calls, built, passes = [], [], []
+    from_seed_words = RowStreams.from_seed_words
+
+    def deriving(seed, keys):
+        calls.append((np.array(keys), _row_seed_words(seed, keys)))
+        return calls[-1][1]
+
+    def building(words, ahead=0):
+        built.append(words)
+        return from_seed_words(words, ahead)
+
+    def recording(cells, *args):
+        passes.append(cells)
+        return run_batch(cells, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_row_seed_words", deriving)
+        patch.setattr(RowStreams, "from_seed_words", building)
+        patch.setattr(harness, "run_batch", recording)
+        run_experiment(config)
+    return calls, built, passes
+
+
+@pytest.mark.parametrize("data", BENCH_SWEEPS, ids=["noise_sweep", "eve_detection"])
+def test_a_sweep_derives_its_seed_words_in_one_call(data):
+    calls, built, passes = seed_word_plan(ExperimentConfig.from_dict(data))
+    assert len(calls) == 1 and len(built) == len(passes) > 1
+    assert np.array_equal(np.concatenate(built), calls[0][1])
+
+
+@pytest.mark.parametrize("repetitions", [4, 12])
+def test_a_sweep_splits_its_seed_words_only_past_batch_qubits_rows(repetitions):
+    # 8- and 16-qubit cells, clean or noisy, with Eve or not. At 12 repetitions an 8-qubit cell takes
+    # two passes (8 rows, then 4) and a 16-qubit cell three (4 rows each), and the sweep's 96 rows need
+    # more than one call.
+    sweep = ExperimentConfig.from_dict({
+        "n_bits": 8, "tag_length": 2, "seed": 5, "repetitions": repetitions,
+        "eve": {"kind": "intercept_resend", "basis_pool": [0.0, 0.5]},
+        "sweep": {"p_bitflip": [0.0, 0.1], "repetition": [1, 2], "eve": ["absent", "intercept_resend"]}})
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocol, "BATCH_QUBITS", 64)
+        calls, built, passes = seed_word_plan(sweep)
+    assert len(built) == len(passes) > len(calls) > (repetitions == 12)
+    assert np.array_equal(np.concatenate(built), np.concatenate([words for _, words in calls]))
+    # Each call covers whole passes, at most BATCH_QUBITS rows, and ends only where the next pass would not fit.
+    sizes, batches = iter(len(words) for words in built), []
+    for call_keys, _ in calls:
+        batches.append([])
+        while sum(batches[-1]) < len(call_keys):
+            batches[-1].append(next(sizes))
+        assert sum(batches[-1]) == len(call_keys) <= 64
+    assert all(sum(batch) + following[0] > 64 for batch, following in zip(batches, batches[1:]))
+    keys = np.concatenate([call_keys for call_keys, _ in calls])
+    # Each pass's rows are its cells' rows in turn, cell by cell: keys (i, r) for cell i with its
+    # own settings, every repetition of every cell once, and each row's words its key's.
+    row = 0
+    for cells in passes:
+        for config, link, count in cells:
+            cell = keys[row, 0]
+            assert sweep._settings[cell] == (config, link)
+            assert keys[row : row + count, 0].tolist() == [cell] * count
+            assert np.array_equal(np.diff(keys[row : row + count, 1]), np.ones(count - 1))
+            row += count
+    assert row == len(keys) == len(sweep.cells()) * repetitions
+    assert sorted(map(tuple, keys.tolist())) == list(itertools.product(range(len(sweep.cells())), range(repetitions)))
+    words = np.concatenate([words for _, words in calls])
+    for (cell, rep), row_words in zip(keys.tolist(), words):
+        assert np.array_equal(row_words, np.random.SeedSequence(5, spawn_key=(cell, rep)).generate_state(4, np.uint64))
 
 
 class ScalarSession(NamedTuple):
@@ -1016,7 +1132,7 @@ def test_seeded_run_session_matches_the_scalar_session(case, seed):
     # run_session on its own seed draws each purpose from its own stream: rows 0-4 of these words are
     # link 0's purposes, row 5 the hub's key-message. A leg that read another purpose's stream fails here.
     config, link = case
-    words = _row_seed_words(seed, [[0], HUB_SPAWN_KEY[:1]], 0, 5)
+    words = _row_seed_words(seed, SESSION_KEYS)
     want = scalar_session(config, link, [_generator(row) for row in words])
     got = run_session(replace(config, seed=seed), link.noise_forward, link.noise_backward, link.eve)
     assert_matches_the_scalar_session(got, want)
