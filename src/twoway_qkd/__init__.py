@@ -18,7 +18,7 @@ _EXPORTS = {
     "protocol": ("AllErasuresError", "DerivationRecord", "LinkSettings", "PreparationRecord", "RunConfig",
                  "SessionResult", "alice_measure", "alice_prepare", "bob_build_key_message", "bob_encode", "majority",
                  "resolve_erasures", "run_session"),
-    "qubit": ("XZ", "ZX", "Basis", "ConfigError", "I", "PauliWord", "QubitRegister", "X", "Z"),
+    "qubit": ("Basis", "ConfigError", "QubitRegister"),
 }
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
 __all__ = [*_LAYER_OF, *_EXPORTS]

@@ -1,11 +1,12 @@
-"""Qubit strings on the run path: encoding bases, Pauli words, and the
+"""Qubit strings on the run path: encoding bases, Pauli codes, and the
 vectorized QubitRegister, with the config field checks, the row streams
 every layer above draws from, and the value == of the result records.
 
 An encoding basis is parameterized by one real angle theta, so every basis
 pair {|psi_0>, |psi_1>} is orthonormal by construction. A QubitRegister
-holds a whole qubit string; it must agree bit for bit with the scalar
-algebra in twoway_qkd.reference (tested), which only the tests import.
+holds a whole qubit string, each qubit a basis state of one pool under Pauli
+words; it must agree bit for bit with the scalar algebra in
+twoway_qkd.reference (tested), which only the tests import.
 """
 
 from __future__ import annotations
@@ -270,24 +271,6 @@ PAULI_TAGS = {v: k for k, v in PAULI_CODES.items()}
 
 
 @dataclass(frozen=True)
-class PauliWord:
-    """One of the five words {I, X, Z, XZ, ZX}."""
-
-    tag: str
-
-    def __post_init__(self) -> None:
-        if self.tag not in PAULI_CODES:
-            raise ValueError(f"unknown Pauli word {self.tag!r}")
-
-
-I = PauliWord("I")
-X = PauliWord("X")
-Z = PauliWord("Z")
-XZ = PauliWord("XZ")
-ZX = PauliWord("ZX")
-
-
-@dataclass(frozen=True)
 class Basis:
     """Encoding basis {|psi_0>, |psi_1>} at angle theta.
 
@@ -318,30 +301,10 @@ def _then(v: int, w: int) -> int:
 _DELTA = np.array([_then(v, w) - v for w in _WORD_SWAPS for v in range(8)])
 
 
-def _born(thetas: np.ndarray, index, amp0: np.ndarray, amp1: np.ndarray) -> np.ndarray:
-    """Born probability of outcome 1 measuring at thetas[index]."""
-    # Cast per pool angle as numpy casts a float operand: bit-equal products.
-    ip = (-np.sin(thetas)).astype(complex).take(index) * amp0
-    ip += np.cos(thetas).astype(complex).take(index) * amp1
-    p1 = np.abs(ip)
-    return np.minimum(1.0, np.square(p1, out=p1), out=p1)
-
-
-def _as_pool(thetas, index) -> tuple[np.ndarray, np.ndarray]:
-    """(pool angles, index); per-qubit angles (no index) become a pool of
-    their distinct bit patterns, so that -0.0 stays apart from 0.0."""
-    thetas = np.ascontiguousarray(thetas, dtype=float)
-    if index is None:
-        pool, index = np.unique(thetas.view(np.uint64), return_inverse=True)
-        return pool.view(float), index.reshape(thetas.shape)
-    return thetas, index
-
-
 class _StateTable:
     """The amplitudes of every code 8 * k + v (state k under signed swap v),
-    and the Born probabilities of every code per measuring pool. Registers
-    derived from one another share a table, and so do all registers encoded
-    in one pool (_pool_table)."""
+    and the Born probabilities of every code per measuring pool. Every
+    register's table is a _pool_table, shared by all registers of one pool."""
 
     def __init__(self, amp0: np.ndarray, amp1: np.ndarray):
         v, amps = np.arange(8), np.array([amp0, amp1])[:, :, None]
@@ -362,23 +325,17 @@ def _pool_table(key: bytes) -> _StateTable:
 
 
 class QubitRegister:
-    """A string of independent qubits, stored as one code per qubit into a
-    table of states (_StateTable); amp0 and amp1 are gathered on access.
+    """A string of independent qubits, stored as one code per qubit into the
+    table of its pool's states (_StateTable); amp0 and amp1 are gathered on access.
 
-    The codes have shape (Q,) for one string or (..., Q) for a batch of
+    encode builds a register; Pauli codes and re-encodings are all that act on one
+    after that. The codes have shape (Q,) for one string or (..., Q) for a batch of
     strings, one per leading index; len() is Q. A batched register draws its
     randomness from a RowStreams, one row per stream. All methods return
     new registers; instances are never mutated.
     """
 
     __slots__ = ("table", "codes")
-
-    def __init__(self, amp0: np.ndarray, amp1: np.ndarray):
-        amp0, amp1 = np.asarray(amp0, dtype=complex), np.asarray(amp1, dtype=complex)
-        if amp0.shape != amp1.shape or amp0.ndim == 0:
-            raise ValueError("amplitude arrays must have equal shape and at least one axis")
-        self.table = _StateTable(amp0.ravel(), amp1.ravel())
-        self.codes = (np.arange(amp0.size, dtype=self.table.dtype) << 3).reshape(amp0.shape)
 
     @classmethod
     def _of(cls, table: _StateTable, codes: np.ndarray) -> "QubitRegister":
@@ -391,10 +348,9 @@ class QubitRegister:
         return QubitRegister._of(self.table, self.codes[index])
 
     @classmethod
-    def encode(cls, bits: np.ndarray, thetas: np.ndarray, index: np.ndarray | None = None) -> "QubitRegister":
-        """Vectorized reference.encode_bit: qubit k holds bits[k] in the basis at
-        thetas[k], or at thetas[index[k]] when an index is given."""
-        thetas, index = _as_pool(thetas, index)
+    def encode(cls, bits: np.ndarray, thetas: np.ndarray, index: np.ndarray) -> "QubitRegister":
+        """Vectorized reference.encode_bit: qubit k holds bits[k] in the basis at the pool angle thetas[index[k]]."""
+        thetas = np.ascontiguousarray(thetas, dtype=float)
         table = _pool_table(thetas.tobytes())
         codes = np.asarray(bits, dtype=table.dtype) * len(thetas) + np.asarray(index).astype(table.dtype)
         return cls._of(table, codes * 8)  # * 8, not << 3: numpy shifts 8-bit integers several times slower
@@ -405,37 +361,31 @@ class QubitRegister:
     amp0 = property(lambda self: self.table.amps[0].take(self.codes), doc="Amplitudes of |0>, gathered on access.")
     amp1 = property(lambda self: self.table.amps[1].take(self.codes), doc="Amplitudes of |1>, gathered on access.")
 
-    def _apply(self, words) -> "QubitRegister":
-        # One gather: each code's signed swap followed by its Pauli word (words * 8, as in encode).
-        index = self.codes & 7
-        index |= np.multiply(words, 8, dtype=self.codes.dtype, casting="unsafe")
-        return QubitRegister._of(self.table, self.codes + _DELTA.astype(self.codes.dtype).take(index))
-
-    def apply_pauli(self, op: PauliWord, mask: np.ndarray | None = None) -> "QubitRegister":
-        """Apply one Pauli word to every qubit (or only where mask is true)."""
-        code = PAULI_CODES[op.tag]
-        return self._apply(code if mask is None else np.asarray(mask, dtype=bool) * np.uint8(code))
-
     def apply_pauli_codes(self, codes: np.ndarray) -> "QubitRegister":
         """Apply a per-qubit Pauli word given as integer codes (PAULI_CODES)."""
-        return self._apply(codes)
+        # One gather: each qubit's signed swap followed by its Pauli word (codes * 8, as in encode).
+        index = self.codes & 7
+        index |= np.multiply(codes, 8, dtype=self.codes.dtype, casting="unsafe")
+        return QubitRegister._of(self.table, self.codes + _DELTA.astype(self.codes.dtype).take(index))
 
-    def probability_of_one(self, thetas: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
-        """Born probability of outcome 1 per qubit, measuring at thetas (or at
-        the pool thetas gathered by index)."""
-        thetas, index = _as_pool(thetas, index)
+    def probability_of_one(self, thetas: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """Born probability of outcome 1 per qubit, measuring at the pool angles thetas[index]."""
+        thetas = np.ascontiguousarray(thetas, dtype=float)
         n_codes, key = self.table.amps.shape[1], thetas.tobytes()
-        if n_codes * len(thetas) > self.codes.size:  # a pair table larger than the register
-            return _born(thetas, index, self.amp0, self.amp1)
         if key not in self.table.born:
             j, code = np.divmod(np.arange(len(thetas) * n_codes), n_codes)
-            self.table.born[key] = _born(thetas, j, *self.table.amps.take(code, axis=1))
+            amp0, amp1 = self.table.amps.take(code, axis=1)
+            # Cast per pool angle as numpy casts a float operand: bit-equal products.
+            ip = (-np.sin(thetas)).astype(complex).take(j) * amp0
+            ip += np.cos(thetas).astype(complex).take(j) * amp1
+            p1 = np.abs(ip)
+            self.table.born[key] = np.minimum(1.0, np.square(p1, out=p1), out=p1)
         flat = np.asarray(index, dtype=np.intp) * n_codes
         flat += self.codes
         return self.table.born[key].take(flat)
 
-    def measure(self, thetas: np.ndarray, rng: Rng, index: np.ndarray | None = None) -> np.ndarray:
-        """Measure every qubit in its own basis; returns a uint8 bit array."""
+    def measure(self, thetas: np.ndarray, rng: Rng, index: np.ndarray) -> np.ndarray:
+        """Measure qubit k at the pool angle thetas[index[k]]; returns a uint8 bit array."""
         p1 = self.probability_of_one(thetas, index)
         return (rng.random(len(self)) < p1).view(np.uint8)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ABSENT, INTERCEPT_RESEND, EveObservation, EveStrategy, NoiseModel
-from .qubit import PAULI_TAGS, Basis, PauliWord, QubitRegister, Rng
+from .qubit import PAULI_TAGS, Basis, QubitRegister, Rng
 
 # Tolerances: exact double-precision identities vs accumulated channel sums.
 ATOL_EXACT = 1e-12
@@ -150,8 +150,9 @@ def encode_bit(i: int, basis: Basis) -> PureState:
     return PureState(-b, a)
 
 
-def apply_pauli(state: PureState, op: PauliWord) -> PureState:
-    v = PAULI_MATRICES[op.tag] @ state.vector()
+def apply_pauli(state: PureState, tag: str) -> PureState:
+    """Apply the Pauli word with this tag ("I", "X", "Z", "XZ" or "ZX")."""
+    v = PAULI_MATRICES[tag] @ state.vector()
     return PureState(v[0], v[1])
 
 
@@ -167,14 +168,14 @@ def measure_in_basis(state: PureState, basis: Basis, rng: Rng) -> int:
     return int(rng.random() < p1)
 
 
-def flip_probability(basis: Basis, op: PauliWord) -> float:
-    """Probability that `op` flips the encoded bit, as seen by a measurement
-    in the encoding basis: |<psi_{1-i}| op |psi_i>|^2.
+def flip_probability(basis: Basis, tag: str) -> float:
+    """Probability that the Pauli word `tag` flips the encoded bit, as seen by
+    a measurement in the encoding basis: |<psi_{1-i}| P_tag |psi_i>|^2.
 
     Independent of i (the two matrix elements have equal magnitude for every
     word in the family); computed here for i = 0.
     """
-    return born_probability(apply_pauli(encode_bit(0, basis), op), basis, 1)
+    return born_probability(apply_pauli(encode_bit(0, basis), tag), basis, 1)
 
 
 def to_density(state: PureState) -> DensityMatrix:
@@ -205,11 +206,8 @@ def kraus_channel(model: NoiseModel) -> KrausChannel:
 
 def perturb(state: PureState, noise: NoiseModel, rng: Rng) -> PureState:
     """Apply one sampled Pauli error to a single in-transit qubit."""
-    code = int(noise.sample_codes(1, rng)[0])
-    tag = PAULI_TAGS[code]
-    if tag == "I":
-        return state
-    return apply_pauli(state, PauliWord(tag))
+    tag = PAULI_TAGS[int(noise.sample_codes(1, rng)[0])]
+    return state if tag == "I" else apply_pauli(state, tag)
 
 
 def eve_tap(

@@ -22,10 +22,6 @@ from twoway_qkd import (
     NoiseModel,
     RunConfig,
     Topology,
-    X,
-    XZ,
-    Z,
-    ZX,
     majority,
     resolve_erasures,
     run_experiment,
@@ -35,7 +31,7 @@ from twoway_qkd import (
 from twoway_qkd.cli import main as cli_main
 from twoway_qkd.harness import CONFIG_FILENAME, CSV_FILENAME, SUMMARY_FILENAME
 from twoway_qkd.protocol import AllErasuresError, derive, run_batch
-from twoway_qkd.qubit import QubitRegister, RowStreams
+from twoway_qkd.qubit import PAULI_CODES, QubitRegister, RowStreams
 from twoway_qkd.reference import (
     PAULI_MATRICES,
     ChannelCompletenessError,
@@ -79,10 +75,10 @@ def test_criterion_2_deterministic_xz_flip():
         i = int(rng.integers(2))
         basis = Basis(theta)
         state = encode_bit(i, basis)
-        for op in (XZ, ZX):
-            p = born_probability(apply_pauli(state, op), basis, 1 - i)
+        for tag in ("XZ", "ZX"):
+            p = born_probability(apply_pauli(state, tag), basis, 1 - i)
             assert abs(p - 1.0) <= 1e-12
-        assert flip_probability(basis, XZ) == flip_probability(basis, ZX)
+        assert flip_probability(basis, "XZ") == flip_probability(basis, "ZX")
     report(2, "XZ and ZX flip the encoded bit with analytic probability 1")
 
 
@@ -90,20 +86,20 @@ def test_criterion_3_analytic_flip_law():
     for theta in np.linspace(-math.pi, math.pi, 1000):
         basis = Basis(float(theta))
         c2, s2 = math.cos(theta) ** 2, math.sin(theta) ** 2
-        assert abs(flip_probability(basis, X) - (c2 - s2) ** 2) <= 1e-12
-        assert abs(flip_probability(basis, Z) - (2 * math.sin(theta) * math.cos(theta)) ** 2) <= 1e-12
+        assert abs(flip_probability(basis, "X") - (c2 - s2) ** 2) <= 1e-12
+        assert abs(flip_probability(basis, "Z") - (2 * math.sin(theta) * math.cos(theta)) ** 2) <= 1e-12
 
     n = 100_000
     rng = np.random.default_rng(31)
+    index = np.zeros(n, dtype=np.int64)
     for theta in (0.0, math.pi / 8, math.pi / 4):
-        basis = Basis(theta)
-        for op in (X, Z):
-            p = flip_probability(basis, op)
-            state = apply_pauli(encode_bit(0, basis), op)
-            reg = QubitRegister(np.full(n, state.amp0), np.full(n, state.amp1))
-            freq = reg.measure(np.full(n, theta), rng).mean()
+        basis, pool = Basis(theta), np.array([theta])
+        for tag in ("X", "Z"):
+            p = flip_probability(basis, tag)
+            reg = QubitRegister.encode(np.zeros(n, dtype=np.uint8), pool, index)
+            freq = reg.apply_pauli_codes(np.full(n, PAULI_CODES[tag])).measure(pool, rng, index).mean()
             sigma = math.sqrt(p * (1 - p) / n)
-            assert abs(freq - p) <= 3 * sigma, (theta, op.tag, freq, p)
+            assert abs(freq - p) <= 3 * sigma, (theta, tag, freq, p)
     report(3, "flip law exact on 1000-point grid and Monte Carlo within 3 sigma")
 
 
@@ -182,7 +178,7 @@ def test_criterion_5_repetition_decoding():
     for p in (0.01, 0.05, 0.1, 0.2):
         q = _visible_flip_rate(p, theta)
         # Cross-check the oracle against the analytic single-flip expression.
-        assert q == pytest.approx(2 * p * (1 - p) * flip_probability(Basis(theta), X), abs=1e-12)
+        assert q == pytest.approx(2 * p * (1 - p) * flip_probability(Basis(theta), "X"), abs=1e-12)
         noise = NoiseModel(p_bitflip=p)
         for t in (3, 5):
             tail = _binomial_tail(t, q)

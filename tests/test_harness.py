@@ -860,13 +860,13 @@ _EXPORTED = {
     "protocol": ("AllErasuresError", "DerivationRecord", "LinkSettings", "PreparationRecord", "RunConfig",
                  "SessionResult", "alice_measure", "alice_prepare", "bob_build_key_message", "bob_encode", "majority",
                  "resolve_erasures", "run_session"),
-    "qubit": ("I", "X", "XZ", "Z", "ZX", "Basis", "ConfigError", "PauliWord", "QubitRegister"),
+    "qubit": ("Basis", "ConfigError", "QubitRegister"),
 }
 
 
 def test_the_package_names_are_the_defining_modules_objects():
     names = {name for layer_names in _EXPORTED.values() for name in layer_names}
-    assert len(names) == 37 and set(twoway_qkd.__all__) == names | set(_EXPORTED)
+    assert len(names) == 31 and set(twoway_qkd.__all__) == names | set(_EXPORTED)
     assert names <= set(dir(twoway_qkd))
     for layer, layer_names in _EXPORTED.items():
         module = getattr(twoway_qkd, layer)

@@ -24,7 +24,7 @@ from twoway_qkd import (
 from twoway_qkd import network, protocol
 from twoway_qkd.network import FRAME_DTYPE, TO_HUB, TO_LEAF, LeafOutcome, _register_frames
 from twoway_qkd.protocol import _session_result, bob_build_key_message, run_batch
-from twoway_qkd.qubit import ConfigError, QubitRegister
+from twoway_qkd.qubit import ConfigError, QubitRegister, RowStreams, _pool_table, _row_seed_words, _StateTable
 
 POOL = (Basis(0.0), Basis(math.pi / 4))
 # The README's wire layout, written apart from FRAME_DTYPE: link id, direction, sequence, re0, im0, re1, im1.
@@ -167,13 +167,17 @@ def test_frame_array_matches_the_per_frame_codec():
 
 
 def test_recording_an_unnormalized_register_raises():
+    def register(amp0):
+        """Qubit k in the state (amp0[k], 0), through a table of these states alone."""
+        table = _StateTable(np.asarray(amp0, complex), np.zeros(len(amp0), complex))
+        return QubitRegister._of(table, np.arange(len(amp0), dtype=table.dtype) * 8)
+
     amp0 = np.array([1.0, math.sqrt(1.0 + 1e-6)])
-    register = QubitRegister(amp0, np.zeros(2))
     with pytest.raises(ValueError, match="normalized"):
-        _register_frames(0, TO_HUB, register)
+        _register_frames(0, TO_HUB, register(amp0))
     with pytest.raises(ValueError, match="normalized"):
-        _register_frames(0, TO_HUB, QubitRegister(np.array([math.nan]), np.zeros(1)))
-    assert len(_register_frames(0, TO_HUB, QubitRegister(amp0[:1], np.zeros(1)))) == 1
+        _register_frames(0, TO_HUB, register([math.nan]))
+    assert len(_register_frames(0, TO_HUB, register(amp0[:1]))) == 1
 
 
 def test_link_independence_under_corruption():
@@ -273,9 +277,37 @@ def test_result_records_compare_by_value():
     flipped[0] ^= 1
     assert taps[0] != replace(taps[0], outcomes=flipped)
     prep = preps[0]
-    assert prep == replace(prep, register=QubitRegister(prep.register.amp0, prep.register.amp1))
+    # The same bits encoded in a larger pool: another table, the same amplitudes.
+    larger = QubitRegister.encode(prep.a, np.append(config.pool_angles, 1.0), prep.b)
+    assert larger.table is not prep.register.table
+    assert prep == replace(prep, register=larger)
     assert prep != replace(prep, register=prep.register.apply_pauli_codes(np.full(len(prep.a), 1, np.int8)))
     assert prep != replace(prep, a=prep.a[:-1])
+
+
+def test_registers_from_a_run_are_codes_into_pool_tables():
+    # Alice prepares in her pool and Pauli words keep each qubit in its table; Eve's tap re-encodes
+    # in her pool. Each register of a session, a star leaf with a pool of its own and a sweep pass.
+    noise_forward, noise_backward = NoiseModel(p_bitflip=0.1, p_both=0.1), NoiseModel(p_phaseflip=0.2)
+    eve = EveStrategy.intercept_resend((0.3, 1.1, 2.0), legs=("forward", "backward"))
+    config = RunConfig(n_bits=8, repetition=3, variant="V2", basis_pool=POOL, tag_length=2, seed=7)
+    leaf_pool = (Basis(0.1), Basis(0.9), Basis(1.3))
+    links = {"leaf0": LinkSettings(noise_forward, noise_backward),
+             "leaf1": LinkSettings(noise_forward, noise_backward, eve)}
+    star = run_star_session(make_topology(2, links), config, per_leaf_pools={"leaf1": leaf_pool})
+    backward_eve = LinkSettings(noise_forward, noise_backward, replace(eve, legs=frozenset({"backward"})))
+    streams = RowStreams.from_seed_words(_row_seed_words(config.seed, [(0, r) for r in range(4)]))
+    alice, leaf, eve_pool = config.pool_angles, np.array([b.theta for b in leaf_pool]), np.array(eve.basis_pool)
+    cases = [
+        (run_session(config, noise_forward, noise_backward, eve), (alice, eve_pool, eve_pool)),
+        (star.outcomes["leaf0"].result, (alice, alice, alice)),
+        (star.outcomes["leaf1"].result, (leaf, eve_pool, eve_pool)),
+        (run_batch([(config, backward_eve, 4)], (streams,) * 5), (alice, alice, eve_pool)),
+    ]
+    for result, pools in cases:
+        for register, pool in zip((result.prep.register, result.delivered_to_bob, result.delivered_to_alice), pools):
+            assert register.table is _pool_table(pool.tobytes())
+            assert register.codes.max() < 8 * 2 * len(pool)
 
 
 def test_eve_taps_are_arrays_and_a_leaf_taps_its_row_of_the_pass():

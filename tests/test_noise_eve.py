@@ -62,7 +62,7 @@ def test_perturb_average_matches_kraus_channel(noise):
     expected = apply_channel(to_density(state), kraus_channel(noise)).entries
 
     rng = np.random.default_rng(123)
-    reg = QubitRegister(np.full(n, state.amp0), np.full(n, state.amp1))
+    reg = QubitRegister.encode(np.zeros(n, dtype=np.uint8), np.array([math.pi / 8]), np.zeros(n, dtype=np.int64))
     out, codes = perturb_register(reg, noise, rng)
     avg = np.zeros((2, 2), dtype=complex)
     v = np.stack([out.amp0, out.amp1])
@@ -82,7 +82,8 @@ def test_scalar_and_register_perturb_agree():
     noise = NoiseModel(0.2, 0.3, 0.1)
     s = encode_bit(1, Basis(0.9))
     scalar = perturb(s, noise, np.random.default_rng(5))
-    reg = QubitRegister(np.array([s.amp0]), np.array([s.amp1]))
+    reg = QubitRegister.encode(np.array([1], dtype=np.uint8), np.array([0.9]), np.array([0]))
+    assert register_state(reg, 0) == s
     vec, _ = perturb_register(reg, noise, np.random.default_rng(5))
     assert register_state(vec, 0) == scalar
 
@@ -133,7 +134,7 @@ def test_eve_mismatched_basis_resends_her_eigenstates():
     ones = 0
     n = 20_000
     rng = np.random.default_rng(2)
-    reg = QubitRegister.encode(np.zeros(n, dtype=np.uint8), np.zeros(n))
+    reg = QubitRegister.encode(np.zeros(n, dtype=np.uint8), np.zeros(1), np.zeros(n, dtype=np.int64))
     out, obs = eve_tap_register(reg, strategy, rng)
     outcomes = np.array(obs.outcomes)
     for e in (0, 1):
@@ -161,7 +162,8 @@ def test_eve_tap_scalar_and_register_agree():
     strategy = EveStrategy.intercept_resend((0.0, math.pi / 4))
     s = encode_bit(1, Basis(0.6))
     out_s, obs_s = eve_tap(s, strategy, np.random.default_rng(9))
-    reg = QubitRegister(np.array([s.amp0]), np.array([s.amp1]))
+    reg = QubitRegister.encode(np.array([1], dtype=np.uint8), np.array([0.6]), np.array([0]))
+    assert register_state(reg, 0) == s
     out_v, obs_v = eve_tap_register(reg, strategy, np.random.default_rng(9))
     assert register_state(out_v, 0) == out_s
     assert obs_v == obs_s  # arrays against the one-qubit tuples, by value

@@ -32,7 +32,7 @@ from twoway_qkd.channel import RowNoise
 from twoway_qkd.network import Topology, run_star_session
 from twoway_qkd.protocol import (ABORT_REASONS, HUB_SPAWN_KEY, LinkSettings, _generator, _resolve, _row_halves,
                                  _session_result, bob_build_key_message, derive, run_batch)
-from twoway_qkd.qubit import XZ, ZX, PauliWord, RowStreams, _row_seed_words
+from twoway_qkd.qubit import PAULI_CODES, RowStreams, _row_seed_words
 from twoway_qkd.reference import apply_pauli, born_probability, encode_bit, register_state
 
 from test_acceptance import _majority_oracle
@@ -165,8 +165,7 @@ def test_encode_v1_flips_exactly_the_set_position():
     m = np.zeros(8, dtype=np.uint8)
     m[5] = 1
     out, _ = bob_encode(config, m, prep.register)
-    thetas = config.pool_angles[prep.b]
-    p1 = out.probability_of_one(thetas)
+    p1 = out.probability_of_one(config.pool_angles, prep.b)
     for k in range(8):
         expected = (1 - prep.a[k]) if k == 5 else prep.a[k]
         assert p1[k] == pytest.approx(float(expected), abs=1e-12)
@@ -187,15 +186,13 @@ def test_encode_v2_block_rule():
     config = RunConfig(n_bits=1, repetition=3, variant="V2", basis_pool=(Basis(0.2),), seed=4)
     prep = alice_prepare(config, np.random.default_rng(4))
     out, _ = bob_encode(config, np.array([1], dtype=np.uint8), prep.register)
-    thetas = config.pool_angles[prep.b]
-    assert np.allclose(out.probability_of_one(thetas), 1 - prep.a, atol=1e-12)
+    assert np.allclose(out.probability_of_one(config.pool_angles, prep.b), 1 - prep.a, atol=1e-12)
 
     config = RunConfig(n_bits=2, repetition=2, variant="V2", basis_pool=(Basis(0.2),), seed=5)
     prep = alice_prepare(config, np.random.default_rng(5))
     out, ops = bob_encode(config, np.array([0, 1], dtype=np.uint8), prep.register)
     assert ops.tolist() == [0, 0, 1, 1]
-    thetas = config.pool_angles[prep.b]
-    p1 = out.probability_of_one(thetas)
+    p1 = out.probability_of_one(config.pool_angles, prep.b)
     expected = prep.a.astype(float).copy()
     expected[2:] = 1 - expected[2:]
     assert np.allclose(p1, expected, atol=1e-12)
@@ -206,8 +203,7 @@ def test_encode_v3_per_copy_rule():
     prep = alice_prepare(config, np.random.default_rng(6))
     out, ops = bob_encode(config, np.array([1, 0], dtype=np.uint8), prep.register)
     assert ops.tolist() == [1, 0, 1, 0]
-    thetas = config.pool_angles[prep.b]
-    p1 = out.probability_of_one(thetas)
+    p1 = out.probability_of_one(config.pool_angles, prep.b)
     expected = prep.a.astype(float).copy()
     expected[0] = 1 - expected[0]
     expected[2] = 1 - expected[2]
@@ -595,10 +591,11 @@ def test_zx_encoding_is_observationally_identical_to_xz():
     prep = alice_prepare(config, np.random.default_rng(13))
     m = np.random.default_rng(14).integers(0, 2, 16, dtype=np.uint8)
     with_xz, _ = bob_encode(config, m, prep.register)
-    with_zx = prep.register.apply_pauli(ZX, mask=m == 1)
-    thetas = config.pool_angles[prep.b]
+    with_zx = prep.register.apply_pauli_codes(np.where(m == 1, PAULI_CODES["ZX"], 0))
     assert np.allclose(
-        with_xz.probability_of_one(thetas), with_zx.probability_of_one(thetas), atol=1e-12
+        with_xz.probability_of_one(config.pool_angles, prep.b),
+        with_zx.probability_of_one(config.pool_angles, prep.b),
+        atol=1e-12,
     )
 
 
@@ -1051,8 +1048,8 @@ def scalar_session(config: RunConfig, link: LinkSettings, streams) -> ScalarSess
         state = encode_bit(a[k], pool[b[k]])
         for leg, (codes, tap) in enumerate(draws):
             if leg:  # Bob's encoding, between the legs
-                state = apply_pauli(state, XZ) if ops[config.variant][k] else state
-            state = apply_pauli(state, PauliWord(("I", "X", "Z", "XZ")[codes[k]]))
+                state = apply_pauli(state, "XZ") if ops[config.variant][k] else state
+            state = apply_pauli(state, ("I", "X", "Z", "XZ")[codes[k]])
             if tap is not None:
                 basis, drawn = Basis(tap[0][k]), tap[1][k]
                 bit = outcome(state, basis, drawn, k) if eve.kind == "intercept_resend" else drawn

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from twoway_qkd import XZ, ZX, Basis, I, NoiseModel, PauliWord, QubitRegister, X, Z
+from twoway_qkd import Basis, NoiseModel, QubitRegister
 from twoway_qkd.channel import RowNoise, _pauli_codes
 from twoway_qkd.qubit import PAULI_CODES, PAULI_TAGS, RowStreams
 from twoway_qkd.reference import (
@@ -47,26 +47,26 @@ def test_encode_rejects_non_bit():
 @given(angles, bits)
 def test_xz_flips_to_orthogonal_state(theta, i):
     basis = Basis(theta)
-    flipped = apply_pauli(encode_bit(i, basis), XZ)
+    flipped = apply_pauli(encode_bit(i, basis), "XZ")
     assert flipped.equals_up_to_phase(encode_bit(1 - i, basis))
 
 
 @given(angles, bits)
 def test_identity_leaves_state_unchanged(theta, i):
     s = encode_bit(i, Basis(theta))
-    assert apply_pauli(s, I) == s
+    assert apply_pauli(s, "I") == s
 
 
 def test_x_fixes_diagonal_state_up_to_phase():
     # At alpha = beta the X image of |psi_0> is |psi_0> again.
     s = encode_bit(0, Basis(math.pi / 4))
-    assert apply_pauli(s, X).equals_up_to_phase(s)
+    assert apply_pauli(s, "X").equals_up_to_phase(s)
 
 
 @given(angles, bits)
 def test_zx_equals_xz_up_to_phase(theta, i):
     s = encode_bit(i, Basis(theta))
-    assert apply_pauli(s, ZX).equals_up_to_phase(apply_pauli(s, XZ))
+    assert apply_pauli(s, "ZX").equals_up_to_phase(apply_pauli(s, "XZ"))
 
 
 @given(angles)
@@ -89,7 +89,7 @@ def test_measure_eigenstate_is_deterministic():
 @given(angles, bits)
 def test_xz_measurement_always_reads_flipped_bit(theta, i):
     basis = Basis(theta)
-    flipped = apply_pauli(encode_bit(i, basis), XZ)
+    flipped = apply_pauli(encode_bit(i, basis), "XZ")
     assert born_probability(flipped, basis, 1 - i) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -97,8 +97,9 @@ def test_measure_half_half_at_mismatched_basis():
     # |<psi_1,pi/4 | 0>|^2 = 1/2, checked by sampling.
     n = 100_000
     rng = np.random.default_rng(42)
-    reg = QubitRegister.encode(np.zeros(n, dtype=np.uint8), np.zeros(n))
-    outcomes = reg.measure(np.full(n, math.pi / 4), rng)
+    index = np.zeros(n, dtype=np.int64)
+    reg = QubitRegister.encode(np.zeros(n, dtype=np.uint8), np.zeros(1), index)
+    outcomes = reg.measure(np.array([math.pi / 4]), rng, index)
     sigma = math.sqrt(0.25 / n)
     assert abs(outcomes.mean() - 0.5) < 3 * sigma
 
@@ -107,27 +108,24 @@ def test_measure_half_half_at_mismatched_basis():
 def test_flip_law(theta):
     basis = Basis(theta)
     c2, s2 = math.cos(theta) ** 2, math.sin(theta) ** 2
-    assert flip_probability(basis, X) == pytest.approx((c2 - s2) ** 2, abs=1e-12)
-    assert flip_probability(basis, Z) == pytest.approx(
+    assert flip_probability(basis, "X") == pytest.approx((c2 - s2) ** 2, abs=1e-12)
+    assert flip_probability(basis, "Z") == pytest.approx(
         (2 * math.sin(theta) * math.cos(theta)) ** 2, abs=1e-12
     )
-    assert flip_probability(basis, XZ) == pytest.approx(1.0, abs=1e-12)
-    assert flip_probability(basis, ZX) == pytest.approx(1.0, abs=1e-12)
+    assert flip_probability(basis, "XZ") == pytest.approx(1.0, abs=1e-12)
+    assert flip_probability(basis, "ZX") == pytest.approx(1.0, abs=1e-12)
 
 
 def test_flip_probability_examples():
-    assert flip_probability(Basis(math.pi / 4), X) == pytest.approx(0.0, abs=1e-12)
-    assert flip_probability(Basis(math.pi / 4), Z) == pytest.approx(1.0, abs=1e-12)
+    assert flip_probability(Basis(math.pi / 4), "X") == pytest.approx(0.0, abs=1e-12)
+    assert flip_probability(Basis(math.pi / 4), "Z") == pytest.approx(1.0, abs=1e-12)
 
 
 @given(angles, st.sampled_from(["I", "X", "Z", "XZ", "ZX"]))
 def test_flip_probability_independent_of_encoded_bit(theta, tag):
-    from twoway_qkd import PauliWord
-
     basis = Basis(theta)
-    op = PauliWord(tag)
-    p_from_zero = born_probability(apply_pauli(encode_bit(0, basis), op), basis, 1)
-    p_from_one = born_probability(apply_pauli(encode_bit(1, basis), op), basis, 0)
+    p_from_zero = born_probability(apply_pauli(encode_bit(0, basis), tag), basis, 1)
+    p_from_one = born_probability(apply_pauli(encode_bit(1, basis), tag), basis, 0)
     assert p_from_zero == pytest.approx(p_from_one, abs=1e-12)
 
 
@@ -224,27 +222,28 @@ def test_channel_term_by_term_matches_direct_sum():
 @settings(max_examples=25)
 @given(st.lists(st.tuples(bits, angles), min_size=1, max_size=64), angles)
 def test_register_agrees_with_scalar_path(pairs, meas_theta):
+    # Qubit k in the basis at pool angle k: a pool may hold an angle twice.
     bits_arr = np.array([b for b, _ in pairs], dtype=np.uint8)
-    thetas = np.array([t for _, t in pairs])
-    reg = QubitRegister.encode(bits_arr, thetas)
+    pool, index = np.array([t for _, t in pairs]), np.arange(len(pairs))
+    reg = QubitRegister.encode(bits_arr, pool, index)
     for k, (b, t) in enumerate(pairs):
         assert register_state(reg, k) == encode_bit(b, Basis(t))
-    flipped = reg.apply_pauli(XZ)
-    p1 = flipped.probability_of_one(np.full(len(pairs), meas_theta))
+    flipped = reg.apply_pauli_codes(np.full(len(pairs), PAULI_CODES["XZ"]))
+    p1 = flipped.probability_of_one(np.array([meas_theta]), np.zeros(len(pairs), dtype=np.int64))
     for k, (b, t) in enumerate(pairs):
-        scalar = born_probability(apply_pauli(encode_bit(b, Basis(t)), XZ), Basis(meas_theta), 1)
+        scalar = born_probability(apply_pauli(encode_bit(b, Basis(t)), "XZ"), Basis(meas_theta), 1)
         assert p1[k] == pytest.approx(scalar, abs=1e-12)
 
 
 def test_register_masked_pauli():
-    reg = QubitRegister.encode(np.array([0, 0, 0], dtype=np.uint8), np.zeros(3))
-    out = reg.apply_pauli(X, mask=np.array([True, False, True]))
+    reg = QubitRegister.encode(np.array([0, 0, 0], dtype=np.uint8), np.zeros(1), np.zeros(3, dtype=np.int64))
+    out = reg.apply_pauli_codes(np.where([True, False, True], PAULI_CODES["X"], 0))
     assert np.allclose(out.amp1, [1, 0, 1])
     assert np.allclose(out.amp0, [0, 1, 0])
 
 
 # Each Pauli word as the register applies it, one qubit at a time in Python
-# complex arithmetic. The matrix product in apply_pauli gives the same
+# complex arithmetic. The matrix product in reference.apply_pauli gives the same
 # values, but it adds signed zero products, so the sign of a zero part can
 # differ from these; transcripts and wire frames are pinned to these signs.
 WORD_ARITHMETIC = {
@@ -266,36 +265,32 @@ def _bits(z) -> bytes:
 def test_fused_pauli_pass_matches_each_word_bit_for_bit(data, runs, qubits):
     cells = data.draw(
         st.lists(
-            st.tuples(bits, angles, st.none() | angles, st.sampled_from(sorted(PAULI_TAGS))),
+            st.tuples(bits, angles, st.sampled_from(sorted(PAULI_TAGS))),
             min_size=runs * qubits,
             max_size=runs * qubits,
         )
     )
-    states = [
-        encode_bit(i, Basis(theta))
-        if phase is None
-        else encode_bit(i, Basis(theta)).phase_shifted(complex(math.cos(phase), math.sin(phase)))
-        for i, theta, phase, _ in cells
-    ]
-    amp0 = np.array([s.amp0 for s in states], dtype=complex).reshape(runs, qubits)
-    amp1 = np.array([s.amp1 for s in states], dtype=complex).reshape(runs, qubits)
+    # Each qubit in the basis at its own pool angle.
+    bit_rows = np.array([i for i, *_ in cells], dtype=np.uint8).reshape(runs, qubits)
+    pool, index = np.array([theta for _, theta, _ in cells]), np.arange(runs * qubits).reshape(runs, qubits)
     codes = np.array([code for *_, code in cells], dtype=np.int8).reshape(runs, qubits)
-    reg = QubitRegister(amp0, amp1)
+    reg = QubitRegister.encode(bit_rows, pool, index)
+    amp0, amp1 = reg.amp0, reg.amp1
     out = reg.apply_pauli_codes(codes)
     for (r, k), code in np.ndenumerate(codes):
         tag = PAULI_TAGS[int(code)]
         expected = WORD_ARITHMETIC[tag](complex(amp0[r, k]), complex(amp1[r, k]))
         assert (_bits(out.amp0[r, k]), _bits(out.amp1[r, k])) == tuple(map(_bits, expected))
-        scalar = apply_pauli(PureState(complex(amp0[r, k]), complex(amp1[r, k])), PauliWord(tag))
+        scalar = apply_pauli(PureState(complex(amp0[r, k]), complex(amp1[r, k])), tag)
         assert PureState(complex(out.amp0[r, k]), complex(out.amp1[r, k])) == scalar
 
-    # Bob's masked word goes through the same pass.
+    # Bob's masked word goes through the same pass, one mask for every row.
     word = data.draw(st.sampled_from(sorted(PAULI_CODES)))
-    mask = data.draw(st.lists(st.booleans(), min_size=qubits, max_size=qubits))
-    masked = reg.apply_pauli(PauliWord(word), mask=np.array(mask))
-    by_codes = reg.apply_pauli_codes(np.broadcast_to(np.where(mask, PAULI_CODES[word], 0), codes.shape))
-    assert masked.amp0.tobytes() == by_codes.amp0.tobytes()
-    assert masked.amp1.tobytes() == by_codes.amp1.tobytes()
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=qubits, max_size=qubits)))
+    masked = reg.apply_pauli_codes(np.where(mask, PAULI_CODES[word], 0))
+    for (r, k), a0 in np.ndenumerate(amp0):
+        expected = WORD_ARITHMETIC[word if mask[k] else "I"](complex(a0), complex(amp1[r, k]))
+        assert (_bits(masked.amp0[r, k]), _bits(masked.amp1[r, k])) == tuple(map(_bits, expected))
 
 
 finite_angles = st.floats(allow_nan=False, allow_infinity=False)
@@ -318,13 +313,11 @@ def test_pool_indexed_kernels_match_per_qubit_angles(data, pool, runs, qubits):
     one = bit_rows == 1
     assert reg.amp0.tobytes() == np.where(one, -s, c).astype(complex).tobytes()
     assert reg.amp1.tobytes() == np.where(one, c, s).astype(complex).tobytes()
-    assert reg.amp0.tobytes() == QubitRegister.encode(bit_rows, thetas).amp0.tobytes()
 
-    # Measure a phased register so that the Born rule sees complex amplitudes.
-    phased = QubitRegister(reg.amp1 * (0.6 + 0.8j), reg.amp0)
-    expected = np.minimum(1.0, np.abs(-s * phased.amp0 + c * phased.amp1) ** 2)
-    assert phased.probability_of_one(pool, index).tobytes() == expected.tobytes()
-    assert phased.probability_of_one(thetas).tobytes() == expected.tobytes()
+    # Measure after a Pauli word per qubit, so that the Born rule sees swapped and negated amplitudes.
+    flipped = reg.apply_pauli_codes(np.array(data.draw(st.lists(st.integers(0, 4), min_size=qubits, max_size=qubits))))
+    expected = np.minimum(1.0, np.abs(-s * flipped.amp0 + c * flipped.amp1) ** 2)
+    assert flipped.probability_of_one(pool, index).tobytes() == expected.tobytes()
 
 
 def _encoded(bit_rows: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -341,10 +334,9 @@ def _encoded(bit_rows: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.n
     st.integers(1, 3),
     st.integers(1, 96),
     st.lists(st.sampled_from(["codes", "masked", "eve"]), min_size=1, max_size=6),
-    st.booleans(),
     st.integers(0, 2**32),
 )
-def test_successive_layers_match_the_word_oracle_bit_for_bit(data, pool, eve_pool, runs, qubits, layers, phased, seed):
+def test_successive_layers_match_the_word_oracle_bit_for_bit(data, pool, eve_pool, runs, qubits, layers, seed):
     """Pauli layers compose exactly: after any sequence of noise codes,
     masked words and Eve-style re-encodings, every amplitude bit (zero signs
     included) equals the words applied one at a time in Python complex
@@ -354,10 +346,6 @@ def test_successive_layers_match_the_word_oracle_bit_for_bit(data, pool, eve_poo
     bit_rows, index = rng.integers(0, 2, shape, dtype=np.uint8), rng.integers(0, len(pool), shape)
     amp0, amp1 = _encoded(bit_rows, pool[index])
     reg = QubitRegister.encode(bit_rows, pool, index)
-    if phased:  # arbitrary complex amplitudes: a register with a table of its own
-        phase = np.exp(1j * rng.uniform(-math.pi, math.pi, shape))
-        amp0, amp1 = amp0 * phase, amp1 * phase
-        reg = QubitRegister(amp0, amp1)
     expected = [[(complex(amp0[r, k]), complex(amp1[r, k])) for k in range(qubits)] for r in range(runs)]
 
     for layer in layers:
@@ -370,12 +358,10 @@ def test_successive_layers_match_the_word_oracle_bit_for_bit(data, pool, eve_poo
             continue
         if layer == "codes":
             codes = rng.integers(0, 5, shape).astype(np.int8)
-            reg = reg.apply_pauli_codes(codes)
         else:
             word = data.draw(st.sampled_from(sorted(PAULI_CODES)))
-            mask = rng.random(shape) < 0.5
-            reg = reg.apply_pauli(PauliWord(word), mask=mask)
-            codes = np.where(mask, PAULI_CODES[word], 0)
+            codes = np.where(rng.random(shape) < 0.5, PAULI_CODES[word], 0)
+        reg = reg.apply_pauli_codes(codes)
         for (r, k), code in np.ndenumerate(codes):
             expected[r][k] = WORD_ARITHMETIC[PAULI_TAGS[int(code)]](*expected[r][k])
 
@@ -388,7 +374,6 @@ def test_successive_layers_match_the_word_oracle_bit_for_bit(data, pool, eve_poo
     thetas = pool[measure_index]
     born = np.minimum(1.0, np.abs(-np.sin(thetas) * want0 + np.cos(thetas) * want1) ** 2)
     assert reg.probability_of_one(pool, measure_index).tobytes() == born.tobytes()
-    assert reg.probability_of_one(thetas).tobytes() == born.tobytes()
 
 
 class _FixedDraws:
