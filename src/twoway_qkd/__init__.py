@@ -15,9 +15,8 @@ _EXPORTS = {
                 "NoiseModel"),
     "harness": ("ExperimentConfig", "RunStatistics", "emit_results", "run_experiment"),
     "network": ("StarSessionResult", "Topology", "run_star_session"),
-    "protocol": ("AllErasuresError", "DerivationRecord", "LinkSettings", "PreparationRecord", "RunConfig",
-                 "SessionResult", "alice_measure", "alice_prepare", "bob_build_key_message", "bob_encode", "majority",
-                 "resolve_erasures", "run_session"),
+    "protocol": ("DerivationRecord", "LinkSettings", "PreparationRecord", "RunConfig", "SessionResult",
+                 "alice_measure", "alice_prepare", "bob_build_key_message", "bob_encode", "majority", "run_session"),
     "qubit": ("Basis", "ConfigError", "QubitRegister"),
 }
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}

@@ -153,9 +153,7 @@ class EveObservation(_Record):
 def eve_tap_register(
     register: QubitRegister, strategy: EveStrategy, rng: Rng
 ) -> tuple[QubitRegister, EveObservation]:
-    """Vectorized tap over a whole qubit string on one leg, batched or not."""
-    if strategy.kind == ABSENT:
-        return register, EveObservation()
+    """Vectorized tap over a whole qubit string on one leg, batched or not; protocol._leg calls it where Eve taps."""
     n = len(register)
     pool = np.asarray(strategy.basis_pool)
     index = rng.integers(len(pool), size=n)

@@ -126,10 +126,6 @@ def _pass_groups(pairs) -> list[list[int]]:
     return list(groups.values())
 
 
-class AllErasuresError(ValueError):
-    """Every block tied: no pivot exists for erasure resolution."""
-
-
 def as_bit_rows(values) -> np.ndarray:
     """Coerce to a uint8 0/1 array of shape (..., n): one bit string, or a
     batch of them along leading axes. Bool, integer and float entries must be
@@ -420,17 +416,6 @@ def _resolve(bits, p) -> tuple[np.ndarray, np.ndarray]:
     return np.where(retained, C, C[..., :1]), n_clear[..., 0] == 0
 
 
-def resolve_erasures(bits, p) -> np.ndarray:
-    """_resolve for one string; raises AllErasuresError when every position is erased."""
-    bits, p = as_bits(bits), as_bits(p)
-    if len(bits) != len(p):
-        raise ValueError("value and erasure strings must have equal length")
-    C, all_erased = _resolve(bits, p)
-    if all_erased:
-        raise AllErasuresError("all positions erased; no pivot available")
-    return C
-
-
 @dataclass(frozen=True, eq=False)
 class DerivationRecord(_Record):
     """Alice's phase-III output, everything derived from (c, a)."""
@@ -446,8 +431,8 @@ class DerivationRecord(_Record):
 def derive(config: RunConfig, c, a) -> DerivationRecord:
     """Alice's phase III for one session or a batch of rows: M = c XOR a is
     kept in V1 and majority-decoded in V2/V3. V2's ties are its erasure
-    string p, resolved into C. C is None for a single string whose blocks
-    all tie, and all zeros for such a row of a batch."""
+    string p, resolved into C by _resolve: all zeros where every block ties,
+    for one string and a batch row alike (a session reports that C as None)."""
     c, a = as_bit_rows(c), as_bit_rows(a)
     if c.shape != a.shape:
         raise ValueError("c and a must have equal length")
@@ -457,20 +442,19 @@ def derive(config: RunConfig, c, a) -> DerivationRecord:
     m_prime, ties = majority(M, config.repetition, config.n_bits, config.variant)
     if config.variant == V3:
         return DerivationRecord(c=c, M=M, m_prime=m_prime, C=m_prime, ties=ties)
-    C, all_erased = _resolve(m_prime, ties)
-    return DerivationRecord(c=c, M=M, m_prime=m_prime, p=ties, C=None if C.ndim == 1 and all_erased else C)
+    return DerivationRecord(c=c, M=M, m_prime=m_prime, p=ties, C=_resolve(m_prime, ties)[0])
 
 
 def settle(cells, record: DerivationRecord, m) -> tuple:
     """Phase III's verdict, per row of a pass's (config, rows) cells: (Bob's final
     string, abort code, agreement). Bob's final string is his key-message m,
-    resolved with Alice's p in V2. A row aborts with all_erasures when p leaves
-    no pivot, else with tag_mismatch when Alice's decoded tag is not its cell's;
-    it agrees when it has a pivot and both final strings are equal."""
+    resolved with Alice's p by _resolve in V2. A row aborts with all_erasures when
+    p leaves no pivot (record.C all zeros: a session reports None), else with
+    tag_mismatch when Alice's decoded tag is not its cell's; it agrees when it
+    has a pivot and record.C, Alice's final string, equals Bob's."""
     bob_final, all_erasures = m, np.zeros(m.shape[:-1], bool)
     if cells[0][0].variant == V2:
         bob_final, all_erasures = _resolve(m, record.p)
-    alice_final = np.zeros_like(bob_final) if record.C is None else record.C
     # One comparison for the pass: the decoded tail as wide as the widest tag, against a copy
     # of it with each cell's tag written right-aligned into the cell's rows.
     width = max(config.tag_length for config, _ in cells)
@@ -479,7 +463,7 @@ def settle(cells, record: DerivationRecord, m) -> tuple:
     for config, rows in cells:
         expected[rows, width - config.tag_length :] = config.resolved_tag_bits()
     abort = np.where(all_erasures, 1, 2 * (decoded != expected).any(axis=-1))  # codes index ABORT_REASONS
-    return bob_final, abort, ~all_erasures & (alice_final == bob_final).all(axis=-1)
+    return bob_final, abort, ~all_erasures & (record.C == bob_final).all(axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -577,7 +561,7 @@ def _row(value, row):
 def _session_result(config: RunConfig, passed: Pass, row=...) -> SessionResult:
     """The SessionResult of a run_batch pass's one session (row=...) or of
     row `row` of a batch, under that session's config, from views of the
-    pass's arrays. C and both final strings are None if every block erased."""
+    pass's arrays. C and both final strings are None if every block erased (set only here)."""
     values = {name: _row(value, row) for name, value in passed._asdict().items()}
     abort_reason = ABORT_REASONS[values.pop("abort")]
     if abort_reason == "all_erasures":

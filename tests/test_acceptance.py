@@ -23,14 +23,13 @@ from twoway_qkd import (
     RunConfig,
     Topology,
     majority,
-    resolve_erasures,
     run_experiment,
     run_session,
     run_star_session,
 )
 from twoway_qkd.cli import main as cli_main
 from twoway_qkd.harness import CONFIG_FILENAME, CSV_FILENAME, SUMMARY_FILENAME
-from twoway_qkd.protocol import AllErasuresError, derive, run_batch
+from twoway_qkd.protocol import _resolve, derive, run_batch
 from twoway_qkd.qubit import PAULI_CODES, QubitRegister, RowStreams
 from twoway_qkd.reference import (
     PAULI_MATRICES,
@@ -208,14 +207,13 @@ def test_criterion_6_erasure_resolution_consistency():
                 m = np.array(m_bits, dtype=np.uint8)
                 p = np.array(p_bits, dtype=np.uint8)
                 if p.all():
-                    with pytest.raises(AllErasuresError):
-                        resolve_erasures(np.zeros(n, dtype=np.uint8), p)
-                    with pytest.raises(AllErasuresError):
-                        resolve_erasures(m, p)
+                    assert _resolve(np.zeros(n, dtype=np.uint8), p)[1]
+                    assert _resolve(m, p)[1]
                     continue
                 m_prime = m.copy()
                 m_prime[p == 1] = 0  # non-erased blocks decoded correctly
-                assert np.array_equal(resolve_erasures(m_prime, p), resolve_erasures(m, p))
+                (alice, alice_erased), (bob, bob_erased) = _resolve(m_prime, p), _resolve(m, p)
+                assert not alice_erased and not bob_erased and np.array_equal(alice, bob)
     report(6, "Alice/Bob erasure resolution identical over all (m, p) with N <= 4; all-erasure aborts")
 
 

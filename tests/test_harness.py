@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -8,7 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 from unittest import mock
 
@@ -857,16 +858,15 @@ _EXPORTED = {
                 "NoiseModel"),
     "harness": ("ExperimentConfig", "RunStatistics", "emit_results", "run_experiment"),
     "network": ("StarSessionResult", "Topology", "run_star_session"),
-    "protocol": ("AllErasuresError", "DerivationRecord", "LinkSettings", "PreparationRecord", "RunConfig",
-                 "SessionResult", "alice_measure", "alice_prepare", "bob_build_key_message", "bob_encode", "majority",
-                 "resolve_erasures", "run_session"),
+    "protocol": ("DerivationRecord", "LinkSettings", "PreparationRecord", "RunConfig", "SessionResult",
+                 "alice_measure", "alice_prepare", "bob_build_key_message", "bob_encode", "majority", "run_session"),
     "qubit": ("Basis", "ConfigError", "QubitRegister"),
 }
 
 
 def test_the_package_names_are_the_defining_modules_objects():
     names = {name for layer_names in _EXPORTED.values() for name in layer_names}
-    assert len(names) == 31 and set(twoway_qkd.__all__) == names | set(_EXPORTED)
+    assert len(names) == 29 and set(twoway_qkd.__all__) == names | set(_EXPORTED)
     assert names <= set(dir(twoway_qkd))
     for layer, layer_names in _EXPORTED.items():
         module = getattr(twoway_qkd, layer)
@@ -874,13 +874,33 @@ def test_the_package_names_are_the_defining_modules_objects():
         for name in layer_names:
             value = getattr(twoway_qkd, name)
             assert value is getattr(module, name) and getattr(value, "__module__", module.__name__) == module.__name__
-    assert not hasattr(twoway_qkd, "PureState")
+    for gone in ("PureState", "resolve_erasures", "AllErasuresError"):
+        assert not hasattr(twoway_qkd, gone) and not hasattr(protocol, gone)
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         twoway_qkd.no_such_name
     bound = {}
     exec("from twoway_qkd import *", bound)
     assert set(bound) - {"__builtins__"} == names | set(_EXPORTED)
     assert bound["network"] is twoway_qkd.network and bound["run_session"] is protocol.run_session
+
+
+def test_every_module_name_the_readme_names_exists():
+    # A `module.name` in backticks names a module-level object of that layer; past a class, an attribute or a
+    # dataclass field (which a class without a default does not hold as an attribute).
+    layers = ("qubit", "channel", "protocol", "network", "harness", "cli", "invariants", "reference")
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    refs = set(re.findall(rf"`({'|'.join(layers)})\.([A-Za-z_][\w.]*?)(?:\(\))?`", readme))
+    assert {("protocol", "derive"), ("protocol", "settle"), ("channel", "eve_tap_register")} <= refs
+    missing = []
+    for layer, path in sorted(refs):
+        *outer, last = path.split(".")
+        owner = importlib.import_module(f"twoway_qkd.{layer}")
+        for name in outer:
+            owner = getattr(owner, name, None)
+        fields_of = {field.name for field in fields(owner)} if is_dataclass(owner) else set()
+        if not (hasattr(owner, last) or last in fields_of):
+            missing.append(f"{layer}.{path}")
+    assert not missing
 
 
 # Runs in a fresh interpreter: which layer modules each kind of run loads.

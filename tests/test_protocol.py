@@ -13,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twoway_qkd import (
-    AllErasuresError,
     Basis,
     EveStrategy,
     ExperimentConfig,
@@ -23,7 +22,6 @@ from twoway_qkd import (
     alice_prepare,
     bob_encode,
     majority,
-    resolve_erasures,
     run_experiment,
     run_session,
 )
@@ -317,19 +315,19 @@ def test_majority_matches_the_sum_decoder(variant, t, n_bits, batch, seed):
 
 def test_resolve_no_erasures_is_identity():
     m_prime = np.array([1, 0, 1], dtype=np.uint8)
-    assert np.array_equal(resolve_erasures(m_prime, np.zeros(3, dtype=np.uint8)), m_prime)
+    C, all_erased = _resolve(m_prime, np.zeros(3, dtype=np.uint8))
+    assert np.array_equal(C, m_prime) and not all_erased
 
 
 def test_resolve_single_erasure_example():
-    C = resolve_erasures([1, 0], [0, 1])
-    assert C.tolist() == [1, 1]
+    C, all_erased = _resolve(np.array([1, 0], np.uint8), np.array([0, 1], np.uint8))
+    assert C.tolist() == [1, 1] and not all_erased
 
 
 def test_resolve_all_erasures_aborts():
-    with pytest.raises(AllErasuresError):
-        resolve_erasures([0, 0], [1, 1])
-    with pytest.raises(AllErasuresError):
-        resolve_erasures([1, 1], [1, 1])
+    for bits in ([0, 0], [1, 1]):
+        C, all_erased = _resolve(np.array(bits, np.uint8), np.ones(2, np.uint8))
+        assert all_erased and C.tolist() == [0, 0]
 
 
 def test_alice_and_bob_resolution_agree_exhaustively():
@@ -343,7 +341,8 @@ def test_alice_and_bob_resolution_agree_exhaustively():
                 # Premise: non-erased blocks decoded correctly.
                 m_prime = m.copy()
                 m_prime[p == 1] = 0
-                assert np.array_equal(resolve_erasures(m_prime, p), resolve_erasures(m, p))
+                (alice, alice_erased), (bob, bob_erased) = _resolve(m_prime, p), _resolve(m, p)
+                assert not alice_erased and not bob_erased and np.array_equal(alice, bob)
 
 
 def test_derive_v3_reduces_to_v1_at_t_one():
@@ -374,7 +373,7 @@ def test_bit_strings_are_checked_before_the_cast(values):
     # Anything but an exact 0 or 1 is a ValueError, never truncated or wrapped into a bit.
     config = RunConfig(n_bits=2, tag_length=2)
     with pytest.raises(ValueError, match="0 or 1"):
-        resolve_erasures(values, [0, 0])
+        derive(config, values, [0, 0])
     with pytest.raises(ValueError, match="0 or 1"):
         run_session(config, key_message=values)
 
@@ -382,7 +381,7 @@ def test_bit_strings_are_checked_before_the_cast(values):
 @pytest.mark.parametrize("values", [[True, False], [1, 0], [1.0, -0.0], np.array([1, 0], np.int8)])
 def test_bool_int_and_float_bits_are_accepted(values):
     config = RunConfig(n_bits=2, tag_length=2)  # the default tag is 1, 0
-    assert resolve_erasures(values, [0, 0]).tolist() == [1, 0]
+    assert derive(config, values, [0, 0]).C.tolist() == [1, 0]
     result = run_session(config, key_message=values)
     assert result.key_message.dtype == np.uint8 and result.key_message.tolist() == [1, 0] and result.accepted
 
@@ -600,9 +599,29 @@ def test_zx_encoding_is_observationally_identical_to_xz():
 
 
 def test_all_erasures_session_aborts_cleanly():
-    record = derive(RunConfig(n_bits=2, repetition=2, variant="V2"), [1, 0, 0, 1], [0, 0, 0, 0])
-    assert record.C is None
-    assert record.p.tolist() == [1, 1]
+    # derive leaves an all-tied V2 string's C all zeros, one string or a batch row alike;
+    # a session, two-party or a star leaf, reports that C and both final strings as None.
+    config = RunConfig(n_bits=2, repetition=2, variant="V2")
+    tied, untied = [1, 0, 0, 1], [1, 1, 0, 0]
+    record = derive(config, tied, [0, 0, 0, 0])
+    rows = derive(config, [untied, tied], np.zeros((2, 4), np.uint8))
+    for p, C in ((record.p, record.C), (rows.p[1], rows.C[1])):
+        assert p.tolist() == [1, 1] and C.tolist() == [0, 0]
+    assert rows.p[0].tolist() == [0, 0] and rows.C[0].tolist() == [1, 0]
+
+    noisy = NoiseModel(p_bitflip=0.5)
+    sessions = (run_session(replace(config, seed=seed), noisy, noisy) for seed in range(64))
+    session = next(result for result in sessions if result.derivation.p.all())
+    leaves = tuple("abcdefgh")
+    topology = Topology(leaves=leaves, links=dict.fromkeys(leaves, LinkSettings(noisy, noisy)))
+    stars = (run_star_session(topology, replace(config, seed=seed)) for seed in range(64))
+    star = next(star for star in stars if any(o.result.derivation.p.all() for o in star.outcomes.values()))
+    tied_leaves = [leaf for leaf, outcome in star.outcomes.items() if outcome.result.derivation.p.all()]
+    assert len(tied_leaves) < len(leaves) and not set(tied_leaves) & set(star.accepted_leaves)
+    for result in [session, *(star.outcomes[leaf].result for leaf in tied_leaves)]:
+        assert result.abort_reason == "all_erasures" and not result.accepted and not result.agreement
+        assert result.derivation.C is None and result.alice_final is None and result.bob_final is None
+        assert "\nC=\nties=\n" in result.transcript_text()
 
 
 @settings(max_examples=60, deadline=None)
@@ -624,13 +643,11 @@ def test_derive_and_resolve_rows_match_one_string(variant, t, n_bits, rows, seed
     record = derive(config, c, a)
     for r in range(rows):
         single = derive(config, c[r], a[r])
-        for field in ("c", "M", "m_prime", "p", "ties"):
+        for field in ("c", "M", "m_prime", "p", "C", "ties"):
             row, one = getattr(record, field), getattr(single, field)
             assert (row is None) == (one is None) and (one is None or np.array_equal(row[r], one)), field
-        if single.C is None:
-            assert variant == "V2" and record.p[r].all() and not record.C[r].any()
-        else:
-            assert np.array_equal(record.C[r], single.C)
+        if variant == "V2" and single.p.all():
+            assert not single.C.any()
 
     bits = rng.integers(0, 2, (rows, n_bits), dtype=np.uint8)
     p = rng.integers(0, 2, (rows, n_bits), dtype=np.uint8)
@@ -638,12 +655,10 @@ def test_derive_and_resolve_rows_match_one_string(variant, t, n_bits, rows, seed
     resolved, all_erased = _resolve(bits, p)
     assert np.array_equal(all_erased, p.all(axis=-1))
     for r in range(rows):
+        one, one_erased = _resolve(bits[r], p[r])
+        assert one_erased == all_erased[r] and np.array_equal(resolved[r], one)
         if all_erased[r]:
             assert not resolved[r].any()
-            with pytest.raises(AllErasuresError):
-                resolve_erasures(bits[r], p[r])
-        else:
-            assert np.array_equal(resolved[r], resolve_erasures(bits[r], p[r]))
 
 
 @settings(max_examples=30, deadline=None)
