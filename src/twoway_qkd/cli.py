@@ -2,7 +2,8 @@
 
 Subcommands:
   run     execute an experiment config and write artifacts
-  sweep   same as run but requires at least one sweep axis in the config
+  sweep   same as run, with the same options, but requires at least one sweep axis in the config;
+          the ready-made experiments, scripts/*.json, are sweep configs
   replay  re-run from a stored config_resolved.json; byte-identical output
   verify  check this install's bytes against pinned digests: a session, a star, a sweep
 
@@ -21,26 +22,17 @@ from .harness import (CONFIG_FILENAME, CSV_FILENAME, FORMATS, SUMMARY_FILENAME, 
                       emit_results, run_experiment)
 
 
-def _add_override_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--output-dir", default=None, help="override the config output directory")
-    parser.add_argument(
-        "--format", choices=FORMATS, default=None,
-        help="which artifact to echo to stdout",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="twoway-qkd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="execute an experiment config")
-    run_p.add_argument("--config", required=True, help="path to the JSON config")
-    _add_override_flags(run_p)
-
-    sweep_p = sub.add_parser("sweep", help="execute a sweep grid (config must define axes)")
-    sweep_p.add_argument("--config", required=True, help="path to the JSON config")
-    _add_override_flags(sweep_p)
+    for name, help_text in (("run", "execute an experiment config"),
+                            ("sweep", "execute a sweep grid (config must define axes)")):
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("--config", required=True, help="path to the JSON config")
+        command.add_argument("--seed", type=int, default=None, help="override the config seed")
+        command.add_argument("--output-dir", default=None, help="override the config output directory")
+        command.add_argument("--format", choices=FORMATS, default=None, help="which artifact to echo to stdout")
 
     replay_p = sub.add_parser("replay", help="re-run a stored experiment")
     replay_p.add_argument("--input-dir", required=True, help="directory holding config_resolved.json")

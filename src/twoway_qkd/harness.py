@@ -55,8 +55,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import ABSENT, FORWARD, EveStrategy, NoiseModel
-from .protocol import (ABORT_REASONS, LinkSettings, RunConfig, _batches, _pass_groups, _passes, _row_halves,
-                       run_batch)
+from .protocol import ABORT_REASONS, LinkSettings, RunConfig, _batches, _pass_groups, _row_halves, run_batch
 from .qubit import ANGLE, Basis, ConfigError, RowStreams, _row_seed_words, check_fields, checked
 
 CONFIG_FILENAME = "config_resolved.json"
@@ -295,9 +294,10 @@ def run_experiment(config: ExperimentConfig) -> RunStatistics:
     whose rows draw alike (protocol._pass_groups) share run_batch passes: a
     pass holds as many whole cells as fit in BATCH_QUBITS qubit slots, each
     cell's rows together and in cell order, and a cell larger than that is
-    split (protocol._passes). One _row_seed_words call derives the seed states of as
-    many consecutive passes as fit in BATCH_QUBITS rows (protocol._batches; one call
-    up to BATCH_QUBITS sessions), which seed each pass's read-ahead streams (RowStreams.from_seed_words).
+    split by repetitions. One _row_seed_words call derives the seed states of as
+    many consecutive passes as fit in BATCH_QUBITS rows (one call up to
+    BATCH_QUBITS sessions), which seed each pass's read-ahead streams
+    (RowStreams.from_seed_words). protocol._batches makes each of these splits.
     Each pass adds its rows' integer counts to its cells' totals, and each rate is
     one count over its trials, so the rates cannot depend on how rows split into passes.
     """
@@ -307,9 +307,9 @@ def run_experiment(config: ExperimentConfig) -> RunStatistics:
     for group in _pass_groups(settings):
         run_config, link = settings[group[0]]
         ahead = -(-sum(_row_halves(run_config, link)) // 2)
-        for members in _passes(len(group), n * run_config.qubit_count):
-            plan += [(group[members], rows.start, rows.stop - rows.start, ahead)
-                     for rows in _passes(n, run_config.qubit_count)]
+        splits = _batches([run_config.qubit_count] * n)
+        for members in _batches([n * run_config.qubit_count] * len(group)):
+            plan += [(group[members], rows.start, rows.stop - rows.start, ahead) for rows in splits]
     # Per cell: wrong key bits, V2 erased blocks, agreeing runs and detected runs.
     counts = np.zeros((4, len(cells)), np.int64)
     for batch in _batches([len(ids) * count for ids, _, count, _ in plan]):

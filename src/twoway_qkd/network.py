@@ -25,10 +25,10 @@ from .protocol import (
     LinkSettings,
     RunConfig,
     SessionResult,
+    _batches,
     _key_rng,
     _link_words,
     _pass_groups,
-    _passes,
     _row_halves,
     _session_result,
     bob_build_key_message,
@@ -173,7 +173,7 @@ def run_star_session(
     outcomes, abort, start = [None] * len(leaves), np.empty(len(leaves), int), 0
     for group in _pass_groups(zip(configs, links)):
         halves = _row_halves(configs[group[0]], links[group[0]])
-        for rows in _passes(len(group), config.qubit_count):
+        for rows in _batches([config.qubit_count] * len(group)):
             ids = group[rows]
             streams = [RowStreams.from_seed_words(row, -(-count // 2)) if count else None
                        for row, count in zip(_link_words(config.seed, ids), halves)]

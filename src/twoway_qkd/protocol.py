@@ -53,17 +53,12 @@ HUB_SPAWN_KEY = (1 << 16, 0)
 BATCH_QUBITS = 1 << 16
 
 
-def _passes(rows: int, qubit_count: int) -> list[slice]:
-    """Consecutive slices of `rows` rows (or sweep cells), each within BATCH_QUBITS qubit slots."""
-    step = max(1, BATCH_QUBITS // qubit_count)
-    return [slice(start, min(rows, start + step)) for start in range(0, rows, step)]
-
-
 def _batches(sizes) -> list[slice]:
-    """Consecutive slices of items of these sizes (each within BATCH_QUBITS), as many a slice as fit in it."""
+    """Consecutive slices of items of these sizes, as many a slice as fit in BATCH_QUBITS; an item larger
+    than that takes a slice of its own. Every split into passes or seed-word calls is made here."""
     slices, start, total = [], 0, 0
     for stop, size in enumerate(sizes):
-        if total + size > BATCH_QUBITS:
+        if total and total + size > BATCH_QUBITS:
             slices.append(slice(start, stop))
             start, total = stop, 0
         total += size

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 import twoway_qkd
 from twoway_qkd import (Basis, ConfigError, EveStrategy, ExperimentConfig, LinkSettings, NoiseModel, RunConfig, Topology,
                         emit_results, invariants, protocol, run_experiment, run_session, run_star_session)
+from twoway_qkd import cli
 from twoway_qkd.cli import main
 from twoway_qkd.harness import (
     CONFIG_FILENAME,
@@ -560,6 +562,53 @@ def test_cli_sweep_requires_axes(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg_path)]) == 1
     cfg_path.write_text(json.dumps({**BASE, "sweep": {"repetition": [1, 3]}}))
     assert main(["sweep", "--config", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 0
+
+
+ARTIFACTS = (CONFIG_FILENAME, CSV_FILENAME, SUMMARY_FILENAME)
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.mark.parametrize("name", ["noise_sweep", "eve_detection"])
+def test_the_shipped_configs_sweep_and_replay(tmp_path, capsys, name):
+    shipped = SCRIPTS / f"{name}.json"
+    assert ExperimentConfig.from_json_file(shipped).has_sweep
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**json.loads(shipped.read_text()), "repetitions": 2}))
+    assert main(["sweep", "--config", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out == (tmp_path / "out" / CSV_FILENAME).read_text()
+    assert main(["replay", "--input-dir", str(tmp_path / "out"), "--output-dir", str(tmp_path / "replay")]) == 0
+    for artifact in ARTIFACTS:
+        assert (tmp_path / "out" / artifact).read_bytes() == (tmp_path / "replay" / artifact).read_bytes()
+
+
+
+@pytest.mark.parametrize("name", ["noise_sweep", "eve_detection"])
+def test_each_script_runs_what_sweep_runs_on_its_config(tmp_path, monkeypatch, name):
+    script = SCRIPTS / f"{name}.py"
+    for override in ([], [str(tmp_path / "out")]):
+        with mock.patch.object(cli, "_execute", return_value=0) as executed:
+            flags = ["--output-dir", *override] if override else []
+            assert main(["sweep", "--config", str(script.with_suffix(".json")), *flags]) == 0
+            monkeypatch.setattr(sys, "argv", [str(script), *override])
+            with pytest.raises(SystemExit) as exited:
+                runpy.run_path(str(script), run_name="__main__")
+        assert exited.value.code == 0
+        (via_sweep,), (via_script,) = (call.args for call in executed.call_args_list)
+        assert via_script == via_sweep
+        assert via_sweep.output_dir == (override or [f"results/{name}"])[0]
+
+def test_run_and_sweep_take_the_same_overrides(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**BASE, "sweep": {"p_bitflip": [0.0, 0.1]}}))
+    outputs = []
+    for command in ("run", "sweep"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg_path), "--seed", "11", "--format", "structured",
+                     "--output-dir", str(out)]) == 0
+        outputs.append((capsys.readouterr().out, [(out / artifact).read_bytes() for artifact in ARTIFACTS]))
+    assert outputs[0] == outputs[1]
+    echoed, (config, _, summary) = outputs[0]
+    assert echoed.encode() == summary and json.loads(config)["seed"] == 11
 
 
 # A tiny valid config; the fuzz test below replaces one of its fields.

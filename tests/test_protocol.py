@@ -6,6 +6,7 @@ import sys
 import threading
 from dataclasses import replace
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -926,7 +927,28 @@ def test_every_entry_point_runs_its_passes_through_run_batch():
         assert passes == [[4], [4, 4]]
 
 
-# Sweeps shaped as the benchmark's: both scripts' grids at 20 repetitions (360 sessions each).
+@pytest.mark.parametrize("size", [1, 7, 48, 1 << 16, (1 << 16) + 1, 3 << 16])
+def test_batches_of_equal_sizes_take_as_many_items_as_fit(size):
+    # As many items a slice as fit in BATCH_QUBITS, and at least one: an item larger than that is a slice alone.
+    step = max(1, protocol.BATCH_QUBITS // size)
+    for count in (1, 5, 3000):
+        assert protocol._batches([size] * count) == [slice(start, min(count, start + step))
+                                                     for start in range(0, count, step)]
+    assert protocol._batches([protocol.BATCH_QUBITS + 1, 1]) == [slice(0, 1), slice(1, 2)]
+
+
+def test_sessions_larger_than_batch_qubits_run_one_pass_each():
+    # 70,000 qubits a session: each repetition of the cell, and each leaf, is a run_batch pass of its own.
+    sweep = ExperimentConfig.from_dict({"n_bits": 70000, "repetitions": 2})
+    star = Topology(leaves=("a", "b"))
+    for module, run in ((harness, lambda: run_experiment(sweep)),
+                        (network, lambda: run_star_session(star, RunConfig(n_bits=70000)))):
+        with mock.patch.object(module, "run_batch", wraps=protocol.run_batch) as recorded:
+            run()
+        assert recorded.call_count == 2
+
+
+# Sweeps shaped as the benchmark's: both shipped configs' grids at 20 repetitions (360 sessions each).
 BENCH_SWEEPS = [
     {"variant": "V2", "n_bits": 16, "repetition": 3, "basis_pool": [0.0, math.pi / 8, math.pi / 4], "tag_length": 8,
      "seed": 20260823, "repetitions": 20,
